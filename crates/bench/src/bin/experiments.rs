@@ -533,6 +533,28 @@ fn commit_memory(mode: Mode) -> Vec<String> {
         "commit allocation grows with document size: min {min} B, max {max} B (gross)"
     );
     println!("flatness check passed: min {min} B, max {max} B gross across {}x sizes", sizes.len());
+
+    // The shared-payload gate. `resolve` also allocates indexes, label
+    // clones and result vectors, so its gross bytes are not comparable with
+    // a copy of its input as such; what is comparable is how both respond
+    // when only the content trees grow (+16 nodes each). Shared payloads:
+    // resolve does not notice. One reasoning stage deep-copying its
+    // operations again: resolve pays most of a deep copy's worth of the
+    // growth (the late stages see ~3/4 of the submitted operations).
+    let w = setup_session(8, 500, 42);
+    let (resolve, deep_copy) = run_resolve_copies(&w, 0);
+    let (resolve_fat, deep_copy_fat) = run_resolve_copies(&w, 16);
+    let row = format!(
+        "{{\"resolve_copies\": \"8x500\", \"resolve_gross_bytes\": {resolve}, \
+         \"resolve_gross_bytes_padded\": {resolve_fat}, \"deep_copy_gross_bytes\": {deep_copy}, \
+         \"deep_copy_gross_bytes_padded\": {deep_copy_fat}}}"
+    );
+    println!("{row}");
+    assert!(
+        resolve_fat.saturating_sub(resolve) < (deep_copy_fat - deep_copy) / 2,
+        "resolve allocation follows payload size: a stage is deep-copying operation payloads"
+    );
+    rows.push(row);
     rows
 }
 

@@ -293,13 +293,18 @@ pub fn setup_session(n_puls: usize, ops_per_pul: usize, seed: u64) -> SessionWor
         &ParallelConfig { n_puls, ops_per_pul, conflict_fraction: 0.2, ops_per_conflict: 4, seed },
     );
     let policies = vec![Policy::relaxed(); n_puls];
+    let executor = session_with_submissions(doc, &puls);
+    SessionWorkload { puls, policies, executor }
+}
+
+fn session_with_submissions(doc: Document, puls: &[Pul]) -> xmlpul::Executor {
     let mut executor = xmlpul::Executor::new(doc)
         .policy(Policy::relaxed())
         .reduction(xmlpul::ReductionStrategy::Deterministic);
-    for pul in &puls {
+    for pul in puls {
         executor.submit(pul.clone());
     }
-    SessionWorkload { puls, policies, executor }
+    executor
 }
 
 /// The raw pipeline, exactly mirroring what `Executor::resolve` does: reduce
@@ -707,6 +712,40 @@ pub fn run_commit_memory(w: &mut CommitMemoryWorkload) -> (alloc_counter::AllocS
     let (report, stats) = alloc_counter::measure_peak(|| w.executor.commit_resolution(resolution));
     let report = report.expect("measured PUL commits");
     (stats, report.apply.journal.total())
+}
+
+fn content_trees_mut(puls: &mut [Pul]) -> impl Iterator<Item = &mut xdm::Tree> {
+    puls.iter_mut().flat_map(|p| p.ops_mut()).filter_map(|op| op.content_mut()).flatten()
+}
+
+/// Gross bytes allocated by one `Executor::resolve` of the session workload
+/// (after a warm-up resolve), next to the gross bytes of one deep copy of its
+/// PULs — operations, labels and every content arena — with every element
+/// content tree first padded by `pad_nodes` children. Padding grows the
+/// payloads and nothing else (same targets, labels, operation kinds), so the
+/// reasoning stages, which hand operations on by reference count, must not
+/// notice it; a stage deep-copying its input pays a deep copy's worth.
+pub fn run_resolve_copies(w: &SessionWorkload, pad_nodes: usize) -> (usize, usize) {
+    let mut puls = w.puls.clone();
+    for tree in content_trees_mut(&mut puls).filter(|t| t.root_kind() == xdm::NodeKind::Element) {
+        let root = tree.root_id();
+        for _ in 0..pad_nodes {
+            let pad = tree.new_element("pad");
+            tree.append_child(root, pad).expect("padding an element root");
+        }
+    }
+    let executor = session_with_submissions(w.executor.document().clone(), &puls);
+    executor.resolve().expect("warm-up resolves");
+    let (_, resolve) = alloc_counter::measure_peak(|| executor.resolve().expect("resolves"));
+    let (copy, deep_copy) = alloc_counter::measure_peak(|| {
+        let mut copy = puls.clone();
+        for tree in content_trees_mut(&mut copy) {
+            *tree = xdm::Tree::from_document(tree.as_document().clone()).expect("has a root");
+        }
+        copy
+    });
+    drop(copy);
+    (resolve.gross_bytes, deep_copy.gross_bytes)
 }
 
 /// Allocation of the historical whole-session snapshot (one document +

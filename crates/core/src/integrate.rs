@@ -45,7 +45,7 @@ impl Integration {
     }
 }
 
-fn label_of(puls: &[Pul], target: NodeId) -> Option<&NodeLabel> {
+pub(crate) fn label_of(puls: &[Pul], target: NodeId) -> Option<&NodeLabel> {
     puls.iter().find_map(|p| p.label(target))
 }
 

@@ -13,10 +13,9 @@ use std::fmt;
 
 use pul::{Pul, UpdateOp};
 use xdm::{NodeId, Tree};
-use xlabel::NodeLabel;
 
 use crate::conflict::{acts_as_delete, Conflict, ConflictType, OpRef};
-use crate::integrate::{integrate, Integration};
+use crate::integrate::{integrate, label_of, Integration};
 use crate::policy::Policy;
 use crate::reduce::{reduce_with, ReductionKind};
 
@@ -40,10 +39,6 @@ impl std::error::Error for ReconcileError {}
 
 fn policy_of(policies: &[Policy], r: OpRef) -> Policy {
     policies.get(r.pul).copied().unwrap_or_default()
-}
-
-fn label_of(puls: &[Pul], target: NodeId) -> Option<&NodeLabel> {
-    puls.iter().find_map(|p| p.label(target))
 }
 
 /// The focus node of a conflict: the common target for symmetric conflicts,
@@ -202,21 +197,23 @@ pub fn reconcile_integration(
     policies: &[Policy],
 ) -> Result<Pul, ReconcileError> {
     // Order the conflicts: focus node in document order, then precedence.
-    let mut ordered: Vec<&Conflict> = integration.conflicts.iter().collect();
-    ordered.sort_by(|a, b| {
-        let fa = focus(a, puls);
-        let fb = focus(b, puls);
-        let key = |c: &Conflict, f: NodeId| {
-            (label_of(puls, f).map(|l| l.start.clone()), f, precedence(c, puls))
-        };
-        key(a, fa).cmp(&key(b, fb))
-    });
+    // The key is resolved once per conflict: `label_of` probes every PUL's
+    // label map, too much to pay on both sides of every comparison.
+    let mut ordered: Vec<_> = integration
+        .conflicts
+        .iter()
+        .map(|c| {
+            let f = focus(c, puls);
+            ((label_of(puls, f).map(|l| &l.start), f, precedence(c, puls)), c)
+        })
+        .collect();
+    ordered.sort_by_key(|(key, _)| *key);
 
     let mut excluded: HashSet<OpRef> = HashSet::new();
     let mut generated: Vec<UpdateOp> = Vec::new();
     let mut involved: Vec<OpRef> = Vec::new();
 
-    for conflict in ordered {
+    for (_, conflict) in ordered {
         involved.extend(conflict.all_ops());
         let overrider = conflict.overrider.filter(|o| !excluded.contains(o));
         let os: Vec<OpRef> =

@@ -326,25 +326,17 @@ impl Labeling {
     /// makes a PUL effective on the authoritative document.
     pub fn label_inserted_subtree(&mut self, doc: &Document, new_root: NodeId) {
         let Ok(Some(parent)) = doc.parent(new_root) else { return };
-        let Some(parent_label) = self.map.get(parent).cloned() else { return };
+        let Some(parent_label) = self.map.get(parent) else { return };
+        let level = parent_label.level + 1;
         // Determine the order-key bounds from the closest labeled neighbours.
-        let (lo, hi) = self.bounds_for(doc, new_root, &parent_label);
-        let size = doc.preorder(new_root).len();
-        // Generate 2*size increasing keys strictly between lo and hi.
-        let mut keys = Vec::with_capacity(2 * size);
-        let mut left = lo;
-        for _ in 0..(2 * size) {
-            let k = OrderKey::between(&left, &hi);
-            keys.push(k.clone());
-            left = k;
-        }
-        let mut next = 0usize;
+        let (mut left, hi) = self.bounds_for(doc, new_root, parent_label);
+        // Each key is generated strictly between the previous one and `hi`,
+        // as the traversal asks for it (two per node).
         let mut take = move || {
-            let k = keys[next].clone();
-            next += 1;
+            let k = OrderKey::between(&left, &hi);
+            left = k.clone();
             k
         };
-        let level = parent_label.level + 1;
         self.assign_subtree(doc, new_root, level, &mut take);
         // Sibling first/last flags of pre-existing nodes may have become stale;
         // refresh the flags of the parent's children (cheap, local).
@@ -377,7 +369,7 @@ impl Labeling {
                 .unwrap_or_else(|| parent_label.end.clone());
             return (lo, hi);
         }
-        let siblings: Vec<NodeId> = doc.children(parent_label.id).unwrap_or(&[]).to_vec();
+        let siblings = doc.children(parent_label.id).unwrap_or(&[]);
         let pos = siblings.iter().position(|&s| s == new_node).unwrap_or(0);
         // closest labeled left neighbour; with no labeled left sibling the
         // lower bound is the last labeled *attribute* of the parent (attribute
@@ -408,7 +400,6 @@ impl Labeling {
     /// already current are not touched (and record nothing in the journal).
     pub fn refresh_sibling_flags(&mut self, doc: &Document, parent: NodeId) {
         let Ok(children) = doc.children(parent) else { return };
-        let children: Vec<NodeId> = children.to_vec();
         for (i, &c) in children.iter().enumerate() {
             let left_sibling = if i > 0 { Some(children[i - 1]) } else { None };
             let is_first = i == 0;

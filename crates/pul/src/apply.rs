@@ -13,7 +13,7 @@
 //! the canonical order (target document order, then parameter order). The full
 //! non-deterministic semantics is available in [`crate::obtainable`].
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use xdm::{Document, NodeId, NodeKind, Tree};
 use xlabel::Labeling;
@@ -72,15 +72,10 @@ impl JournalStats {
 pub struct ApplyReport {
     /// Roots of the subtrees inserted into the document.
     pub inserted_roots: Vec<NodeId>,
-    /// Nodes removed from the document (roots of removed subtrees).
-    pub removed_roots: Vec<NodeId>,
     /// *All* nodes removed from the document, including the descendants of the
-    /// removed roots and the children cleared by `repC` — exactly the
+    /// removed subtree roots and the children cleared by `repC` — exactly the
     /// identifiers whose labels must be dropped by [`Labeling::patch`].
     pub removed_nodes: Vec<NodeId>,
-    /// Mapping from parameter-tree identifiers to the identifiers assigned in
-    /// the document (the identity when identifiers are preserved).
-    pub id_map: HashMap<NodeId, NodeId>,
     /// Journal entries recorded by [`apply_pul_journaled`] (zero otherwise).
     pub journal: JournalStats,
 }
@@ -92,16 +87,8 @@ pub fn apply_pul(doc: &mut Document, pul: &Pul, opts: &ApplyOptions) -> Result<A
     }
     let mut report = ApplyReport::default();
 
-    // Deterministic order: by stage, then target, then name, then parameters.
     let mut ordered: Vec<&UpdateOp> = pul.ops().iter().collect();
-    ordered.sort_by(|a, b| {
-        (a.stage(), a.target(), a.name().code(), a.param_sort_key()).cmp(&(
-            b.stage(),
-            b.target(),
-            b.name().code(),
-            b.param_sort_key(),
-        ))
-    });
+    ordered.sort_by(|a, b| a.canonical_cmp(b));
 
     for op in ordered {
         apply_one(doc, op, opts, &mut report)?;
@@ -232,27 +219,14 @@ impl JournalScope {
 }
 
 /// Grafts a parameter tree into the document (detached) and returns its new root.
-fn graft_tree(
-    doc: &mut Document,
-    tree: &Tree,
-    opts: &ApplyOptions,
-    report: &mut ApplyReport,
-) -> Result<NodeId> {
-    let (root, mapping) =
-        doc.graft(tree.as_document(), tree.root_id(), opts.preserve_content_ids)?;
-    for (old, new) in mapping {
-        report.id_map.insert(old, new);
-    }
-    Ok(root)
+fn graft_tree(doc: &mut Document, tree: &Tree, opts: &ApplyOptions) -> Result<NodeId> {
+    Ok(doc.graft(tree.as_document(), tree.root_id(), opts.preserve_content_ids)?)
 }
 
-fn note_insert(report: &mut ApplyReport, root: NodeId) {
-    report.inserted_roots.push(root);
-}
-
-fn note_removed(report: &mut ApplyReport, root: NodeId, removed_ids: &[NodeId]) {
-    report.removed_roots.push(root);
-    report.removed_nodes.extend_from_slice(removed_ids);
+/// Removes the subtree rooted at `root`, reporting every removed node.
+fn remove_reported(doc: &mut Document, root: NodeId, report: &mut ApplyReport) -> Result<()> {
+    report.removed_nodes.extend(doc.preorder(root));
+    Ok(doc.remove_subtree(root)?)
 }
 
 /// Applies a single operation. Operations whose target has already been removed
@@ -274,31 +248,31 @@ fn apply_one(
         UpdateOp::InsInto { content, .. } | UpdateOp::InsFirst { content, .. } => {
             // ins↓ takes the implementation-defined position "first".
             for (i, tree) in content.iter().enumerate() {
-                let root = graft_tree(doc, tree, opts, report)?;
+                let root = graft_tree(doc, tree, opts)?;
                 doc.insert_child_at(target, i, root)?;
-                note_insert(report, root);
+                report.inserted_roots.push(root);
             }
         }
         UpdateOp::InsLast { content, .. } => {
             for tree in content {
-                let root = graft_tree(doc, tree, opts, report)?;
+                let root = graft_tree(doc, tree, opts)?;
                 doc.append_child(target, root)?;
-                note_insert(report, root);
+                report.inserted_roots.push(root);
             }
         }
         UpdateOp::InsBefore { content, .. } => {
             for tree in content {
-                let root = graft_tree(doc, tree, opts, report)?;
+                let root = graft_tree(doc, tree, opts)?;
                 doc.insert_before(target, root)?;
-                note_insert(report, root);
+                report.inserted_roots.push(root);
             }
         }
         UpdateOp::InsAfter { content, .. } => {
             let mut anchor = target;
             for tree in content {
-                let root = graft_tree(doc, tree, opts, report)?;
+                let root = graft_tree(doc, tree, opts)?;
                 doc.insert_after(anchor, root)?;
-                note_insert(report, root);
+                report.inserted_roots.push(root);
                 anchor = root;
             }
         }
@@ -315,50 +289,42 @@ fn apply_one(
                         "attribute '{name}' inserted twice (or already present) on node {target}"
                     )));
                 }
-                let root = graft_tree(doc, tree, opts, report)?;
+                let root = graft_tree(doc, tree, opts)?;
                 doc.add_attribute(target, root)?;
-                note_insert(report, root);
+                report.inserted_roots.push(root);
             }
         }
-        UpdateOp::Delete { .. } => {
-            let removed = doc.preorder(target);
-            doc.remove_subtree(target)?;
-            note_removed(report, target, &removed);
-        }
+        UpdateOp::Delete { .. } => remove_reported(doc, target, report)?,
         UpdateOp::ReplaceNode { content, .. } => {
             if doc.kind(target)? == NodeKind::Attribute {
                 let owner = doc
                     .parent(target)?
                     .ok_or(PulError::Dynamic(format!("attribute {target} has no owner")))?;
                 for tree in content {
-                    let root = graft_tree(doc, tree, opts, report)?;
+                    let root = graft_tree(doc, tree, opts)?;
                     doc.add_attribute(owner, root)?;
-                    note_insert(report, root);
+                    report.inserted_roots.push(root);
                 }
             } else {
                 for tree in content {
-                    let root = graft_tree(doc, tree, opts, report)?;
+                    let root = graft_tree(doc, tree, opts)?;
                     doc.insert_before(target, root)?;
-                    note_insert(report, root);
+                    report.inserted_roots.push(root);
                 }
             }
-            let removed = doc.preorder(target);
-            doc.remove_subtree(target)?;
-            note_removed(report, target, &removed);
+            remove_reported(doc, target, report)?;
         }
         UpdateOp::ReplaceValue { value, .. } => {
             doc.set_value(target, value.clone())?;
         }
         UpdateOp::ReplaceContent { text, .. } => {
             for c in doc.children(target)?.to_vec() {
-                let removed = doc.preorder(c);
-                doc.remove_subtree(c)?;
-                note_removed(report, c, &removed);
+                remove_reported(doc, c, report)?;
             }
             if let Some(t) = text {
                 let text_node = doc.new_text(t.clone());
                 doc.append_child(target, text_node)?;
-                note_insert(report, text_node);
+                report.inserted_roots.push(text_node);
             }
         }
         UpdateOp::Rename { name, .. } => {
@@ -574,15 +540,15 @@ mod tests {
         assert!(d.contains(NodeId::new(26)));
         assert_eq!(report.inserted_roots, vec![NodeId::new(24)]);
 
-        // fresh-id mode must not reuse 24..26 but map them
+        // fresh-id mode must not reuse 24..26 but mint from the document's counter
         let mut d2 = doc();
         let tree2 =
             xdm::parser::parse_fragment_with_first_id("<article><title>XML</title></article>", 24)
                 .unwrap();
         let pul2: Pul = vec![UpdateOp::ins_last(1u64, vec![tree2])].into_iter().collect();
         let report2 = apply_pul(&mut d2, &pul2, &ApplyOptions::default()).unwrap();
-        assert_eq!(report2.id_map.len(), 3);
-        assert!(report2.id_map.contains_key(&NodeId::new(24)));
+        assert_eq!(report2.inserted_roots, vec![NodeId::new(7)]);
+        assert!(d2.contains(NodeId::new(9)) && !d2.contains(NodeId::new(24)));
     }
 
     #[test]
@@ -593,7 +559,6 @@ mod tests {
             vec![UpdateOp::ins_last(3u64, vec![Tree::element("author")]), UpdateOp::delete(6u64)],
         );
         assert_eq!(report.inserted_roots.len(), 1);
-        assert_eq!(report.removed_roots, vec![NodeId::new(6)]);
         assert_eq!(report.removed_nodes, vec![NodeId::new(6)]);
     }
 
@@ -606,7 +571,6 @@ mod tests {
         let mut removed: Vec<u64> = report.removed_nodes.iter().map(|n| n.as_u64()).collect();
         removed.sort_unstable();
         assert_eq!(removed, vec![3, 4, 5]);
-        assert_eq!(report.removed_roots, vec![NodeId::new(3)]);
 
         let mut d = doc();
         let report = apply(&mut d, vec![UpdateOp::replace_content(3u64, Some("gone".into()))]);

@@ -249,23 +249,12 @@ fn apply_with_choice(doc: &Document, pul: &Pul, choice: &Choice) -> Result<Docum
         }
     }
     let mut indices: Vec<usize> = (0..ops.len()).collect();
-    indices.sort_by(|&a, &b| {
-        let oa = &ops[a];
-        let ob = &ops[b];
-        (
-            oa.stage(),
-            oa.target(),
-            oa.name().code(),
-            rank.get(&a).copied().unwrap_or(0),
-            oa.param_sort_key(),
-        )
-            .cmp(&(
-                ob.stage(),
-                ob.target(),
-                ob.name().code(),
-                rank.get(&b).copied().unwrap_or(0),
-                ob.param_sort_key(),
-            ))
+    let rank_of = |i: &usize| rank.get(i).copied().unwrap_or(0);
+    indices.sort_by(|a, b| {
+        let (oa, ob) = (&ops[*a], &ops[*b]);
+        oa.canonical_prefix_cmp(ob)
+            .then_with(|| rank_of(a).cmp(&rank_of(b)))
+            .then_with(|| oa.param_sort_key().cmp(&ob.param_sort_key()))
     });
 
     // Record, for every ins↓ target, the sibling node currently at the chosen
@@ -293,13 +282,13 @@ fn apply_with_choice(doc: &Document, pul: &Pul, choice: &Choice) -> Result<Docum
                 Some(anchor) if work.contains(anchor) => {
                     // insert the trees immediately before the anchor sibling
                     for tree in content {
-                        let (root, _) = work.graft(tree.as_document(), tree.root_id(), false)?;
+                        let root = work.graft(tree.as_document(), tree.root_id(), false)?;
                         work.insert_before(anchor, root)?;
                     }
                 }
                 _ => {
                     for tree in content {
-                        let (root, _) = work.graft(tree.as_document(), tree.root_id(), false)?;
+                        let root = work.graft(tree.as_document(), tree.root_id(), false)?;
                         work.append_child(target, root)?;
                     }
                 }

@@ -5,6 +5,8 @@
 //! `p(op)` (a list of trees, a value or a name). Applicability conditions
 //! follow Table 2 and Definition 1.
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::fmt;
 
 use xdm::{Document, NodeId, NodeKind, Tree};
@@ -392,18 +394,42 @@ impl UpdateOp {
 
     /// A textual serialization of `p(op)` used for the lexicographic ordering
     /// `<lex` of the canonical form (Def. 9). `del` has no parameter and
-    /// serializes to the empty string.
-    pub fn param_sort_key(&self) -> String {
+    /// serializes to the empty string. Scalar parameters are borrowed; only
+    /// tree lists are serialized into a fresh string.
+    pub fn param_sort_key(&self) -> Cow<'_, str> {
         match self {
-            UpdateOp::Delete { .. } => String::new(),
-            UpdateOp::ReplaceValue { value, .. } => value.clone(),
-            UpdateOp::Rename { name, .. } => name.clone(),
-            UpdateOp::ReplaceContent { text, .. } => text.clone().unwrap_or_default(),
-            _ => self
-                .content()
-                .map(|trees| trees.iter().map(|t| t.to_string()).collect::<Vec<_>>().join("\u{1}"))
-                .unwrap_or_default(),
+            UpdateOp::Delete { .. } => Cow::Borrowed(""),
+            UpdateOp::ReplaceValue { value, .. } => Cow::Borrowed(value),
+            UpdateOp::Rename { name, .. } => Cow::Borrowed(name),
+            UpdateOp::ReplaceContent { text, .. } => Cow::Borrowed(text.as_deref().unwrap_or("")),
+            _ => Cow::Owned(
+                self.content()
+                    .map(|trees| {
+                        trees.iter().map(|t| t.to_string()).collect::<Vec<_>>().join("\u{1}")
+                    })
+                    .unwrap_or_default(),
+            ),
         }
+    }
+
+    /// The part of the canonical application order that needs no parameter:
+    /// stage, then target, then operation code.
+    pub fn canonical_prefix_cmp(&self, other: &UpdateOp) -> Ordering {
+        (self.stage(), self.target(), self.name().code()).cmp(&(
+            other.stage(),
+            other.target(),
+            other.name().code(),
+        ))
+    }
+
+    /// The canonical application order shared by the in-memory, streaming and
+    /// obtainable-set evaluators: [`canonical_prefix_cmp`]
+    /// (UpdateOp::canonical_prefix_cmp), then — only on a tie — the parameter
+    /// key, so sorting a PUL serializes no content tree unless two operations
+    /// of one kind hit the same target.
+    pub fn canonical_cmp(&self, other: &UpdateOp) -> Ordering {
+        self.canonical_prefix_cmp(other)
+            .then_with(|| self.param_sort_key().cmp(&other.param_sort_key()))
     }
 
     /// Whether the operation belongs to the set of insertions that add
@@ -728,6 +754,68 @@ mod tests {
         let mut op = UpdateOp::rename(5u64, "x");
         op.set_target(NodeId::new(9));
         assert_eq!(op.target(), NodeId::new(9));
+    }
+
+    /// The comparator the evaluators used before [`UpdateOp::canonical_cmp`]:
+    /// a four-field tuple whose last field serializes the parameter of both
+    /// sides on every comparison. Kept as the oracle of the order.
+    fn tuple_order_oracle(a: &UpdateOp, b: &UpdateOp) -> Ordering {
+        (a.stage(), a.target(), a.name().code(), a.param_sort_key().into_owned()).cmp(&(
+            b.stage(),
+            b.target(),
+            b.name().code(),
+            b.param_sort_key().into_owned(),
+        ))
+    }
+
+    #[test]
+    fn canonical_cmp_sorts_like_the_tuple_oracle() {
+        // Few targets and few parameter spellings: most operations tie on
+        // (stage, target, name) with some other operation and many tie on
+        // everything, so the parameter tie-break and stability both matter.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let words = ["", "a", "b", "ab", "a<b", "zz"];
+        for _ in 0..200 {
+            let ops: Vec<UpdateOp> = (0..40)
+                .map(|_| {
+                    let target = 1 + next(4);
+                    let word = words[next(words.len() as u64) as usize];
+                    let trees = || -> Vec<Tree> {
+                        let mut trees = vec![Tree::element_with_text("p", word)];
+                        if word.len() == 2 {
+                            trees.push(Tree::element(word));
+                        }
+                        trees
+                    };
+                    match next(11) {
+                        0 => UpdateOp::ins_before(target, trees()),
+                        1 => UpdateOp::ins_after(target, trees()),
+                        2 => UpdateOp::ins_first(target, trees()),
+                        3 => UpdateOp::ins_last(target, trees()),
+                        4 => UpdateOp::ins_into(target, trees()),
+                        5 => UpdateOp::ins_attributes(target, vec![Tree::attribute("k", word)]),
+                        6 => UpdateOp::delete(target),
+                        7 => UpdateOp::replace_node(target, trees()),
+                        8 => UpdateOp::replace_value(target, word),
+                        9 => UpdateOp::replace_content(target, (word != "zz").then(|| word.into())),
+                        _ => UpdateOp::rename(target, word),
+                    }
+                })
+                .collect();
+            let mut expected: Vec<(usize, &UpdateOp)> = ops.iter().enumerate().collect();
+            let mut actual = expected.clone();
+            expected.sort_by(|(_, a), (_, b)| tuple_order_oracle(a, b));
+            actual.sort_by(|(_, a), (_, b)| a.canonical_cmp(b));
+            let indices = |v: &[(usize, &UpdateOp)]| v.iter().map(|(i, _)| *i).collect::<Vec<_>>();
+            assert_eq!(indices(&actual), indices(&expected));
+            for (a, b) in ops.iter().zip(ops.iter().skip(1)) {
+                assert_eq!(a.canonical_cmp(b), tuple_order_oracle(a, b));
+            }
+        }
     }
 
     #[test]

@@ -48,14 +48,7 @@ impl TargetOps {
 fn index_ops(pul: &Pul) -> Result<HashMap<NodeId, TargetOps>> {
     pul.check_compatible()?;
     let mut ordered: Vec<&UpdateOp> = pul.ops().iter().collect();
-    ordered.sort_by(|a, b| {
-        (a.stage(), a.target(), a.name().code(), a.param_sort_key()).cmp(&(
-            b.stage(),
-            b.target(),
-            b.name().code(),
-            b.param_sort_key(),
-        ))
-    });
+    ordered.sort_by(|a, b| a.canonical_cmp(b));
     let mut map: HashMap<NodeId, TargetOps> = HashMap::new();
     for op in ordered {
         let entry = map.entry(op.target()).or_default();

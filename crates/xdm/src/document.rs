@@ -774,62 +774,76 @@ impl Document {
     // grafting (deep copy across arenas)
     // ------------------------------------------------------------------
 
-    /// Deep-copies the subtree rooted at `src_root` from `src` into this arena.
+    /// Deep-copies the subtree rooted at `src_root` from `src` into this arena
+    /// and returns the identifier of the copied root, detached.
     ///
     /// When `preserve_ids` is `true` the source identifiers are kept (an error
-    /// is returned if any clashes with an existing identifier); otherwise fresh
-    /// identifiers are assigned. Returns the identifier of the copied root in
-    /// this arena, along with the mapping from source ids to new ids.
+    /// is returned, before anything is allocated, if any clashes with an
+    /// existing identifier); otherwise fresh identifiers are minted in source
+    /// preorder (owner, its attributes, its children).
     pub fn graft(
         &mut self,
         src: &Document,
         src_root: NodeId,
         preserve_ids: bool,
-    ) -> Result<(NodeId, HashMap<NodeId, NodeId>)> {
-        let mut mapping: HashMap<NodeId, NodeId> = HashMap::new();
-        let order = src.preorder(src_root);
-        // First allocate all nodes.
-        for &sid in &order {
-            let sdata = src.node(sid)?;
+    ) -> Result<NodeId> {
+        // Stage the copy in source preorder. A node's position in `staged` is
+        // its preorder index, so a child reaches its already staged parent by
+        // index and the links are written with the new identifiers directly.
+        let first_fresh = self.next_id;
+        let mut staged: Vec<(NodeId, NodeData)> = Vec::new();
+        let mut stack: Vec<(NodeId, Option<usize>)> = vec![(src_root, None)];
+        while let Some((sid, parent)) = stack.pop() {
+            let Ok(sdata) = src.node(sid) else { continue };
             let nid = if preserve_ids {
                 if self.nodes.contains(sid) {
                     return Err(XdmError::DuplicateNodeId(sid));
                 }
-                self.note_explicit_id(sid);
                 sid
             } else {
-                self.fresh_id()
+                NodeId::new(first_fresh + staged.len() as u64)
             };
-            let mut data = sdata.clone();
-            data.parent = None;
-            data.children.clear();
-            data.attributes.clear();
+            let index = staged.len();
+            let parent = parent.map(|p| {
+                let (pid, pdata) = &mut staged[p];
+                if sdata.kind == NodeKind::Attribute {
+                    pdata.attributes.push(nid);
+                } else {
+                    pdata.children.push(nid);
+                }
+                *pid
+            });
+            staged.push((
+                nid,
+                NodeData {
+                    kind: sdata.kind,
+                    name: sdata.name.clone(),
+                    value: sdata.value.clone(),
+                    parent,
+                    children: Vec::with_capacity(sdata.children.len()),
+                    attributes: Vec::with_capacity(sdata.attributes.len()),
+                },
+            ));
+            // pushed in reverse so they pop in order; attributes first
+            stack.extend(sdata.children.iter().rev().map(|&c| (c, Some(index))));
+            stack.extend(sdata.attributes.iter().rev().map(|&a| (a, Some(index))));
+        }
+        let Some(&(root, _)) = staged.first() else {
+            return Err(XdmError::NodeNotFound(src_root));
+        };
+        let last = staged.iter().map(|(id, _)| id.as_u64()).max().expect("the root is staged");
+        self.reserve_ids(last + 1);
+        for (nid, data) in staged {
             self.arena_insert(nid, data);
-            mapping.insert(sid, nid);
         }
-        // Then wire structure.
-        for &sid in &order {
-            let sdata = src.node(sid)?;
-            let nid = mapping[&sid];
-            for &a in &sdata.attributes {
-                if let Some(&na) = mapping.get(&a) {
-                    self.add_attribute(nid, na)?;
-                }
-            }
-            for &c in &sdata.children {
-                if let Some(&nc) = mapping.get(&c) {
-                    self.append_child(nid, nc)?;
-                }
-            }
-        }
-        Ok((mapping[&src_root], mapping))
+        Ok(root)
     }
 
     /// Extracts the subtree rooted at `root` as a standalone document (deep
     /// copy, identifiers preserved).
     pub fn extract_subtree(&self, root: NodeId) -> Result<Document> {
         let mut out = Document::new();
-        let (new_root, _) = out.graft(self, root, true)?;
+        let new_root = out.graft(self, root, true)?;
         out.set_root(new_root)?;
         Ok(out)
     }
@@ -1178,16 +1192,57 @@ mod tests {
         let mut dst = Document::new();
         let root = dst.new_element("holder");
         dst.set_root(root).unwrap();
-        let (copy, mapping) = dst.graft(&src, a1, false).unwrap();
+        let copy = dst.graft(&src, a1, false).unwrap();
         dst.append_child(root, copy).unwrap();
-        assert_eq!(mapping.len(), 3);
+        assert_eq!(dst.node_count(), 4);
         assert!(dst.subtree_equal(copy, &src, a1));
 
         let mut dst2 = Document::with_first_id(1000);
-        let (copy2, _) = dst2.graft(&src, a1, true).unwrap();
+        let copy2 = dst2.graft(&src, a1, true).unwrap();
         assert_eq!(copy2, a1, "identifiers preserved");
         // preserving again clashes
         assert!(dst2.graft(&src, a1, true).is_err());
+    }
+
+    #[test]
+    fn graft_mints_identifiers_in_source_preorder() {
+        // sample(): issue=1 vol=2 article=3 title=4 "T"=5 article=6; the
+        // source arena is built out of preorder on purpose (attribute last).
+        let mut src = Document::new();
+        let e = src.new_element_with_id(40u64, "e").unwrap();
+        let c1 = src.new_element_with_id(10u64, "c1").unwrap();
+        let t = src.new_text_with_id(30u64, "t").unwrap();
+        let c2 = src.new_element_with_id(20u64, "c2").unwrap();
+        let a = src.new_attribute_with_id(50u64, "k", "v").unwrap();
+        src.set_root(e).unwrap();
+        src.append_child(e, c1).unwrap();
+        src.append_child(c1, t).unwrap();
+        src.append_child(e, c2).unwrap();
+        src.add_attribute(e, a).unwrap();
+        let ids = |d: &Document, r| d.preorder(r).iter().map(|n| n.as_u64()).collect::<Vec<_>>();
+
+        // Fresh identifiers: consecutive from the counter, in source preorder
+        // (owner, its attributes, then its children).
+        let (mut dst, issue, ..) = sample();
+        let copy = dst.graft(&src, e, false).unwrap();
+        assert_eq!(ids(&dst, copy), vec![7, 8, 9, 10, 11]);
+        assert_eq!(dst.next_id(), 12);
+        assert_eq!(dst.parent(copy).unwrap(), None, "the copy comes back detached");
+        assert_eq!(dst.name(NodeId::new(8)).unwrap(), Some("k"));
+        assert_eq!(dst.value(NodeId::new(10)).unwrap(), Some("t"));
+        assert_eq!(dst.name(NodeId::new(11)).unwrap(), Some("c2"));
+        dst.append_child(issue, copy).unwrap();
+        dst.assert_consistent();
+        assert!(dst.subtree_equal(copy, &src, e));
+
+        // Preserved identifiers: the source's own, counter bumped past them.
+        let (mut dst, issue, ..) = sample();
+        let copy = dst.graft(&src, e, true).unwrap();
+        assert_eq!(ids(&dst, copy), vec![40, 50, 10, 30, 20]);
+        assert_eq!(dst.next_id(), 51);
+        dst.append_child(issue, copy).unwrap();
+        dst.assert_consistent();
+        assert!(dst.subtree_equal(copy, &src, e));
     }
 
     #[test]
@@ -1289,11 +1344,11 @@ mod tests {
     fn graft_failure_rolls_back_partial_allocations() {
         let (src, _issue, a1, ..) = sample();
         let mut dst = Document::with_first_id(1000);
-        let (copied, _) = dst.graft(&src, a1, true).unwrap();
+        let copied = dst.graft(&src, a1, true).unwrap();
         dst.set_root(copied).unwrap();
         let before = dst.clone();
         let mark = dst.journal_mark();
-        // Preserving the same ids again clashes partway through allocation.
+        // Preserving the same ids again clashes; nothing may stay allocated.
         assert!(dst.graft(&src, a1, true).is_err());
         dst.journal_rewind(mark);
         dst.journal_discard();

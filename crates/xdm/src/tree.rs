@@ -5,9 +5,15 @@
 //! element, attribute or text node (attribute trees are used by `insA` and by
 //! attribute replacement). Internally it reuses the [`Document`] arena, so the
 //! whole navigation/mutation API is available through `Deref`.
+//!
+//! The arena is held through an `Arc`: cloning a tree — which every stage of
+//! the reasoning pipeline does when it hands an operation to the next — is a
+//! reference-count bump, and the arena is copied only when a tree that still
+//! shares it is mutated (copy-on-write).
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
 use crate::document::Document;
 use crate::error::XdmError;
@@ -15,16 +21,20 @@ use crate::node::{NodeId, NodeKind};
 use crate::Result;
 
 /// A standalone XML fragment with a mandatory root node.
+///
+/// `Clone` shares the arena; every mutable entry point ([`DerefMut`],
+/// [`as_document_mut`](Tree::as_document_mut), [`assign_ids`](Tree::assign_ids))
+/// first makes it unique, copying it if another tree still shares it.
 #[derive(Debug, Clone, Default)]
 pub struct Tree {
-    doc: Document,
+    doc: Arc<Document>,
 }
 
 impl Tree {
     /// Creates a tree from a document that already has a root.
     pub fn from_document(doc: Document) -> Result<Self> {
         doc.require_root()?;
-        Ok(Tree { doc })
+        Ok(Tree { doc: Arc::new(doc) })
     }
 
     /// Builds a single-node element tree.
@@ -32,7 +42,7 @@ impl Tree {
         let mut doc = Document::new();
         let r = doc.new_element(name);
         doc.set_root(r).expect("root just created");
-        Tree { doc }
+        Tree { doc: Arc::new(doc) }
     }
 
     /// Builds an element tree with a single text child: `<name>text</name>`.
@@ -42,7 +52,7 @@ impl Tree {
         let t = doc.new_text(text);
         doc.set_root(r).expect("root just created");
         doc.append_child(r, t).expect("append text");
-        Tree { doc }
+        Tree { doc: Arc::new(doc) }
     }
 
     /// Builds a single attribute-node tree: `name="value"`.
@@ -50,7 +60,7 @@ impl Tree {
         let mut doc = Document::new();
         let r = doc.new_attribute(name, value);
         doc.set_root(r).expect("root just created");
-        Tree { doc }
+        Tree { doc: Arc::new(doc) }
     }
 
     /// Builds a single text-node tree.
@@ -58,7 +68,7 @@ impl Tree {
         let mut doc = Document::new();
         let r = doc.new_text(value);
         doc.set_root(r).expect("root just created");
-        Tree { doc }
+        Tree { doc: Arc::new(doc) }
     }
 
     /// The root node of the fragment (`R(T)`).
@@ -81,20 +91,25 @@ impl Tree {
         &self.doc
     }
 
-    /// Mutable access to the underlying arena.
+    /// Mutable access to the underlying arena (copied first if shared).
     pub fn as_document_mut(&mut self) -> &mut Document {
-        &mut self.doc
+        Arc::make_mut(&mut self.doc)
     }
 
-    /// Consumes the tree, returning the underlying arena.
+    /// Consumes the tree, returning the underlying arena (copied if shared).
     pub fn into_document(self) -> Document {
-        self.doc
+        Arc::unwrap_or_clone(self.doc)
+    }
+
+    /// Whether the two trees are clones still sharing one arena.
+    pub fn shares_storage_with(&self, other: &Tree) -> bool {
+        Arc::ptr_eq(&self.doc, &other.doc)
     }
 
     /// Re-assigns identifiers in preorder starting at `start` (used when a
     /// producer assigns identifiers to new nodes, §4.1). Returns the new root.
     pub fn assign_ids(&mut self, start: u64) -> NodeId {
-        self.doc.assign_preorder_ids(start);
+        self.as_document_mut().assign_preorder_ids(start);
         self.root_id()
     }
 
@@ -131,7 +146,7 @@ impl Deref for Tree {
 
 impl DerefMut for Tree {
     fn deref_mut(&mut self) -> &mut Document {
-        &mut self.doc
+        self.as_document_mut()
     }
 }
 
@@ -202,6 +217,45 @@ mod tests {
         assert_eq!(root.as_u64(), 100);
         let child = t.children(root).unwrap()[0];
         assert_eq!(child.as_u64(), 101);
+    }
+
+    #[test]
+    fn clones_share_storage_until_one_is_mutated() {
+        let mut original = Tree::element_with_text("author", "M.Mesiti");
+        original.assign_ids(10);
+        let pristine = original.as_document().clone();
+
+        type Mutator = fn(&mut Tree);
+        let mutators: [(&str, Mutator); 3] = [
+            ("deref_mut", |t| {
+                let root = t.root_id();
+                t.rename(root, "editor").unwrap();
+            }),
+            ("as_document_mut", |t| {
+                let root = t.root_id();
+                let extra = t.as_document_mut().new_element("extra");
+                t.as_document_mut().append_child(root, extra).unwrap();
+            }),
+            ("assign_ids", |t| {
+                t.assign_ids(500);
+            }),
+        ];
+        for (entry, mutate) in mutators {
+            let mut copy = original.clone();
+            assert!(copy.shares_storage_with(&original), "{entry}: a clone is a shared handle");
+            // reading through the clone copies nothing
+            assert_eq!(copy.text_content(copy.root_id()), "M.Mesiti");
+            assert!(copy.shares_storage_with(&original), "{entry}: reads keep sharing");
+            mutate(&mut copy);
+            assert!(!copy.shares_storage_with(&original), "{entry}: the write unshared");
+            assert!(original.deep_eq(&pristine), "{entry}: the original is untouched");
+            assert!(!copy.deep_eq(&pristine), "{entry}: the clone took the write");
+        }
+
+        // A shared tree is unwrapped by copying; the other handle survives.
+        let shared = original.clone();
+        assert!(shared.into_document().deep_eq(&pristine));
+        assert!(original.deep_eq(&pristine));
     }
 
     #[test]

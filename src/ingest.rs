@@ -736,7 +736,13 @@ impl<B: IngestBackend> IngestQueue<B> {
     }
 
     fn shutdown(&mut self) {
+        // The flag flips under the state lock: a drainer that has just read
+        // `closed == false` still holds that lock until it is parked in
+        // `wait`, so the wakeup below cannot fall between its check and its
+        // sleep. A poisoned lock is held just the same (this runs from `Drop`).
+        let guard = self.shared.state.lock();
         self.shared.closed.store(true, Ordering::Release);
+        drop(guard);
         self.shared.enqueued.notify_all();
         if let Some(drainer) = self.drainer.take() {
             let _ = drainer.join();
@@ -1359,6 +1365,31 @@ mod tests {
         queue.shutdown();
         let err = queue.enqueue(pul).unwrap_err();
         assert_eq!(err.code(), "XPUL-E06", "{err}");
+    }
+
+    #[test]
+    fn closing_idle_queues_never_loses_the_shutdown_wakeup() {
+        // Regression: `shutdown` used to set `closed` outside the state lock,
+        // so a drainer between its `closed` check and its untimed `wait`
+        // missed the wakeup and `close` hung forever. Closing idle queues
+        // after a swept delay lands `close` in that window within a few
+        // thousand tries (without the fix this hangs on nearly every run).
+        let (done, watchdog) = std::sync::mpsc::channel();
+        let closer = std::thread::spawn(move || {
+            let session = Executor::parse(LIB).unwrap();
+            for i in 0..40_000u32 {
+                let queue = IngestQueue::with_config(session.clone(), giant_tick());
+                for _ in 0..(i % 256) * 16 {
+                    std::hint::spin_loop();
+                }
+                queue.close().unwrap();
+            }
+            let _ = done.send(());
+        });
+        watchdog
+            .recv_timeout(Duration::from_secs(120))
+            .expect("an idle queue's close() hung: lost shutdown wakeup");
+        closer.join().unwrap();
     }
 
     #[test]

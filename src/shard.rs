@@ -275,12 +275,12 @@ impl ShardedExecutor {
             sdoc.set_root(sroot)?;
             if k == 0 {
                 for &a in &root_attrs {
-                    let (na, _) = sdoc.graft(&doc, a, true)?;
+                    let na = sdoc.graft(&doc, a, true)?;
                     sdoc.add_attribute(sroot, na)?;
                 }
             }
             for &c in group.iter() {
-                let (nc, _) = sdoc.graft(&doc, c, true)?;
+                let nc = sdoc.graft(&doc, c, true)?;
                 sdoc.append_child(sroot, nc)?;
             }
 
@@ -518,7 +518,7 @@ impl ShardedExecutor {
         let attrs: Vec<NodeId> =
             first.attributes(self.root_id).map(|a| a.to_vec()).unwrap_or_default();
         for a in attrs {
-            let (na, _) = out.graft(first, a, true).expect("shard ids are disjoint");
+            let na = out.graft(first, a, true).expect("shard ids are disjoint");
             out.add_attribute(root, na).expect("grafted attribute attaches");
         }
         for shard in &self.shards {
@@ -526,7 +526,7 @@ impl ShardedExecutor {
             let children: Vec<NodeId> =
                 doc.children(self.root_id).map(|c| c.to_vec()).unwrap_or_default();
             for c in children {
-                let (nc, _) = out.graft(doc, c, true).expect("shard ids are disjoint");
+                let nc = out.graft(doc, c, true).expect("shard ids are disjoint");
                 out.append_child(root, nc).expect("grafted subtree attaches");
             }
         }

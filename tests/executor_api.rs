@@ -126,6 +126,59 @@ fn sequence_submissions_aggregate() {
     assert!(session.serialize().contains("<year>2005</year>"), "{}", session.serialize());
 }
 
+/// `resolve` reasons by reference: it can run again on the same pending
+/// submissions with the same outcome, and the content trees it hands to the
+/// commit are the submitted arenas, not copies of them.
+#[test]
+fn resolve_is_repeatable_and_shares_the_submitted_payloads() {
+    let mut session = issue_session().policy(Policy::relaxed());
+    let papers = session.document().find_elements("paper");
+    let titles = session.document().find_elements("title");
+    let submitted = [
+        session.pul_from_ops(vec![
+            UpdateOp::ins_last(papers[0], vec![Tree::element_with_text("note", "a")]),
+            UpdateOp::ins_last(papers[0], vec![Tree::element_with_text("note", "b")]),
+            UpdateOp::rename(titles[0], "heading"),
+        ]),
+        session.pul_from_ops(vec![
+            UpdateOp::ins_into(papers[1], vec![Tree::element_with_text("year", "2004")]),
+            UpdateOp::ins_after(titles[1], vec![Tree::element("x"), Tree::element("y")]),
+        ]),
+        // conflicts with the first producer's rename, and loses
+        session.pul_from_ops(vec![
+            UpdateOp::rename(titles[0], "caption"),
+            UpdateOp::replace_node(titles[1], vec![Tree::element_with_text("title", "Views")]),
+        ]),
+    ];
+    for pul in &submitted {
+        session.submit(pul.clone());
+    }
+
+    let first = session.resolve().unwrap();
+    let second = session.resolve().unwrap();
+    assert!(!first.is_conflict_free());
+    assert_eq!(first.pul().ops(), second.pul().ops());
+    assert_eq!(first.conflicts(), second.conflicts());
+    assert_eq!(first.to_string(), second.to_string());
+
+    let submitted_trees: Vec<&Tree> =
+        submitted.iter().flat_map(|p| p.ops()).filter_map(|op| op.content()).flatten().collect();
+    let resolved_trees: Vec<&Tree> =
+        first.pul().ops().iter().filter_map(|op| op.content()).flatten().collect();
+    assert_eq!(resolved_trees.len(), submitted_trees.len(), "no insertion was excluded");
+    for tree in resolved_trees {
+        assert!(
+            submitted_trees.iter().any(|s| s.shares_storage_with(tree)),
+            "{tree} reached the resolution as a copy"
+        );
+    }
+
+    session.commit_resolution(second).unwrap();
+    session.assert_consistent();
+    let xml = session.serialize();
+    assert!(xml.contains("<note>a</note>") && xml.contains("<note>b</note>"), "{xml}");
+}
+
 /// Versions fence commits: a resolution computed before a commit cannot be
 /// applied after it.
 #[test]
