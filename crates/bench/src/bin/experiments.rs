@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! experiments [--fig 6a|6b|6c|6d|6e|session|shards|ingest|memory|wal|recovery|faults
-//!                    |compaction|pool|snapshot|lanes|all]
+//!                    |telemetry|compaction|pool|snapshot|all]
 //!             [--full|--quick] [--json [PATH]]
 //! ```
 //!
@@ -1000,65 +1000,6 @@ fn snapshot_read(mode: Mode) -> Vec<String> {
     rows
 }
 
-fn lane_scaling(mode: Mode) -> Vec<String> {
-    println!("\n=== Lane scaling — serial vs laned sharded commit by shard count ===");
-    println!(
-        "{:>8} {:>12} {:>12} {:>10} {:>13}",
-        "shards", "serial ms", "laned ms", "speedup", "applied ops"
-    );
-    let (doc_nodes, n_puls, ops_per_pul) = match mode {
-        Mode::Full => (60_000, 8, 1_000),
-        Mode::Default => (20_000, 8, 400),
-        Mode::Quick => (6_000, 4, 60),
-    };
-    let w = setup_shard_scaling(doc_nodes, n_puls, ops_per_pul, 42);
-    let mut rows = Vec::new();
-    for n in [1usize, 2, 4, 8] {
-        let session = setup_sharded_session(&w, n);
-        // commits consume the submissions: measure on fresh clones, clone
-        // outside the timed window
-        let reps = 2u32;
-        let mut serial_total = Duration::ZERO;
-        let mut laned_total = Duration::ZERO;
-        let mut applied = 0;
-        let mut serial_xml = String::new();
-        let mut laned_xml = String::new();
-        for _ in 0..reps {
-            let mut committing = session.clone();
-            let (a, d) = timed(|| run_sharded_commit(&mut committing));
-            serial_total += d;
-            applied = a;
-            serial_xml = committing.serialize();
-            let mut committing = session.clone();
-            let (b, d) = timed(|| run_laned_commit(&mut committing));
-            laned_total += d;
-            assert_eq!(a, b, "{n}-shard laned commit applied a different op count");
-            laned_xml = committing.serialize();
-        }
-        // Correctness is a contract, not a trend: whatever the lane layout,
-        // both paths must commit the same document.
-        assert_eq!(serial_xml, laned_xml, "{n}-shard laned commit diverged from the serial path");
-        let serial = serial_total / reps;
-        let laned = laned_total / reps;
-        let speedup = serial.as_secs_f64() / laned.as_secs_f64().max(1e-9);
-        println!(
-            "{:>8} {:>12.3} {:>12.3} {:>9.2}x {:>13}",
-            n,
-            ms_f(serial),
-            ms_f(laned),
-            speedup,
-            applied
-        );
-        rows.push(format!(
-            "{{\"shards\": {n}, \"serial_commit_ms\": {:.3}, \"laned_commit_ms\": {:.3}, \
-             \"speedup\": {speedup:.3}, \"applied_ops\": {applied}}}",
-            ms_f(serial),
-            ms_f(laned)
-        ));
-    }
-    rows
-}
-
 fn main() {
     let args: Vec<String> = env::args().collect();
     let mode = if args.iter().any(|a| a == "--full") {
@@ -1106,7 +1047,6 @@ fn main() {
     run_suite!("compaction", "compaction", compaction);
     run_suite!("pool_reuse", "pool", pool_reuse);
     run_suite!("snapshot_read", "snapshot", snapshot_read);
-    run_suite!("lane_scaling", "lanes", lane_scaling);
 
     if let Some(path) = json_path {
         let body = report.render(mode);

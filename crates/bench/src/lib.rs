@@ -382,12 +382,6 @@ pub fn run_sharded_commit(session: &mut xmlpul::ShardedExecutor) -> usize {
     session.commit().expect("the generated workload commits").applied_ops
 }
 
-/// One measured laned commit: busy shards apply on parallel lanes under
-/// striped identifier fences. Returns the number of applied operations.
-pub fn run_laned_commit(session: &mut xmlpul::ShardedExecutor) -> usize {
-    session.commit_lanes().expect("the generated workload commits").applied_ops
-}
-
 // ---------------------------------------------------------------------------
 // Ingest throughput — committed submissions/sec vs batch size × backend
 // ---------------------------------------------------------------------------
@@ -1172,17 +1166,6 @@ mod tests {
             std::sync::Arc::ptr_eq(&a.shared_document(), &b.shared_document()),
             "re-reads at an unchanged version must share one arena"
         );
-    }
-
-    #[test]
-    fn laned_commit_matches_serial_commit_content() {
-        let w = setup_shard_scaling(4_000, 4, 60, 11);
-        let session = setup_sharded_session(&w, 4);
-        let mut serial = session.clone();
-        let mut laned = session.clone();
-        assert_eq!(run_sharded_commit(&mut serial), run_laned_commit(&mut laned));
-        assert_eq!(serial.serialize(), laned.serialize(), "laned commit diverged");
-        laned.assert_consistent();
     }
 
     #[test]

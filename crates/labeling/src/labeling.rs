@@ -14,9 +14,6 @@ enum LabelEntry {
     Drop(NodeId),
     /// Re-insert a label the mutation overwrote or removed.
     Restore(Box<NodeLabel>),
-    /// Restore the whole label store (inverse of a wholesale replacement; the
-    /// previous store is moved, not cloned).
-    RestoreAll(IdSlab<NodeLabel>),
 }
 
 #[derive(Debug, Clone, Default)]
@@ -90,9 +87,6 @@ impl Labeling {
                 }
                 LabelEntry::Restore(label) => {
                     self.map.insert(label.id, *label);
-                }
-                LabelEntry::RestoreAll(map) => {
-                    self.map = map;
                 }
             }
         }
@@ -482,55 +476,6 @@ impl Labeling {
         report
     }
 
-    /// Diff-driven variant of [`Labeling::patch`] for pipelines that do not
-    /// produce an apply report (e.g. the streaming commit, which re-parses the
-    /// updated serialization): inserted roots are discovered as unlabeled
-    /// nodes whose parent is labeled, removed nodes as labels whose identifier
-    /// no longer denotes a document node. Untouched labels are left
-    /// bit-identical, exactly as with `patch`.
-    ///
-    /// Falls back to a full [`Labeling::assign`] when the document root itself
-    /// is unlabeled (a wholly new document).
-    pub fn patch_from_document(&mut self, doc: &Document) -> PatchReport {
-        let Some(root) = doc.root() else {
-            let old = std::mem::take(&mut self.map);
-            let removed = old.len();
-            self.record(LabelEntry::RestoreAll(old));
-            return PatchReport { labeled: 0, removed };
-        };
-        if self.map.get(root).is_none() {
-            // Wholly new document: fall back to a full assignment. The old
-            // store is moved into a single journal entry (no clone), so a
-            // rollback still restores it.
-            let fresh = Labeling::assign(doc);
-            let old = std::mem::replace(&mut self.map, fresh.map);
-            let removed = old.len();
-            self.record(LabelEntry::RestoreAll(old));
-            return PatchReport { labeled: self.map.len(), removed };
-        }
-        // Preorder walk that stops at unlabeled nodes: those are the roots of
-        // inserted subtrees (their descendants are necessarily new as well,
-        // since existing nodes are never moved under new ones).
-        let mut inserted_roots: Vec<NodeId> = Vec::new();
-        let mut stack: Vec<NodeId> = vec![root];
-        while let Some(id) = stack.pop() {
-            if self.map.get(id).is_none() {
-                inserted_roots.push(id);
-                continue;
-            }
-            if let Ok(data) = doc.node(id) {
-                for &c in data.children.iter().rev() {
-                    stack.push(c);
-                }
-                for &a in data.attributes.iter().rev() {
-                    stack.push(a);
-                }
-            }
-        }
-        let removed_nodes: Vec<NodeId> = self.map.keys().filter(|&id| !doc.contains(id)).collect();
-        self.patch(doc, &inserted_roots, &removed_nodes)
-    }
-
     // ------------------------------------------------------------------
     // invariants and oracles
     // ------------------------------------------------------------------
@@ -848,34 +793,6 @@ mod tests {
     }
 
     #[test]
-    fn patch_from_document_discovers_the_diff() {
-        let (mut doc, mut labels) = doc_and_labels("<list><a/><b/><c/></list>");
-        let list = doc.find_element("list").unwrap();
-        let b = doc.find_element("b").unwrap();
-        let before: HashMap<NodeId, NodeLabel> = labels.iter().map(|l| (l.id, l.clone())).collect();
-
-        doc.remove_subtree(b).unwrap();
-        let x = doc.new_element("x");
-        let y = doc.new_text("t");
-        doc.append_child(x, y).unwrap();
-        doc.insert_first_child(list, x).unwrap();
-        let attr = doc.new_attribute("k", "v");
-        doc.add_attribute(list, attr).unwrap();
-
-        let report = labels.patch_from_document(&doc);
-        assert_eq!(report, PatchReport { labeled: 3, removed: 1 });
-        check_against_document(&doc, &labels);
-        for id in doc.preorder_from_root() {
-            if let Some(old) = before.get(&id) {
-                assert_eq!(&labels.require(id).start, &old.start);
-                assert_eq!(&labels.require(id).end, &old.end);
-            }
-        }
-        // a second patch finds nothing to do
-        assert_eq!(labels.patch_from_document(&doc), PatchReport::default());
-    }
-
-    #[test]
     fn journaled_patch_rewinds_bit_identical() {
         let (mut doc, mut labels) = doc_and_labels(
             "<issue><paper>one</paper><paper>two</paper><paper>three</paper></issue>",
@@ -899,21 +816,6 @@ mod tests {
     }
 
     #[test]
-    fn journaled_full_reassignment_rewinds() {
-        let (doc, mut labels) = doc_and_labels("<a><b/><c/></a>");
-        let oracle = labels.clone();
-        let mark = labels.journal_mark();
-        // a wholly different document forces the full-assign fallback
-        let other = parse_document("<x><y/></x>").unwrap();
-        labels.patch_from_document(&other);
-        check_against_document(&other, &labels);
-        labels.journal_rewind(mark);
-        labels.journal_discard();
-        assert!(labels.deep_eq(&oracle));
-        check_against_document(&doc, &labels);
-    }
-
-    #[test]
     fn assert_consistent_accepts_fresh_and_patched_labelings() {
         let (mut doc, mut labels) = doc_and_labels("<list a=\"1\" b=\"2\"><x/><y>t</y></list>");
         labels.assert_consistent(&doc);
@@ -932,20 +834,6 @@ mod tests {
         let c = doc.new_element("c");
         doc.append_child(a, c).unwrap();
         labels.assert_consistent(&doc); // c was never labeled
-    }
-
-    #[test]
-    fn patch_from_document_handles_empty_and_fresh_documents() {
-        let (doc, mut labels) = doc_and_labels("<a><b/><c/></a>");
-        // document emptied: all labels dropped
-        let empty = Document::new();
-        let report = labels.patch_from_document(&empty);
-        assert_eq!(report.removed, 3);
-        assert!(labels.is_empty());
-        // wholly new document: falls back to a full assignment
-        let report = labels.patch_from_document(&doc);
-        assert_eq!(report.labeled, 3);
-        check_against_document(&doc, &labels);
     }
 }
 

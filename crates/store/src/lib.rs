@@ -313,8 +313,23 @@ impl Store {
 
     /// Appends one commit record and applies the sync policy. On failure the
     /// record is **not** recorded: the tail is repaired to the previous frame
-    /// boundary and a retry appends the same frame from scratch.
+    /// boundary and a retry appends the same frame from scratch. A payload
+    /// over [`wal::MAX_PAYLOAD_LEN`] is refused before a byte is written
+    /// (permanently, `InvalidInput`): the scan at reopen would treat its frame
+    /// as a corrupt tail and truncate it along with every later record.
     pub fn append(&mut self, version: u64, payload: &[u8]) -> StoreResult<()> {
+        if payload.len() > wal::MAX_PAYLOAD_LEN {
+            return Err(StoreError::new(
+                site::WAL_APPEND,
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "WAL payload of {} bytes exceeds the {}-byte record cap",
+                    payload.len(),
+                    wal::MAX_PAYLOAD_LEN
+                ),
+            )
+            .at(self.segment, self.wal_len));
+        }
         if self.poisoned {
             return Err(StoreError::new(
                 site::WAL_APPEND,
@@ -619,6 +634,30 @@ mod tests {
         assert_eq!(store.last_version(), Some(2));
         let recs = store.replay_records(0, u64::MAX).unwrap();
         assert_eq!(recs.len(), 2);
+        assert_eq!(recs[1].payload, b"second");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn oversized_payloads_are_refused_before_a_byte_is_written() {
+        let dir = tmp_dir("oversized");
+        let mut store = Store::create(&dir, StoreOptions::default()).unwrap();
+        store.append(1, b"first").unwrap();
+        store.append(2, b"second").unwrap();
+        let before = store.wal_bytes();
+        let err = store.append(3, &vec![0; wal::MAX_PAYLOAD_LEN + 1]).unwrap_err();
+        assert_eq!(err.kind, io::ErrorKind::InvalidInput);
+        assert!(!err.is_transient(), "a retry cannot shrink the payload");
+        assert_eq!(store.wal_bytes(), before);
+        assert_eq!(store.last_version(), Some(2));
+        assert!(!store.is_poisoned());
+        drop(store);
+
+        // Reopen keeps every acknowledged record: nothing for the scan to cut.
+        let store = Store::open(&dir, StoreOptions::default()).unwrap();
+        assert_eq!(store.wal_bytes(), before);
+        let recs = store.replay_records(0, u64::MAX).unwrap();
+        assert_eq!(recs.iter().map(|r| r.version).collect::<Vec<_>>(), vec![1, 2]);
         assert_eq!(recs[1].payload, b"second");
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -252,10 +252,10 @@ pub struct Event {
 /// How many events the journal ring retains before dropping oldest-first.
 pub const EVENT_JOURNAL_CAP: usize = 256;
 
-/// A bounded ring of [`Event`]s behind one mutex: concurrent recorders
-/// (commit lanes, the ingest pipeline threads) serialize on push, so records
-/// never tear and sequence numbers are monotone in ring order. Once full the
-/// *oldest* record is dropped (and counted).
+/// A bounded ring of [`Event`]s behind one mutex: concurrent recorders (the
+/// ingest pipeline threads) serialize on push, so records never tear and
+/// sequence numbers are monotone in ring order. Once full the *oldest* record
+/// is dropped (and counted).
 #[derive(Debug, Default)]
 pub struct EventJournal {
     ring: Mutex<VecDeque<Event>>,
@@ -346,7 +346,6 @@ registry! {
     counters {
         commits: "Commits published (any surface, merged ingest rounds count once).",
         rollbacks: "Journal rewinds: failed commits, transaction rollbacks, WAL truncates.",
-        laned_commits: "Sharded commits that took the parallel commit-lane path.",
         snapshot_hits: "MVCC snapshot cache probes served from the cache.",
         snapshot_misses: "MVCC snapshot cache probes that had to freeze or replay.",
         rounds_coalesced: "Ingest rounds committed as one merged multi-submission PUL.",
@@ -367,8 +366,6 @@ registry! {
     histograms {
         commit_ns: "Wall time of a commit (apply + labeling + sink append), ns.",
         resolve_ns: "Wall time of a resolve (integrate + reconcile + aggregate), ns.",
-        lane_commit_ns: "Per-lane wall time inside a parallel laned commit, ns.",
-        fence_lane_prologue_ns: "Laned-commit prologue: fence computation + stripe carving, ns.",
         enqueue_block_ns: "Producer wall time blocked on the ingest capacity bound, ns.",
         ticket_latency_ns: "End-to-end ticket latency from enqueue to completion, ns.",
         wal_append_ns: "WAL frame append (write, excluding fsync) wall time, ns.",

@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 
 use crate::error::XdmError;
-use crate::journal::{ArenaState, DocEntry, Journal, JournalMark};
+use crate::journal::{DocEntry, Journal, JournalMark};
 use crate::node::{NodeData, NodeId, NodeKind};
 use crate::slab::IdSlab;
 use crate::Result;
@@ -149,29 +149,7 @@ impl Document {
             }
             DocEntry::Root(old) => self.root = old,
             DocEntry::NextId(old) => self.next_id = old,
-            DocEntry::RestoreAll(state) => {
-                self.nodes = state.nodes;
-                self.root = state.root;
-                self.next_id = state.next_id;
-            }
         }
-    }
-
-    /// Replaces the whole document (arena, root, identifier counter) with
-    /// `new`, keeping the journal scope: inside a scope the previous state is
-    /// *moved* into a single journal entry — O(1), no clone — so a rewind
-    /// restores it. Used by the streaming commit, which materialises the
-    /// updated document by re-parsing its own output stream.
-    pub fn replace_with(&mut self, new: Document) {
-        let old = ArenaState {
-            nodes: std::mem::take(&mut self.nodes),
-            root: self.root.take(),
-            next_id: self.next_id,
-        };
-        self.nodes = new.nodes;
-        self.root = new.root;
-        self.next_id = new.next_id;
-        self.record(DocEntry::RestoreAll(Box::new(old)));
     }
 
     // ------------------------------------------------------------------
@@ -1323,21 +1301,6 @@ mod tests {
         d.journal_discard();
         assert_eq!(d.name(issue).unwrap(), Some("kept"));
         assert_eq!(d.journal_len(), 0);
-    }
-
-    #[test]
-    fn replace_with_is_journaled() {
-        let (mut d, ..) = sample();
-        let before = d.clone();
-        let mark = d.journal_mark();
-        let mut new_doc = Document::new();
-        let r = new_doc.new_element("fresh");
-        new_doc.set_root(r).unwrap();
-        d.replace_with(new_doc);
-        assert_eq!(d.name(d.root().unwrap()).unwrap(), Some("fresh"));
-        d.journal_rewind(mark);
-        d.journal_discard();
-        assert!(d.deep_eq(&before));
     }
 
     #[test]

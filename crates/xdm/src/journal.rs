@@ -25,7 +25,6 @@
 //! transaction can still undo successfully committed changes later.
 
 use crate::node::{NodeData, NodeId};
-use crate::slab::IdSlab;
 
 /// A position in a journal, returned by `journal_mark` and consumed by
 /// `journal_rewind`: rewinding undoes every entry recorded after the mark.
@@ -43,15 +42,6 @@ impl JournalMark {
     pub fn position(self) -> usize {
         self.0
     }
-}
-
-/// The moved-out arena state restored by [`DocEntry::RestoreAll`] (boxed to
-/// keep the entry enum small).
-#[derive(Debug, Clone)]
-pub(crate) struct ArenaState {
-    pub(crate) nodes: IdSlab<NodeData>,
-    pub(crate) root: Option<NodeId>,
-    pub(crate) next_id: u64,
 }
 
 /// One inverse entry. Each variant undoes exactly one primitive effect of a
@@ -81,11 +71,6 @@ pub(crate) enum DocEntry {
     Root(Option<NodeId>),
     /// Restore the fresh-identifier counter.
     NextId(u64),
-    /// Restore the whole arena — the inverse of
-    /// [`Document::replace_with`](crate::Document::replace_with), which swaps
-    /// in a new document wholesale (e.g. the streaming commit). The previous
-    /// state is moved into the entry, so recording it is O(1).
-    RestoreAll(Box<ArenaState>),
 }
 
 /// The inverse-entry log attached to a [`Document`](crate::Document) while a

@@ -1,7 +1,8 @@
 //! Disconnected operation (§1): a client works offline on its copy of the
 //! document, producing a *sequence* of PULs. On reconnection it ships the
 //! whole sequence; the server session aggregates it into a single PUL and
-//! commits it in one streaming pass over the authoritative copy.
+//! commits it — and the paper's streaming evaluator, run over the
+//! authoritative serialization in one pass, produces the same document.
 //!
 //! Run with `cargo run --example disconnected_sync`.
 
@@ -65,19 +66,29 @@ fn main() {
         sessions.len()
     );
 
-    // One streaming commit over the authoritative serialization makes it all
-    // effective.
-    let identified = server.serialize_identified();
-    let mut updated = Vec::new();
-    server
-        .commit_resolution_streaming(resolution, &mut identified.as_bytes(), &mut updated)
-        .expect("applicable PUL");
+    // One streaming pass over the authoritative serialization evaluates the
+    // aggregated PUL; one commit makes it effective in the session.
+    let streamed = pul::apply_streaming(
+        &server.serialize_identified(),
+        resolution.pul(),
+        server.document().next_id(),
+    )
+    .expect("applicable PUL");
+    server.commit_resolution(resolution).expect("applicable PUL");
+    let streamed_doc =
+        xmlpul::xdm::parser::parse_document_identified(&streamed).expect("identified output");
 
-    // The server's copy now matches the client's offline copy.
+    // The server's copy now matches the client's offline copy, and the
+    // streaming evaluation matches both.
     assert_eq!(
         pul::obtainable::canonical_string(client.document()),
         pul::obtainable::canonical_string(server.document()),
         "server and client converge"
+    );
+    assert_eq!(
+        pul::obtainable::canonical_string(&streamed_doc),
+        pul::obtainable::canonical_string(server.document()),
+        "streaming and in-memory evaluation coincide"
     );
     println!("server and client documents converge ✓ (server now at v{})", server.version());
 }

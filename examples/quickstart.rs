@@ -1,7 +1,8 @@
 //! Quickstart: open an [`Executor`] session, produce a PUL with the XQuery
 //! Update front-end, ship it as XML, and drive the whole
 //! reduce → integrate → reconcile → aggregate → apply pipeline with
-//! `submit` / `resolve` / `commit` — both in memory and in streaming.
+//! `submit` / `resolve` / `commit`, checked against the paper's one-pass
+//! streaming evaluator.
 //!
 //! Run with `cargo run --example quickstart`.
 
@@ -51,22 +52,26 @@ fn main() {
         resolution.pul()
     );
 
-    // … and a streaming commit makes them effective in one pass over the
-    // identified serialization, never materializing the document.
-    let mut streamed = Vec::new();
-    let identified = session.serialize_identified();
-    let mut in_memory = session.clone();
-    session.commit_streaming(&mut identified.as_bytes(), &mut streamed).expect("applicable PUL");
-    println!("updated document:\n  {}\n", session.serialize());
+    // … the paper's streaming evaluator applies the resolved PUL in one pass
+    // over the identified serialization, never materializing the document …
+    let streamed = pul::apply_streaming(
+        &session.serialize_identified(),
+        resolution.pul(),
+        session.document().next_id(),
+    )
+    .expect("applicable PUL");
 
-    // The in-memory commit of the same session state produces the same
-    // document.
-    in_memory.commit().expect("applicable PUL");
+    // … and the journaled in-memory commit makes it effective in the session.
+    session.commit_resolution(resolution).expect("applicable PUL");
+    println!("updated document:\n  {}\n", session.serialize());
+    let streamed_doc =
+        xmlpul::xdm::parser::parse_document_identified(&streamed).expect("identified output");
     assert_eq!(
-        pul::obtainable::canonical_string(in_memory.document()),
+        pul::obtainable::canonical_string(&streamed_doc),
         pul::obtainable::canonical_string(session.document()),
         "in-memory and streaming evaluation coincide"
     );
+    assert_eq!(streamed, session.serialize_identified(), "same fresh identifiers");
     assert_eq!(session.version(), 1);
     println!("streaming evaluation produced the same document ✓");
 

@@ -178,20 +178,6 @@ pub enum CommitRecord<'a> {
         /// The committing session's `ApplyOptions::preserve_content_ids`.
         preserve_content_ids: bool,
     },
-    /// A sharded commit applied through the **parallel lane** path (`L`):
-    /// same payload as `S`, but replay must go through
-    /// `ShardedExecutor::commit_resolution_lanes` — the striped identifier
-    /// fences mint different (still deterministic) identifiers than the
-    /// serial path's threaded fence, and replay must mint the same ones the
-    /// live commit did.
-    ShardedLanes {
-        /// The per-shard slices of the resolved round.
-        puls: &'a [Pul],
-        /// The committing session's `ApplyOptions::preserve_content_ids`.
-        preserve_content_ids: bool,
-    },
-    /// A streaming commit: the identified serialization it wrote (`W`).
-    Swap(&'a str),
     /// A compaction: the session renumbered densely and opened `epoch` (`E`).
     /// Renumbering is deterministic, so the record carries only the epoch it
     /// opened — replay re-runs the same renumbering over the recovered state.
@@ -224,15 +210,6 @@ impl CommitRecord<'_> {
                 out.push(discipline(*preserve_content_ids));
                 out.extend_from_slice(pul::xmlio::puls_to_xml(puls).as_bytes());
             }
-            CommitRecord::ShardedLanes { puls, preserve_content_ids } => {
-                out.push(b'L');
-                out.push(discipline(*preserve_content_ids));
-                out.extend_from_slice(pul::xmlio::puls_to_xml(puls).as_bytes());
-            }
-            CommitRecord::Swap(xml) => {
-                out.push(b'W');
-                out.extend_from_slice(xml.as_bytes());
-            }
             CommitRecord::Epoch { epoch } => {
                 out.push(b'E');
                 out.extend_from_slice(epoch.to_string().as_bytes());
@@ -258,15 +235,6 @@ pub enum CommitPayload {
         /// The identifier discipline the commit applied under.
         preserve_content_ids: bool,
     },
-    /// See [`CommitRecord::ShardedLanes`].
-    ShardedLanes {
-        /// The per-shard slices of the resolved round.
-        puls: Vec<Pul>,
-        /// The identifier discipline the commit applied under.
-        preserve_content_ids: bool,
-    },
-    /// See [`CommitRecord::Swap`].
-    Swap(String),
     /// See [`CommitRecord::Epoch`].
     Epoch(u64),
 }
@@ -306,18 +274,6 @@ impl CommitPayload {
                     puls: pul::xmlio::puls_from_xml(&text)?,
                     preserve_content_ids,
                 })
-            }
-            b'L' => {
-                let (preserve_content_ids, text) = discipline(rest)?;
-                Ok(CommitPayload::ShardedLanes {
-                    puls: pul::xmlio::puls_from_xml(&text)?,
-                    preserve_content_ids,
-                })
-            }
-            b'W' => {
-                let text = std::str::from_utf8(rest)
-                    .map_err(|_| Error::store("WAL payload is not UTF-8"))?;
-                Ok(CommitPayload::Swap(text.to_string()))
             }
             b'E' => {
                 let text = std::str::from_utf8(rest)
@@ -470,11 +426,12 @@ fn note_degraded(degraded: &AtomicBool, telemetry: &Telemetry, version: u64, cau
 // Backend adapters
 // ---------------------------------------------------------------------------
 
-/// What [`Durable`] needs from a session backend: snapshot/restore through
-/// the checkpoint image, record replay through the journaled apply path, and
-/// the sink installation point. Implemented by [`Executor`] and
-/// [`ShardedExecutor`].
-pub trait DurableBackend: Sized + Send + 'static {
+/// What [`Durable`] needs from a session backend on top of the
+/// [`IngestBackend`] verbs (version, snapshot, resolve and commit):
+/// snapshot/restore through the checkpoint image, record replay through the
+/// journaled apply path, and the sink installation point. Implemented by
+/// [`Executor`] and [`ShardedExecutor`].
+pub trait DurableBackend: IngestBackend + Sized {
     /// Freezes the full session state at the current version.
     fn checkpoint_state(&self) -> CheckpointState;
     /// Rebuilds a session from a checkpoint image. Session configuration
@@ -492,14 +449,6 @@ pub trait DurableBackend: Sized + Send + 'static {
     /// Installs the telemetry handle the backend records its own commit and
     /// snapshot metrics through. Backends without instrumentation ignore it.
     fn install_telemetry(&mut self, _telemetry: Telemetry) {}
-    /// The current session version.
-    fn backend_version(&self) -> u64;
-    /// Pins the current version into an immutable MVCC [`Snapshot`] (the
-    /// backend's own `snapshot()`, memoized per `(version, epoch)`).
-    fn snapshot_now(&self) -> Snapshot;
-    /// Resolves and commits everything pending (the backend's `commit`),
-    /// returning the new version.
-    fn commit_all(&mut self) -> Result<u64>;
     /// The session's slab-churn observable (drives checkpoint and compaction
     /// triggering).
     fn session_slab_stats(&self) -> SessionSlabStats;
@@ -586,12 +535,11 @@ impl DurableBackend for Executor {
             CommitPayload::Delta { pul, preserve_content_ids } => {
                 self.replay_delta(pul, *preserve_content_ids)
             }
-            CommitPayload::Swap(xml) => self.replay_swap(xml),
             CommitPayload::Epoch(epoch) => {
                 self.replay_epoch(*epoch);
                 Ok(())
             }
-            CommitPayload::Sharded { .. } | CommitPayload::ShardedLanes { .. } => {
+            CommitPayload::Sharded { .. } => {
                 Err(Error::store("sharded WAL record replayed into a single executor"))
             }
         }
@@ -603,18 +551,6 @@ impl DurableBackend for Executor {
 
     fn install_telemetry(&mut self, telemetry: Telemetry) {
         self.set_telemetry(telemetry);
-    }
-
-    fn backend_version(&self) -> u64 {
-        self.version()
-    }
-
-    fn snapshot_now(&self) -> Snapshot {
-        self.snapshot()
-    }
-
-    fn commit_all(&mut self) -> Result<u64> {
-        self.commit().map(|report| report.version)
     }
 
     fn session_slab_stats(&self) -> SessionSlabStats {
@@ -684,46 +620,36 @@ impl DurableBackend for ShardedExecutor {
     }
 
     fn replay(&mut self, payload: &CommitPayload) -> Result<()> {
-        // Both sharded record kinds feed the live commit path a synthetic
-        // resolution against the current version with no submissions to
-        // consume, under the identifier discipline the record was committed
-        // with; the record kind selects the path (`S` = serial threaded
-        // fence, `L` = striped lanes), so replay mints the exact identifiers
-        // the live commit did. The sink is never installed while replaying,
-        // so nothing is re-appended.
-        let replay_sharded =
-            |session: &mut Self, per_shard: &[Pul], preserve: bool, lanes: bool| -> Result<()> {
-                if per_shard.len() != session.shard_count() {
+        match payload {
+            // A sharded record feeds the live two-phase commit a synthetic
+            // resolution against the current version with no submissions to
+            // consume, under the identifier discipline the record was
+            // committed with, so replay mints the exact identifiers the live
+            // commit did. The sink is never installed while replaying, so
+            // nothing is re-appended.
+            CommitPayload::Sharded { puls, preserve_content_ids } => {
+                if puls.len() != self.shard_count() {
                     return Err(Error::store(format!(
                         "WAL record fans out to {} shards, session has {}",
-                        per_shard.len(),
-                        session.shard_count()
+                        puls.len(),
+                        self.shard_count()
                     )));
                 }
-                let live = session.set_preserve_content_ids(preserve);
+                let live = self.set_preserve_content_ids(*preserve_content_ids);
                 let resolution = ShardedResolution {
-                    version: session.version(),
+                    version: self.version(),
                     submission_ids: Vec::new(),
-                    per_shard: per_shard.to_vec(),
+                    per_shard: puls.clone(),
                     conflicts: Vec::new(),
                 };
-                let replayed = if lanes {
-                    session.commit_resolution_lanes(resolution)
-                } else {
-                    session.commit_resolution(resolution)
-                };
-                session.set_preserve_content_ids(live);
+                let replayed = self.commit_resolution(resolution);
+                self.set_preserve_content_ids(live);
                 replayed.map(|_| ())
-            };
-        match payload {
-            CommitPayload::Sharded { puls, preserve_content_ids } => {
-                replay_sharded(self, puls, *preserve_content_ids, false)
-            }
-            CommitPayload::ShardedLanes { puls, preserve_content_ids } => {
-                replay_sharded(self, puls, *preserve_content_ids, true)
             }
             CommitPayload::Epoch(epoch) => self.replay_epoch(*epoch),
-            _ => Err(Error::store("single-executor WAL record replayed into a sharded session")),
+            CommitPayload::Delta { .. } => {
+                Err(Error::store("single-executor WAL record replayed into a sharded session"))
+            }
         }
     }
 
@@ -737,18 +663,6 @@ impl DurableBackend for ShardedExecutor {
 
     fn install_telemetry(&mut self, telemetry: Telemetry) {
         self.set_telemetry(telemetry);
-    }
-
-    fn backend_version(&self) -> u64 {
-        self.version()
-    }
-
-    fn snapshot_now(&self) -> Snapshot {
-        self.snapshot()
-    }
-
-    fn commit_all(&mut self) -> Result<u64> {
-        self.commit().map(|report| report.version)
     }
 
     fn session_slab_stats(&self) -> SessionSlabStats {
@@ -896,10 +810,10 @@ impl<B: DurableBackend> Durable<B> {
         let mut backend = B::restore(&state)?;
         for record in store.replay_records(base, u64::MAX)? {
             backend.replay(&CommitPayload::decode(&record.payload)?)?;
-            if backend.backend_version() != record.version {
+            if backend.current_version() != record.version {
                 return Err(Error::store(format!(
                     "WAL replay reached version {} where the record claims {}",
-                    backend.backend_version(),
+                    backend.current_version(),
                     record.version
                 )));
             }
@@ -1058,7 +972,7 @@ impl<B: DurableBackend> Durable<B> {
                 "session is read-only after an exhausted retry budget".into(),
             ));
         }
-        let version = self.backend.backend_version();
+        let version = self.backend.current_version();
         let (wal_bytes, last) = {
             let store = self.store.lock().expect("store mutex poisoned");
             (store.wal_bytes(), store.last_checkpoint())
@@ -1122,7 +1036,8 @@ impl<B: DurableBackend> Durable<B> {
     /// checkpoint triggers: the one-call maintenance loop body for long-lived
     /// sessions.
     pub fn commit_durable(&mut self) -> Result<u64> {
-        let version = self.backend.commit_all()?;
+        let resolution = self.backend.resolve_pending()?;
+        let version = self.backend.commit_pending(resolution)?.version;
         // The commit's WAL record is durable at this point: a compaction or
         // checkpoint failure must not fail the commit (a caller retrying it
         // would re-apply an applied round). Degradation surfaces on the
@@ -1143,7 +1058,7 @@ impl<B: DurableBackend> Durable<B> {
         if let Err(e) = outcome {
             self.maintenance_failures += 1;
             self.telemetry.count(|m| &m.maintenance_failures);
-            let version = self.backend.backend_version();
+            let version = self.backend.current_version();
             self.telemetry.event(EventKind::MaintenanceFailure, version, || {
                 format!("background maintenance failed: {e}")
             });
@@ -1182,10 +1097,10 @@ impl<B: DurableBackend> Durable<B> {
             return Ok(hit);
         }
         self.telemetry.count(|m| &m.snapshot_misses);
-        let snapshot = if version == self.backend.backend_version() {
-            self.backend.snapshot_now()
+        let snapshot = if version == self.backend.current_version() {
+            self.backend.snapshot_view()
         } else {
-            self.restore_at(version)?.snapshot_now()
+            self.restore_at(version)?.snapshot_view()
         };
         self.snapshots.insert(snapshot.clone());
         Ok(snapshot)
@@ -1207,18 +1122,18 @@ impl<B: DurableBackend> Durable<B> {
         let mut backend = B::restore(&state)?;
         for record in store.replay_records(base, version)? {
             backend.replay(&CommitPayload::decode(&record.payload)?)?;
-            if backend.backend_version() != record.version {
+            if backend.current_version() != record.version {
                 return Err(Error::store(format!(
                     "WAL replay reached version {} where the record claims {}",
-                    backend.backend_version(),
+                    backend.current_version(),
                     record.version
                 )));
             }
         }
-        if backend.backend_version() != version {
+        if backend.current_version() != version {
             return Err(Error::store(format!(
                 "version {version} is not durable (replay stopped at {})",
-                backend.backend_version()
+                backend.current_version()
             )));
         }
         Ok(backend)
@@ -1250,7 +1165,7 @@ impl<B: DurableBackend + fmt::Debug> fmt::Debug for Durable<B> {
 /// The ingestion pipeline runs over a durable backend unchanged: one WAL
 /// record per committed round (the backend's sink fires inside
 /// `commit_pending`), with the checkpoint triggers evaluated between rounds.
-impl<B: DurableBackend + IngestBackend> IngestBackend for Durable<B> {
+impl<B: DurableBackend> IngestBackend for Durable<B> {
     type Resolution = B::Resolution;
 
     fn admit(&mut self, pul: Pul, policy: pul_core::Policy, reduced: Option<Pul>) -> SubmissionId {
@@ -1275,15 +1190,7 @@ impl<B: DurableBackend + IngestBackend> IngestBackend for Durable<B> {
         Ok(commit)
     }
 
-    fn commit_pending_lanes(&mut self, resolution: B::Resolution) -> Result<BatchCommit> {
-        let commit = self.backend.commit_pending_lanes(resolution)?;
-        // Same contract as `commit_pending`: the round is already durable.
-        let checkpointed = self.checkpoint_if_due();
-        self.note_maintenance(checkpointed);
-        Ok(commit)
-    }
-
-    fn snapshot_view(&self) -> Option<crate::Snapshot> {
+    fn snapshot_view(&self) -> Snapshot {
         self.backend.snapshot_view()
     }
 
@@ -1490,23 +1397,66 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Appends a well-framed record of a retired kind after `version` and
+    /// asserts that recovery refuses it with `XPUL-E07` — no panic, no
+    /// session, and not one byte of the store changed by the failed open.
+    fn assert_retired_record_refused<B: DurableBackend>(dir: &Path, version: u64, payload: &[u8]) {
+        let mut store = Store::open(dir, StoreOptions::default()).unwrap();
+        store.append(version + 1, payload).unwrap();
+        drop(store);
+        let files = || {
+            let mut files: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|entry| {
+                    let path = entry.unwrap().path();
+                    let bytes = std::fs::read(&path).unwrap();
+                    (path, bytes)
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        let before = files();
+        let err = Durable::<B>::open(dir, DurableOptions::default())
+            .err()
+            .expect("a retired WAL kind must not open");
+        assert_eq!(err.code(), "XPUL-E07", "{err}");
+        assert_eq!(files(), before, "the failed open left the store untouched");
+    }
+
     #[test]
-    fn streaming_commits_are_logged_and_recovered() {
-        let dir = tmp_dir("streaming");
+    fn retired_wal_kinds_fail_to_open_with_e07() {
+        let dir = tmp_dir("retired_w");
         let mut durable =
             Durable::create(&dir, Executor::parse(DOC).unwrap(), DurableOptions::default())
                 .unwrap();
-        let pul = durable.produce("rename node /lib/b1 as \"streamed\"").unwrap();
-        durable.submit(pul);
-        let input = durable.serialize_identified();
-        let mut output = Vec::new();
-        durable.commit_streaming(&mut input.as_bytes(), &mut output).unwrap();
-        let reference = durable.backend().clone();
+        commit_rename(&mut durable, "b1", "x");
+        commit_rename(&mut durable, "b2", "y");
+        // what the session streaming commit used to log: `W` + the document
+        let swap = format!("W{}", durable.serialize_identified());
         drop(durable);
-        let recovered: Durable<Executor> = Durable::open(&dir, DurableOptions::default()).unwrap();
-        assert_eq!(recovered.version(), 1);
-        assert!(recovered.document().deep_eq(reference.document()));
-        assert!(recovered.labeling().deep_eq(reference.labeling()));
+        assert_retired_record_refused::<Executor>(&dir, 2, swap.as_bytes());
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        let dir = tmp_dir("retired_l");
+        let mut durable = Durable::create(
+            &dir,
+            ShardedExecutor::parse(DOC, 2).unwrap(),
+            DurableOptions::default(),
+        )
+        .unwrap();
+        for (target, to) in [(2u64, "x"), (8u64, "y")] {
+            let pul = durable.pul_from_ops(vec![UpdateOp::rename(target, to)]);
+            durable.submit(pul);
+            durable.commit().unwrap();
+        }
+        // what a laned commit used to log: an `S` payload under kind `L`
+        let pul = durable.pul_from_ops(vec![UpdateOp::rename(5u64, "z")]);
+        let mut laned =
+            CommitRecord::Sharded { puls: &[pul, Pul::new()], preserve_content_ids: true }.encode();
+        laned[0] = b'L';
+        drop(durable);
+        assert_retired_record_refused::<ShardedExecutor>(&dir, 2, &laned);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1714,8 +1664,10 @@ mod tests {
             }
             other => panic!("wrong payload kind: {other:?}"),
         }
-        let bytes = CommitRecord::Swap("<r xml:id=\"1\"/>").encode();
-        assert!(matches!(CommitPayload::decode(&bytes).unwrap(), CommitPayload::Swap(_)));
+        // the retired kinds (`W` whole-document swap, `L` laned sharded
+        // commit) decode like any unknown kind
+        assert_eq!(CommitPayload::decode(b"W<r xml:id=\"1\"/>").unwrap_err().code(), "XPUL-E07");
+        assert_eq!(CommitPayload::decode(b"LP<puls/>").unwrap_err().code(), "XPUL-E07");
         assert_eq!(CommitPayload::decode(b"").unwrap_err().code(), "XPUL-E07");
         assert_eq!(CommitPayload::decode(b"Zjunk").unwrap_err().code(), "XPUL-E07");
         // a D/S record truncated before its discipline byte is corrupt

@@ -47,9 +47,6 @@ pub enum Error {
     },
     /// A submission identifier does not name a pending submission.
     UnknownSubmission(crate::SubmissionId),
-    /// `commit_streaming` was asked to stream a serialization that does not
-    /// correspond to the executor's document.
-    StreamMismatch(String),
     /// An I/O error. The originating [`std::io::ErrorKind`] is preserved so
     /// retry policies can classify the failure (see [`Error::is_transient`]).
     Io {
@@ -127,7 +124,8 @@ impl Error {
             Error::Query(_) => "XPUL-Q01",
             Error::StaleResolution { .. } => "XPUL-E01",
             Error::UnknownSubmission(_) => "XPUL-E02",
-            Error::StreamMismatch(_) => "XPUL-E03",
+            // XPUL-E03 is retired (the session streaming commit's stream
+            // mismatch) and never reused.
             Error::Io { .. } => "XPUL-E04",
             Error::Shard(_) => "XPUL-E05",
             Error::Ingest(_) => "XPUL-E06",
@@ -190,7 +188,6 @@ impl fmt::Display for Error {
                 "stale resolution: computed against version {resolved_at}, executor is at version {current}"
             ),
             Error::UnknownSubmission(id) => write!(f, "no pending submission {id}"),
-            Error::StreamMismatch(msg) => write!(f, "streamed document mismatch: {msg}"),
             Error::Io { kind, msg } => write!(f, "I/O error ({kind:?}): {msg}"),
             Error::Shard(msg) => write!(f, "sharding error: {msg}"),
             Error::Ingest(msg) => write!(f, "ingestion error: {msg}"),

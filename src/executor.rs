@@ -18,11 +18,9 @@
 //!
 //! See the crate-level quick start for a complete tour.
 
-use std::io::{Read, Write};
 use std::sync::Arc;
 
 use pul::apply::{apply_pul_journaled, ApplyOptions, ApplyReport, JournalScope};
-use pul::stream::apply_streaming_with;
 use pul::{Pul, UpdateOp};
 use pul_core::reduce::{reduce_naive, reduce_with, ReductionKind};
 use pul_core::{aggregate, integrate, reconcile_integration, Policy};
@@ -184,10 +182,8 @@ pub struct CommitReport {
     pub applied_ops: usize,
     /// The conflicts that were detected (and solved) on the way.
     pub conflicts: Vec<pul_core::Conflict>,
-    /// Structural effects of the application (inserted / removed roots, id
-    /// mapping) plus the journal entry counts. For streaming commits — which
-    /// never materialise per-op effects — the structural fields are empty but
-    /// the journal stats are still populated (non-zero inside a transaction).
+    /// Structural effects of the application (inserted roots, removed nodes)
+    /// plus the journal entry counts.
     pub apply: ApplyReport,
 }
 
@@ -332,10 +328,9 @@ pub(crate) fn check_resolution_fresh(
 
 /// A stateful executor session owning the authoritative document, its
 /// labeling and the session defaults, and exposing the
-/// reduce → integrate → reconcile → aggregate → apply pipeline behind four
-/// verbs: [`submit`](Executor::submit), [`resolve`](Executor::resolve),
-/// [`commit`](Executor::commit) and
-/// [`commit_streaming`](Executor::commit_streaming).
+/// reduce → integrate → reconcile → aggregate → apply pipeline behind three
+/// verbs: [`submit`](Executor::submit), [`resolve`](Executor::resolve) and
+/// [`commit`](Executor::commit).
 #[derive(Debug, Clone)]
 pub struct Executor {
     core: ExecutorCore,
@@ -622,8 +617,8 @@ impl Executor {
     }
 
     /// Serializes the authoritative document with node identifiers — the
-    /// executor's on-disk form, consumed by [`commit_streaming`]
-    /// (Executor::commit_streaming) and shipped to producers at checkout.
+    /// checkpoint form, shipped to producers at checkout and the input of the
+    /// paper's streaming evaluator ([`pul::apply_streaming`]).
     pub fn serialize_identified(&self) -> String {
         self.core.serialize_identified()
     }
@@ -824,130 +819,6 @@ impl Executor {
         })
     }
 
-    /// Resolves the pending submissions and applies the resolution in one
-    /// streaming pass over the serialization: the identified serialization of
-    /// the document is read from `reader`, the update is applied **without
-    /// building a tree for the streamed bytes** (§4.3, Fig. 6.a), and the
-    /// updated serialization is written to `writer`.
-    ///
-    /// Note that this session still holds its in-memory authoritative copy —
-    /// it is used for the input correspondence check and synchronised from
-    /// the streamed output — so the one-pass benefit is on the I/O path, not
-    /// on memory. A fully tree-free executor (fingerprint check, incremental
-    /// labeling from the apply report) is tracked in the ROADMAP.
-    pub fn commit_streaming<R: Read, W: Write>(
-        &mut self,
-        reader: &mut R,
-        writer: &mut W,
-    ) -> Result<CommitReport> {
-        let resolution = self.resolve()?;
-        self.commit_resolution_streaming(resolution, reader, writer)
-    }
-
-    /// Streaming counterpart of [`commit_resolution`]
-    /// (Executor::commit_resolution). The reader must supply the session's
-    /// own identified serialization ([`serialize_identified`]
-    /// (Executor::serialize_identified), possibly persisted at an earlier
-    /// point of the *same* version); anything else fails with
-    /// [`Error::StreamMismatch`] before a byte is written.
-    pub fn commit_resolution_streaming<R: Read, W: Write>(
-        &mut self,
-        resolution: Resolution,
-        reader: &mut R,
-        writer: &mut W,
-    ) -> Result<CommitReport> {
-        self.check_fresh(&resolution)?;
-        let _span = self.telemetry.span(|m| &m.commit_ns);
-        let mut input = String::new();
-        reader.read_to_string(&mut input)?;
-        // The resolution reasoned about *this* session's document: applying it
-        // to any other serialization would silently commit over the wrong
-        // base. The identified serialization is deterministic, so equality
-        // with the in-memory copy is the correspondence check.
-        if input != self.serialize_identified() {
-            return Err(Error::StreamMismatch(
-                "the reader's bytes are not this session's identified serialization".into(),
-            ));
-        }
-        // Fresh identifiers must clash neither with the document's nor with
-        // the identifiers carried by the resolution's parameter trees.
-        let mut first_new_id = self.core.doc.next_id() + 1;
-        for op in resolution.pul.ops() {
-            if let Some(trees) = op.content() {
-                for tree in trees {
-                    first_new_id = first_new_id.max(tree.as_document().next_id() + 1);
-                }
-            }
-        }
-        let output = apply_streaming_with(
-            &input,
-            &resolution.pul,
-            first_new_id,
-            self.core.apply_options.preserve_content_ids,
-        )?;
-        // Synchronise the in-memory authoritative copy *before* anything is
-        // written, so a failure leaves both the session and the writer
-        // untouched.
-        let updated = parser::parse_document_identified(&output)
-            .map_err(|e| Error::StreamMismatch(e.to_string()))?;
-        writer.write_all(output.as_bytes())?;
-        let doc_entries_before = self.core.doc.journal_len();
-        let label_entries_before = self.core.labeling.journal_len();
-        let sink = self.sink.get();
-        // Durable sessions wrap the swap in a journal scope so a failed WAL
-        // append can rewind it; the streamed bytes were already written, so on
-        // that failure the caller must discard the writer's output.
-        let scope = sink.is_some().then(|| self.core.scope_open());
-        // Incremental labeling (§4.1): only the nodes the stream inserted gain
-        // labels and only the removed ones lose theirs — the labels of
-        // untouched nodes stay bit-identical, no full re-assignment. Inside a
-        // transaction the patch records its inverses in the labeling journal.
-        self.core.labeling.patch_from_document(&updated);
-        // Swap in the re-parsed document. Inside a transaction the previous
-        // arena is *moved* into a single journal entry (O(1), no clone), so a
-        // rollback restores it.
-        self.core.doc.replace_with(updated);
-        self.core.version += 1;
-        if let Some(sink) = &sink {
-            let scope = scope.as_ref().expect("scope opened alongside the sink");
-            let appended = sink
-                .lock()
-                .expect("commit sink mutex poisoned")
-                .on_commit(self.core.version, CommitRecord::Swap(&output));
-            match appended {
-                Ok(()) => self.core.scope_close(scope),
-                Err(e) => {
-                    self.core.scope_rewind(scope);
-                    self.core.scope_close(scope);
-                    self.telemetry.count(|m| &m.rollbacks);
-                    return Err(e);
-                }
-            }
-        }
-        self.consume_submissions(&resolution);
-        let version = self.core.version;
-        self.telemetry.count(|m| &m.commits);
-        self.telemetry.event(EventKind::Commit, version, || {
-            format!("streaming-committed v{version} ({} ops)", resolution.pul.len())
-        });
-        // The structural report stays empty (the stream never materialises
-        // per-op effects), but the journal stats are real: entries recorded
-        // while an enclosing transaction scope was active (zero otherwise).
-        let apply = ApplyReport {
-            journal: pul::apply::JournalStats {
-                doc_entries: self.core.doc.journal_len() - doc_entries_before,
-                label_entries: self.core.labeling.journal_len() - label_entries_before,
-            },
-            ..Default::default()
-        };
-        Ok(CommitReport {
-            version: self.core.version,
-            applied_ops: resolution.pul.len(),
-            conflicts: resolution.conflicts,
-            apply,
-        })
-    }
-
     fn check_fresh(&self, resolution: &Resolution) -> Result<()> {
         check_resolution_fresh(
             resolution.version,
@@ -1110,19 +981,6 @@ impl Executor {
         replayed
     }
 
-    /// Re-applies a WAL `Swap` record: the identified serialization a
-    /// streaming commit wrote. Same parse → patch → replace path as the live
-    /// commit (including the re-parsed fresh-identifier counter), so the
-    /// recovered state is bit-identical.
-    pub(crate) fn replay_swap(&mut self, output: &str) -> Result<()> {
-        let updated = parser::parse_document_identified(output)
-            .map_err(|e| Error::store(format!("corrupt swap record: {e}")))?;
-        self.core.labeling.patch_from_document(&updated);
-        self.core.doc.replace_with(updated);
-        self.core.version += 1;
-        Ok(())
-    }
-
     /// Debug invariant walker over the whole session: document structure
     /// (parent/child symmetry, slab dense/spill agreement, full attachment)
     /// and labeling agreement (no stale or missing labels, metadata in sync,
@@ -1248,8 +1106,8 @@ impl IngestBackend for Executor {
         Ok(BatchCommit { version: report.version, applied_ops, conflicts: report.conflicts })
     }
 
-    fn snapshot_view(&self) -> Option<Snapshot> {
-        Some(self.snapshot())
+    fn snapshot_view(&self) -> Snapshot {
+        self.snapshot()
     }
 
     fn discard(&mut self, id: SubmissionId) {
@@ -1407,28 +1265,6 @@ mod tests {
             outer.assert_matches_snapshot(&after_outer);
             assert!(outer.serialize().contains("<paper>"));
         } // outer rollback: everything undone
-        session.assert_matches_snapshot(&oracle);
-        session.assert_consistent();
-    }
-
-    #[test]
-    fn streaming_commit_inside_a_transaction_rolls_back() {
-        let mut session = session();
-        let oracle = session.oracle_snapshot();
-        {
-            let mut tx = session.transaction();
-            let pul = tx.produce("rename node /issue/article[1] as \"paper\"").unwrap();
-            tx.submit(pul);
-            let input = tx.serialize_identified();
-            let mut output = Vec::new();
-            let report = tx.commit_streaming(&mut input.as_bytes(), &mut output).unwrap();
-            assert!(String::from_utf8(output).unwrap().contains("<paper"));
-            assert_eq!(tx.version(), 1);
-            assert!(
-                report.apply.journal.total() > 0,
-                "streaming commits report their journal entries too"
-            );
-        } // rollback: the whole-document swap entry restores the old arena
         session.assert_matches_snapshot(&oracle);
         session.assert_consistent();
     }

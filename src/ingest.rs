@@ -111,23 +111,11 @@ pub trait IngestBackend: Send + 'static {
     /// replay), with the submissions still pending.
     fn commit_pending(&mut self, resolution: Self::Resolution) -> Result<BatchCommit>;
 
-    /// Like [`commit_pending`](IngestBackend::commit_pending), but the
-    /// backend may fan the resolution's disjoint slices out to **parallel
-    /// commit lanes** (the sharded backend commits each busy shard on its
-    /// own thread). Backends without an intra-commit parallel path — the
-    /// single executor, and `Durable<Executor>` — fall back to the serial
-    /// commit; atomicity and ticket semantics are identical either way.
-    fn commit_pending_lanes(&mut self, resolution: Self::Resolution) -> Result<BatchCommit> {
-        self.commit_pending(resolution)
-    }
-
     /// Pins the backend's current version into an MVCC
-    /// [`Snapshot`](crate::Snapshot), for the pipeline to publish to readers
-    /// between rounds. Backends without snapshot support return `None` (the
-    /// default).
-    fn snapshot_view(&self) -> Option<crate::Snapshot> {
-        None
-    }
+    /// [`Snapshot`](crate::Snapshot) (the backend's own `snapshot()`, memoized
+    /// per `(version, epoch)`), for the pipeline to publish to readers between
+    /// rounds.
+    fn snapshot_view(&self) -> crate::Snapshot;
 
     /// Drops a pending submission (after a failed commit, so later rounds do
     /// not resurrect it).
@@ -379,13 +367,6 @@ pub struct IngestConfig {
     /// [`site::INGEST_PREPARE`] and the committer at [`site::INGEST_COMMIT`].
     /// Disabled by default — a single branch per check.
     pub faults: Faults,
-    /// Commit each round through the backend's **parallel lane** path
-    /// ([`IngestBackend::commit_pending_lanes`]) when greater than 1: a
-    /// sharded backend applies the round's busy shards concurrently instead
-    /// of serially. Default 1 (serial) — the laned path stripes fresh
-    /// identifiers differently than the serial path (deterministically, but
-    /// not bit-identically), so it is opt-in.
-    pub commit_lanes: usize,
     /// Publish an MVCC snapshot of the backend after every committed round,
     /// readable through [`IngestQueue::latest_snapshot`] without stopping
     /// the pipeline. Default false — pinning a snapshot keeps the round's
@@ -405,7 +386,6 @@ impl Default for IngestConfig {
             tick: Duration::from_millis(2),
             capacity: 1024,
             faults: Faults::disabled(),
-            commit_lanes: 1,
             publish_snapshots: false,
             telemetry: Telemetry::disabled(),
         }
@@ -506,7 +486,6 @@ impl<B: IngestBackend> IngestQueue<B> {
             closed: AtomicBool::new(false),
             latest_snapshot: Mutex::new(None),
         });
-        let lanes = config.commit_lanes > 1;
         let publish = config.publish_snapshots;
         // Depth-1 channel: the drainer prepares (coalesces + reduces) round
         // k+1 while the committer applies round k — deeper pipelining would
@@ -525,12 +504,8 @@ impl<B: IngestBackend> IngestQueue<B> {
         let committer = {
             let shared = shared.clone();
             let scratch = scratch.clone();
-            let cfg = CommitterCfg {
-                faults: faults.clone(),
-                telemetry: telemetry.clone(),
-                lanes,
-                publish,
-            };
+            let cfg =
+                CommitterCfg { faults: faults.clone(), telemetry: telemetry.clone(), publish };
             std::thread::Builder::new()
                 .name("ingest-committer".into())
                 .spawn(move || committer_loop(&shared, backend, rx, &cfg, &scratch))
@@ -992,7 +967,6 @@ impl Drop for InFlightGuard<'_> {
 struct CommitterCfg {
     faults: Faults,
     telemetry: Telemetry,
-    lanes: bool,
     publish: bool,
 }
 
@@ -1038,10 +1012,8 @@ fn committer_loop<B: IngestBackend>(
         let _settle = InFlightGuard { shared, n: entries.len() };
         commit_round(&mut backend, &mut entries, true, cfg);
         if cfg.publish {
-            if let Some(snapshot) = backend.snapshot_view() {
-                *shared.latest_snapshot.lock().expect("snapshot slot mutex poisoned") =
-                    Some(snapshot);
-            }
+            let snapshot = backend.snapshot_view();
+            *shared.latest_snapshot.lock().expect("snapshot slot mutex poisoned") = Some(snapshot);
         }
         scratch.put(entries);
     }
@@ -1068,13 +1040,6 @@ fn commit_round<B: IngestBackend>(
     retry: bool,
     cfg: &CommitterCfg,
 ) {
-    let commit = |backend: &mut B, r: B::Resolution| {
-        if cfg.lanes {
-            backend.commit_pending_lanes(r)
-        } else {
-            backend.commit_pending(r)
-        }
-    };
     // Deadline check at commit time: expired members fail with `XPUL-E08`
     // and leave the round *before* the merge, so one expired ticket neither
     // blocks the survivors nor pushes them onto the serialized singleton
@@ -1115,7 +1080,7 @@ fn commit_round<B: IngestBackend>(
                 // Policies steer conflict reconciliation only, and an
                 // independent round cannot conflict — any policy serves.
                 let id = backend.admit(pul, entries[0].policy, Some(reduced));
-                match backend.resolve_pending().and_then(|r| commit(backend, r)) {
+                match backend.resolve_pending().and_then(|r| backend.commit_pending(r)) {
                     Ok(batch) => {
                         for entry in entries {
                             finish(
@@ -1166,7 +1131,7 @@ fn commit_round<B: IngestBackend>(
         return;
     }
     let id = backend.admit(entry.pul, entry.policy, Some(entry.reduced));
-    match backend.resolve_pending().and_then(|r| commit(backend, r)) {
+    match backend.resolve_pending().and_then(|r| backend.commit_pending(r)) {
         Ok(batch) => {
             // Per-submission conflict report: OpRef.pul indexes the admission
             // order (a singleton round is index 0 of its own resolution).
@@ -1436,6 +1401,9 @@ mod tests {
         fn commit_pending(&mut self, _resolution: crate::Resolution) -> Result<BatchCommit> {
             panic!("injected commit panic");
         }
+        fn snapshot_view(&self) -> crate::Snapshot {
+            self.0.snapshot_view()
+        }
         fn discard(&mut self, id: SubmissionId) {
             self.0.discard(id);
         }
@@ -1564,7 +1532,6 @@ mod tests {
         let cfg = CommitterCfg {
             faults: Faults::disabled(),
             telemetry: Telemetry::disabled(),
-            lanes: false,
             publish: false,
         };
         commit_round(&mut session, &mut entries, true, &cfg);

@@ -12,7 +12,7 @@
 //!  producers ──submit()──▶ ┌───────────────────────────────┐
 //!  (PULs, wire XML,        │  Executor session              │
 //!   sequences, queries)    │   reduce → integrate →         │──commit()──▶ Document'
-//!                          │   reconcile → aggregate        │   (in memory or streaming)
+//!                          │   reconcile → aggregate        │   (journaled, O(change))
 //!                          └──────────resolve()─────────────┘
 //!                                       │
 //!                                       ▼
@@ -50,9 +50,9 @@
 //!
 //! Everything fallible returns the unified [`Error`] with a stable
 //! [`code`](Error::code); [`Transaction`] adds build-apply-rollback on top;
-//! [`Executor::commit_streaming`] applies a resolution in one pass over the
-//! identified serialization without materialising the document;
-//! [`IngestQueue`] fronts an executor (single or
+//! the paper's streaming evaluator, [`pul::apply_streaming`], applies a
+//! resolution's PUL in one pass over the identified serialization without
+//! materialising the document; [`IngestQueue`] fronts an executor (single or
 //! [sharded](ShardedExecutor)) with a batched, coalescing, pipelined
 //! submission queue for multi-writer ingestion.
 //!

@@ -379,7 +379,7 @@ impl ShardedExecutor {
         self.faults = faults;
     }
 
-    /// Installs a telemetry handle: commit/lane timings, snapshot cache
+    /// Installs a telemetry handle: commit timings, snapshot cache
     /// probes, and structured events are recorded into its registry. Pass
     /// [`Telemetry::disabled`] to turn instrumentation back off.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
@@ -914,11 +914,7 @@ impl ShardedExecutor {
             if let Some(kind) = self.faults.check(site::SHARD_APPLY) {
                 // An injected shard failure aborts exactly like a real one:
                 // every already-applied shard's journal replays in reverse.
-                for (j, scope) in open.iter().rev() {
-                    let core = &mut self.shards[*j].core;
-                    core.scope_rewind(scope);
-                    core.scope_close(scope);
-                }
+                self.abort_scopes(&open);
                 self.telemetry.count(|m| &m.fault_hits);
                 let version = self.version;
                 self.telemetry.event(EventKind::FaultHit, version, || {
@@ -952,11 +948,7 @@ impl ShardedExecutor {
                 Err(e) => {
                     // Two-phase abort: replay every already-applied shard's
                     // journal, most recent first.
-                    for (j, scope) in open.iter().rev() {
-                        let core = &mut self.shards[*j].core;
-                        core.scope_rewind(scope);
-                        core.scope_close(scope);
-                    }
+                    self.abort_scopes(&open);
                     return Err(e);
                 }
             }
@@ -974,11 +966,7 @@ impl ShardedExecutor {
                 },
             );
             if let Err(e) = appended {
-                for (j, scope) in open.iter().rev() {
-                    let core = &mut self.shards[*j].core;
-                    core.scope_rewind(scope);
-                    core.scope_close(scope);
-                }
+                self.abort_scopes(&open);
                 self.telemetry.count(|m| &m.rollbacks);
                 return Err(e);
             }
@@ -1003,220 +991,13 @@ impl ShardedExecutor {
         })
     }
 
-    /// Resolves everything pending and commits it through the parallel lanes
-    /// of [`commit_resolution_lanes`](ShardedExecutor::commit_resolution_lanes).
-    pub fn commit_lanes(&mut self) -> Result<ShardedCommitReport> {
-        let resolution = self.resolve()?;
-        self.commit_resolution_lanes(resolution)
-    }
-
-    /// Applies a [`ShardedResolution`] with **parallel commit lanes**: every
-    /// busy shard applies its sub-PUL on its own thread, concurrently,
-    /// instead of one after the other.
-    ///
-    /// The serial path threads one identifier fence from shard to shard —
-    /// shard `k+1` cannot even *start* before shard `k` finished minting.
-    /// Lanes replace the threaded fence with **striped fences** computed up
-    /// front: each busy shard's sub-PUL can mint at most
-    /// `Σ_ops(content nodes + 2)` fresh identifiers, so each lane is handed
-    /// the half-open stripe `[start_k, start_k + bound_k)` where `start_k` is
-    /// the prefix sum of the bounds of the busy shards before it (in shard
-    /// order) above the global fence. The stripes are disjoint and depend
-    /// only on the resolution — never on thread scheduling — so a WAL replay
-    /// of the same record mints bit-identical identifiers. A lane that
-    /// overruns its stripe (the bound is a hard contract, not a heuristic)
-    /// aborts the whole commit.
-    ///
-    /// Atomicity is unchanged from [`commit_resolution`]
-    /// (ShardedExecutor::commit_resolution): every lane applies inside an
-    /// open journal scope; any lane's failure rewinds every successful
-    /// lane's scope, restoring the exact pre-commit state. The WAL append
-    /// (`L` record) is still the commit point, after every lane succeeded
-    /// and while all scopes are open.
-    ///
-    /// Identifier assignment *differs* from the serial path (stripes leave
-    /// gaps where the threaded fence packs densely), so a session must not
-    /// mix the two paths under one WAL history for the same commit — the
-    /// `L`/`S` record kinds keep replay on the path that wrote the record.
-    pub fn commit_resolution_lanes(
-        &mut self,
-        resolution: ShardedResolution,
-    ) -> Result<ShardedCommitReport> {
-        self.check_fresh(&resolution)?;
-        let busy: Vec<usize> = resolution
-            .per_shard
-            .iter()
-            .enumerate()
-            .filter(|(_, pul)| !pul.is_empty())
-            .map(|(k, _)| k)
-            .collect();
-        if busy.len() <= 1 {
-            // Nothing to overlap — the serial path writes an `S` record and
-            // mints the exact identifiers a single executor would.
-            return self.commit_resolution(resolution);
+    /// Rewinds and closes every open shard scope, most recent first.
+    fn abort_scopes(&mut self, open: &[(usize, CoreScope)]) {
+        for (j, scope) in open.iter().rev() {
+            let core = &mut self.shards[*j].core;
+            core.scope_rewind(scope);
+            core.scope_close(scope);
         }
-
-        let _span = self.telemetry.span(|m| &m.commit_ns);
-
-        // The serial path consults the shard failpoint once per busy shard,
-        // in shard order; lanes preserve that schedule by performing every
-        // check on this thread before any lane spawns, so seeded Nth-commit
-        // triggers stay deterministic under concurrency.
-        for _ in &busy {
-            if let Some(kind) = self.faults.check(site::SHARD_APPLY) {
-                self.telemetry.count(|m| &m.fault_hits);
-                let version = self.version;
-                self.telemetry.event(EventKind::FaultHit, version, || {
-                    format!("{}: injected {kind:?}", site::SHARD_APPLY)
-                });
-                return Err(Error::injected(site::SHARD_APPLY, kind));
-            }
-        }
-
-        // The lane prologue — fence computation and stripe carving — is the
-        // serial region every lane waits behind; its latency bounds how much
-        // of the commit can actually overlap.
-        let prologue = self.telemetry.span(|m| &m.fence_lane_prologue_ns);
-
-        // The global fence: above every identifier any shard has minted, and
-        // — under the preserving discipline — above every identifier the
-        // parameter trees carry, so a lane's `note_explicit_id` can never
-        // climb out of its stripe.
-        let mut fence = self.shards.iter().map(|s| s.core.document().next_id()).max().unwrap_or(1);
-        if self.preserve_content_ids() {
-            for pul in &resolution.per_shard {
-                for op in pul.iter() {
-                    for tree in op.content().unwrap_or_default() {
-                        fence = fence.max(tree.as_document().next_id());
-                    }
-                }
-            }
-        }
-        let mut stripes = vec![(0u64, 0u64); self.shards.len()];
-        let mut next_start = fence;
-        for &k in &busy {
-            let bound = lane_id_bound(&resolution.per_shard[k]);
-            stripes[k] = (next_start, next_start + bound);
-            next_start += bound;
-        }
-
-        drop(prologue);
-
-        // Phase 1, fanned out: disjoint `&mut` shard borrows, one scoped
-        // thread per busy shard. A failed lane rewinds its own scope before
-        // returning, so after the join only successful lanes are open.
-        let telemetry = &self.telemetry;
-        let outcomes: Vec<(usize, Result<(pul::apply::ApplyReport, CoreScope)>)> =
-            std::thread::scope(|s| {
-                let per_shard = &resolution.per_shard;
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .enumerate()
-                    .filter(|(k, _)| !per_shard[*k].is_empty())
-                    .map(|(k, shard)| {
-                        let pul = &per_shard[k];
-                        let (start, end) = stripes[k];
-                        (
-                            k,
-                            s.spawn(move || {
-                                let _lane_span = telemetry.span(|m| &m.lane_commit_ns);
-                                let core = &mut shard.core;
-                                let scope = core.scope_open();
-                                core.doc.reserve_ids(start);
-                                let fail = |core: &mut ExecutorCore, scope: &CoreScope, e| {
-                                    core.scope_rewind(scope);
-                                    core.scope_close(scope);
-                                    Err(e)
-                                };
-                                match core.commit_pul(pul) {
-                                    Ok(_) if core.document().next_id() > end => {
-                                        let e = Error::Shard(format!(
-                                            "commit lane {k} overran its identifier stripe \
-                                             [{start}, {end})"
-                                        ));
-                                        fail(core, &scope, e)
-                                    }
-                                    Ok(report) => Ok((report, scope)),
-                                    Err(e) => fail(core, &scope, e),
-                                }
-                            }),
-                        )
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|(k, h)| (k, h.join().expect("commit lane panicked")))
-                    .collect()
-            });
-
-        let mut open: Vec<(usize, CoreScope)> = Vec::new();
-        let mut per_shard_ops = vec![0usize; self.shards.len()];
-        let mut journal = JournalStats::default();
-        let mut failure: Option<Error> = None;
-        for (k, outcome) in outcomes {
-            match outcome {
-                Ok((report, scope)) => {
-                    journal.doc_entries += report.journal.doc_entries;
-                    journal.label_entries += report.journal.label_entries;
-                    per_shard_ops[k] = resolution.per_shard[k].len();
-                    open.push((k, scope));
-                }
-                // Lanes join in shard order, so the error surfaced is the
-                // first busy shard's — the same one the serial path reports.
-                Err(e) => failure = failure.or(Some(e)),
-            }
-        }
-        let abort = |shards: &mut Vec<Shard>, open: &[(usize, CoreScope)]| {
-            for (j, scope) in open.iter().rev() {
-                let core = &mut shards[*j].core;
-                core.scope_rewind(scope);
-                core.scope_close(scope);
-            }
-        };
-        if let Some(e) = failure {
-            abort(&mut self.shards, &open);
-            self.telemetry.count(|m| &m.rollbacks);
-            return Err(e);
-        }
-
-        // The WAL append is still the commit point, while every lane's scope
-        // is open. The `L` kind routes replay through this striped path, so
-        // recovery mints the same identifiers the live commit did.
-        if let Some(sink) = self.sink.get() {
-            let appended = sink.lock().expect("commit sink mutex poisoned").on_commit(
-                self.version + 1,
-                CommitRecord::ShardedLanes {
-                    puls: &resolution.per_shard,
-                    preserve_content_ids: self.preserve_content_ids(),
-                },
-            );
-            if let Err(e) = appended {
-                abort(&mut self.shards, &open);
-                self.telemetry.count(|m| &m.rollbacks);
-                return Err(e);
-            }
-        }
-        for (j, scope) in open.drain(..) {
-            self.shards[j].core.scope_close(&scope);
-        }
-        self.version += 1;
-        self.submissions.retain(|s| !resolution.submission_ids.contains(&s.id));
-        let version = self.version;
-        let lanes = busy.len();
-        self.telemetry.count(|m| &m.commits);
-        self.telemetry.count(|m| &m.laned_commits);
-        self.telemetry.event(EventKind::Commit, version, || {
-            let ops: usize = per_shard_ops.iter().sum();
-            format!("committed v{version} ({ops} ops across {lanes} lanes)")
-        });
-        Ok(ShardedCommitReport {
-            version: self.version,
-            applied_ops: per_shard_ops.iter().sum(),
-            per_shard_ops,
-            conflicts: resolution.conflicts,
-            journal,
-        })
     }
 
     fn check_fresh(&self, resolution: &ShardedResolution) -> Result<()> {
@@ -1343,22 +1124,6 @@ impl ShardedExecutor {
     }
 }
 
-/// How many fresh identifiers one shard's sub-PUL can mint, as a hard upper
-/// bound: each grafted parameter node takes at most one (`rep`/`ins` under
-/// the fresh-minting discipline; zero when preserving), plus two per
-/// operation of slack for the implicit text nodes `rep_v`/`rep_c` may
-/// create. The bound depends only on the PUL, so the lane stripes derived
-/// from it are replay-deterministic.
-fn lane_id_bound(pul: &Pul) -> u64 {
-    pul.iter()
-        .map(|op| {
-            let content: u64 =
-                op.content().unwrap_or_default().iter().map(|t| t.size() as u64).sum();
-            content + 2
-        })
-        .sum()
-}
-
 /// The ingestion pipeline drives a sharded session through the same
 /// submit → resolve → commit verbs as a single executor; the label-interval
 /// routing and the two-phase journal commit stay internal to the backend.
@@ -1382,17 +1147,8 @@ impl IngestBackend for ShardedExecutor {
         })
     }
 
-    fn commit_pending_lanes(&mut self, resolution: ShardedResolution) -> Result<BatchCommit> {
-        let report = self.commit_resolution_lanes(resolution)?;
-        Ok(BatchCommit {
-            version: report.version,
-            applied_ops: report.applied_ops,
-            conflicts: report.conflicts,
-        })
-    }
-
-    fn snapshot_view(&self) -> Option<Snapshot> {
-        Some(self.snapshot())
+    fn snapshot_view(&self) -> Snapshot {
+        self.snapshot()
     }
 
     fn discard(&mut self, id: SubmissionId) {

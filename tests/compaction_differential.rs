@@ -254,7 +254,7 @@ fn structural_identity_case<B: CompactBackend>(seed: u64) {
     churn(&mut backend, &mut oracle, seed, 6);
 
     let before_xml = backend.xml();
-    let before_version = backend.backend_version();
+    let before_version = backend.current_version();
     let before = backend.stats();
     assert!(before.nodes.dead > 0, "{ctx}: churn must strand dead slots: {before:?}");
     assert!(backend.reclaimable_dead_ratio() > 0.0, "{ctx}: churn dead is reclaimable");

@@ -1,25 +1,17 @@
-//! MVCC snapshot reads and parallel commit lanes (PR 9 acceptance suite).
+//! MVCC snapshot reads (PR 9 acceptance suite).
 //!
 //! * **Reader/committer stress.** N reader threads poll
-//!   [`IngestQueue::latest_snapshot`] while the committer drains laned
+//!   [`IngestQueue::latest_snapshot`] while the committer drains sharded
 //!   commits. Every pinned snapshot must stay internally consistent and
 //!   byte-stable while later commits land, and after the run each recorded
 //!   `(version, serialization)` pair must be reproduced bit-for-bit by
-//!   `Durable::read_at(version)` — which replays the `'L'` (laned) WAL
-//!   records, so this doubles as a laned-replay determinism check.
-//! * **Lanes ≡ serial.** The same resolution committed through
-//!   `commit_resolution_lanes` and through the serial `commit_resolution`
-//!   must agree on outcome, version, per-shard op counts and serialized
-//!   content at every round.
-//! * **Clean abort.** A fault injected at `shard.apply` must leave a laned
-//!   commit with no trace: every shard bit-identical to the pre-commit
-//!   clone.
+//!   `Durable::read_at(version)` — which replays the sharded `'S'` WAL
+//!   records, so this doubles as a replay determinism check.
 //! * **O(1) re-reads.** Repeated `snapshot()` / `document()` / `read_at(v)`
 //!   calls at an unchanged version must return the *same* arena
 //!   (`Arc::ptr_eq`), not a fresh reassembly.
 //!
-//! The `#[ignore]`d sweep reruns the stress and equivalence cases over more
-//! seeds; run it nightly with
+//! The `#[ignore]`d sweep reruns the stress case over more seeds; run it nightly with
 //! `cargo test --release --test concurrent_snapshots -- --ignored`.
 
 use std::fs;
@@ -31,7 +23,7 @@ use std::time::Duration;
 use pul::ApplyOptions;
 use workload::pulgen::differential_case_with;
 use xmlpul::prelude::*;
-use xmlpul::{fault_site as site, Durable, DurableOptions};
+use xmlpul::{Durable, DurableOptions};
 
 const READERS: usize = 3;
 const PRODUCERS: usize = 16;
@@ -64,12 +56,12 @@ fn tmp_root(tag: &str) -> PathBuf {
 }
 
 /// One reader/committer case: readers pin snapshots off the live queue while
-/// the committer lands `commit_lanes`-wide rounds; afterwards every pinned
+/// the committer lands rounds; afterwards every pinned
 /// `(version, serialization)` must be reproduced by `read_at`.
-fn reader_committer_case(seed: u64, lanes: usize) {
-    let ctx = format!("seed {seed}, lanes {lanes}");
+fn reader_committer_case(seed: u64) {
+    let ctx = format!("seed {seed}");
     let case = differential_case_with(seed, PRODUCERS);
-    let root = tmp_root(&format!("rw_{seed}_{lanes}"));
+    let root = tmp_root(&format!("rw_{seed}"));
     let durable = Durable::create(&root, sharded(&case.doc), opts())
         .unwrap_or_else(|e| panic!("{ctx}: create: {e}"));
     let queue = IngestQueue::with_config(
@@ -77,7 +69,6 @@ fn reader_committer_case(seed: u64, lanes: usize) {
         IngestConfig {
             flush_threshold: 4,
             tick: Duration::from_millis(1),
-            commit_lanes: lanes,
             publish_snapshots: true,
             ..IngestConfig::default()
         },
@@ -132,8 +123,7 @@ fn reader_committer_case(seed: u64, lanes: usize) {
     assert_eq!(final_snapshot.serialize(), durable.serialize(), "{ctx}: final snapshot content");
 
     // Every observation a reader pinned mid-flight is durable history: the
-    // store reproduces it bit-for-bit — through laned ('L') WAL replay when
-    // lanes > 1.
+    // store reproduces it bit-for-bit through WAL replay.
     for (version, pinned) in &observed {
         let at =
             durable.read_at(*version).unwrap_or_else(|e| panic!("{ctx}: read_at({version}): {e}"));
@@ -150,122 +140,11 @@ fn reader_committer_case(seed: u64, lanes: usize) {
     fs::remove_dir_all(&root).unwrap();
 }
 
-/// Lanes and the serial path must agree round by round: same accept/reject
-/// outcome, same version, same per-shard op counts, same serialized content.
-fn lanes_match_serial(seed: u64) {
-    let case = differential_case_with(seed, PRODUCERS);
-    let mut serial = sharded(&case.doc);
-    let mut laned = sharded(&case.doc);
-    for (i, pul) in case.puls.iter().enumerate() {
-        let ctx = format!("seed {seed}, producer {i}");
-        let sid = serial.submit(pul.clone());
-        let ser = serial.resolve().and_then(|r| serial.commit_resolution(r));
-        let lid = laned.submit(pul.clone());
-        let lan = laned.resolve().and_then(|r| laned.commit_resolution_lanes(r));
-        match (&ser, &lan) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a.version, b.version, "{ctx}: version");
-                assert_eq!(a.applied_ops, b.applied_ops, "{ctx}: applied ops");
-                assert_eq!(a.per_shard_ops, b.per_shard_ops, "{ctx}: per-shard ops");
-            }
-            (Err(_), Err(_)) => {
-                let _ = serial.withdraw(sid);
-                let _ = laned.withdraw(lid);
-            }
-            _ => panic!("{ctx}: outcomes diverged: serial {ser:?} vs lanes {lan:?}"),
-        }
-        assert_eq!(serial.serialize(), laned.serialize(), "{ctx}: content diverged");
-    }
-    serial.assert_consistent();
-    laned.assert_consistent();
-}
-
-#[test]
-fn readers_pin_snapshots_across_live_laned_commits() {
-    for seed in 0..3 {
-        reader_committer_case(seed, 2);
-    }
-}
-
 #[test]
 fn readers_pin_snapshots_across_live_serial_commits() {
-    reader_committer_case(7, 1);
-}
-
-#[test]
-fn lanes_match_the_serial_commit_path() {
-    for seed in 0..6 {
-        lanes_match_serial(seed);
+    for seed in 0..3 {
+        reader_committer_case(seed);
     }
-}
-
-/// Laned commits journal `'L'` WAL records; reopening the store must replay
-/// them through the laned path and land bit-identically (same identifiers,
-/// not just the same content).
-#[test]
-fn laned_commits_recover_bit_identically_through_the_wal() {
-    let case = differential_case_with(5, PRODUCERS);
-    let root = tmp_root("wal");
-    let mut durable = Durable::create(&root, sharded(&case.doc), opts()).unwrap();
-    let mut committed = 0usize;
-    for pul in &case.puls {
-        let id = durable.submit(pul.clone());
-        match durable.resolve().and_then(|r| durable.commit_resolution_lanes(r)) {
-            Ok(_) => committed += 1,
-            Err(_) => {
-                let _ = durable.withdraw(id);
-            }
-        }
-    }
-    assert!(committed > 0, "no laned commit landed");
-    let live = durable.backend().clone();
-    let live_xml = durable.serialize();
-    drop(durable);
-    let reopened: Durable<ShardedExecutor> = Durable::open(&root, opts()).unwrap();
-    assert_eq!(reopened.version(), live.version(), "recovered version");
-    assert_eq!(reopened.serialize(), live_xml, "recovered content");
-    assert!(
-        reopened.document().deep_eq(&live.document()),
-        "laned WAL replay must mint the same identifiers as the original commit"
-    );
-    reopened.assert_consistent();
-    fs::remove_dir_all(&root).unwrap();
-}
-
-/// A fault at `shard.apply` during a laned commit aborts cleanly: every
-/// shard stays bit-identical to the pre-commit state.
-#[test]
-fn a_lane_fault_aborts_the_whole_commit_cleanly() {
-    let case = differential_case_with(9, PRODUCERS);
-    let root = tmp_root("fault");
-    let mut durable = Durable::create(&root, sharded(&case.doc), opts()).unwrap();
-    let id = durable.submit(case.puls[0].clone());
-    if durable.resolve().and_then(|r| durable.commit_resolution_lanes(r)).is_err() {
-        let _ = durable.withdraw(id);
-    }
-    let before = durable.backend().clone();
-
-    durable.inject_faults(
-        FaultPlan::new(9).fail(site::SHARD_APPLY, Trigger::Nth(1), FaultKind::Permanent).arm(),
-    );
-    let id = durable.submit(case.puls[1].clone());
-    let outcome = durable.resolve().and_then(|r| durable.commit_resolution_lanes(r));
-    assert!(outcome.is_err(), "injected shard.apply fault must reject the commit");
-    let _ = durable.withdraw(id);
-
-    assert_eq!(durable.version(), before.version(), "version must not advance");
-    for k in 0..before.shard_count() {
-        assert!(
-            durable.backend().shard(k).document().deep_eq(before.shard(k).document()),
-            "shard {k} document changed across an aborted laned commit"
-        );
-        assert!(
-            durable.backend().shard(k).labeling().deep_eq(before.shard(k).labeling()),
-            "shard {k} labeling changed across an aborted laned commit"
-        );
-    }
-    durable.assert_consistent();
-    fs::remove_dir_all(&root).unwrap();
 }
 
 /// A snapshot pinned before compaction keeps serving the pre-compaction
@@ -355,13 +234,12 @@ fn repeated_reads_at_an_unchanged_version_share_one_arena() {
     fs::remove_dir_all(&root).unwrap();
 }
 
-/// Nightly sweep: more seeds through the stress and equivalence cases. Run
-/// with `cargo test --release --test concurrent_snapshots -- --ignored`.
+/// Nightly sweep: more seeds through the stress case. Run with
+/// `cargo test --release --test concurrent_snapshots -- --ignored`.
 #[test]
 #[ignore = "seeded sweep; run nightly with --ignored"]
 fn concurrent_snapshot_sweep() {
     for seed in 100..116 {
-        reader_committer_case(seed, 2);
-        lanes_match_serial(seed);
+        reader_committer_case(seed);
     }
 }

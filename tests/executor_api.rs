@@ -1,5 +1,6 @@
 //! Executor session round trips: submissions arriving in the `pul::xmlio`
-//! wire format, resolution, commit (in memory and streaming), serialization —
+//! wire format, resolution, commit (checked against the streaming evaluator),
+//! serialization —
 //! plus the session bookkeeping (versions, stale resolutions, withdrawal,
 //! transactions) and the unified error surface.
 
@@ -62,8 +63,8 @@ fn wire_round_trip_through_the_session() {
     assert!(xml.contains("G.Guerrini"));
 }
 
-/// The streaming commit writes the same document the in-memory commit builds,
-/// and keeps the in-memory copy synchronised.
+/// The paper's streaming evaluator, run over the session's identified
+/// serialization, writes the same document the in-memory commit builds.
 #[test]
 fn streaming_and_in_memory_commits_agree() {
     let mut session = issue_session();
@@ -77,29 +78,26 @@ fn streaming_and_in_memory_commits_agree() {
     );
     session.submit_xml(&wire).unwrap();
 
-    let mut in_memory = session.clone();
-    in_memory.commit().unwrap();
-    in_memory.assert_consistent();
-
-    let identified = session.serialize_identified();
-    let mut streamed = Vec::new();
-    let report = session.commit_streaming(&mut identified.as_bytes(), &mut streamed).unwrap();
+    let resolution = session.resolve().unwrap();
+    let streamed = pul::apply_streaming(
+        &session.serialize_identified(),
+        resolution.pul(),
+        session.document().next_id(),
+    )
+    .unwrap();
+    let report = session.commit_resolution(resolution).unwrap();
     assert_eq!(report.version, 1);
     session.assert_consistent();
 
-    // The bytes written to the writer are the identified serialization of the
-    // updated document, and the session parsed them back in.
-    let streamed_doc =
-        xmlpul::xdm::parser::parse_document_identified(std::str::from_utf8(&streamed).unwrap())
-            .unwrap();
+    // The streamed bytes are the identified serialization of the updated
+    // document: same content, and — under the fresh-id discipline — the same
+    // identifiers.
+    let streamed_doc = xmlpul::xdm::parser::parse_document_identified(&streamed).unwrap();
     assert_eq!(
         pul::obtainable::canonical_string(&streamed_doc),
         pul::obtainable::canonical_string(session.document())
     );
-    assert_eq!(
-        pul::obtainable::canonical_string(in_memory.document()),
-        pul::obtainable::canonical_string(session.document())
-    );
+    assert_eq!(streamed, session.serialize_identified());
 }
 
 /// A sequence submission aggregates on entry; the session resolves it like
@@ -249,23 +247,6 @@ fn failed_commit_is_atomic() {
     assert_eq!(session.version(), 0);
     assert_eq!(session.pending(), 1, "the submission is still pending for a corrected retry");
     session.assert_consistent();
-}
-
-/// The streaming commit refuses a reader that is not this session's own
-/// identified serialization, before writing anything.
-#[test]
-fn streaming_commit_rejects_foreign_serializations() {
-    let mut session = issue_session();
-    let pul = session.produce("rename node /issue/paper[1]/title as \"t\"").unwrap();
-    session.submit(pul);
-
-    let foreign = Executor::parse("<other/>").unwrap().serialize_identified().into_bytes();
-    let mut out = Vec::new();
-    let err = session.commit_streaming(&mut foreign.as_slice(), &mut out).unwrap_err();
-    assert_eq!(err.code(), "XPUL-E03");
-    assert!(out.is_empty(), "nothing may reach the writer on a rejected stream");
-    assert_eq!(session.version(), 0);
-    assert_eq!(session.pending(), 1, "the submission survives the failed commit");
 }
 
 /// Withdrawn submissions leave the session; unknown ids surface as typed

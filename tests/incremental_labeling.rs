@@ -1,8 +1,8 @@
 //! Incremental labeling: `Labeling::patch` after a PUL application must agree
 //! with a fresh `Labeling::assign` up to order-key equivalence (identical
-//! Table-1 predicate answers on every node pair), and commits — in-memory and
-//! streaming — must leave the labels of untouched nodes bit-identical (§4.1:
-//! "document updates should not lead to relabeling of nodes").
+//! Table-1 predicate answers on every node pair), and commits must leave the
+//! labels of untouched nodes bit-identical (§4.1: "document updates should not
+//! lead to relabeling of nodes").
 
 use std::collections::HashMap;
 
@@ -140,33 +140,6 @@ fn in_memory_commit_preserves_untouched_labels() {
     assert!(session.labeling().get(author).is_none());
     assert_untouched_labels_identical(&session, &before, &[]);
     // And the labeling still answers Table 1 like a fresh assignment would.
-    let fresh = Labeling::assign(session.document());
-    assert_table1_equivalent(session.document(), session.labeling(), &fresh);
-}
-
-#[test]
-fn streaming_commit_preserves_untouched_labels() {
-    let mut session = issue_session();
-    let doc = session.document();
-    let title2 = doc.find_elements("title")[1];
-    let authors = doc.find_element("authors").unwrap();
-    let before = snapshot(&session);
-
-    let pul = session.pul_from_ops(vec![
-        UpdateOp::rename(title2, "heading"),
-        UpdateOp::ins_last(authors, vec![Tree::element_with_text("author", "G.Guerrini")]),
-    ]);
-    session.submit(pul);
-
-    let mut input = std::io::Cursor::new(session.serialize_identified().into_bytes());
-    let mut output = Vec::new();
-    session.commit_streaming(&mut input, &mut output).unwrap();
-    session.assert_consistent();
-
-    assert_untouched_labels_identical(&session, &before, &[]);
-    // The inserted author is labeled and correctly related to its siblings.
-    let new_author = *session.document().children(authors).unwrap().last().unwrap();
-    assert!(session.labeling().is_last_child(new_author, authors));
     let fresh = Labeling::assign(session.document());
     assert_table1_equivalent(session.document(), session.labeling(), &fresh);
 }

@@ -131,23 +131,6 @@ fn transaction_rollback_is_bit_identical_to_the_oracle() {
 }
 
 #[test]
-fn transaction_rollback_after_streaming_commit() {
-    let mut session = issue_session();
-    let oracle = session.clone();
-    {
-        let mut tx = session.transaction();
-        let pul = tx.produce("rename node //author[last()] as \"writer\"").unwrap();
-        tx.submit(pul);
-        let input = tx.serialize_identified();
-        let mut output = Vec::new();
-        tx.commit_streaming(&mut input.as_bytes(), &mut output).unwrap();
-        tx.assert_consistent();
-        assert!(String::from_utf8(output).unwrap().contains("writer"));
-    }
-    assert_sessions_identical(&session, &oracle);
-}
-
-#[test]
 fn committed_transaction_survives_with_no_journal_overhead_left() {
     let mut session = issue_session();
     {

@@ -319,8 +319,9 @@ fn example_8_aggregation() {
 }
 
 /// The PUL exchange round trip of §4: a PUL produced by the XQuery Update
-/// front-end is serialized, shipped, reduced and executed (both in memory and
-/// in streaming) with identical results.
+/// front-end is serialized, shipped, reduced and executed — in memory by the
+/// session and in one streaming pass by the paper's evaluator — with identical
+/// results.
 #[test]
 fn end_to_end_exchange_and_execution() {
     let mut session = session().reduction(ReductionStrategy::Standard);
@@ -336,18 +337,25 @@ fn end_to_end_exchange_and_execution() {
     let wire = pul::xmlio::pul_to_xml(&pul);
     session.submit_xml(&wire).unwrap();
 
-    // executor side: in-memory commit on one copy of the session …
-    let mut in_memory = session.clone();
-    in_memory.commit().unwrap();
-    // … streaming commit over the identified serialization on the other
-    let identified = session.serialize_identified();
-    let mut streamed = Vec::new();
-    session.commit_streaming(&mut identified.as_bytes(), &mut streamed).unwrap();
+    // executor side: the streaming evaluator over the identified
+    // serialization, then the in-memory commit of the same resolution
+    let resolution = session.resolve().unwrap();
+    let streamed = pul::apply_streaming(
+        &session.serialize_identified(),
+        resolution.pul(),
+        session.document().next_id(),
+    )
+    .unwrap();
+    session.commit_resolution(resolution).unwrap();
+    session.assert_consistent();
 
+    let streamed_doc = xdm::parser::parse_document_identified(&streamed).unwrap();
     assert_eq!(
-        pul::obtainable::canonical_string(in_memory.document()),
+        pul::obtainable::canonical_string(&streamed_doc),
         pul::obtainable::canonical_string(session.document())
     );
+    // under the fresh-id discipline both mint the same identifiers
+    assert_eq!(streamed, session.serialize_identified());
     let xml = session.serialize();
     assert!(xml.contains("M.Mesiti"));
     assert!(xml.contains("Replication, revisited"));

@@ -205,7 +205,7 @@ fn crash_sweep<B: FuzzBackend>(
         let recovered: Durable<B> = Durable::open(&crash_dir, opts())
             .unwrap_or_else(|e| panic!("{ctx}, cut {cut}: recovery failed: {e}"));
         assert_eq!(
-            recovered.backend().backend_version(),
+            recovered.backend().current_version(),
             expect,
             "{ctx}, cut {cut}: recovered version"
         );

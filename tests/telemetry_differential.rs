@@ -4,8 +4,7 @@
 //! submissions are committed through two identical stacks — one with an armed
 //! [`Telemetry`] handle, one disabled — and the results must be
 //! **bit-identical** (`deep_eq`: same arena entries, same identifiers), with
-//! every Table-1 predicate agreeing, on both backends and on the parallel
-//! commit-lane path. On top of neutrality:
+//! every Table-1 predicate agreeing, on both backends. On top of neutrality:
 //!
 //! * the completion counters must reconcile exactly with the ticket outcomes
 //!   of a batched ingest run (committed + failed + expired = completed, and
@@ -72,16 +71,9 @@ fn commit_one(session: &mut Executor, pul: Pul) -> Result<()> {
     }
 }
 
-fn commit_one_sharded(session: &mut ShardedExecutor, pul: Pul, lanes: bool) -> Result<()> {
+fn commit_one_sharded(session: &mut ShardedExecutor, pul: Pul) -> Result<()> {
     let id = session.submit(pul);
-    let outcome = session.resolve().and_then(|r| {
-        if lanes {
-            session.commit_resolution_lanes(r)
-        } else {
-            session.commit_resolution(r)
-        }
-    });
-    match outcome {
+    match session.resolve().and_then(|r| session.commit_resolution(r)) {
         Ok(_) => Ok(()),
         Err(e) => {
             session.withdraw(id).expect("failed submissions stay pending");
@@ -92,7 +84,7 @@ fn commit_one_sharded(session: &mut ShardedExecutor, pul: Pul, lanes: bool) -> R
 
 /// Armed and disabled runs must produce bit-identical documents, identical
 /// outcomes, and agreeing Table-1 predicates — on the single executor and on
-/// the sharded executor through both the serial and the laned commit path.
+/// the sharded executor.
 #[test]
 fn armed_telemetry_is_behavior_neutral() {
     for seed in 0..SEEDS {
@@ -132,35 +124,33 @@ fn armed_telemetry_is_behavior_neutral() {
         let metrics = snapshot.metrics.expect("armed session freezes a registry");
         assert_eq!(metrics.commits, armed.version(), "every commit counted exactly once");
 
-        // ---- sharded executor, serial and laned --------------------------
-        for lanes in [false, true] {
-            let mut plain = ShardedExecutor::new(case.doc.clone(), 4)
-                .expect("rooted document shards")
-                .policy(Policy::relaxed())
-                .apply_options(producer_options());
-            let mut armed = ShardedExecutor::new(case.doc.clone(), 4)
-                .expect("rooted document shards")
-                .policy(Policy::relaxed())
-                .apply_options(producer_options());
-            armed.set_telemetry(Telemetry::enabled());
-            for (i, pul) in case.puls.iter().enumerate() {
-                let a = commit_one_sharded(&mut plain, pul.clone(), lanes);
-                let b = commit_one_sharded(&mut armed, pul.clone(), lanes);
-                assert_eq!(
-                    a.is_ok(),
-                    b.is_ok(),
-                    "seed {seed}, lanes {lanes}, producer {i}: armed sharded run diverged"
-                );
-            }
-            assert!(
-                armed.document().as_ref().deep_eq(plain.document().as_ref()),
-                "seed {seed}, lanes {lanes}: armed sharded document diverged"
+        // ---- sharded executor ---------------------------------------------
+        let mut plain = ShardedExecutor::new(case.doc.clone(), 4)
+            .expect("rooted document shards")
+            .policy(Policy::relaxed())
+            .apply_options(producer_options());
+        let mut armed = ShardedExecutor::new(case.doc.clone(), 4)
+            .expect("rooted document shards")
+            .policy(Policy::relaxed())
+            .apply_options(producer_options());
+        armed.set_telemetry(Telemetry::enabled());
+        for (i, pul) in case.puls.iter().enumerate() {
+            let a = commit_one_sharded(&mut plain, pul.clone());
+            let b = commit_one_sharded(&mut armed, pul.clone());
+            assert_eq!(
+                a.is_ok(),
+                b.is_ok(),
+                "seed {seed}, producer {i}: armed sharded run diverged"
             );
-            assert_eq!(armed.version(), plain.version());
-            armed.assert_consistent();
-            let metrics = armed.telemetry_snapshot().metrics.expect("registry armed");
-            assert_eq!(metrics.commits, armed.version());
         }
+        assert!(
+            armed.document().as_ref().deep_eq(plain.document().as_ref()),
+            "seed {seed}: armed sharded document diverged"
+        );
+        assert_eq!(armed.version(), plain.version());
+        armed.assert_consistent();
+        let metrics = armed.telemetry_snapshot().metrics.expect("registry armed");
+        assert_eq!(metrics.commits, armed.version());
     }
 }
 
