@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! experiments [--fig 6a|6b|6c|6d|6e|session|shards|ingest|memory|wal|recovery|faults
-//!                    |telemetry|compaction|pool|snapshot|all]
+//!                    |telemetry|compaction|snapshot|all]
 //!             [--full|--quick] [--json [PATH]]
 //! ```
 //!
@@ -872,76 +872,6 @@ fn compaction(mode: Mode) -> Vec<String> {
     rows
 }
 
-fn pool_reuse(mode: Mode) -> Vec<String> {
-    println!("\n=== Pool reuse — steady-state commit allocations, pooled vs unpooled ===");
-    println!(
-        "{:>10} {:>10} {:>9} {:>13} {:>13} {:>10} {:>10}",
-        "variant", "pool idle", "commits", "gross bytes", "bytes/commit", "reused", "minted"
-    );
-    let (doc_nodes, n_commits): (usize, usize) = match mode {
-        Mode::Full => (60_000, 256),
-        Mode::Default => (20_000, 128),
-        Mode::Quick => (10_000, 32),
-    };
-    let warmup = 8;
-    let w = setup_durability(doc_nodes, n_commits + warmup, 4, 42);
-    let dir = std::env::temp_dir().join(format!("xmlpul_bench_pool_{}", std::process::id()));
-    let mut rows = Vec::new();
-    let mut per_commit = Vec::new();
-    for (name, idle) in [("unpooled", 0usize), ("pooled", 2usize)] {
-        let report = run_pool_reuse(&w, idle, warmup, &dir);
-        let bytes_per_commit = report.gross_bytes as f64 / report.commits as f64;
-        per_commit.push(bytes_per_commit);
-        println!(
-            "{:>10} {:>10} {:>9} {:>13} {:>13.0} {:>10} {:>10}",
-            name,
-            idle,
-            report.commits,
-            report.gross_bytes,
-            bytes_per_commit,
-            report.frame_pool.reused,
-            report.frame_pool.minted
-        );
-        rows.push(format!(
-            "{{\"variant\": \"{name}\", \"pool_idle\": {idle}, \"commits\": {}, \
-             \"gross_bytes\": {}, \"bytes_per_commit\": {bytes_per_commit:.1}, \
-             \"frames_reused\": {}, \"frames_minted\": {}}}",
-            report.commits, report.gross_bytes, report.frame_pool.reused, report.frame_pool.minted
-        ));
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    // Pooling is a contract, not a trend: the steady-state commit loop must
-    // allocate strictly less with the pools on.
-    assert!(
-        per_commit[1] < per_commit[0],
-        "pooled commits allocate {:.0} B each, unpooled {:.0} B — pooling regressed",
-        per_commit[1],
-        per_commit[0]
-    );
-    println!(
-        "pooled {:.0} B/commit vs unpooled {:.0} B/commit — the pools hold on the hot path",
-        per_commit[1], per_commit[0]
-    );
-    // Capacity-cap gate: a burst that returns an oversized backbone must not
-    // pin it for the session's lifetime — the pool shrinks it back to the cap
-    // on `put` and counts the trim.
-    let cap = 1024usize;
-    let mut pool: xmlpul::pul_store::Pool<Vec<u8>> =
-        xmlpul::pul_store::Pool::with_capacity_cap(2, cap);
-    let mut burst = pool.take_buf();
-    burst.reserve(1 << 20);
-    pool.put(burst);
-    assert_eq!(pool.stats().trimmed, 1, "an oversized backbone must be trimmed on return");
-    let retained = pool.take_buf();
-    assert!(
-        retained.capacity() <= cap,
-        "the pool retained a {}-byte backbone past its {cap}-byte cap",
-        retained.capacity()
-    );
-    println!("capacity-cap gate passed: a 1 MiB burst buffer shrinks back to the {cap} B cap");
-    rows
-}
-
 fn snapshot_read(mode: Mode) -> Vec<String> {
     println!("\n=== Snapshot reads — cold reassembly vs cached MVCC re-reads ===");
     println!(
@@ -1045,7 +975,6 @@ fn main() {
     run_suite!("faults_overhead", "faults", faults_overhead);
     run_suite!("telemetry_overhead", "telemetry", telemetry_overhead);
     run_suite!("compaction", "compaction", compaction);
-    run_suite!("pool_reuse", "pool", pool_reuse);
     run_suite!("snapshot_read", "snapshot", snapshot_read);
 
     if let Some(path) = json_path {

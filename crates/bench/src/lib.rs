@@ -899,7 +899,7 @@ pub fn run_recovery(dir: &std::path::Path) -> (u64, Duration) {
 }
 
 // ---------------------------------------------------------------------------
-// Slab compaction and pooled commit memory
+// Slab compaction
 // ---------------------------------------------------------------------------
 
 /// Churns a session with generated PULs until `rounds` of them commit (the
@@ -929,51 +929,6 @@ pub fn setup_churned_session(doc_nodes: usize, rounds: usize, seed: u64) -> xmlp
     }
     assert!(committed > 0, "churn committed nothing in {attempts} attempts");
     session
-}
-
-/// Outcome of one pool-reuse run: the steady-state commit loop's allocation
-/// bill under a given pool retention.
-pub struct PoolReuseReport {
-    /// Commits inside the measurement window.
-    pub commits: usize,
-    /// Gross bytes allocated across the window (monotone — reuse shows up
-    /// directly as a smaller bill).
-    pub gross_bytes: usize,
-    /// Reuse counters of the store's WAL frame buffer pool.
-    pub frame_pool: xmlpul::pul_store::PoolStats,
-}
-
-/// Runs the durability workload's commit loop through [`xmlpul::Durable`]
-/// with the given pool retention (`0` disables pooling entirely), measuring
-/// gross bytes allocated over the steady-state portion: the first `warmup`
-/// commits fill the pools and amortise container growth outside the window.
-pub fn run_pool_reuse(
-    w: &DurabilityWorkload,
-    pool_idle: usize,
-    warmup: usize,
-    dir: &std::path::Path,
-) -> PoolReuseReport {
-    assert!(warmup < w.puls.len(), "warmup consumes the whole workload");
-    let _ = std::fs::remove_dir_all(dir);
-    let opts = xmlpul::DurableOptions { pool_idle, ..no_checkpoint_opts(xmlpul::SyncPolicy::Off) };
-    let mut session = xmlpul::Durable::create(dir, xmlpul::Executor::new(w.doc.clone()), opts)
-        .expect("fresh bench store");
-    for pul in w.puls.iter().take(warmup) {
-        session.submit(pul.clone());
-        session.commit().expect("independent workload commits");
-    }
-    let measured = &w.puls[warmup..];
-    let (_, stats) = alloc_counter::measure_peak(|| {
-        for pul in measured {
-            session.submit(pul.clone());
-            session.commit().expect("independent workload commits");
-        }
-    });
-    PoolReuseReport {
-        commits: measured.len(),
-        gross_bytes: stats.gross_bytes,
-        frame_pool: session.frame_pool_stats(),
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@
 //! relationships between target nodes are evaluated on the labels carried by
 //! the PULs (Table 1), never by accessing the document.
 
+#![forbid(unsafe_code)]
+
 pub mod aggregate;
 pub mod conflict;
 pub mod integrate;

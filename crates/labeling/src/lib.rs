@@ -19,6 +19,8 @@
 //!   sharded executor to route operations to the shard whose label interval
 //!   contains their target.
 
+#![forbid(unsafe_code)]
+
 pub mod interval;
 pub mod label;
 pub mod labeling;

@@ -18,6 +18,8 @@
 //! * the XML **exchange format** for PULs ([`xmlio`]), used to ship PULs
 //!   between producers and the executor (§4).
 
+#![forbid(unsafe_code)]
+
 pub mod apply;
 pub mod error;
 pub mod obtainable;

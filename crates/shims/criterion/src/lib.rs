@@ -8,6 +8,8 @@
 //! each benchmark runs for a warm-up iteration plus `sample_size` measured
 //! iterations and reports the minimum, mean and maximum times.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Display;
 use std::hint::black_box as std_black_box;
 use std::time::{Duration, Instant};

@@ -7,6 +7,8 @@
 //! deterministic per seed (which is all the seeded generators need) but do
 //! **not** reproduce the byte streams of the real crate.
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// Low-level source of randomness.

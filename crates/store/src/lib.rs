@@ -31,6 +31,8 @@
 //! refused — until a rollback truncation, a checkpoint rotation, or a reopen
 //! restores a clean tail.
 
+#![forbid(unsafe_code)]
+
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -42,14 +44,12 @@ pub mod checkpoint;
 mod crc;
 mod error;
 pub mod faults;
-pub mod pool;
 pub mod wal;
 
 pub use checkpoint::{CheckpointState, ShardSnapshot};
 pub use crc::{crc32, crc32_parts};
 pub use error::{transient_kind, StoreError, StoreResult};
 pub use faults::{site, FaultKind, FaultPlan, FaultSpec, Faults, Trigger};
-pub use pool::{Pool, PoolStats, SharedPool, Shrink, DEFAULT_CAPACITY_CAP};
 pub use wal::{ScanOutcome, WalRecord};
 
 /// When appends reach the disk.
@@ -72,20 +72,11 @@ pub struct StoreOptions {
     /// Keep sealed segments and old checkpoints (enables `read_at` over the
     /// full history). When off, a durable checkpoint prunes everything older.
     pub retain_history: bool,
-    /// Idle WAL frame encode buffers retained between appends (default 2:
-    /// one writer's steady state plus one absorbing checkpoint
-    /// interleavings). 0 disables pooling — every append allocates a fresh
-    /// frame, the baseline the `pool_reuse` bench suite prices.
-    pub frame_pool_idle: usize,
 }
 
 impl Default for StoreOptions {
     fn default() -> Self {
-        StoreOptions {
-            sync: SyncPolicy::PerCommit,
-            retain_history: true,
-            frame_pool_idle: FRAME_POOL_IDLE,
-        }
+        StoreOptions { sync: SyncPolicy::PerCommit, retain_history: true }
     }
 }
 
@@ -130,17 +121,10 @@ pub struct Store {
     /// or an injected torn write): appends are refused until a truncation,
     /// rotation or reopen restores a clean frame boundary.
     poisoned: bool,
-    /// Recycled WAL frame encode buffers — one append's frame is dead the
-    /// moment it hits the file, so its backbone is reused.
-    frame_pool: Pool<Vec<u8>>,
     /// Telemetry handle (disabled unless installed): WAL append/sync/rotate
     /// timings and bytes, checkpoint duration, fault-hit events.
     telemetry: Telemetry,
 }
-
-/// Idle frame buffers the store retains between appends (one writer, so one
-/// buffer is the steady state; a second absorbs checkpoint interleavings).
-const FRAME_POOL_IDLE: usize = 2;
 
 impl Store {
     /// Creates a fresh store in `dir` (created if missing). Fails if the
@@ -178,7 +162,6 @@ impl Store {
             segments: vec![0],
             faults: Faults::disabled(),
             poisoned: false,
-            frame_pool: Pool::new(opts.frame_pool_idle),
             telemetry: Telemetry::disabled(),
         })
     }
@@ -243,7 +226,6 @@ impl Store {
             segments,
             faults: Faults::disabled(),
             poisoned: false,
-            frame_pool: Pool::new(opts.frame_pool_idle),
             telemetry: Telemetry::disabled(),
         })
     }
@@ -283,11 +265,6 @@ impl Store {
     /// Whether the segment tail is poisoned by an unrepaired torn write.
     pub fn is_poisoned(&self) -> bool {
         self.poisoned
-    }
-
-    /// Reuse counters of the WAL frame encode buffer pool.
-    pub fn frame_pool_stats(&self) -> PoolStats {
-        self.frame_pool.stats()
     }
 
     /// The highest version the store holds durably: the greater of the last
@@ -338,24 +315,7 @@ impl Store {
             )
             .at(self.segment, self.wal_len));
         }
-        let mut frame = self.frame_pool.take_buf();
-        wal::encode_record_into(&mut frame, version, payload);
-        let result = self.append_frame(version, &frame);
-        frame.clear();
-        self.frame_pool.put(frame);
-        result
-    }
-
-    /// Records an injected failpoint firing: one counter bump plus a
-    /// structured journal record naming the site.
-    fn note_fault(&self, at: &'static str, kind: FaultKind, version: u64) {
-        self.telemetry.count(|m| &m.fault_hits);
-        self.telemetry.event(EventKind::FaultHit, version, || format!("{at}: injected {kind:?}"));
-    }
-
-    /// The fallible half of [`Store::append`], operating on an already-encoded
-    /// frame so the buffer can return to the pool on every exit path.
-    fn append_frame(&mut self, version: u64, frame: &[u8]) -> StoreResult<()> {
+        let frame = wal::encode_record(version, payload);
         if let Some(kind) = self.faults.check(site::WAL_APPEND) {
             self.note_fault(site::WAL_APPEND, kind, version);
             if kind == FaultKind::Torn {
@@ -369,7 +329,7 @@ impl Store {
             return Err(StoreError::injected(site::WAL_APPEND, kind).at(self.segment, self.wal_len));
         }
         let write_started = self.telemetry.is_enabled().then(Instant::now);
-        if let Err(e) = self.wal_file.write_all(frame) {
+        if let Err(e) = self.wal_file.write_all(&frame) {
             self.repair_tail();
             return Err(StoreError::io(site::WAL_APPEND, &e).at(self.segment, self.wal_len));
         }
@@ -405,6 +365,13 @@ impl Store {
         self.appended.push((version, self.wal_len));
         self.wal_len += frame.len() as u64;
         Ok(())
+    }
+
+    /// Records an injected failpoint firing: one counter bump plus a
+    /// structured journal record naming the site.
+    fn note_fault(&self, at: &'static str, kind: FaultKind, version: u64) {
+        self.telemetry.count(|m| &m.fault_hits);
+        self.telemetry.event(EventKind::FaultHit, version, || format!("{at}: injected {kind:?}"));
     }
 
     /// Drops every record of the current segment with a version above `v` —

@@ -42,20 +42,13 @@ pub struct WalRecord {
 /// Encodes one record into its on-disk frame.
 pub fn encode_record(version: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
-    encode_record_into(&mut out, version, payload);
-    out
-}
-
-/// Encodes one record's frame into `out` (appending), so a recycled buffer
-/// can host the frame without a fresh allocation per append.
-pub fn encode_record_into(out: &mut Vec<u8>, version: u64, payload: &[u8]) {
-    out.reserve(RECORD_HEADER_LEN + payload.len());
     out.extend_from_slice(&RECORD_MAGIC);
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     let version_bytes = version.to_le_bytes();
     out.extend_from_slice(&version_bytes);
     out.extend_from_slice(&crc32_parts(&[&version_bytes, payload]).to_le_bytes());
     out.extend_from_slice(payload);
+    out
 }
 
 /// The outcome of scanning one segment's bytes.

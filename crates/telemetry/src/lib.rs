@@ -22,6 +22,8 @@
 //! and [`Telemetry::recent_events`] drains a copy of the bounded event ring
 //! (oldest dropped first once the ring is full).
 
+#![forbid(unsafe_code)]
+
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

@@ -14,6 +14,8 @@
 //!   on newly inserted nodes (Fig. 6.c/6.d), and parallel PULs with injected
 //!   conflicts of controlled size and type mix (Fig. 6.e).
 
+#![forbid(unsafe_code)]
+
 pub mod pulgen;
 pub mod xmark;
 

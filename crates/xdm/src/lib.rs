@@ -28,6 +28,8 @@
 //!   inverse of its effect, so a failed or abandoned update is rolled back in
 //!   O(change) instead of restoring an O(document) snapshot clone.
 
+#![forbid(unsafe_code)]
+
 pub mod document;
 pub mod error;
 pub mod events;

@@ -26,6 +26,8 @@
 //! `!=`, `<`, `<=`, `>`, `>=`; numeric when both sides are numbers, string
 //! otherwise).
 
+#![forbid(unsafe_code)]
+
 pub mod eval;
 pub mod path;
 

@@ -80,13 +80,8 @@ fn main() {
     let snapshot = session.telemetry_snapshot();
     let metrics = snapshot.metrics.as_ref().expect("telemetry is armed");
     println!(
-        "\ntelemetry: {} commit(s), {} rollback(s), resolve p95 {} ns, \
-         reduction cache {} hit(s) / {} miss(es)",
-        metrics.commits,
-        metrics.rollbacks,
-        metrics.resolve_ns.p95,
-        snapshot.reduction_cache.hits,
-        snapshot.reduction_cache.misses,
+        "\ntelemetry: {} commit(s), {} rollback(s), resolve p95 {} ns, {} live node slot(s)",
+        metrics.commits, metrics.rollbacks, metrics.resolve_ns.p95, snapshot.slab.nodes.live,
     );
     println!("recent events ({} dropped):", snapshot.events_dropped);
     for event in &snapshot.recent_events {

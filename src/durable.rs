@@ -191,13 +191,6 @@ impl CommitRecord<'_> {
     /// Encodes the record into its WAL payload bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        self.encode_into(&mut out);
-        out
-    }
-
-    /// Encodes the record's payload into `out` (appending), so the sink can
-    /// host it in a recycled buffer instead of allocating per commit.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
         let discipline = |preserve: bool| if preserve { b'P' } else { b'F' };
         match self {
             CommitRecord::Delta { pul, preserve_content_ids } => {
@@ -215,6 +208,7 @@ impl CommitRecord<'_> {
                 out.extend_from_slice(epoch.to_string().as_bytes());
             }
         }
+        out
     }
 }
 
@@ -346,9 +340,6 @@ struct StoreSink {
     faults: Faults,
     retry: RetryPolicy,
     degraded: Arc<AtomicBool>,
-    /// Recycled commit-payload encode buffers: one commit's payload is dead
-    /// once its frame is appended, so the backbone is reused.
-    payload_pool: pul_store::Pool<Vec<u8>>,
     /// The durable session's `read_at` snapshot cache, shared so a rollback
     /// invalidates the snapshots of the versions it discards.
     snapshots: Arc<SnapshotCache>,
@@ -357,9 +348,6 @@ struct StoreSink {
     telemetry: Telemetry,
 }
 
-/// Idle payload buffers the sink retains (one commit in flight per session).
-const PAYLOAD_POOL_IDLE: usize = 2;
-
 impl CommitSink for StoreSink {
     fn on_commit(&mut self, version: u64, record: CommitRecord<'_>) -> Result<()> {
         if self.degraded.load(Ordering::SeqCst) {
@@ -367,8 +355,7 @@ impl CommitSink for StoreSink {
                 "session is read-only after an exhausted WAL retry budget".into(),
             ));
         }
-        let mut payload = self.payload_pool.take_buf();
-        record.encode_into(&mut payload);
+        let payload = record.encode();
         let outcome = with_retry(&self.retry, &self.telemetry, || {
             if let Some(kind) = self.faults.check(site::SINK_COMMIT) {
                 self.telemetry.count(|m| &m.fault_hits);
@@ -379,8 +366,6 @@ impl CommitSink for StoreSink {
             }
             self.store.lock().expect("store mutex poisoned").append(version, &payload)
         });
-        payload.clear();
-        self.payload_pool.put(payload);
         match outcome {
             RetryOutcome::Done(()) => Ok(()),
             RetryOutcome::Permanent(e) => Err(Error::Store(e)),
@@ -716,11 +701,6 @@ pub struct DurableOptions {
     pub retain_history: bool,
     /// How transient WAL-append and checkpoint failures are retried.
     pub retry: RetryPolicy,
-    /// Idle buffers the commit path retains per pool (WAL frames, checkpoint
-    /// payload encodes). Default 2 — a steady-state commit reuses its
-    /// buffers instead of round-tripping the allocator. 0 disables pooling:
-    /// the unpooled baseline the `pool_reuse` bench suite gates against.
-    pub pool_idle: usize,
 }
 
 impl Default for DurableOptions {
@@ -732,18 +712,13 @@ impl Default for DurableOptions {
             compact_dead_ratio: f64::INFINITY,
             retain_history: true,
             retry: RetryPolicy::default(),
-            pool_idle: PAYLOAD_POOL_IDLE,
         }
     }
 }
 
 impl DurableOptions {
     fn store_options(&self) -> StoreOptions {
-        StoreOptions {
-            sync: self.sync,
-            retain_history: self.retain_history,
-            frame_pool_idle: self.pool_idle,
-        }
+        StoreOptions { sync: self.sync, retain_history: self.retain_history }
     }
 }
 
@@ -841,7 +816,6 @@ impl<B: DurableBackend> Durable<B> {
             faults: self.faults.clone(),
             retry: self.opts.retry,
             degraded: Arc::clone(&self.degraded),
-            payload_pool: pul_store::Pool::new(self.opts.pool_idle),
             snapshots: Arc::clone(&self.snapshots),
             telemetry: self.telemetry.clone(),
         }));
@@ -867,16 +841,9 @@ impl<B: DurableBackend> Durable<B> {
     }
 
     /// The unified observability snapshot of the durable stack: the shared
-    /// registry and journal tail, the backend session's slab statistics, and
-    /// the WAL frame-pool counters (the reduction-cache component belongs to
-    /// the in-memory executor and is zero here).
+    /// registry and journal tail plus the backend session's slab statistics.
     pub fn telemetry_snapshot(&self) -> crate::TelemetrySnapshot {
-        crate::TelemetrySnapshot::gather(
-            &self.telemetry,
-            self.backend.session_slab_stats(),
-            Default::default(),
-            self.frame_pool_stats(),
-        )
+        crate::TelemetrySnapshot::gather(&self.telemetry, self.backend.session_slab_stats())
     }
 
     /// Installs an armed failpoint handle across the whole durable stack:
@@ -914,12 +881,6 @@ impl<B: DurableBackend> Durable<B> {
     /// Bytes in the live WAL segment.
     pub fn wal_bytes(&self) -> u64 {
         self.store.lock().expect("store mutex poisoned").wal_bytes()
-    }
-
-    /// Reuse counters of the store's WAL frame buffer pool (see
-    /// [`DurableOptions::pool_idle`]).
-    pub fn frame_pool_stats(&self) -> pul_store::PoolStats {
-        self.store.lock().expect("store mutex poisoned").frame_pool_stats()
     }
 
     /// Version of the most recent durable checkpoint.

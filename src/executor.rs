@@ -24,7 +24,6 @@ use pul::apply::{apply_pul_journaled, ApplyOptions, ApplyReport, JournalScope};
 use pul::{Pul, UpdateOp};
 use pul_core::reduce::{reduce_naive, reduce_with, ReductionKind};
 use pul_core::{aggregate, integrate, reconcile_integration, Policy};
-use pul_store::{PoolStats, SharedPool};
 use pul_telemetry::{EventKind, Telemetry};
 use xdm::{parser, writer, Document};
 use xlabel::Labeling;
@@ -81,8 +80,8 @@ impl std::fmt::Display for SubmissionId {
 }
 
 /// One producer PUL waiting in the session, with the policy its producer
-/// attached. Wire submissions that hit (or populate) the reduction cache
-/// carry their reduction along, so [`Executor::resolve`] skips reducing them.
+/// attached. Submissions admitted by the ingest pipeline carry the reduction
+/// its drainer already computed, so [`Executor::resolve`] skips reducing them.
 #[derive(Debug, Clone)]
 struct Submission {
     id: SubmissionId,
@@ -94,83 +93,6 @@ struct Submission {
     /// fenced at resolve time (`XPUL-E10`) instead of silently targeting
     /// whatever nodes now wear its ids.
     epoch: u64,
-}
-
-/// LRU memo of wire-submission reductions, keyed by a hash of the exchange
-/// XML: producers frequently re-send identical PULs (retries, fan-out, idle
-/// heartbeats with the same delta), and reduction is by far the most
-/// expensive step of `resolve`. Capacity is small and lookups are a linear
-/// scan — the map holds a handful of entries, and each holds a reduced PUL.
-#[derive(Debug, Clone)]
-struct CacheEntry {
-    hash: u64,
-    /// The full wire bytes, compared on every hash hit: a 64-bit hash alone
-    /// would let a (possibly crafted) collision substitute another
-    /// submission's reduction.
-    wire: String,
-    reduced: Pul,
-}
-
-#[derive(Debug, Clone)]
-struct ReductionCache {
-    capacity: usize,
-    /// Most recently used last.
-    entries: Vec<CacheEntry>,
-    hits: u64,
-    misses: u64,
-}
-
-impl ReductionCache {
-    fn new(capacity: usize) -> Self {
-        ReductionCache { capacity, entries: Vec::new(), hits: 0, misses: 0 }
-    }
-
-    fn hash(wire: &str) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        wire.hash(&mut h);
-        h.finish()
-    }
-
-    fn get(&mut self, key: u64, wire: &str) -> Option<Pul> {
-        match self.entries.iter().position(|e| e.hash == key && e.wire == wire) {
-            Some(i) => {
-                let entry = self.entries.remove(i);
-                let pul = entry.reduced.clone();
-                self.entries.push(entry);
-                self.hits += 1;
-                Some(pul)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    fn put(&mut self, key: u64, wire: &str, reduced: Pul) {
-        if self.capacity == 0 {
-            return;
-        }
-        self.entries.retain(|e| !(e.hash == key && e.wire == wire));
-        if self.entries.len() >= self.capacity {
-            self.entries.remove(0);
-        }
-        self.entries.push(CacheEntry { hash: key, wire: wire.to_string(), reduced });
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-    }
-}
-
-/// Hit/miss counters of the executor's reduction cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Wire submissions whose reduction was served from the cache.
-    pub hits: u64,
-    /// Wire submissions that had to be reduced.
-    pub misses: u64,
 }
 
 /// Summary of a successful commit.
@@ -338,14 +260,10 @@ pub struct Executor {
     strategy: ReductionStrategy,
     submissions: Vec<Submission>,
     next_submission: u64,
-    reduction_cache: ReductionCache,
     /// The session's compaction epoch: 0 at creation, +1 per [`compact`]
     /// (Executor::compact). Submissions are stamped with the epoch they were
     /// admitted under; a mismatch at resolve time is the `XPUL-E10` fence.
     epoch: u64,
-    /// Recycled resolve scratch — the reduced-PUL and policy backbones die at
-    /// the end of every `resolve`, so their allocations are pooled.
-    scratch: ResolveScratch,
     /// The durability hook: when a [`Durable`](crate::Durable) wrapper
     /// installs a sink, every commit appends its WAL record *before* the
     /// version fence becomes observable, and a failed append rewinds the
@@ -361,41 +279,6 @@ pub struct Executor {
     /// unless [`set_telemetry`](Executor::set_telemetry) arms it; clones
     /// share the registry.
     telemetry: Telemetry,
-}
-
-/// Default capacity of the wire-submission reduction cache.
-const DEFAULT_REDUCTION_CACHE_CAPACITY: usize = 32;
-
-/// Default idle capacity of the resolve scratch pools: one resolve is in
-/// flight per session, so one retained backbone per shape is the steady
-/// state (a second absorbs clone-shared sessions).
-pub(crate) const DEFAULT_POOL_IDLE: usize = 2;
-
-/// The pooled scratch of one session's `resolve` path. Clones share the
-/// pools (a pool is a cache; see [`SharedPool`]), and a capacity of 0
-/// disables pooling entirely — the unpooled baseline the benches compare
-/// against.
-#[derive(Debug, Clone)]
-pub(crate) struct ResolveScratch {
-    pub(crate) puls: SharedPool<Vec<Pul>>,
-    pub(crate) policies: SharedPool<Vec<Policy>>,
-}
-
-impl ResolveScratch {
-    pub(crate) fn new(max_idle: usize) -> Self {
-        ResolveScratch { puls: SharedPool::new(max_idle), policies: SharedPool::new(max_idle) }
-    }
-
-    /// Component-wise sum of the scratch pools' counters.
-    pub(crate) fn stats(&self) -> PoolStats {
-        let (a, b) = (self.puls.stats(), self.policies.stats());
-        PoolStats {
-            reused: a.reused + b.reused,
-            minted: a.minted + b.minted,
-            trimmed: a.trimmed + b.trimmed,
-            idle: a.idle + b.idle,
-        }
-    }
 }
 
 impl Executor {
@@ -416,9 +299,7 @@ impl Executor {
             strategy: ReductionStrategy::default(),
             submissions: Vec::new(),
             next_submission: 0,
-            reduction_cache: ReductionCache::new(DEFAULT_REDUCTION_CACHE_CAPACITY),
             epoch: 0,
-            scratch: ResolveScratch::new(DEFAULT_POOL_IDLE),
             sink: SinkSlot::default(),
             snapshots: SnapshotCache::default(),
             telemetry: Telemetry::disabled(),
@@ -459,12 +340,10 @@ impl Executor {
     }
 
     /// Sets the reduction strategy applied to every submission and to the
-    /// reconciled result (builder style). Memoized reductions — the wire
-    /// cache and the pre-reductions of pending wire submissions — were
-    /// computed under the previous strategy, so they are discarded.
+    /// reconciled result (builder style). Pending submissions' pre-reductions
+    /// were computed under the previous strategy, so they are discarded.
     pub fn reduction(mut self, strategy: ReductionStrategy) -> Self {
         if strategy != self.strategy {
-            self.reduction_cache.clear();
             for submission in &mut self.submissions {
                 submission.pre_reduced = None;
             }
@@ -477,21 +356,6 @@ impl Executor {
     /// style).
     pub fn apply_options(mut self, options: ApplyOptions) -> Self {
         self.core.apply_options = options;
-        self
-    }
-
-    /// Sets the capacity of the wire-submission reduction cache (builder
-    /// style). `0` disables caching.
-    pub fn reduction_cache_capacity(mut self, capacity: usize) -> Self {
-        self.reduction_cache = ReductionCache::new(capacity);
-        self
-    }
-
-    /// Sets the idle capacity of the per-commit scratch pools (builder
-    /// style). `0` disables pooling — every resolve mints its scratch fresh,
-    /// the baseline the `pool_reuse` bench compares against.
-    pub fn pooling(mut self, max_idle: usize) -> Self {
-        self.scratch = ResolveScratch::new(max_idle);
         self
     }
 
@@ -530,29 +394,12 @@ impl Executor {
         self.epoch
     }
 
-    /// Hit/miss counters of the wire-submission reduction cache.
-    pub fn cache_stats(&self) -> CacheStats {
-        CacheStats { hits: self.reduction_cache.hits, misses: self.reduction_cache.misses }
-    }
-
-    /// Reuse counters of the session's resolve scratch pools.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.scratch.stats()
-    }
-
     /// The unified observability snapshot: the telemetry registry (when a
     /// handle was armed through [`set_telemetry`](Executor::set_telemetry)),
-    /// the session's slab/cache/pool statistics, and the tail of the event
-    /// journal. Subsumes [`slab_stats`](Executor::slab_stats),
-    /// [`cache_stats`](Executor::cache_stats) and
-    /// [`pool_stats`](Executor::pool_stats), which remain as thin views.
+    /// the session's [`slab_stats`](Executor::slab_stats), and the tail of
+    /// the event journal.
     pub fn telemetry_snapshot(&self) -> crate::TelemetrySnapshot {
-        crate::TelemetrySnapshot::gather(
-            &self.telemetry,
-            self.slab_stats(),
-            self.cache_stats(),
-            self.pool_stats(),
-        )
+        crate::TelemetrySnapshot::gather(&self.telemetry, self.slab_stats())
     }
 
     /// Slot-occupancy statistics of the session's dense id-indexed stores
@@ -650,26 +497,11 @@ impl Executor {
         id
     }
 
-    /// Submits a producer PUL received in the XML exchange format (§4).
-    ///
-    /// Wire submissions are memoized: the reduction of the PUL is computed
-    /// here (or served from an LRU cache keyed by a hash of the wire bytes),
-    /// so a producer re-sending an identical exchange document skips the
-    /// reduction step of [`resolve`](Executor::resolve) entirely. A PUL is
-    /// self-contained — it carries the labels its reduction reasons on — so
-    /// the memo stays valid across commits.
+    /// Submits a producer PUL received in the XML exchange format (§4): the
+    /// wire is decoded and submitted like [`submit`](Executor::submit), so
+    /// [`resolve`](Executor::resolve) reduces it with the others.
     pub fn submit_xml(&mut self, wire: &str) -> Result<SubmissionId> {
-        let pul = pul::xmlio::pul_from_xml(wire)?;
-        let key = ReductionCache::hash(wire);
-        let reduced = match self.reduction_cache.get(key, wire) {
-            Some(cached) => cached,
-            None => {
-                let reduced = self.strategy.reduce(&pul);
-                self.reduction_cache.put(key, wire, reduced.clone());
-                reduced
-            }
-        };
-        Ok(self.submit_inner(pul, self.default_policy, Some(reduced)))
+        Ok(self.submit(pul::xmlio::pul_from_xml(wire)?))
     }
 
     /// Submits a *sequence* of PULs from one producer (e.g. the editing
@@ -715,22 +547,17 @@ impl Executor {
             });
         }
         let submitted_ops = self.submissions.iter().map(|s| s.pul.len()).sum();
-        let mut reduced = self.scratch.puls.take_vec();
-        reduced.extend(self.submissions.iter().map(|s| match &s.pre_reduced {
-            Some(r) => r.clone(),
-            None => self.strategy.reduce(&s.pul),
-        }));
-        let mut policies = self.scratch.policies.take_vec();
-        policies.extend(self.submissions.iter().map(|s| s.policy));
+        let reduced: Vec<Pul> = self
+            .submissions
+            .iter()
+            .map(|s| match &s.pre_reduced {
+                Some(r) => r.clone(),
+                None => self.strategy.reduce(&s.pul),
+            })
+            .collect();
+        let policies: Vec<Policy> = self.submissions.iter().map(|s| s.policy).collect();
         let integration = integrate(&reduced);
-        let reconciled = reconcile_integration(&reduced, &integration, &policies);
-        // The backbones go back to the pool on both exit paths; clearing
-        // first drops the per-resolve contents so only the capacity is kept.
-        reduced.clear();
-        self.scratch.puls.put(reduced);
-        policies.clear();
-        self.scratch.policies.put(policies);
-        let pul = self.strategy.reduce(&reconciled?);
+        let pul = self.strategy.reduce(&reconcile_integration(&reduced, &integration, &policies)?);
         Ok(Resolution {
             version: self.core.version,
             submission_ids: self.submissions.iter().map(|s| s.id).collect(),
@@ -947,10 +774,6 @@ impl Executor {
         self.core.labeling = Labeling::assign(&self.core.doc);
         self.core.version += 1;
         self.epoch = epoch;
-        // Cached reductions and pre-reductions reason in pre-compaction
-        // identifiers; the submissions carrying them are fenced, and the
-        // cache must not serve stale ids to post-compaction wire retries.
-        self.reduction_cache.clear();
     }
 
     /// Replays a WAL `Epoch` record. The epoch is *set* (not incremented):

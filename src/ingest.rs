@@ -57,13 +57,13 @@ use std::time::{Duration, Instant};
 
 use pul::{OpName, Pul};
 use pul_core::{Conflict, Policy};
-use pul_store::{site, Faults, PoolStats, SharedPool};
+use pul_store::{site, Faults};
 use pul_telemetry::{EventKind, Telemetry};
 use xdm::NodeId;
 use xlabel::LabelInterval;
 
 use crate::error::{Error, Result};
-use crate::executor::{ReductionStrategy, DEFAULT_POOL_IDLE};
+use crate::executor::ReductionStrategy;
 use crate::SubmissionId;
 
 // ---------------------------------------------------------------------------
@@ -453,10 +453,6 @@ pub struct IngestQueue<B: IngestBackend> {
     /// Clone of [`IngestConfig::telemetry`] for the enqueue façade (queue
     /// depth, block latency, shed accounting).
     telemetry: Telemetry,
-    /// Recycled round vectors: the drainer fills one per prepared round, the
-    /// committer returns it emptied after the round commits — one steady-state
-    /// allocation instead of one per round.
-    scratch: SharedPool<Vec<PreparedEntry>>,
     drainer: Option<JoinHandle<()>>,
     committer: Option<JoinHandle<B>>,
 }
@@ -492,23 +488,20 @@ impl<B: IngestBackend> IngestQueue<B> {
         // only delay what the coalescer gets to see together.
         let (tx, rx): (SyncSender<Vec<PreparedEntry>>, Receiver<Vec<PreparedEntry>>) =
             sync_channel(1);
-        let scratch: SharedPool<Vec<PreparedEntry>> = SharedPool::new(DEFAULT_POOL_IDLE);
         let drainer = {
             let shared = shared.clone();
-            let scratch = scratch.clone();
             std::thread::Builder::new()
                 .name("ingest-drainer".into())
-                .spawn(move || drainer_loop(&shared, &config, strategy, tx, &scratch))
+                .spawn(move || drainer_loop(&shared, &config, strategy, tx))
                 .expect("spawn ingest drainer")
         };
         let committer = {
             let shared = shared.clone();
-            let scratch = scratch.clone();
             let cfg =
                 CommitterCfg { faults: faults.clone(), telemetry: telemetry.clone(), publish };
             std::thread::Builder::new()
                 .name("ingest-committer".into())
-                .spawn(move || committer_loop(&shared, backend, rx, &cfg, &scratch))
+                .spawn(move || committer_loop(&shared, backend, rx, &cfg))
                 .expect("spawn ingest committer")
         };
         IngestQueue {
@@ -516,7 +509,6 @@ impl<B: IngestBackend> IngestQueue<B> {
             default_policy,
             capacity,
             telemetry,
-            scratch,
             drainer: Some(drainer),
             committer: Some(committer),
         }
@@ -631,11 +623,6 @@ impl<B: IngestBackend> IngestQueue<B> {
         self.shared.state.lock().expect("queue lock").queue.len()
     }
 
-    /// Behaviour counters of the recycled round-vector pool.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.scratch.stats()
-    }
-
     /// The telemetry handle installed through [`IngestConfig::telemetry`]
     /// (disabled unless one was armed): read the pipeline's counters and
     /// journal from it, or hand clones to more components.
@@ -644,16 +631,11 @@ impl<B: IngestBackend> IngestQueue<B> {
     }
 
     /// The unified observability snapshot of the queue façade: the registry
-    /// and journal tail plus the round-vector pool counters. The backend's
-    /// slab statistics live behind the pipeline threads — read them from the
-    /// backend's own `telemetry_snapshot()` after [`close`](IngestQueue::close).
+    /// and journal tail. The backend's slab statistics live behind the
+    /// pipeline threads — read them from the backend's own
+    /// `telemetry_snapshot()` after [`close`](IngestQueue::close).
     pub fn telemetry_snapshot(&self) -> crate::TelemetrySnapshot {
-        crate::TelemetrySnapshot::gather(
-            &self.telemetry,
-            Default::default(),
-            Default::default(),
-            self.pool_stats(),
-        )
+        crate::TelemetrySnapshot::gather(&self.telemetry, Default::default())
     }
 
     /// The MVCC snapshot of the most recently committed round — a
@@ -743,7 +725,6 @@ fn drainer_loop(
     config: &IngestConfig,
     strategy: ReductionStrategy,
     tx: SyncSender<Vec<PreparedEntry>>,
-    scratch: &SharedPool<Vec<PreparedEntry>>,
 ) {
     loop {
         let batch = {
@@ -837,18 +818,18 @@ fn drainer_loop(
             }
             // Pre-reduce here, on the drainer thread: reduction dominates
             // resolution (§4.3) and is document-independent, so it overlaps
-            // the committer applying the previous round. The round vector is
-            // recycled — the committer returns it to the shared pool once the
-            // round settles.
-            let mut entries = scratch.take_vec();
-            entries.extend(round.into_iter().map(|e| PreparedEntry {
-                reduced: strategy.reduce(&e.pul),
-                pul: e.pul,
-                policy: e.policy,
-                expires: e.expires,
-                enqueued: e.enqueued,
-                completer: e.completer,
-            }));
+            // the committer applying the previous round.
+            let entries: Vec<PreparedEntry> = round
+                .into_iter()
+                .map(|e| PreparedEntry {
+                    reduced: strategy.reduce(&e.pul),
+                    pul: e.pul,
+                    policy: e.policy,
+                    expires: e.expires,
+                    enqueued: e.enqueued,
+                    completer: e.completer,
+                })
+                .collect();
             if let Err(failed) = tx.send(entries) {
                 // Committer gone (panic): the entries of this and all later
                 // rounds are dropped — poisoning their tickets — and their
@@ -975,10 +956,9 @@ fn committer_loop<B: IngestBackend>(
     mut backend: B,
     rx: Receiver<Vec<PreparedEntry>>,
     cfg: &CommitterCfg,
-    scratch: &SharedPool<Vec<PreparedEntry>>,
 ) -> B {
     loop {
-        let mut entries = match rx.try_recv() {
+        let entries = match rx.try_recv() {
             Ok(entries) => entries,
             Err(TryRecvError::Empty) => {
                 // No prepared round waiting. If the producers' queue is empty
@@ -1010,12 +990,11 @@ fn committer_loop<B: IngestBackend>(
             }
         };
         let _settle = InFlightGuard { shared, n: entries.len() };
-        commit_round(&mut backend, &mut entries, true, cfg);
+        commit_round(&mut backend, entries, cfg);
         if cfg.publish {
             let snapshot = backend.snapshot_view();
             *shared.latest_snapshot.lock().expect("snapshot slot mutex poisoned") = Some(snapshot);
         }
-        scratch.put(entries);
     }
     backend
 }
@@ -1036,30 +1015,24 @@ fn committer_loop<B: IngestBackend>(
 /// produced.
 fn commit_round<B: IngestBackend>(
     backend: &mut B,
-    entries: &mut Vec<PreparedEntry>,
-    retry: bool,
+    entries: Vec<PreparedEntry>,
     cfg: &CommitterCfg,
 ) {
     // Deadline check at commit time: expired members fail with `XPUL-E08`
     // and leave the round *before* the merge, so one expired ticket neither
     // blocks the survivors nor pushes them onto the serialized singleton
-    // path — they still coalesce into a single commit. The round vector is
-    // drained (left empty for the caller to recycle).
+    // path — they still coalesce into a single commit.
     let now = Instant::now();
-    let mut live = Vec::with_capacity(entries.len());
-    for entry in entries.drain(..) {
-        if entry.expires.is_some_and(|t| t <= now) {
-            expire(
-                &cfg.telemetry,
-                entry.enqueued,
-                entry.completer,
-                "ticket deadline expired before its round committed",
-            );
-        } else {
-            live.push(entry);
-        }
+    let (mut entries, expired): (Vec<PreparedEntry>, Vec<PreparedEntry>) =
+        entries.into_iter().partition(|e| e.expires.is_none_or(|t| t > now));
+    for entry in expired {
+        expire(
+            &cfg.telemetry,
+            entry.enqueued,
+            entry.completer,
+            "ticket deadline expired before its round committed",
+        );
     }
-    let mut entries = live;
     if entries.len() > 1 {
         // Failpoint: an injected committer fault fails the merged attempt
         // exactly like a real commit failure — the round degrades to the
@@ -1099,19 +1072,8 @@ fn commit_round<B: IngestBackend>(
         // The merged commit failed (or the union was not well-formed — a
         // footprint bug backstop): degrade to sequential singleton rounds so
         // only the failing members fail.
-        if retry {
-            let mut single = Vec::with_capacity(1);
-            for entry in entries {
-                single.push(entry);
-                commit_round(backend, &mut single, false, cfg);
-            }
-            return;
-        }
-        // Unreachable in practice (multi-member rounds always retry), but
-        // keep the contract: fail every ticket rather than hang it.
-        let err = Error::Ingest("batched commit failed and retry was disabled".into());
         for entry in entries {
-            finish(&cfg.telemetry, entry.enqueued, entry.completer, Err(err.clone()));
+            commit_round(backend, vec![entry], cfg);
         }
         return;
     }
@@ -1534,8 +1496,7 @@ mod tests {
             telemetry: Telemetry::disabled(),
             publish: false,
         };
-        commit_round(&mut session, &mut entries, true, &cfg);
-        assert!(entries.is_empty(), "the round vector is drained for recycling");
+        commit_round(&mut session, entries, &cfg);
         let o1 = tickets[0].wait().expect("live member commits");
         let o3 = tickets[2].wait().expect("live member commits");
         let err = tickets[1].wait().unwrap_err();

@@ -72,6 +72,8 @@
 //! `canonical_form`) has been removed: use [`ReductionStrategy`] (or
 //! `pul_core::reduce_with` directly).
 
+#![forbid(unsafe_code)]
+
 pub use pul;
 pub use pul_core;
 pub use pul_store;
@@ -98,8 +100,8 @@ pub use durable::{
 };
 pub use error::{Error, Result};
 pub use executor::{
-    CacheStats, CommitReport, CompactionReport, Executor, ExecutorCore, ReductionStrategy,
-    SessionSlabStats, SubmissionId,
+    CommitReport, CompactionReport, Executor, ExecutorCore, ReductionStrategy, SessionSlabStats,
+    SubmissionId,
 };
 pub use ingest::{BatchCommit, IngestBackend, IngestConfig, IngestQueue, Ticket, TicketOutcome};
 pub use observe::TelemetrySnapshot;
@@ -117,8 +119,8 @@ pub use transaction::Transaction;
 /// The most commonly used items, for glob import in examples and tests.
 pub mod prelude {
     pub use crate::{
-        BatchCommit, CacheStats, CommitReport, CompactionReport, Durable, DurableOptions, Error,
-        Event, EventKind, Executor, ExecutorCore, FaultKind, FaultPlan, Faults, IngestBackend,
+        BatchCommit, CommitReport, CompactionReport, Durable, DurableOptions, Error, Event,
+        EventKind, Executor, ExecutorCore, FaultKind, FaultPlan, Faults, IngestBackend,
         IngestConfig, IngestQueue, MetricsSnapshot, ReductionStrategy, Resolution, Result,
         RetryPolicy, SessionSlabStats, ShardedCommitReport, ShardedExecutor, ShardedResolution,
         Snapshot, SubmissionId, SyncPolicy, Telemetry, TelemetrySnapshot, Ticket, TicketOutcome,

@@ -1,18 +1,15 @@
 //! The unified observability surface: one [`TelemetrySnapshot`] gathering the
-//! metric registry of [`pul_telemetry`], the session's slab/cache/pool
-//! statistics, and the tail of the structured event journal.
+//! metric registry of [`pul_telemetry`], the session's slab statistics, and
+//! the tail of the structured event journal.
 //!
-//! The pre-existing getters ([`Executor::slab_stats`](crate::Executor),
-//! [`Executor::cache_stats`](crate::Executor),
-//! [`Executor::pool_stats`](crate::Executor) and the sharded/ingest
-//! equivalents) remain as thin views of the same state; new code should read
-//! everything through `telemetry_snapshot()` and, for scrape-style export,
-//! [`TelemetrySnapshot::render_text`].
+//! Read everything through `telemetry_snapshot()` and, for scrape-style
+//! export, [`TelemetrySnapshot::render_text`]. The session's own
+//! `slab_stats()` getter stays because compaction and the checkpoint trigger
+//! read it.
 
-use pul_store::PoolStats;
 use pul_telemetry::{Event, MetricsSnapshot, Telemetry};
 
-use crate::executor::{CacheStats, SessionSlabStats};
+use crate::executor::SessionSlabStats;
 
 /// A point-in-time freeze of everything a session can tell about itself:
 /// the telemetry registry (when armed), the always-available structural
@@ -24,11 +21,6 @@ pub struct TelemetrySnapshot {
     pub metrics: Option<MetricsSnapshot>,
     /// Slot occupancy of the dense id-indexed stores (node arena, labeling).
     pub slab: SessionSlabStats,
-    /// Hit/miss counters of the wire-submission reduction cache (always zero
-    /// for surfaces without one, e.g. the sharded executor).
-    pub reduction_cache: CacheStats,
-    /// Reuse counters of the session's recycled scratch pools.
-    pub pools: PoolStats,
     /// The tail of the bounded event journal, oldest first (empty when
     /// telemetry is disabled).
     pub recent_events: Vec<Event>,
@@ -39,17 +31,10 @@ pub struct TelemetrySnapshot {
 impl TelemetrySnapshot {
     /// Assembles a snapshot from a telemetry handle plus the structural
     /// statistics the owning surface collects for itself.
-    pub(crate) fn gather(
-        telemetry: &Telemetry,
-        slab: SessionSlabStats,
-        reduction_cache: CacheStats,
-        pools: PoolStats,
-    ) -> TelemetrySnapshot {
+    pub(crate) fn gather(telemetry: &Telemetry, slab: SessionSlabStats) -> TelemetrySnapshot {
         TelemetrySnapshot {
             metrics: telemetry.snapshot(),
             slab,
-            reduction_cache,
-            pools,
             recent_events: telemetry.recent_events(),
             events_dropped: telemetry.events_dropped(),
         }
@@ -103,28 +88,6 @@ impl TelemetrySnapshot {
             "Compaction epoch the slab statistics were taken under.",
             self.slab.epoch,
         );
-        gauge(
-            "reduction_cache_hits",
-            "Wire submissions whose reduction came from the cache.",
-            self.reduction_cache.hits,
-        );
-        gauge(
-            "reduction_cache_misses",
-            "Wire submissions that had to be reduced.",
-            self.reduction_cache.misses,
-        );
-        gauge("pool_reused", "Scratch objects served from the idle pool.", self.pools.reused);
-        gauge(
-            "pool_minted",
-            "Scratch objects created because the pool was empty.",
-            self.pools.minted,
-        );
-        gauge(
-            "pool_trimmed",
-            "Idle scratch objects dropped or shrunk by trimming.",
-            self.pools.trimmed,
-        );
-        gauge("pool_idle", "Scratch objects currently idle in the pool.", self.pools.idle as u64);
         gauge(
             "events_dropped",
             "Events evicted from the bounded journal ring.",

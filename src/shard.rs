@@ -57,7 +57,7 @@ use std::sync::Arc;
 use pul::apply::{ApplyOptions, JournalStats};
 use pul::{OpName, Pul, UpdateOp};
 use pul_core::{integrate, reconcile_integration, Conflict, Policy};
-use pul_store::{site, Faults, PoolStats, SharedPool};
+use pul_store::{site, Faults};
 use pul_telemetry::{EventKind, Telemetry};
 use xdm::{Document, NodeId, SharedDocument};
 use xlabel::{LabelInterval, Labeling, NodeLabel, OrderKey};
@@ -66,7 +66,7 @@ use crate::durable::{CommitRecord, SharedSink, SinkSlot};
 use crate::error::{Error, Result};
 use crate::executor::{
     check_resolution_fresh, CompactionReport, CoreScope, ExecutorCore, ReductionStrategy,
-    SessionSlabStats, SubmissionId, DEFAULT_POOL_IDLE,
+    SessionSlabStats, SubmissionId,
 };
 use crate::ingest::{BatchCommit, IngestBackend};
 use crate::snapshot::{Snapshot, SnapshotCache};
@@ -173,9 +173,6 @@ pub struct ShardedExecutor {
     /// siblings, so its arena carries a *structural* gap of dead slots that no
     /// renumbering can reclaim. Only dead slots above this floor are churn.
     dead_floor: usize,
-    /// Recycled per-shard resolve scratch: the inner sub-PUL vectors of the
-    /// split phase. Clones share the pool; capacity 0 disables pooling.
-    scratch: SharedPool<Vec<Pul>>,
     /// The durability hook (see [`Executor`](crate::Executor)'s field of the
     /// same name): under a sink the WAL append becomes the commit point of
     /// the two-phase protocol — it happens while every shard scope is still
@@ -319,7 +316,6 @@ impl ShardedExecutor {
             version: 0,
             epoch: 0,
             dead_floor: 0,
-            scratch: SharedPool::new(DEFAULT_POOL_IDLE),
             sink: SinkSlot::default(),
             faults: Faults::disabled(),
             snapshots: SnapshotCache::default(),
@@ -350,7 +346,6 @@ impl ShardedExecutor {
             version,
             epoch: 0,
             dead_floor: 0,
-            scratch: SharedPool::new(DEFAULT_POOL_IDLE),
             sink: SinkSlot::default(),
             faults: Faults::disabled(),
             snapshots: SnapshotCache::default(),
@@ -419,13 +414,6 @@ impl ShardedExecutor {
         self
     }
 
-    /// Sets the resolve-scratch pool retention (builder style). A capacity of
-    /// 0 disables pooling — the unpooled baseline the benches compare against.
-    pub fn pooling(mut self, max_idle: usize) -> Self {
-        self.scratch = SharedPool::new(max_idle);
-        self
-    }
-
     /// The identifier discipline the shards currently apply under. Every
     /// shard shares one set of apply options, so the first shard speaks for
     /// all of them.
@@ -479,23 +467,11 @@ impl ShardedExecutor {
         self.epoch
     }
 
-    /// Behaviour counters of the pooled resolve scratch.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.scratch.stats()
-    }
-
     /// The unified observability snapshot (see
     /// [`Executor::telemetry_snapshot`](crate::Executor::telemetry_snapshot)):
-    /// registry, aggregated shard slab statistics, pool counters and the
-    /// journal tail. The sharded façade has no wire-reduction cache, so that
-    /// component is always zero.
+    /// registry, aggregated shard slab statistics and the journal tail.
     pub fn telemetry_snapshot(&self) -> crate::TelemetrySnapshot {
-        crate::TelemetrySnapshot::gather(
-            &self.telemetry,
-            self.slab_stats(),
-            crate::CacheStats::default(),
-            self.pool_stats(),
-        )
+        crate::TelemetrySnapshot::gather(&self.telemetry, self.slab_stats())
     }
 
     /// Reassembles the authoritative document from the shard slices: the root
@@ -792,11 +768,8 @@ impl ShardedExecutor {
 
         // Split every reduced submission into per-shard sub-PULs. All
         // producers stay represented in every shard (possibly with an empty
-        // sub-PUL) so conflict references keep their producer indices. The
-        // vectors come from the session's scratch pool — resolve runs once
-        // per commit round, so recycling them takes the split off the
-        // allocator's hot path.
-        let mut per_shard_subs: Vec<Vec<Pul>> = (0..n).map(|_| self.scratch.take_vec()).collect();
+        // sub-PUL) so conflict references keep their producer indices.
+        let mut per_shard_subs: Vec<Vec<Pul>> = vec![Vec::new(); n];
         for pul in &reduced {
             let routes = self.route_ops(pul)?;
             let mut i = 0;
@@ -838,10 +811,6 @@ impl ShardedExecutor {
                     .collect()
             })
         };
-        for mut subs in per_shard_subs {
-            subs.clear();
-            self.scratch.put(subs);
-        }
         let mut per_shard = Vec::with_capacity(n);
         let mut conflicts = Vec::new();
         for outcome in outcomes {

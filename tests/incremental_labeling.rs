@@ -144,38 +144,36 @@ fn in_memory_commit_preserves_untouched_labels() {
     assert_table1_equivalent(session.document(), session.labeling(), &fresh);
 }
 
+/// The wire entry point is decode + `submit`: twin sessions fed the same
+/// exchange documents through `submit_xml` and through `submit(pul_from_xml)`
+/// resolve to the same PUL and commit byte-identical documents — reduction,
+/// integration and reconciliation included.
 #[test]
-fn repeated_wire_submissions_hit_the_reduction_cache() {
-    let mut session = issue_session();
-    let wire = pul::xmlio::pul_to_xml(
-        &session.produce("rename node /issue/paper[1]/title as \"heading\"").unwrap(),
-    );
+fn wire_submissions_resolve_and_commit_like_decoded_submissions() {
+    let producer = issue_session();
+    let wires = [
+        "insert nodes <note>a</note> as last into /issue/paper[1], \
+         insert nodes <note>b</note> as last into /issue/paper[1], \
+         rename node /issue/paper[1]/title as \"heading\"",
+        "rename node /issue/paper[1]/title as \"caption\", \
+         delete node /issue/paper[2]/authors/author",
+    ]
+    .map(|q| pul::xmlio::pul_to_xml(&producer.produce(q).unwrap()));
 
-    let id1 = session.submit_xml(&wire).unwrap();
-    assert_eq!(session.cache_stats(), CacheStats { hits: 0, misses: 1 });
-    session.withdraw(id1).unwrap();
+    let mut via_wire = issue_session().policy(Policy::relaxed());
+    let mut via_pul = issue_session().policy(Policy::relaxed());
+    for wire in &wires {
+        via_wire.submit_xml(wire).unwrap();
+        via_pul.submit(pul::xmlio::pul_from_xml(wire).unwrap());
+    }
+    let (a, b) = (via_wire.resolve().unwrap(), via_pul.resolve().unwrap());
+    assert!(!a.is_conflict_free(), "the two renames conflict");
+    assert_eq!(a.pul().ops(), b.pul().ops());
+    assert_eq!(a.conflicts(), b.conflicts());
 
-    // The same wire bytes again: reduction is served from the cache.
-    session.submit_xml(&wire).unwrap();
-    assert_eq!(session.cache_stats(), CacheStats { hits: 1, misses: 1 });
-    session.commit().unwrap();
-    assert!(session.serialize().contains("<heading>"));
-
-    // A different wire submission misses.
-    let other = pul::xmlio::pul_to_xml(
-        &session.produce("delete node /issue/paper[2]/authors/author").unwrap(),
-    );
-    session.submit_xml(&other).unwrap();
-    assert_eq!(session.cache_stats(), CacheStats { hits: 1, misses: 2 });
-}
-
-#[test]
-fn cache_capacity_zero_disables_caching() {
-    let mut session = issue_session().reduction_cache_capacity(0);
-    let wire = pul::xmlio::pul_to_xml(
-        &session.produce("rename node /issue/paper[1]/title as \"heading\"").unwrap(),
-    );
-    session.submit_xml(&wire).unwrap();
-    session.submit_xml(&wire).unwrap();
-    assert_eq!(session.cache_stats(), CacheStats { hits: 0, misses: 2 });
+    via_wire.commit_resolution(a).unwrap();
+    via_pul.commit_resolution(b).unwrap();
+    via_wire.assert_consistent();
+    assert_eq!(via_wire.serialize_identified(), via_pul.serialize_identified());
+    assert!(via_wire.serialize().contains("<note>b</note>"));
 }

@@ -355,8 +355,8 @@ fn render_text_is_deterministic_and_golden() {
     let summary_at = text.find("xmlpul_commit_ns{").unwrap();
     assert!(commits_at < gauge_at && gauge_at < summary_at);
 
-    // The unified snapshot subsumes the legacy getters.
+    // The snapshot carries the slab statistics and no pool or cache series.
     assert_eq!(snapshot.slab, session.slab_stats());
-    assert_eq!(snapshot.reduction_cache, session.cache_stats());
-    assert_eq!(snapshot.pools, session.pool_stats());
+    assert!(!text.contains("xmlpul_pool_"), "pool gauges are gone");
+    assert!(!text.contains("xmlpul_reduction"), "reduction-cache gauges are gone");
 }
