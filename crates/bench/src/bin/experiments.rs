@@ -1,21 +1,23 @@
-//! Regenerates the evaluation of §4.3: one table per figure of the paper.
+//! Regenerates the evaluation of §4.3: one table per figure of the paper,
+//! plus the in-binary regression gates.
 //!
 //! ```text
-//! experiments [--fig 6a|6b|6c|6d|6e|session|shards|ingest|memory|wal|recovery|faults
-//!                    |telemetry|compaction|snapshot|all]
+//! experiments [--fig 6a|6b|6c|6d|6e|memory|faults|telemetry|all]
 //!             [--full|--quick] [--json [PATH]]
 //! ```
 //!
 //! By default a scaled-down workload is used so that the whole run completes in
 //! a couple of minutes on a laptop; `--full` uses larger sizes (closer to the
-//! paper's operation counts — document sizes remain scaled, see DESIGN.md) and
-//! `--quick` tiny ones (CI smoke). The tables printed here are the ones
-//! recorded in `EXPERIMENTS.md`.
+//! paper's operation counts; document sizes remain scaled) and `--quick` tiny
+//! ones (CI smoke). The `memory`, `faults` and `telemetry` suites assert their
+//! gates in-process — flat per-commit allocation, no payload copies in
+//! `resolve`, and free-when-disabled failpoints and telemetry probes — so a
+//! regression fails the run.
 //!
 //! `--json` additionally writes machine-readable results (defaulting to
 //! `BENCH_fig6.json`): every suite that ran, plus — for fig 6.b — the
 //! before/after numbers of the worklist reduction engine against the sweep
-//! baseline it replaced, seeding the performance trajectory of the repo.
+//! baseline it replaced.
 
 use std::env;
 use std::fmt::Write as _;
@@ -295,196 +297,6 @@ fn fig6e(mode: Mode) -> Vec<String> {
     rows
 }
 
-fn session_overhead(mode: Mode) -> Vec<String> {
-    println!("\n=== Session overhead — raw operator calls vs Executor::resolve ===");
-    println!(
-        "{:>8} {:>12} {:>16} {:>20} {:>10}",
-        "puls", "ops per PUL", "raw pipeline ms", "executor resolve ms", "overhead"
-    );
-    let shapes: &[(usize, usize)] = match mode {
-        Mode::Full => &[(4, 500), (8, 1_000), (10, 2_000)],
-        Mode::Default => &[(4, 200), (8, 500), (10, 1_000)],
-        Mode::Quick => &[(3, 60)],
-    };
-    let mut rows = Vec::new();
-    for &(n_puls, ops_per_pul) in shapes {
-        let w = setup_session(n_puls, ops_per_pul, 42);
-        let (raw_len, raw) = avg(3, || run_raw_pipeline(&w));
-        let (exe_len, exe) = avg(3, || run_executor_resolve(&w));
-        assert_eq!(raw_len, exe_len, "façade must resolve to the same PUL");
-        let ratio = exe.as_secs_f64() / raw.as_secs_f64();
-        println!(
-            "{:>8} {:>12} {:>16} {:>20} {:>9.2}x",
-            n_puls,
-            ops_per_pul,
-            ms(raw),
-            ms(exe),
-            ratio
-        );
-        rows.push(format!(
-            "{{\"puls\": {n_puls}, \"ops_per_pul\": {ops_per_pul}, \"raw_pipeline_ms\": {:.3}, \
-             \"executor_resolve_ms\": {:.3}, \"overhead_ratio\": {ratio:.3}}}",
-            ms_f(raw),
-            ms_f(exe)
-        ));
-    }
-    rows
-}
-
-fn shard_scaling(mode: Mode) -> Vec<String> {
-    println!("\n=== Shard scaling — resolve/commit throughput vs shard count ===");
-    println!(
-        "{:>8} {:>12} {:>12} {:>14} {:>12} {:>10}",
-        "shards", "resolve ms", "commit ms", "resolved ops", "conflicts", "speedup"
-    );
-    let (doc_nodes, n_puls, ops_per_pul) = match mode {
-        Mode::Full => (60_000, 8, 1_000),
-        Mode::Default => (20_000, 8, 400),
-        Mode::Quick => (6_000, 4, 60),
-    };
-    let w = setup_shard_scaling(doc_nodes, n_puls, ops_per_pul, 42);
-    let mut rows = Vec::new();
-    let mut base_resolve: Option<f64> = None;
-    for n in [1usize, 2, 4, 8] {
-        let session = setup_sharded_session(&w, n);
-        let conflicts = session.resolve().expect("relaxed policies reconcile").conflicts().len();
-        let (resolved, d_resolve) = avg(3, || run_sharded_resolve(&session));
-        // commits consume the submissions: measure on fresh clones, clone
-        // outside the timed window
-        let mut commit_total = Duration::ZERO;
-        let commit_reps = 2;
-        let mut applied = 0;
-        for _ in 0..commit_reps {
-            let mut committing = session.clone();
-            let (a, d) = timed(|| run_sharded_commit(&mut committing));
-            applied = a;
-            commit_total += d;
-        }
-        let d_commit = commit_total / commit_reps;
-        let resolve_ms = ms_f(d_resolve);
-        let speedup = base_resolve.map(|b| b / resolve_ms).unwrap_or(1.0);
-        if base_resolve.is_none() {
-            base_resolve = Some(resolve_ms);
-        }
-        println!(
-            "{:>8} {:>12} {:>12} {:>14} {:>12} {:>9.2}x",
-            n,
-            ms(d_resolve),
-            ms(d_commit),
-            resolved,
-            conflicts,
-            speedup
-        );
-        rows.push(format!(
-            "{{\"shards\": {n}, \"resolve_ms\": {:.3}, \"commit_ms\": {:.3}, \
-             \"resolved_ops\": {resolved}, \"applied_ops\": {applied}, \"conflicts\": {conflicts}}}",
-            resolve_ms,
-            ms_f(d_commit)
-        ));
-    }
-    rows
-}
-
-fn ingest_throughput(mode: Mode) -> Vec<String> {
-    println!("\n=== Ingest throughput — committed submissions/sec vs batch size × backend ===");
-    println!(
-        "{:>9} {:>7} {:>9} {:>13} {:>13} {:>15} {:>14}",
-        "backend", "batch", "commits", "wall ms", "subs/sec", "us/submission", "resolve us/sub"
-    );
-    let (doc_nodes, n_submissions) = match mode {
-        Mode::Full => (120_000, 4_096),
-        Mode::Default => (40_000, 2_048),
-        Mode::Quick => (6_000, 64),
-    };
-    let w = setup_ingest(doc_nodes, n_submissions, 42);
-    let mut rows = Vec::new();
-
-    // Queue-less baseline: one resolve+commit round trip per submission.
-    let base = run_ingest_sequential_baseline(&w.doc, &w.puls);
-    assert_eq!(base.committed, w.puls.len(), "independent workload commits fully");
-    let base_us = base.elapsed.as_secs_f64() * 1e6 / base.committed as f64;
-    println!(
-        "{:>9} {:>7} {:>9} {:>13.2} {:>13.0} {:>15.1} {:>14}",
-        "none",
-        "-",
-        base.commits,
-        ms_f(base.elapsed),
-        base.committed as f64 / base.elapsed.as_secs_f64(),
-        base_us,
-        "-"
-    );
-    rows.push(format!(
-        "{{\"backend\": \"sequential_baseline\", \"batch\": null, \"commits\": {}, \
-         \"wall_ms\": {:.3}, \"submissions_per_sec\": {:.1}, \"us_per_submission\": {:.2}, \
-         \"resolve_us_per_submission\": null}}",
-        base.commits,
-        ms_f(base.elapsed),
-        base.committed as f64 / base.elapsed.as_secs_f64(),
-        base_us
-    ));
-
-    // Per-submission resolve cost of a coalesced round per backend × batch
-    // size, measured directly on a bare backend — the acceptance-gate metric.
-    let batches = [1usize, 4, 16, 64];
-
-    for backend_name in ["executor", "sharded4"] {
-        let resolve_us_by_batch: Vec<f64> = batches
-            .iter()
-            .map(|&b| match backend_name {
-                "executor" => {
-                    let mut s = xmlpul::Executor::new(w.doc.clone());
-                    measure_resolve_per_submission(&mut s, &w.puls, b).as_secs_f64() * 1e6
-                }
-                _ => {
-                    let mut s = xmlpul::ShardedExecutor::new(w.doc.clone(), 4).expect("rooted doc");
-                    measure_resolve_per_submission(&mut s, &w.puls, b).as_secs_f64() * 1e6
-                }
-            })
-            .collect();
-        for (bi, &batch) in batches.iter().enumerate() {
-            // best-of-3: whole-run wall time is scheduling-sensitive on a
-            // loaded single-core box
-            let report = (0..3)
-                .map(|_| match backend_name {
-                    "executor" => {
-                        run_ingest_queue(xmlpul::Executor::new(w.doc.clone()), &w.puls, batch)
-                    }
-                    _ => run_ingest_queue(
-                        xmlpul::ShardedExecutor::new(w.doc.clone(), 4).expect("rooted doc"),
-                        &w.puls,
-                        batch,
-                    ),
-                })
-                .min_by_key(|r| r.elapsed)
-                .expect("three runs");
-            assert_eq!(report.committed, w.puls.len(), "independent workload commits fully");
-            let resolve_us = resolve_us_by_batch[bi];
-            let us_per_sub = report.elapsed.as_secs_f64() * 1e6 / report.committed as f64;
-            println!(
-                "{:>9} {:>7} {:>9} {:>13.2} {:>13.0} {:>15.1} {:>14.1}",
-                backend_name,
-                batch,
-                report.commits,
-                ms_f(report.elapsed),
-                report.committed as f64 / report.elapsed.as_secs_f64(),
-                us_per_sub,
-                resolve_us
-            );
-            rows.push(format!(
-                "{{\"backend\": \"{backend_name}\", \"batch\": {batch}, \"commits\": {}, \
-                 \"wall_ms\": {:.3}, \"submissions_per_sec\": {:.1}, \
-                 \"us_per_submission\": {:.2}, \"resolve_us_per_submission\": {:.2}}}",
-                report.commits,
-                ms_f(report.elapsed),
-                report.committed as f64 / report.elapsed.as_secs_f64(),
-                us_per_sub,
-                resolve_us
-            ));
-        }
-    }
-    rows
-}
-
 fn commit_memory(mode: Mode) -> Vec<String> {
     println!("\n=== Commit memory — bytes allocated per commit vs document size ===");
     println!(
@@ -555,130 +367,6 @@ fn commit_memory(mode: Mode) -> Vec<String> {
         "resolve allocation follows payload size: a stage is deep-copying operation payloads"
     );
     rows.push(row);
-    rows
-}
-
-fn wal_overhead(mode: Mode) -> Vec<String> {
-    println!("\n=== WAL overhead — durable vs plain commit cost by sync policy ===");
-    println!(
-        "{:>12} {:>9} {:>12} {:>12} {:>10} {:>12} {:>9}",
-        "sync", "commits", "wall ms", "us/commit", "overhead", "wal bytes", "B/commit"
-    );
-    let (doc_nodes, n_commits, ops_per_commit) = match mode {
-        Mode::Full => (60_000, 512, 4),
-        Mode::Default => (20_000, 200, 4),
-        Mode::Quick => (6_000, 32, 2),
-    };
-    let w = setup_durability(doc_nodes, n_commits, ops_per_commit, 42);
-    let dir = std::env::temp_dir().join(format!("xmlpul_bench_wal_{}", std::process::id()));
-    let mut rows = Vec::new();
-
-    // best-of-3: the loops are short and scheduling-sensitive
-    let plain = (0..3).map(|_| run_commit_plain(&w)).min().expect("three runs");
-    let plain_us = plain.as_secs_f64() * 1e6 / n_commits as f64;
-    println!(
-        "{:>12} {:>9} {:>12.2} {:>12.1} {:>10} {:>12} {:>9}",
-        "plain",
-        n_commits,
-        ms_f(plain),
-        plain_us,
-        "-",
-        "-",
-        "-"
-    );
-    rows.push(format!(
-        "{{\"sync\": \"plain\", \"commits\": {n_commits}, \"ops_per_commit\": {ops_per_commit}, \
-         \"wall_ms\": {:.3}, \"us_per_commit\": {:.2}, \"overhead_ratio\": null, \
-         \"wal_bytes\": null, \"wal_bytes_per_commit\": null}}",
-        ms_f(plain),
-        plain_us
-    ));
-
-    let policies: &[(&str, xmlpul::SyncPolicy)] = &[
-        ("off", xmlpul::SyncPolicy::Off),
-        ("interval16", xmlpul::SyncPolicy::Interval(16)),
-        ("per-commit", xmlpul::SyncPolicy::PerCommit),
-    ];
-    for &(name, sync) in policies {
-        let report = (0..3)
-            .map(|_| run_commit_durable(&w, sync, &dir))
-            .min_by_key(|r| r.elapsed)
-            .expect("three runs");
-        let us = report.elapsed.as_secs_f64() * 1e6 / n_commits as f64;
-        let overhead = report.elapsed.as_secs_f64() / plain.as_secs_f64();
-        let per_commit = report.wal_bytes / n_commits as u64;
-        println!(
-            "{:>12} {:>9} {:>12.2} {:>12.1} {:>9.2}x {:>12} {:>9}",
-            name,
-            n_commits,
-            ms_f(report.elapsed),
-            us,
-            overhead,
-            report.wal_bytes,
-            per_commit
-        );
-        rows.push(format!(
-            "{{\"sync\": \"{name}\", \"commits\": {n_commits}, \
-             \"ops_per_commit\": {ops_per_commit}, \"wall_ms\": {:.3}, \
-             \"us_per_commit\": {:.2}, \"overhead_ratio\": {overhead:.3}, \
-             \"wal_bytes\": {}, \"wal_bytes_per_commit\": {per_commit}}}",
-            ms_f(report.elapsed),
-            us,
-            report.wal_bytes
-        ));
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    rows
-}
-
-fn recovery_time(mode: Mode) -> Vec<String> {
-    println!("\n=== Recovery time — Durable::open vs WAL tail length ===");
-    println!(
-        "{:>13} {:>12} {:>12} {:>12} {:>14}",
-        "tail commits", "wal bytes", "open ms", "us/record", "recovered ver"
-    );
-    let (doc_nodes, ops_per_commit, tails): (usize, usize, &[usize]) = match mode {
-        Mode::Full => (60_000, 4, &[0, 64, 256, 512]),
-        Mode::Default => (20_000, 4, &[0, 32, 128, 200]),
-        Mode::Quick => (6_000, 2, &[0, 16]),
-    };
-    let max_tail = *tails.last().expect("at least one tail length");
-    let w = setup_durability(doc_nodes, max_tail.max(1), ops_per_commit, 42);
-    let dir = std::env::temp_dir().join(format!("xmlpul_bench_recovery_{}", std::process::id()));
-    let mut rows = Vec::new();
-    for &tail in tails {
-        // a tail of 0 recovers from the checkpoint image alone — the floor
-        // every longer tail's replay cost sits on top of
-        let (expect, wal_bytes) = setup_recovery_store(&w, &dir, tail);
-        let reps = if mode == Mode::Quick { 2 } else { 3 };
-        let ((version, _), open) = avg(reps, || run_recovery(&dir));
-        assert_eq!(version, expect, "recovery must land on the last durable version");
-        let us_per_record = if tail > 0 {
-            format!("{:.1}", open.as_secs_f64() * 1e6 / tail as f64)
-        } else {
-            "-".into()
-        };
-        println!(
-            "{:>13} {:>12} {:>12} {:>12} {:>14}",
-            tail,
-            wal_bytes,
-            ms(open),
-            us_per_record,
-            version
-        );
-        rows.push(format!(
-            "{{\"tail_commits\": {tail}, \"ops_per_commit\": {ops_per_commit}, \
-             \"wal_bytes\": {wal_bytes}, \"open_ms\": {:.3}, \"us_per_record\": {}, \
-             \"recovered_version\": {version}}}",
-            ms_f(open),
-            if tail > 0 {
-                format!("{:.2}", open.as_secs_f64() * 1e6 / tail as f64)
-            } else {
-                "null".into()
-            }
-        ));
-    }
-    let _ = std::fs::remove_dir_all(&dir);
     rows
 }
 
@@ -825,111 +513,6 @@ fn telemetry_overhead(mode: Mode) -> Vec<String> {
     rows
 }
 
-fn compaction(mode: Mode) -> Vec<String> {
-    println!("\n=== Compaction — epoch renumbering cost vs document size ===");
-    println!(
-        "{:>10} {:>8} {:>10} {:>13} {:>12} {:>12} {:>10}",
-        "doc nodes", "commits", "dead", "ratio before", "compact ms", "ratio after", "live"
-    );
-    let (sizes, rounds): (&[usize], usize) = match mode {
-        Mode::Full => (&[20_000, 50_000, 100_000, 200_000], 64),
-        Mode::Default => (&[10_000, 20_000, 50_000], 48),
-        Mode::Quick => (&[5_000], 16),
-    };
-    let mut rows = Vec::new();
-    for &nodes in sizes {
-        let mut session = setup_churned_session(nodes, rounds, 42);
-        let before = session.slab_stats().nodes;
-        let ratio_before = session.reclaimable_dead_ratio();
-        assert!(before.dead > 0, "churn must strand dead slots");
-        let (report, d) = timed(|| session.compact().expect("compaction succeeds"));
-        let after = session.slab_stats().nodes;
-        let ratio_after = session.reclaimable_dead_ratio();
-        // The whole point: renumbering returns the arena to density.
-        assert_eq!(after.dead, 0, "compaction reclaims every dead slot");
-        assert_eq!(after.spill, 0, "compaction empties the spill map");
-        assert_eq!(report.epoch, 1, "first compaction opens epoch 1");
-        println!(
-            "{:>10} {:>8} {:>10} {:>13.4} {:>12.2} {:>12.4} {:>10}",
-            nodes,
-            rounds,
-            before.dead,
-            ratio_before,
-            ms_f(d),
-            ratio_after,
-            after.live
-        );
-        rows.push(format!(
-            "{{\"doc_nodes\": {nodes}, \"churn_commits\": {rounds}, \
-             \"dead_before\": {}, \"dead_ratio_before\": {ratio_before:.5}, \
-             \"compact_ms\": {:.3}, \"dead_ratio_after\": {ratio_after:.5}, \
-             \"live_after\": {}}}",
-            before.dead,
-            ms_f(d),
-            after.live
-        ));
-    }
-    rows
-}
-
-fn snapshot_read(mode: Mode) -> Vec<String> {
-    println!("\n=== Snapshot reads — cold reassembly vs cached MVCC re-reads ===");
-    println!(
-        "{:>10} {:>8} {:>10} {:>11} {:>10} {:>12} {:>12}",
-        "doc nodes", "commits", "cold ms", "cached us", "speedup", "restore ms", "read_at us"
-    );
-    let (sizes, rounds): (&[usize], usize) = match mode {
-        Mode::Full => (&[20_000, 50_000, 100_000], 48),
-        Mode::Default => (&[10_000, 20_000, 50_000], 32),
-        Mode::Quick => (&[5_000], 8),
-    };
-    let dir = std::env::temp_dir().join(format!("xmlpul_bench_snapshot_{}", std::process::id()));
-    let mut rows = Vec::new();
-    for &nodes in sizes {
-        let w = setup_snapshot_read(nodes, rounds, 42);
-        // best-of-3: the cold path clones the session outside the window but
-        // the reassembly itself is scheduling-sensitive
-        let cold = (0..3).map(|_| run_snapshot_cold(&w)).min().expect("three runs");
-        let cached = run_snapshot_cached(&w, 64);
-        let dw = setup_durability(nodes, rounds.min(16), 4, 42);
-        let (restore, read_cached) = run_read_at_cold_vs_cached(&dw, &dir, 32);
-        // The acceptance gate: a re-read at an unchanged version must not pay
-        // the O(document) reassembly (or WAL replay) a cold read does.
-        assert!(
-            cached < cold,
-            "cached snapshot ({cached:?}) is no cheaper than a cold reassembly ({cold:?})"
-        );
-        assert!(
-            read_cached < restore,
-            "cached read_at ({read_cached:?}) is no cheaper than restore_at ({restore:?})"
-        );
-        let speedup = cold.as_secs_f64() / cached.as_secs_f64().max(1e-9);
-        println!(
-            "{:>10} {:>8} {:>10.3} {:>11.2} {:>9.0}x {:>12.3} {:>12.2}",
-            nodes,
-            rounds,
-            ms_f(cold),
-            cached.as_secs_f64() * 1e6,
-            speedup,
-            ms_f(restore),
-            read_cached.as_secs_f64() * 1e6
-        );
-        rows.push(format!(
-            "{{\"doc_nodes\": {nodes}, \"churn_commits\": {rounds}, \
-             \"cold_snapshot_ms\": {:.4}, \"cached_snapshot_us\": {:.3}, \
-             \"cold_cached_speedup\": {speedup:.1}, \"restore_at_ms\": {:.4}, \
-             \"read_at_cached_us\": {:.3}}}",
-            ms_f(cold),
-            cached.as_secs_f64() * 1e6,
-            ms_f(restore),
-            read_cached.as_secs_f64() * 1e6
-        ));
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    println!("snapshot gate passed: cached re-reads never pay the cold reassembly");
-    rows
-}
-
 fn main() {
     let args: Vec<String> = env::args().collect();
     let mode = if args.iter().any(|a| a == "--full") {
@@ -966,16 +549,9 @@ fn main() {
     run_suite!("fig6c", "6c", fig6c);
     run_suite!("fig6d", "6d", fig6d);
     run_suite!("fig6e", "6e", fig6e);
-    run_suite!("session_overhead", "session", session_overhead);
-    run_suite!("shard_scaling", "shards", shard_scaling);
-    run_suite!("ingest_throughput", "ingest", ingest_throughput);
     run_suite!("commit_memory", "memory", commit_memory);
-    run_suite!("wal_overhead", "wal", wal_overhead);
-    run_suite!("recovery_time", "recovery", recovery_time);
     run_suite!("faults_overhead", "faults", faults_overhead);
     run_suite!("telemetry_overhead", "telemetry", telemetry_overhead);
-    run_suite!("compaction", "compaction", compaction);
-    run_suite!("snapshot_read", "snapshot", snapshot_read);
 
     if let Some(path) = json_path {
         let body = report.render(mode);

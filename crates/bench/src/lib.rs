@@ -6,9 +6,9 @@
 //!   forms) exactly as described in the paper, scaled by a size parameter, and
 //! * one or more `run_*` functions performing the measured work.
 //!
-//! The Criterion benches under `benches/` and the `experiments` binary (which
-//! prints the paper-style tables recorded in `EXPERIMENTS.md`) are both thin
-//! wrappers over these functions, so the measured code paths are identical.
+//! The `experiments` binary is the one caller of these functions: it prints
+//! the paper-style tables, writes `BENCH_fig6.json` and runs the in-binary
+//! regression gates. System-level costs are measured by `benchmark/`.
 
 use std::time::{Duration, Instant};
 
@@ -23,7 +23,7 @@ use workload::pulgen::{
 };
 use workload::xmark::{generate as xmark, XmarkConfig};
 use xdm::parser::parse_document_identified;
-use xdm::writer::{write_document, write_document_identified};
+use xdm::writer::write_document_identified;
 use xdm::Document;
 use xdm::{NodeId, Tree};
 use xlabel::Labeling;
@@ -260,29 +260,21 @@ pub fn run_integration_and_resolution(w: &IntegrationWorkload) -> usize {
     reconciled.len()
 }
 
-/// Serialized size (bytes) of a document, used when reporting workloads.
-pub fn document_size_bytes(doc: &Document) -> usize {
-    write_document(doc).len()
-}
-
 // ---------------------------------------------------------------------------
-// Session overhead — raw operator calls vs `Executor::resolve`
+// Session workload — parallel producer PULs for an `Executor` session
 // ---------------------------------------------------------------------------
 
-/// Workload for the session-overhead benchmark: the same parallel PULs fed
-/// once through the raw reduce + integrate + reconcile + reduce pipeline and
-/// once through an [`xmlpul::Executor`] session, to keep the façade zero-cost.
+/// Workload of the `resolve_copies` row: parallel producer PULs with a
+/// moderate injected-conflict rate, resolved by an [`xmlpul::Executor`]
+/// session on their document.
 pub struct SessionWorkload {
+    /// The document the sessions open on.
+    pub doc: Document,
     /// The parallel PULs.
     pub puls: Vec<Pul>,
-    /// One (relaxed) policy per producer.
-    pub policies: Vec<Policy>,
-    /// A session with the PULs already submitted (resolution is `&self`, so
-    /// one setup serves any number of measured `resolve` calls).
-    pub executor: xmlpul::Executor,
 }
 
-/// Builds the session-overhead workload.
+/// Builds the session workload.
 pub fn setup_session(n_puls: usize, ops_per_pul: usize, seed: u64) -> SessionWorkload {
     let doc_nodes = (n_puls * ops_per_pul * 4).max(20_000);
     let doc = xmark(&XmarkConfig { target_nodes: doc_nodes, seed });
@@ -292,11 +284,12 @@ pub fn setup_session(n_puls: usize, ops_per_pul: usize, seed: u64) -> SessionWor
         &labeling,
         &ParallelConfig { n_puls, ops_per_pul, conflict_fraction: 0.2, ops_per_conflict: 4, seed },
     );
-    let policies = vec![Policy::relaxed(); n_puls];
-    let executor = session_with_submissions(doc, &puls);
-    SessionWorkload { puls, policies, executor }
+    SessionWorkload { doc, puls }
 }
 
+/// A relaxed, deterministic-reduction session on `doc` with `puls` submitted
+/// (resolution is `&self`, so one session serves any number of `resolve`
+/// calls).
 fn session_with_submissions(doc: Document, puls: &[Pul]) -> xmlpul::Executor {
     let mut executor = xmlpul::Executor::new(doc)
         .policy(Policy::relaxed())
@@ -305,224 +298,6 @@ fn session_with_submissions(doc: Document, puls: &[Pul]) -> xmlpul::Executor {
         executor.submit(pul.clone());
     }
     executor
-}
-
-/// The raw pipeline, exactly mirroring what `Executor::resolve` does: reduce
-/// every PUL, integrate, reconcile under the policies, reduce the survivor.
-/// Returns the size of the final PUL.
-pub fn run_raw_pipeline(w: &SessionWorkload) -> usize {
-    use pul_core::ReductionKind;
-    let reduced: Vec<Pul> =
-        w.puls.iter().map(|p| pul_core::reduce_with(p, ReductionKind::Deterministic)).collect();
-    let integration = integrate(&reduced);
-    let reconciled = reconcile_integration(&reduced, &integration, &w.policies)
-        .expect("relaxed policies always reconcile");
-    pul_core::reduce_with(&reconciled, ReductionKind::Deterministic).len()
-}
-
-/// The same work through the session façade. Returns the size of the resolved
-/// PUL.
-pub fn run_executor_resolve(w: &SessionWorkload) -> usize {
-    w.executor.resolve().expect("relaxed policies always reconcile").pul().len()
-}
-
-// ---------------------------------------------------------------------------
-// Shard scaling — resolve/commit throughput vs shard count
-// ---------------------------------------------------------------------------
-
-/// Workload for the shard-scaling suite: an XMark document and parallel
-/// producer PULs (with a moderate injected-conflict rate), submitted
-/// identically to sharded sessions of growing shard counts.
-pub struct ShardScalingWorkload {
-    /// The document to shard.
-    pub doc: Document,
-    /// The parallel producer PULs.
-    pub puls: Vec<Pul>,
-}
-
-/// Builds the shard-scaling workload.
-pub fn setup_shard_scaling(
-    doc_nodes: usize,
-    n_puls: usize,
-    ops_per_pul: usize,
-    seed: u64,
-) -> ShardScalingWorkload {
-    let doc = xmark(&XmarkConfig { target_nodes: doc_nodes, seed });
-    let labeling = Labeling::assign(&doc);
-    let puls = generate_parallel_puls(
-        &doc,
-        &labeling,
-        &ParallelConfig { n_puls, ops_per_pul, conflict_fraction: 0.2, ops_per_conflict: 4, seed },
-    );
-    ShardScalingWorkload { doc, puls }
-}
-
-/// Opens a sharded session over the workload document and submits every
-/// producer PUL (resolution is `&self`, so one session serves any number of
-/// measured `resolve` calls; commits run on clones).
-pub fn setup_sharded_session(w: &ShardScalingWorkload, n_shards: usize) -> xmlpul::ShardedExecutor {
-    let mut session = xmlpul::ShardedExecutor::new(w.doc.clone(), n_shards)
-        .expect("the workload document has a root")
-        .policy(Policy::relaxed());
-    for pul in &w.puls {
-        session.submit(pul.clone());
-    }
-    session
-}
-
-/// One measured sharded resolve: per-producer reduction, interval split, and
-/// per-shard integrate + reconcile + reduce. Returns the resolved op count.
-pub fn run_sharded_resolve(session: &xmlpul::ShardedExecutor) -> usize {
-    session.resolve().expect("relaxed policies always reconcile").resolved_ops()
-}
-
-/// One measured sharded commit (two-phase journal protocol across all
-/// shards). Returns the number of applied operations.
-pub fn run_sharded_commit(session: &mut xmlpul::ShardedExecutor) -> usize {
-    session.commit().expect("the generated workload commits").applied_ops
-}
-
-// ---------------------------------------------------------------------------
-// Ingest throughput — committed submissions/sec vs batch size × backend
-// ---------------------------------------------------------------------------
-
-/// Workload for the ingest-throughput suite: an XMark document and many
-/// **independent** single-operation producer PULs, each renaming its own
-/// XMark unit subtree, so the ingestion queue's coalescer can legally merge
-/// any number of them into one resolution. Minimal per-submission work is the
-/// point: it is the regime where the per-round fixed costs (resolution
-/// bookkeeping, journal scope, labeling patch, version fence, queue
-/// handoffs) dominate, i.e. where batching pays.
-pub struct IngestWorkload {
-    /// The document the sessions open on.
-    pub doc: Document,
-    /// One small PUL per submission, pairwise independent.
-    pub puls: Vec<Pul>,
-}
-
-/// Builds the ingest-throughput workload: `n_submissions` one-op rename PULs
-/// (the "burst of tiny deltas" shape that motivates batched ingestion) on
-/// distinct unit subtrees.
-pub fn setup_ingest(doc_nodes: usize, n_submissions: usize, seed: u64) -> IngestWorkload {
-    let doc = xmark(&XmarkConfig { target_nodes: doc_nodes, seed });
-    let labeling = Labeling::assign(&doc);
-    let mut units: Vec<NodeId> = ["item", "person", "open_auction", "closed_auction", "category"]
-        .iter()
-        .flat_map(|n| doc.find_elements(n))
-        .collect();
-    assert!(
-        units.len() >= n_submissions,
-        "document too small: {} units for {n_submissions} submissions",
-        units.len()
-    );
-    units.truncate(n_submissions);
-    let puls = units
-        .iter()
-        .enumerate()
-        .map(|(i, &unit)| {
-            Pul::from_ops(vec![UpdateOp::rename(unit, format!("unit{i}"))], &labeling)
-        })
-        .collect();
-    IngestWorkload { doc, puls }
-}
-
-/// Outcome of one measured ingest run.
-pub struct IngestRunReport {
-    /// Wall-clock of the whole run (enqueue → close, all tickets settled).
-    pub elapsed: Duration,
-    /// Commits the backend performed (== resolution rounds).
-    pub commits: u64,
-    /// Submissions that committed successfully.
-    pub committed: usize,
-    /// Total operations across the committed submissions.
-    pub total_ops: usize,
-}
-
-/// Drives every workload PUL through an [`xmlpul::IngestQueue`] over the
-/// given backend with `flush_threshold = batch` (tick effectively disabled,
-/// so the threshold alone shapes the rounds) and waits for every ticket.
-pub fn run_ingest_queue<B: xmlpul::IngestBackend>(
-    backend: B,
-    puls: &[Pul],
-    batch: usize,
-) -> IngestRunReport {
-    let total_ops = puls.iter().map(|p| p.len()).sum();
-    let queue = xmlpul::IngestQueue::with_config(
-        backend,
-        xmlpul::IngestConfig {
-            flush_threshold: batch,
-            tick: Duration::from_secs(3600),
-            ..xmlpul::IngestConfig::default()
-        },
-    );
-    let start = Instant::now();
-    let tickets: Vec<xmlpul::Ticket> =
-        puls.iter().map(|p| queue.enqueue(p.clone()).expect("queue open")).collect();
-    queue.flush();
-    let committed = tickets.iter().filter(|t| t.wait().is_ok()).count();
-    let elapsed = start.elapsed();
-    let backend = queue.close().expect("ingest queue closed");
-    IngestRunReport { elapsed, commits: backend.current_version(), committed, total_ops }
-}
-
-/// Baseline without the queue: one `submit → resolve → commit` round trip per
-/// submission on a bare executor — what a queue-less server loop costs.
-pub fn run_ingest_sequential_baseline(doc: &Document, puls: &[Pul]) -> IngestRunReport {
-    let mut session = xmlpul::Executor::new(doc.clone());
-    let total_ops = puls.iter().map(|p| p.len()).sum();
-    let start = Instant::now();
-    let mut committed = 0;
-    for pul in puls {
-        session.submit(pul.clone());
-        if session.commit().is_ok() {
-            committed += 1;
-        }
-    }
-    let elapsed = start.elapsed();
-    IngestRunReport { elapsed, commits: session.version(), committed, total_ops }
-}
-
-/// Per-submission resolve cost at a given batch size, measured directly on
-/// a backend (no queue, no threads) the way the pipeline resolves coalesced
-/// rounds: the whole workload is chunked into rounds of `batch` submissions,
-/// each round merged into one submission (`mergeUpdates` of independent PULs
-/// — what the coalescer does) and resolved once, and the total cost is
-/// divided by the number of submissions. Chunking over the *whole* workload
-/// keeps the number fair — every submission is resolved exactly once at every
-/// batch size. This isolates the resolution amortization the acceptance gate
-/// tracks from queueing and commit costs; the per-resolve fixed work being
-/// amortized is most visible on the sharded backend, whose resolve pays
-/// routing, interval splitting and per-shard reasoning on every call.
-pub fn measure_resolve_per_submission<B: xmlpul::IngestBackend>(
-    session: &mut B,
-    puls: &[Pul],
-    batch: usize,
-) -> Duration {
-    let policy = session.default_policy();
-    let strategy = session.reduction_strategy();
-    let reps: u32 = 7;
-    let mut total = Duration::ZERO;
-    for chunk in puls.chunks(batch.max(1)) {
-        let merged = Pul::merge_all(chunk).expect("independent PULs form one union");
-        // Pre-reduce outside the window, as the pipeline's drainer does: the
-        // per-submission reduction is paid once per submission at any batch
-        // size, so it is not part of the amortizable resolve cost.
-        let reduced = strategy.reduce(&merged);
-        let id = session.admit(merged, policy, Some(reduced));
-        session.resolve_pending().expect("warm-up resolve");
-        // min-of-reps: robust against preemption on a loaded/virtualized box
-        let best = (0..reps)
-            .map(|_| {
-                let (r, d) = timed(|| session.resolve_pending().expect("independent PULs resolve"));
-                drop(r);
-                d
-            })
-            .min()
-            .expect("at least one rep");
-        total += best;
-        session.discard(id);
-    }
-    total / puls.len() as u32
 }
 
 // ---------------------------------------------------------------------------
@@ -728,7 +503,7 @@ pub fn run_resolve_copies(w: &SessionWorkload, pad_nodes: usize) -> (usize, usiz
             tree.append_child(root, pad).expect("padding an element root");
         }
     }
-    let executor = session_with_submissions(w.executor.document().clone(), &puls);
+    let executor = session_with_submissions(w.doc.clone(), &puls);
     executor.resolve().expect("warm-up resolves");
     let (_, resolve) = alloc_counter::measure_peak(|| executor.resolve().expect("resolves"));
     let (copy, deep_copy) = alloc_counter::measure_peak(|| {
@@ -750,282 +525,6 @@ pub fn run_snapshot_clone_baseline(w: &CommitMemoryWorkload) -> alloc_counter::A
     });
     drop(clone);
     stats
-}
-
-// ---------------------------------------------------------------------------
-// Durability — WAL overhead and recovery time
-// ---------------------------------------------------------------------------
-
-/// Workload for the durability suites: an XMark document and `n_commits`
-/// pairwise-independent PULs, one per commit round, each renaming
-/// `ops_per_commit` distinct unit subtrees. Independence keeps every round
-/// committable in isolation, so the same workload drives a plain session, a
-/// durable session under any sync policy, and a recovery replay identically.
-pub struct DurabilityWorkload {
-    /// The document the sessions open on.
-    pub doc: Document,
-    /// One PUL per commit round.
-    pub puls: Vec<Pul>,
-}
-
-/// Builds the durability workload.
-pub fn setup_durability(
-    doc_nodes: usize,
-    n_commits: usize,
-    ops_per_commit: usize,
-    seed: u64,
-) -> DurabilityWorkload {
-    let doc = xmark(&XmarkConfig { target_nodes: doc_nodes, seed });
-    let labeling = Labeling::assign(&doc);
-    let mut units: Vec<NodeId> = ["item", "person", "open_auction", "closed_auction", "category"]
-        .iter()
-        .flat_map(|n| doc.find_elements(n))
-        .collect();
-    let needed = n_commits * ops_per_commit;
-    assert!(
-        units.len() >= needed,
-        "document too small: {} units for {n_commits}x{ops_per_commit} ops",
-        units.len()
-    );
-    units.truncate(needed);
-    let puls = units
-        .chunks(ops_per_commit)
-        .enumerate()
-        .map(|(i, chunk)| {
-            let ops = chunk
-                .iter()
-                .enumerate()
-                .map(|(j, &unit)| UpdateOp::rename(unit, format!("u{i}_{j}")))
-                .collect();
-            Pul::from_ops(ops, &labeling)
-        })
-        .collect();
-    DurabilityWorkload { doc, puls }
-}
-
-/// Durable options that never checkpoint on their own, so the WAL-overhead
-/// numbers measure append + sync cost only and the recovery workload controls
-/// its own tail length.
-fn no_checkpoint_opts(sync: xmlpul::SyncPolicy) -> xmlpul::DurableOptions {
-    xmlpul::DurableOptions {
-        sync,
-        checkpoint_wal_bytes: u64::MAX,
-        checkpoint_dead_ratio: f64::INFINITY,
-        ..xmlpul::DurableOptions::default()
-    }
-}
-
-/// Baseline: the same commit loop on a bare executor — what the WAL overhead
-/// is measured against.
-pub fn run_commit_plain(w: &DurabilityWorkload) -> Duration {
-    let mut session = xmlpul::Executor::new(w.doc.clone());
-    let start = Instant::now();
-    for pul in &w.puls {
-        session.submit(pul.clone());
-        session.commit().expect("independent workload commits");
-    }
-    start.elapsed()
-}
-
-/// Outcome of one durable commit run.
-pub struct WalOverheadReport {
-    /// Wall-clock of the commit loop (store setup excluded).
-    pub elapsed: Duration,
-    /// Bytes appended to the live WAL segment by the run.
-    pub wal_bytes: u64,
-}
-
-/// The same commit loop through a [`xmlpul::Durable`] session under the given
-/// sync policy: every commit appends one framed PUL record to the WAL before
-/// its version fence advances. The store lives in `dir` (recreated per run;
-/// checkpoint triggers disabled so appends alone are measured).
-pub fn run_commit_durable(
-    w: &DurabilityWorkload,
-    sync: xmlpul::SyncPolicy,
-    dir: &std::path::Path,
-) -> WalOverheadReport {
-    let _ = std::fs::remove_dir_all(dir);
-    let mut session = xmlpul::Durable::create(
-        dir,
-        xmlpul::Executor::new(w.doc.clone()),
-        no_checkpoint_opts(sync),
-    )
-    .expect("fresh bench store");
-    let start = Instant::now();
-    for pul in &w.puls {
-        session.submit(pul.clone());
-        session.commit().expect("independent workload commits");
-    }
-    let elapsed = start.elapsed();
-    WalOverheadReport { elapsed, wal_bytes: session.wal_bytes() }
-}
-
-/// Prepares a store for the recovery suite: a base checkpoint of the workload
-/// document plus a WAL tail of the first `tail_commits` workload rounds
-/// (synced, so the tail is fully durable). Returns the final version and the
-/// bytes of the live WAL segment.
-pub fn setup_recovery_store(
-    w: &DurabilityWorkload,
-    dir: &std::path::Path,
-    tail_commits: usize,
-) -> (u64, u64) {
-    let _ = std::fs::remove_dir_all(dir);
-    let mut session = xmlpul::Durable::create(
-        dir,
-        xmlpul::Executor::new(w.doc.clone()),
-        no_checkpoint_opts(xmlpul::SyncPolicy::PerCommit),
-    )
-    .expect("fresh bench store");
-    let mut version = 0;
-    for pul in w.puls.iter().take(tail_commits) {
-        session.submit(pul.clone());
-        version = session.commit().expect("independent workload commits").version;
-    }
-    (version, session.wal_bytes())
-}
-
-/// One measured recovery: open the store, restoring the last checkpoint and
-/// replaying the WAL tail through the journaled apply path. Returns the
-/// recovered version and the wall-clock of `open`.
-pub fn run_recovery(dir: &std::path::Path) -> (u64, Duration) {
-    let (session, d) = timed(|| {
-        xmlpul::Durable::<xmlpul::Executor>::open(
-            dir,
-            no_checkpoint_opts(xmlpul::SyncPolicy::PerCommit),
-        )
-        .expect("store recovers")
-    });
-    (session.version(), d)
-}
-
-// ---------------------------------------------------------------------------
-// Slab compaction
-// ---------------------------------------------------------------------------
-
-/// Churns a session with generated PULs until `rounds` of them commit (the
-/// session is its own oracle: rejected rounds are simply skipped), stranding
-/// dead slots for the compaction suite to reclaim.
-pub fn setup_churned_session(doc_nodes: usize, rounds: usize, seed: u64) -> xmlpul::Executor {
-    let doc = xmark(&XmarkConfig { target_nodes: doc_nodes, seed });
-    let mut session = xmlpul::Executor::new(doc);
-    let mut committed = 0usize;
-    let mut attempts = 0u64;
-    while committed < rounds && attempts < rounds as u64 * 4 {
-        attempts += 1;
-        let pul = generate_pul(
-            session.document(),
-            session.labeling(),
-            &PulGenConfig {
-                n_ops: 4,
-                reducible_ratio: 0.2,
-                content_id_base: session.document().next_id() + 50_000 * (attempts + 1),
-                seed: seed.wrapping_mul(613).wrapping_add(attempts),
-            },
-        );
-        session.submit(pul);
-        if session.commit().is_ok() {
-            committed += 1;
-        }
-    }
-    assert!(committed > 0, "churn committed nothing in {attempts} attempts");
-    session
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot reads — cold reassembly vs cached MVCC re-reads
-// ---------------------------------------------------------------------------
-
-/// Workload for the snapshot-read suite: a sharded session churned through
-/// `rounds` committed PULs, so a cold snapshot pays a real cross-shard
-/// reassembly over a mutated document.
-pub struct SnapshotReadWorkload {
-    /// The churned session under measurement.
-    pub session: xmlpul::ShardedExecutor,
-}
-
-/// Builds the snapshot-read workload. PULs are generated against the
-/// session's own snapshot (document + labeling), so the generator always
-/// sees the current state; rejected rounds are simply skipped.
-pub fn setup_snapshot_read(doc_nodes: usize, rounds: usize, seed: u64) -> SnapshotReadWorkload {
-    let doc = xmark(&XmarkConfig { target_nodes: doc_nodes, seed });
-    let mut session = xmlpul::ShardedExecutor::new(doc, 4)
-        .expect("the workload document has a root")
-        .policy(Policy::relaxed());
-    let mut committed = 0usize;
-    let mut attempts = 0u64;
-    while committed < rounds && attempts < rounds as u64 * 4 {
-        attempts += 1;
-        let snap = session.snapshot();
-        let pul = generate_pul(
-            snap.document(),
-            snap.labeling(),
-            &PulGenConfig {
-                n_ops: 4,
-                reducible_ratio: 0.2,
-                content_id_base: snap.document().next_id() + 50_000 * (attempts + 1),
-                seed: seed.wrapping_mul(613).wrapping_add(attempts),
-            },
-        );
-        session.submit(pul);
-        if session.commit().is_ok() {
-            committed += 1;
-        }
-    }
-    assert!(committed > 0, "churn committed nothing in {attempts} attempts");
-    SnapshotReadWorkload { session }
-}
-
-/// One cold snapshot: a fresh clone starts with an empty snapshot cache, so
-/// the call pays the full cross-shard reassembly and labeling rebuild.
-pub fn run_snapshot_cold(w: &SnapshotReadWorkload) -> Duration {
-    let cold = w.session.clone();
-    let (snap, d) = timed(|| cold.snapshot());
-    assert_eq!(snap.version(), w.session.version(), "cold snapshot pins the current version");
-    d
-}
-
-/// `reps` cached snapshots at an unchanged version: every call after the
-/// first must be served from the memo — a cache probe plus `Arc` clones, no
-/// reassembly. Returns the per-call cost.
-pub fn run_snapshot_cached(w: &SnapshotReadWorkload, reps: u32) -> Duration {
-    w.session.snapshot(); // prime the cache
-    let (_, d) = timed(|| {
-        for _ in 0..reps {
-            std::hint::black_box(w.session.snapshot());
-        }
-    });
-    d / reps
-}
-
-/// Cold vs cached point-in-time reads on a durable store: `restore_at` pays
-/// checkpoint restore + WAL replay on every call, `read_at` memoizes the
-/// pinned snapshot per version. Returns `(restore_at, read_at-cached)`
-/// per-call costs.
-pub fn run_read_at_cold_vs_cached(
-    w: &DurabilityWorkload,
-    dir: &std::path::Path,
-    reps: u32,
-) -> (Duration, Duration) {
-    let _ = std::fs::remove_dir_all(dir);
-    let mut session = xmlpul::Durable::create(
-        dir,
-        xmlpul::Executor::new(w.doc.clone()),
-        no_checkpoint_opts(xmlpul::SyncPolicy::Off),
-    )
-    .expect("fresh bench store");
-    for pul in &w.puls {
-        session.submit(pul.clone());
-        session.commit().expect("independent workload commits");
-    }
-    let mid = session.version() / 2;
-    let (_, cold) = timed(|| session.restore_at(mid).expect("retained version"));
-    session.read_at(mid).expect("retained version"); // prime the cache
-    let (_, cached) = timed(|| {
-        for _ in 0..reps {
-            std::hint::black_box(session.read_at(mid).expect("retained version"));
-        }
-    });
-    (cold, cached / reps)
 }
 
 #[cfg(test)]
@@ -1080,64 +579,6 @@ mod tests {
         let worklist = run_reduction_only(&w);
         assert_eq!(worklist, run_reduction_sweep_baseline(&w));
         assert_eq!(worklist, run_reduction_naive(&w));
-    }
-
-    #[test]
-    fn session_overhead_paths_agree() {
-        let w = setup_session(4, 60, 11);
-        assert_eq!(run_raw_pipeline(&w), run_executor_resolve(&w));
-    }
-
-    #[test]
-    fn shard_scaling_workload_resolves_and_commits_at_every_count() {
-        let w = setup_shard_scaling(4_000, 4, 60, 11);
-        let mut previous: Option<String> = None;
-        for n in [1usize, 2, 4] {
-            let session = setup_sharded_session(&w, n);
-            let resolved = run_sharded_resolve(&session);
-            assert!(resolved > 0);
-            let mut committing = session.clone();
-            let applied = run_sharded_commit(&mut committing);
-            assert_eq!(applied, resolved);
-            committing.assert_consistent();
-            // every shard count commits the same document (fresh identifiers
-            // differ across layouts, so compare the serialization)
-            let xml = committing.serialize();
-            if let Some(prev) = &previous {
-                assert_eq!(&xml, prev, "{n}-shard commit diverged");
-            }
-            previous = Some(xml);
-        }
-    }
-
-    #[test]
-    fn snapshot_read_workload_memoizes_re_reads() {
-        let w = setup_snapshot_read(2_000, 4, 5);
-        let _ = run_snapshot_cold(&w);
-        let _ = run_snapshot_cached(&w, 4);
-        let a = w.session.snapshot();
-        let b = w.session.snapshot();
-        assert!(
-            std::sync::Arc::ptr_eq(&a.shared_document(), &b.shared_document()),
-            "re-reads at an unchanged version must share one arena"
-        );
-    }
-
-    #[test]
-    fn durability_workload_commits_logs_and_recovers() {
-        let w = setup_durability(4_000, 6, 2, 13);
-        assert_eq!(w.puls.len(), 6);
-        run_commit_plain(&w);
-        let dir = std::env::temp_dir()
-            .join(format!("xmlpul_bench_test_durability_{}", std::process::id()));
-        let report = run_commit_durable(&w, xmlpul::SyncPolicy::Off, &dir);
-        assert!(report.wal_bytes > 0, "commits must reach the WAL");
-        let (version, wal_bytes) = setup_recovery_store(&w, &dir, 4);
-        assert_eq!(version, 4);
-        assert!(wal_bytes > 0, "the tail must live in the WAL");
-        let (recovered, _) = run_recovery(&dir);
-        assert_eq!(recovered, 4, "recovery lands on the last durable version");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

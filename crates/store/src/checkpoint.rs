@@ -164,12 +164,14 @@ pub fn decode(bytes: &[u8]) -> io::Result<CheckpointState> {
     let sharded = r.take(1)?[0] != 0;
     let root_id = r.u64()?;
     let root_label = r.string()?;
-    let n_shards = r.u32()? as usize;
-    let mut shards = Vec::with_capacity(n_shards);
+    // The counts are untrusted (the CRC only catches accidents), so vectors
+    // grow with the entries actually read instead of being sized from them.
+    let n_shards = r.u32()?;
+    let mut shards = Vec::new();
     for _ in 0..n_shards {
         let doc = r.string()?;
-        let n_labels = r.u32()? as usize;
-        let mut labels = Vec::with_capacity(n_labels);
+        let n_labels = r.u32()?;
+        let mut labels = Vec::new();
         for _ in 0..n_labels {
             labels.push(r.string()?);
         }
@@ -302,6 +304,42 @@ mod tests {
             copy[i] ^= 0x10;
             assert!(decode(&copy).is_err(), "flip at byte {i} accepted");
         }
+    }
+
+    /// Seals a hand-built body with its CRC, so the image reaches the field
+    /// decoder: a valid checksum, hostile counts.
+    fn sealed(mut body: Vec<u8>) -> Vec<u8> {
+        let crc = crc32(&body);
+        put_u32(&mut body, crc);
+        body
+    }
+
+    /// A current-format header of an unsharded session, up to and including
+    /// the shard count.
+    fn header(n_shards: u32) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(&CHECKPOINT_MAGIC);
+        put_u32(&mut out, CHECKPOINT_FORMAT);
+        put_u64(&mut out, 0); // version
+        put_u64(&mut out, 0); // epoch
+        out.push(0); // not sharded
+        put_u64(&mut out, 0); // root id
+        put_str(&mut out, ""); // root label
+        put_u32(&mut out, n_shards);
+        out
+    }
+
+    #[test]
+    fn a_huge_shard_count_is_rejected_without_preallocating() {
+        assert!(decode(&sealed(header(u32::MAX))).is_err());
+    }
+
+    #[test]
+    fn a_huge_label_count_is_rejected_without_preallocating() {
+        let mut body = header(1);
+        put_str(&mut body, "<d xml:id=\"1\"/>");
+        put_u32(&mut body, u32::MAX);
+        assert!(decode(&sealed(body)).is_err());
     }
 
     #[test]

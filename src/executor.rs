@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use pul::apply::{apply_pul_journaled, ApplyOptions, ApplyReport, JournalScope};
 use pul::{Pul, UpdateOp};
-use pul_core::reduce::{reduce_naive, reduce_with, ReductionKind};
+use pul_core::reduce::{reduce_with, ReductionKind};
 use pul_core::{aggregate, integrate, reconcile_integration, Policy};
 use pul_telemetry::{EventKind, Telemetry};
 use xdm::{parser, writer, Document};
@@ -36,8 +36,8 @@ use crate::snapshot::{Snapshot, SnapshotCache};
 use crate::transaction::Transaction;
 
 /// How the executor reduces PULs — the session-level replacement for the
-/// historical `reduce` / `deterministic_reduce` / `canonical_form` /
-/// `reduce_naive` free functions.
+/// historical `reduce` / `deterministic_reduce` / `canonical_form` free
+/// functions. The O(k²) `pul_core::reduce_naive` stays a test oracle only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReductionStrategy {
     /// No reduction at all: submissions are integrated as sent.
@@ -52,8 +52,6 @@ pub enum ReductionStrategy {
     /// Def. 9: deterministic reduction with `<p`-least pair selection — the
     /// unique canonical form, at the price of a per-stage search.
     Canonical,
-    /// The O(k²) baseline examining every ordered pair (ablation only).
-    Naive,
 }
 
 impl ReductionStrategy {
@@ -64,7 +62,6 @@ impl ReductionStrategy {
             ReductionStrategy::Standard => reduce_with(pul, ReductionKind::Plain),
             ReductionStrategy::Deterministic => reduce_with(pul, ReductionKind::Deterministic),
             ReductionStrategy::Canonical => reduce_with(pul, ReductionKind::Canonical),
-            ReductionStrategy::Naive => reduce_naive(pul),
         }
     }
 }

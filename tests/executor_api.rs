@@ -177,6 +177,55 @@ fn resolve_is_repeatable_and_shares_the_submitted_payloads() {
     assert!(xml.contains("<note>a</note>") && xml.contains("<note>b</note>"), "{xml}");
 }
 
+/// Multiset of (target, op name) of a PUL.
+fn shape(pul: &Pul) -> Vec<(u64, OpName)> {
+    let mut v: Vec<(u64, OpName)> =
+        pul.ops().iter().map(|o| (o.target().as_u64(), o.name())).collect();
+    v.sort_unstable();
+    v
+}
+
+/// The façade adds no reasoning of its own: on generated parallel PULs with
+/// injected conflicts, `resolve` returns the operations of the raw operator
+/// pipeline — reduce each PUL, integrate (Alg. 1), reconcile under the
+/// producers' policies (Alg. 3), reduce the survivor.
+#[test]
+fn resolve_matches_the_raw_operator_pipeline() {
+    use pul_core::{integrate, reconcile_integration, reduce_with, ReductionKind};
+    use workload::pulgen::{generate_parallel_puls, ParallelConfig};
+    use workload::xmark::{generate as xmark, XmarkConfig};
+
+    let doc = xmark(&XmarkConfig { target_nodes: 4_000, seed: 11 });
+    let puls = generate_parallel_puls(
+        &doc,
+        &Labeling::assign(&doc),
+        &ParallelConfig {
+            n_puls: 4,
+            ops_per_pul: 60,
+            conflict_fraction: 0.2,
+            ops_per_conflict: 4,
+            seed: 11,
+        },
+    );
+
+    let reduced: Vec<Pul> =
+        puls.iter().map(|p| reduce_with(p, ReductionKind::Deterministic)).collect();
+    let integration = integrate(&reduced);
+    let policies = vec![Policy::relaxed(); puls.len()];
+    let reconciled = reconcile_integration(&reduced, &integration, &policies).unwrap();
+    let raw = reduce_with(&reconciled, ReductionKind::Deterministic);
+
+    let mut session =
+        Executor::new(doc).policy(Policy::relaxed()).reduction(ReductionStrategy::Deterministic);
+    for pul in &puls {
+        session.submit(pul.clone());
+    }
+    let resolution = session.resolve().unwrap();
+    assert!(!resolution.is_conflict_free(), "the workload injects conflicts");
+    assert_eq!(resolution.conflicts().len(), integration.conflicts.len());
+    assert_eq!(shape(resolution.pul()), shape(&raw));
+}
+
 /// Versions fence commits: a resolution computed before a commit cannot be
 /// applied after it.
 #[test]
