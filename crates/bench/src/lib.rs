@@ -311,11 +311,11 @@ fn session_with_submissions(doc: Document, puls: &[Pul]) -> xmlpul::Executor {
 ///
 /// Counting is **off by default** (one relaxed atomic load per allocation, so
 /// the timing suites of the same binary stay uncontaminated) and is switched
-/// on only for the duration of [`measure_peak`]. The balance is signed and
-/// clamped at zero from below: frees of memory allocated *before* the window
-/// neither crash the counter nor bank credit against later allocations, so a
-/// clear-then-rebuild pattern that allocates O(document) after freeing
-/// O(document) still registers an O(document) peak.
+/// on only for the duration of [`measure_peak`](alloc_counter::measure_peak).
+/// The balance is signed and clamped at zero from below: frees of memory
+/// allocated *before* the window neither crash the counter nor bank credit
+/// against later allocations, so a clear-then-rebuild pattern that allocates
+/// O(document) after freeing O(document) still registers an O(document) peak.
 pub mod alloc_counter {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
@@ -466,8 +466,9 @@ fn fixed_small_pul(executor: &xmlpul::Executor) -> Pul {
 /// One measured commit: a warm-up commit first (so amortised container growth
 /// — the dense slabs doubling their capacity — does not land in the
 /// measurement), then the allocation of `commit_resolution` alone (resolution
-/// computed outside the measurement). Returns the window's [`AllocStats`]
-/// (alloc_counter::AllocStats) and the number of journal entries recorded.
+/// computed outside the measurement). Returns the window's
+/// [`AllocStats`](alloc_counter::AllocStats) and the number of journal
+/// entries recorded.
 pub fn run_commit_memory(w: &mut CommitMemoryWorkload) -> (alloc_counter::AllocStats, usize) {
     let warm = fixed_small_pul(&w.executor);
     w.executor.submit(warm);

@@ -8,11 +8,11 @@
 //!   operations whose effects are overridden (Fig. 2 rules, Def. 7), the
 //!   **deterministic reduction** (Def. 8) and the unique **canonical form**
 //!   (Def. 9, Prop. 1);
-//! * **Integration** ([`integrate`]) of *parallel* PULs, detecting the five
+//! * **Integration** ([`integrate()`]) of *parallel* PULs, detecting the five
 //!   conflict classes of Fig. 3 via Algorithm 1 (Defs. 10–11, Prop. 2), and
-//!   **reconciliation** ([`reconcile`]) under producer **policies**
+//!   **reconciliation** ([`reconcile()`]) under producer **policies**
 //!   ([`policy`], §4.2, Algorithm 3, Def. 12);
-//! * **Aggregation** ([`aggregate`]) of *sequential* PULs into a single PUL
+//! * **Aggregation** ([`aggregate()`]) of *sequential* PULs into a single PUL
 //!   cumulating their effects (Fig. 5 rules, Algorithm 2, Def. 13, Prop. 4).
 //!
 //! All three operators work exclusively on the PULs themselves: structural

@@ -1,7 +1,7 @@
 //! Conflict resolution / PUL reconciliation (§4.2): Algorithm 3, Definition 12.
 //!
-//! Given the conflicts detected by [`crate::integrate`] and the
-//! [`Policy`](crate::policy::Policy) of each producer, the best-effort
+//! Given the conflicts detected by [`crate::integrate()`] and the
+//! [`Policy`] of each producer, the best-effort
 //! resolution algorithm processes one conflict at a time — in an order designed
 //! so that a conflict is handled only once the operations that could remove its
 //! focus node have been dealt with — and solves it by *excluding* operations,

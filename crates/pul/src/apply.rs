@@ -120,7 +120,7 @@ pub fn apply_pul_with_labeling(
 /// authoritative copy.
 ///
 /// Journal ownership is scoped: when the caller already holds an active
-/// journal (e.g. a [`Transaction`] in the session crate), this function marks
+/// journal (e.g. a `Transaction` in the session crate), this function marks
 /// and — on failure — rewinds to its own mark, leaving the outer entries
 /// intact; when it activated journaling itself, it discards the journal
 /// before returning. On success the recorded entry counts are published in

@@ -423,10 +423,10 @@ impl UpdateOp {
     }
 
     /// The canonical application order shared by the in-memory, streaming and
-    /// obtainable-set evaluators: [`canonical_prefix_cmp`]
-    /// (UpdateOp::canonical_prefix_cmp), then — only on a tie — the parameter
-    /// key, so sorting a PUL serializes no content tree unless two operations
-    /// of one kind hit the same target.
+    /// obtainable-set evaluators:
+    /// [`canonical_prefix_cmp`](UpdateOp::canonical_prefix_cmp), then — only
+    /// on a tie — the parameter key, so sorting a PUL serializes no content
+    /// tree unless two operations of one kind hit the same target.
     pub fn canonical_cmp(&self, other: &UpdateOp) -> Ordering {
         self.canonical_prefix_cmp(other)
             .then_with(|| self.param_sort_key().cmp(&other.param_sort_key()))

@@ -21,10 +21,11 @@
 //!
 //! The wrapper derefs to its backend, so the whole session API —
 //! `submit` / `resolve` / `commit` — stays available unchanged; commits made
-//! through the deref'd backend are logged by the installed [`CommitSink`]
-//! automatically. The [`IngestQueue`](crate::IngestQueue) works unchanged
-//! too: `Durable<B>` implements [`IngestBackend`] by delegation, logging one
-//! WAL record per committed round and checkpointing between rounds.
+//! through the deref'd backend are logged automatically by the store sink
+//! installed in the session. The [`IngestQueue`](crate::IngestQueue) works
+//! unchanged too: `Durable<B>` implements [`IngestBackend`] by delegation,
+//! logging one WAL record per committed round and checkpointing between
+//! rounds.
 //!
 //! ```
 //! use xmlpul::prelude::*;
@@ -67,7 +68,8 @@ use xdm::NodeId;
 use xlabel::{LabelInterval, Labeling, NodeLabel, OrderKey};
 
 use crate::error::{Error, Result};
-use crate::executor::{Executor, ExecutorCore, ReductionStrategy, SessionSlabStats, SubmissionId};
+use crate::executor::{Executor, ExecutorCore, ReductionStrategy, SubmissionId};
+use crate::front::Session;
 use crate::ingest::{BatchCommit, IngestBackend};
 use crate::shard::{ShardedExecutor, ShardedResolution};
 use crate::snapshot::{Snapshot, SnapshotCache};
@@ -163,7 +165,7 @@ fn with_retry<T>(
 /// re-mints deterministically from the restored identifier counter. Either
 /// way the recovered arena is bit-identical to the one the live commit built.
 #[derive(Debug, Clone, Copy)]
-pub enum CommitRecord<'a> {
+pub(crate) enum CommitRecord<'a> {
     /// A single-executor commit: the resolved PUL that was applied (`D`).
     Delta {
         /// The resolved round PUL.
@@ -189,7 +191,7 @@ pub enum CommitRecord<'a> {
 
 impl CommitRecord<'_> {
     /// Encodes the record into its WAL payload bytes.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         let discipline = |preserve: bool| if preserve { b'P' } else { b'F' };
         match self {
@@ -214,7 +216,7 @@ impl CommitRecord<'_> {
 
 /// An owned, decoded WAL payload — what recovery replays.
 #[derive(Debug, Clone)]
-pub enum CommitPayload {
+pub(crate) enum CommitPayload {
     /// See [`CommitRecord::Delta`].
     Delta {
         /// The resolved round PUL.
@@ -235,7 +237,7 @@ pub enum CommitPayload {
 
 impl CommitPayload {
     /// Decodes a WAL payload (the CRC of the frame already checked).
-    pub fn decode(bytes: &[u8]) -> Result<CommitPayload> {
+    pub(crate) fn decode(bytes: &[u8]) -> Result<CommitPayload> {
         let (&kind, rest) = bytes.split_first().ok_or_else(|| Error::store("empty WAL payload"))?;
         let discipline = |rest: &[u8]| -> Result<(bool, String)> {
             let (&flag, body) = rest
@@ -283,38 +285,21 @@ impl CommitPayload {
 }
 
 // ---------------------------------------------------------------------------
-// The commit sink hook
+// The commit sink
 // ---------------------------------------------------------------------------
 
-/// The hook a session calls at its commit point. `on_commit` runs while the
-/// commit is still revocable (journal scopes open): returning an error aborts
-/// the commit, which rewinds as if the apply itself had failed. `on_rollback`
-/// runs after a transaction rollback and must discard every record above
-/// `version`; it is infallible by signature — an implementation that cannot
-/// guarantee the discard must panic rather than leave phantom records for
-/// recovery to replay.
-pub trait CommitSink: Send {
-    /// Called with the version the commit produces and the record to persist.
-    fn on_commit(&mut self, version: u64, record: CommitRecord<'_>) -> Result<()>;
-    /// Called after a rollback restored the session to `version`.
-    fn on_rollback(&mut self, version: u64);
-}
-
-/// A shareable sink handle, installable into a session.
-pub type SharedSink = Arc<Mutex<dyn CommitSink>>;
-
-/// The sink slot embedded in `Executor` / `ShardedExecutor`. **Cloning a
-/// session empties the slot**: a clone is a divergent copy, and two sessions
-/// appending to one WAL would interleave two histories.
+/// The sink slot embedded in the session front. **Cloning a session empties
+/// the slot**: a clone is a divergent copy, and two sessions appending to one
+/// WAL would interleave two histories.
 #[derive(Default)]
-pub(crate) struct SinkSlot(Option<SharedSink>);
+pub(crate) struct SinkSlot(Option<StoreSink>);
 
 impl SinkSlot {
-    pub(crate) fn get(&self) -> Option<SharedSink> {
-        self.0.clone()
+    pub(crate) fn get(&self) -> Option<&StoreSink> {
+        self.0.as_ref()
     }
 
-    pub(crate) fn set(&mut self, sink: Option<SharedSink>) {
+    pub(crate) fn set(&mut self, sink: Option<StoreSink>) {
         self.0 = sink;
     }
 }
@@ -331,11 +316,12 @@ impl fmt::Debug for SinkSlot {
     }
 }
 
-/// The production sink: appends to the shared [`Store`], retrying transient
-/// failures under the session's [`RetryPolicy`]. An exhausted retry budget
-/// flips the shared degraded flag — from then on every commit is refused
-/// with `XPUL-E09` until the store is reopened.
-struct StoreSink {
+/// What a durable session calls at its commit point: appends to the shared
+/// [`Store`], retrying transient failures under the session's
+/// [`RetryPolicy`]. An exhausted retry budget flips the shared degraded flag
+/// — from then on every commit is refused with `XPUL-E09` until the store is
+/// reopened.
+pub(crate) struct StoreSink {
     store: Arc<Mutex<Store>>,
     faults: Faults,
     retry: RetryPolicy,
@@ -348,8 +334,11 @@ struct StoreSink {
     telemetry: Telemetry,
 }
 
-impl CommitSink for StoreSink {
-    fn on_commit(&mut self, version: u64, record: CommitRecord<'_>) -> Result<()> {
+impl StoreSink {
+    /// Persists the record of the commit that produces `version`. Runs while
+    /// the commit is still revocable (journal scopes open): an error aborts
+    /// the commit, which rewinds as if the apply itself had failed.
+    pub(crate) fn append(&self, version: u64, record: CommitRecord<'_>) -> Result<()> {
         if self.degraded.load(Ordering::SeqCst) {
             return Err(Error::Degraded(
                 "session is read-only after an exhausted WAL retry budget".into(),
@@ -376,10 +365,12 @@ impl CommitSink for StoreSink {
         }
     }
 
-    fn on_rollback(&mut self, version: u64) {
-        // A failed truncation would leave records for commits the session
-        // rolled back; recovery would replay them over the restored state.
-        // There is no way to continue safely, so this is fatal.
+    /// Discards every record above `version` after a transaction rollback
+    /// restored the session to it. A failed truncation would leave records
+    /// for commits the session rolled back, and recovery would replay them
+    /// over the restored state: there is no way to continue safely, so it
+    /// panics.
+    pub(crate) fn truncate(&self, version: u64) {
         self.store
             .lock()
             .expect("store mutex poisoned")
@@ -414,34 +405,25 @@ fn note_degraded(degraded: &AtomicBool, telemetry: &Telemetry, version: u64, cau
 /// What [`Durable`] needs from a session backend on top of the
 /// [`IngestBackend`] verbs (version, snapshot, resolve and commit):
 /// snapshot/restore through the checkpoint image, record replay through the
-/// journaled apply path, and the sink installation point. Implemented by
-/// [`Executor`] and [`ShardedExecutor`].
-pub trait DurableBackend: IngestBackend + Sized {
+/// journaled apply path, and compaction. Implemented by [`Executor`] and
+/// [`ShardedExecutor`] only: the commit sink, the telemetry handle and the
+/// pending submissions `Durable` installs into and reads live in the
+/// crate-private session front both share, which seals the trait.
+pub trait DurableBackend: IngestBackend + Session + Sized {
     /// Freezes the full session state at the current version.
     fn checkpoint_state(&self) -> CheckpointState;
-    /// Rebuilds a session from a checkpoint image. Session configuration
+    /// Rebuilds a session's cores from a checkpoint image; [`Durable`]
+    /// restores the epoch fence into the session front. Session configuration
     /// (policy, reduction strategy, apply options) reverts to the defaults —
     /// it is not durable state.
     fn restore(state: &CheckpointState) -> Result<Self>;
-    /// Re-applies one WAL record, advancing the version by exactly one.
-    fn replay(&mut self, payload: &CommitPayload) -> Result<()>;
-    /// Installs (or removes) the commit sink.
-    fn install_sink(&mut self, sink: Option<SharedSink>);
+    /// Re-applies one WAL record payload, advancing the version by exactly
+    /// one.
+    fn replay(&mut self, payload: &[u8]) -> Result<()>;
     /// Installs the failpoint handle the backend consults during its own
     /// commit phases (e.g. shard apply). Backends without failpoints ignore
     /// it.
     fn install_faults(&mut self, _faults: Faults) {}
-    /// Installs the telemetry handle the backend records its own commit and
-    /// snapshot metrics through. Backends without instrumentation ignore it.
-    fn install_telemetry(&mut self, _telemetry: Telemetry) {}
-    /// The session's slab-churn observable (drives checkpoint and compaction
-    /// triggering).
-    fn session_slab_stats(&self) -> SessionSlabStats;
-    /// The session's compaction epoch.
-    fn session_epoch(&self) -> u64;
-    /// Submissions waiting in the session — auto-compaction declines while
-    /// any are pending, so it never fences work already admitted.
-    fn pending_submissions(&self) -> usize;
     /// The fraction of the live population held in *reclaimable* dead slots
     /// (drives the compaction trigger). Backends whose layout carries
     /// structural, unreclaimable dead slots — the sharded partition gaps —
@@ -510,44 +492,22 @@ impl DurableBackend for Executor {
                 "checkpoint was written by a sharded session; restore a ShardedExecutor",
             ));
         }
-        let mut session = Executor::from_core(core_from_snapshot(&state.shards[0])?);
-        session.set_epoch(state.epoch);
-        Ok(session)
+        Ok(Executor::from_core(core_from_snapshot(&state.shards[0])?))
     }
 
-    fn replay(&mut self, payload: &CommitPayload) -> Result<()> {
-        match payload {
+    fn replay(&mut self, payload: &[u8]) -> Result<()> {
+        match CommitPayload::decode(payload)? {
             CommitPayload::Delta { pul, preserve_content_ids } => {
-                self.replay_delta(pul, *preserve_content_ids)
+                self.replay_delta(&pul, preserve_content_ids)
             }
             CommitPayload::Epoch(epoch) => {
-                self.replay_epoch(*epoch);
+                self.replay_epoch(epoch);
                 Ok(())
             }
             CommitPayload::Sharded { .. } => {
                 Err(Error::store("sharded WAL record replayed into a single executor"))
             }
         }
-    }
-
-    fn install_sink(&mut self, sink: Option<SharedSink>) {
-        self.set_sink(sink);
-    }
-
-    fn install_telemetry(&mut self, telemetry: Telemetry) {
-        self.set_telemetry(telemetry);
-    }
-
-    fn session_slab_stats(&self) -> SessionSlabStats {
-        self.slab_stats()
-    }
-
-    fn session_epoch(&self) -> u64 {
-        self.epoch()
-    }
-
-    fn pending_submissions(&self) -> usize {
-        self.pending()
     }
 
     fn reclaimable_dead_ratio(&self) -> f64 {
@@ -598,14 +558,11 @@ impl DurableBackend for ShardedExecutor {
             );
             shards.push((core_from_snapshot(snap)?, interval));
         }
-        let mut session =
-            ShardedExecutor::from_restored(shards, root_id, root_label, state.version);
-        session.set_epoch(state.epoch);
-        Ok(session)
+        Ok(ShardedExecutor::from_shards(shards, root_id, root_label, state.version))
     }
 
-    fn replay(&mut self, payload: &CommitPayload) -> Result<()> {
-        match payload {
+    fn replay(&mut self, payload: &[u8]) -> Result<()> {
+        match CommitPayload::decode(payload)? {
             // A sharded record feeds the live two-phase commit a synthetic
             // resolution against the current version with no submissions to
             // consume, under the identifier discipline the record was
@@ -620,46 +577,26 @@ impl DurableBackend for ShardedExecutor {
                         self.shard_count()
                     )));
                 }
-                let live = self.set_preserve_content_ids(*preserve_content_ids);
+                let live = self.set_preserve_content_ids(preserve_content_ids);
                 let resolution = ShardedResolution {
                     version: self.version(),
                     submission_ids: Vec::new(),
-                    per_shard: puls.clone(),
+                    per_shard: puls,
                     conflicts: Vec::new(),
                 };
                 let replayed = self.commit_resolution(resolution);
                 self.set_preserve_content_ids(live);
                 replayed.map(|_| ())
             }
-            CommitPayload::Epoch(epoch) => self.replay_epoch(*epoch),
+            CommitPayload::Epoch(epoch) => self.replay_epoch(epoch),
             CommitPayload::Delta { .. } => {
                 Err(Error::store("single-executor WAL record replayed into a sharded session"))
             }
         }
     }
 
-    fn install_sink(&mut self, sink: Option<SharedSink>) {
-        self.set_sink(sink);
-    }
-
     fn install_faults(&mut self, faults: Faults) {
         self.set_faults(faults);
-    }
-
-    fn install_telemetry(&mut self, telemetry: Telemetry) {
-        self.set_telemetry(telemetry);
-    }
-
-    fn session_slab_stats(&self) -> SessionSlabStats {
-        self.slab_stats()
-    }
-
-    fn session_epoch(&self) -> u64 {
-        self.epoch()
-    }
-
-    fn pending_submissions(&self) -> usize {
-        self.pending()
     }
 
     fn reclaimable_dead_ratio(&self) -> f64 {
@@ -755,20 +692,8 @@ impl<B: DurableBackend> Durable<B> {
     /// installs the commit sink. Every commit from here on is logged.
     pub fn create(dir: impl AsRef<Path>, backend: B, opts: DurableOptions) -> Result<Durable<B>> {
         let store = Store::create(dir, opts.store_options())?;
-        let mut durable = Durable {
-            backend,
-            store: Arc::new(Mutex::new(store)),
-            opts,
-            dead_at_checkpoint: 0,
-            faults: Faults::disabled(),
-            degraded: Arc::new(AtomicBool::new(false)),
-            snapshots: Arc::new(SnapshotCache::default()),
-            last_maintenance_error: None,
-            maintenance_failures: 0,
-            telemetry: Telemetry::disabled(),
-        };
+        let mut durable = Durable::assemble(backend, store, opts);
         durable.checkpoint()?;
-        durable.install();
         Ok(durable)
     }
 
@@ -781,24 +706,18 @@ impl<B: DurableBackend> Durable<B> {
         let store = Store::open(dir, opts.store_options())?;
         let base =
             store.last_checkpoint().ok_or_else(|| Error::store("store holds no checkpoint"))?;
-        let state = store.load_checkpoint(base)?;
-        let mut backend = B::restore(&state)?;
-        for record in store.replay_records(base, u64::MAX)? {
-            backend.replay(&CommitPayload::decode(&record.payload)?)?;
-            if backend.current_version() != record.version {
-                return Err(Error::store(format!(
-                    "WAL replay reached version {} where the record claims {}",
-                    backend.current_version(),
-                    record.version
-                )));
-            }
-        }
-        let dead = backend.session_slab_stats().nodes.dead;
+        let backend = recover(&store, base, u64::MAX)?;
+        Ok(Durable::assemble(backend, store, opts))
+    }
+
+    /// Wraps `backend` around `store` and installs the commit sink; the
+    /// churn trigger counts dead slots from the backend's current ones.
+    fn assemble(backend: B, store: Store, opts: DurableOptions) -> Durable<B> {
         let mut durable = Durable {
+            dead_at_checkpoint: backend.session_slab_stats().nodes.dead,
             backend,
             store: Arc::new(Mutex::new(store)),
             opts,
-            dead_at_checkpoint: dead,
             faults: Faults::disabled(),
             degraded: Arc::new(AtomicBool::new(false)),
             snapshots: Arc::new(SnapshotCache::default()),
@@ -807,19 +726,19 @@ impl<B: DurableBackend> Durable<B> {
             telemetry: Telemetry::disabled(),
         };
         durable.install();
-        Ok(durable)
+        durable
     }
 
     fn install(&mut self) {
-        let sink: SharedSink = Arc::new(Mutex::new(StoreSink {
+        let sink = StoreSink {
             store: Arc::clone(&self.store),
             faults: self.faults.clone(),
             retry: self.opts.retry,
             degraded: Arc::clone(&self.degraded),
             snapshots: Arc::clone(&self.snapshots),
             telemetry: self.telemetry.clone(),
-        }));
-        self.backend.install_sink(Some(sink));
+        };
+        self.backend.front_mut().sink.set(Some(sink));
     }
 
     /// Installs one telemetry handle across the whole durable stack: the
@@ -829,7 +748,7 @@ impl<B: DurableBackend> Durable<B> {
     /// observe into the same registry.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.store.lock().expect("store mutex poisoned").set_telemetry(telemetry.clone());
-        self.backend.install_telemetry(telemetry.clone());
+        self.backend.front_mut().telemetry = telemetry.clone();
         self.telemetry = telemetry;
         self.install();
     }
@@ -866,6 +785,16 @@ impl<B: DurableBackend> Durable<B> {
         self.degraded.load(Ordering::SeqCst)
     }
 
+    /// The `XPUL-E09` refusal of every write path in degraded mode.
+    fn refuse_if_degraded(&self) -> Result<()> {
+        if self.is_degraded() {
+            return Err(Error::Degraded(
+                "session is read-only after an exhausted retry budget".into(),
+            ));
+        }
+        Ok(())
+    }
+
     /// The wrapped backend (also reachable through deref).
     pub fn backend(&self) -> &B {
         &self.backend
@@ -874,7 +803,7 @@ impl<B: DurableBackend> Durable<B> {
     /// Unwraps the backend, removing its commit sink. The store files stay on
     /// disk; later commits on the returned session are **not** logged.
     pub fn into_backend(mut self) -> B {
-        self.backend.install_sink(None);
+        self.backend.front_mut().sink.set(None);
         self.backend
     }
 
@@ -898,11 +827,7 @@ impl<B: DurableBackend> Durable<B> {
     /// [`RetryPolicy`]. Returns the checkpointed version. An exhausted retry
     /// budget degrades the session (`XPUL-E09`).
     pub fn checkpoint(&mut self) -> Result<u64> {
-        if self.is_degraded() {
-            return Err(Error::Degraded(
-                "session is read-only after an exhausted retry budget".into(),
-            ));
-        }
+        self.refuse_if_degraded()?;
         let state = self.backend.checkpoint_state();
         let version = state.version;
         let outcome = {
@@ -928,11 +853,7 @@ impl<B: DurableBackend> Durable<B> {
     /// the current version is already checkpointed. In degraded mode the
     /// call fails with `XPUL-E09` — stickiness is observable here too.
     pub fn checkpoint_if_due(&mut self) -> Result<bool> {
-        if self.is_degraded() {
-            return Err(Error::Degraded(
-                "session is read-only after an exhausted retry budget".into(),
-            ));
-        }
+        self.refuse_if_degraded()?;
         let version = self.backend.current_version();
         let (wal_bytes, last) = {
             let store = self.store.lock().expect("store mutex poisoned");
@@ -958,11 +879,7 @@ impl<B: DurableBackend> Durable<B> {
     /// best-effort — the epoch record alone already recovers bit-identically,
     /// so its failure must not fail the durably-committed compaction.
     pub fn compact(&mut self) -> Result<crate::CompactionReport> {
-        if self.is_degraded() {
-            return Err(Error::Degraded(
-                "session is read-only after an exhausted retry budget".into(),
-            ));
-        }
+        self.refuse_if_degraded()?;
         let report = self.backend.compact_session()?;
         let after = self.checkpoint();
         self.note_maintenance(after);
@@ -977,12 +894,8 @@ impl<B: DurableBackend> Durable<B> {
     /// pipeline calls this between rounds, when the queue has drained). In
     /// degraded mode the call fails with `XPUL-E09`.
     pub fn compact_if_due(&mut self) -> Result<bool> {
-        if self.is_degraded() {
-            return Err(Error::Degraded(
-                "session is read-only after an exhausted retry budget".into(),
-            ));
-        }
-        if self.backend.pending_submissions() > 0 {
+        self.refuse_if_degraded()?;
+        if !self.backend.front().submissions.is_empty() {
             return Ok(false);
         }
         let ratio = self.backend.reclaimable_dead_ratio();
@@ -1079,18 +992,7 @@ impl<B: DurableBackend> Durable<B> {
         let base = store.checkpoint_at_or_before(version).ok_or_else(|| {
             Error::store(format!("no checkpoint at or below version {version} is retained"))
         })?;
-        let state = store.load_checkpoint(base)?;
-        let mut backend = B::restore(&state)?;
-        for record in store.replay_records(base, version)? {
-            backend.replay(&CommitPayload::decode(&record.payload)?)?;
-            if backend.current_version() != record.version {
-                return Err(Error::store(format!(
-                    "WAL replay reached version {} where the record claims {}",
-                    backend.current_version(),
-                    record.version
-                )));
-            }
-        }
+        let backend: B = recover(&store, base, version)?;
         if backend.current_version() != version {
             return Err(Error::store(format!(
                 "version {version} is not durable (replay stopped at {})",
@@ -1099,6 +1001,26 @@ impl<B: DurableBackend> Durable<B> {
         }
         Ok(backend)
     }
+}
+
+/// Restores the checkpoint at `base` and replays the WAL records after it, up
+/// to `upto`, through the journaled apply path; every record must land on the
+/// version it claims.
+fn recover<B: DurableBackend>(store: &Store, base: u64, upto: u64) -> Result<B> {
+    let state = store.load_checkpoint(base)?;
+    let mut backend = B::restore(&state)?;
+    backend.front_mut().epoch = state.epoch;
+    for record in store.replay_records(base, upto)? {
+        backend.replay(&record.payload)?;
+        if backend.current_version() != record.version {
+            return Err(Error::store(format!(
+                "WAL replay reached version {} where the record claims {}",
+                backend.current_version(),
+                record.version
+            )));
+        }
+    }
+    Ok(backend)
 }
 
 impl<B: DurableBackend> Deref for Durable<B> {

@@ -28,11 +28,12 @@ use pul_telemetry::{EventKind, Telemetry};
 use xdm::{parser, writer, Document};
 use xlabel::Labeling;
 
-use crate::durable::{CommitRecord, SharedSink, SinkSlot};
-use crate::error::{Error, Result};
-use crate::ingest::{BatchCommit, IngestBackend};
+use crate::durable::CommitRecord;
+use crate::error::Result;
+use crate::front::{self, Front, Session, Submission};
+use crate::ingest::BatchCommit;
 use crate::resolution::Resolution;
-use crate::snapshot::{Snapshot, SnapshotCache};
+use crate::snapshot::Snapshot;
 use crate::transaction::Transaction;
 
 /// How the executor reduces PULs — the session-level replacement for the
@@ -74,22 +75,6 @@ impl std::fmt::Display for SubmissionId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "submission#{}", self.0)
     }
-}
-
-/// One producer PUL waiting in the session, with the policy its producer
-/// attached. Submissions admitted by the ingest pipeline carry the reduction
-/// its drainer already computed, so [`Executor::resolve`] skips reducing them.
-#[derive(Debug, Clone)]
-struct Submission {
-    id: SubmissionId,
-    pul: Pul,
-    policy: Policy,
-    pre_reduced: Option<Pul>,
-    /// The session epoch the submission was admitted under. Compaction
-    /// renumbers every identifier, so a submission from an earlier epoch is
-    /// fenced at resolve time (`XPUL-E10`) instead of silently targeting
-    /// whatever nodes now wear its ids.
-    epoch: u64,
 }
 
 /// Summary of a successful commit.
@@ -224,27 +209,6 @@ pub(crate) struct CoreScope {
     version: u64,
 }
 
-/// Shared freshness check for committing a resolution — single-executor and
-/// sharded alike: the resolution must have been computed against the current
-/// version, and every submission it reasoned about must still be pending
-/// (committing over a withdrawn PUL would resurrect it).
-pub(crate) fn check_resolution_fresh(
-    resolved_at: u64,
-    current: u64,
-    ids: &[SubmissionId],
-    still_pending: impl Fn(SubmissionId) -> bool,
-) -> Result<()> {
-    if resolved_at != current {
-        return Err(Error::StaleResolution { resolved_at, current });
-    }
-    for &id in ids {
-        if !still_pending(id) {
-            return Err(Error::UnknownSubmission(id));
-        }
-    }
-    Ok(())
-}
-
 /// A stateful executor session owning the authoritative document, its
 /// labeling and the session defaults, and exposing the
 /// reduce → integrate → reconcile → aggregate → apply pipeline behind three
@@ -253,29 +217,9 @@ pub(crate) fn check_resolution_fresh(
 #[derive(Debug, Clone)]
 pub struct Executor {
     core: ExecutorCore,
-    default_policy: Policy,
-    strategy: ReductionStrategy,
-    submissions: Vec<Submission>,
-    next_submission: u64,
-    /// The session's compaction epoch: 0 at creation, +1 per [`compact`]
-    /// (Executor::compact). Submissions are stamped with the epoch they were
-    /// admitted under; a mismatch at resolve time is the `XPUL-E10` fence.
-    epoch: u64,
-    /// The durability hook: when a [`Durable`](crate::Durable) wrapper
-    /// installs a sink, every commit appends its WAL record *before* the
-    /// version fence becomes observable, and a failed append rewinds the
-    /// whole commit. Cloned sessions never inherit the sink — two sessions
-    /// appending to one log would interleave divergent histories.
-    sink: SinkSlot,
-    /// Memoized MVCC snapshots keyed by `(version, epoch)` (see
-    /// [`snapshot`](Executor::snapshot)). Clones start cold — a divergent
-    /// copy reuses version numbers with different contents.
-    snapshots: SnapshotCache,
-    /// Telemetry handle: commit/resolve spans, snapshot cache probes,
-    /// rollback and epoch events. Disabled (a single branch per record call)
-    /// unless [`set_telemetry`](Executor::set_telemetry) arms it; clones
-    /// share the registry.
-    telemetry: Telemetry,
+    /// Pending submissions, policy, strategy, epoch, commit sink, snapshot
+    /// cache and telemetry: the session front `ShardedExecutor` embeds too.
+    front: Front,
 }
 
 impl Executor {
@@ -290,24 +234,7 @@ impl Executor {
     /// Opens a session over an already built [`ExecutorCore`] (the sharded
     /// executor uses this to wrap pre-sliced cores).
     pub fn from_core(core: ExecutorCore) -> Self {
-        Executor {
-            core,
-            default_policy: Policy::default(),
-            strategy: ReductionStrategy::default(),
-            submissions: Vec::new(),
-            next_submission: 0,
-            epoch: 0,
-            sink: SinkSlot::default(),
-            snapshots: SnapshotCache::default(),
-            telemetry: Telemetry::disabled(),
-        }
-    }
-
-    /// Installs (or removes) the commit sink. Crate-internal: sinks are
-    /// installed by the [`Durable`](crate::Durable) façade, which owns the
-    /// store the sink appends to.
-    pub(crate) fn set_sink(&mut self, sink: Option<SharedSink>) {
-        self.sink.set(sink);
+        Executor { core, front: Front::default() }
     }
 
     /// Installs the telemetry handle the session records commit/resolve
@@ -315,13 +242,13 @@ impl Executor {
     /// [`Telemetry::enabled`] to arm; the default handle is disabled and
     /// costs one branch per record call.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
+        self.front.telemetry = telemetry;
     }
 
     /// The installed telemetry handle (disabled unless
     /// [`set_telemetry`](Executor::set_telemetry) armed one).
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        &self.front.telemetry
     }
 
     /// Opens a session on the document serialized in `xml`.
@@ -332,7 +259,7 @@ impl Executor {
     /// Sets the policy assumed for submissions that do not carry their own
     /// (builder style).
     pub fn policy(mut self, policy: Policy) -> Self {
-        self.default_policy = policy;
+        self.front.default_policy = policy;
         self
     }
 
@@ -340,12 +267,7 @@ impl Executor {
     /// reconciled result (builder style). Pending submissions' pre-reductions
     /// were computed under the previous strategy, so they are discarded.
     pub fn reduction(mut self, strategy: ReductionStrategy) -> Self {
-        if strategy != self.strategy {
-            for submission in &mut self.submissions {
-                submission.pre_reduced = None;
-            }
-        }
-        self.strategy = strategy;
+        self.front.set_strategy(strategy);
         self
     }
 
@@ -381,14 +303,14 @@ impl Executor {
 
     /// Number of submissions waiting to be resolved.
     pub fn pending(&self) -> usize {
-        self.submissions.len()
+        self.front.submissions.len()
     }
 
     /// The session's compaction epoch: 0 at creation, incremented by every
     /// [`compact`](Executor::compact). Producers holding identifiers from an
     /// earlier epoch must re-read the document before submitting again.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.front.epoch
     }
 
     /// The unified observability snapshot: the telemetry registry (when a
@@ -396,7 +318,7 @@ impl Executor {
     /// the session's [`slab_stats`](Executor::slab_stats), and the tail of
     /// the event journal.
     pub fn telemetry_snapshot(&self) -> crate::TelemetrySnapshot {
-        crate::TelemetrySnapshot::gather(&self.telemetry, self.slab_stats())
+        crate::TelemetrySnapshot::gather(&self.front.telemetry, self.slab_stats())
     }
 
     /// Slot-occupancy statistics of the session's dense id-indexed stores
@@ -409,7 +331,7 @@ impl Executor {
         SessionSlabStats {
             nodes: self.core.doc.slab_stats(),
             labels: self.core.labeling.slab_stats(),
-            epoch: self.epoch,
+            epoch: self.front.epoch,
         }
     }
 
@@ -428,31 +350,15 @@ impl Executor {
     /// repeated calls at an unchanged `(version, epoch)` are served from the
     /// session's snapshot cache as reference-count bumps.
     pub fn snapshot(&self) -> Snapshot {
-        let (version, epoch) = (self.core.version, self.epoch);
+        let freeze = || (self.core.doc.to_shared(), Arc::new(self.core.labeling.clone()));
         if self.core.doc.journal_is_active() {
             // Mid-transaction state is provisional: a rollback would reuse
             // this version number with different contents, so the view is
             // built fresh and never memoized.
-            return Snapshot::new(
-                version,
-                epoch,
-                self.core.doc.to_shared(),
-                Arc::new(self.core.labeling.clone()),
-            );
+            let (doc, labeling) = freeze();
+            return Snapshot::new(self.core.version, self.front.epoch, doc, labeling);
         }
-        if let Some(hit) = self.snapshots.get(version, epoch) {
-            self.telemetry.count(|m| &m.snapshot_hits);
-            return hit;
-        }
-        self.telemetry.count(|m| &m.snapshot_misses);
-        let snapshot = Snapshot::new(
-            version,
-            epoch,
-            self.core.doc.to_shared(),
-            Arc::new(self.core.labeling.clone()),
-        );
-        self.snapshots.insert(snapshot.clone());
-        snapshot
+        self.front.snapshot(self.core.version, freeze)
     }
 
     /// Serializes the authoritative document.
@@ -475,30 +381,30 @@ impl Executor {
         Ok(xqupdate::evaluate(&self.core.doc, &self.core.labeling, source)?)
     }
 
+    /// Builds a PUL from operations, attaching the labels of the session
+    /// document — what a well-behaved producer does before shipping (the
+    /// common test and example pattern).
+    pub fn pul_from_ops(&self, ops: Vec<UpdateOp>) -> Pul {
+        Pul::from_ops(ops, &self.core.labeling)
+    }
+
     // -------------------------------------------------------------- submission
 
     /// Submits a producer PUL under the session's default policy.
     pub fn submit(&mut self, pul: Pul) -> SubmissionId {
-        self.submit_with_policy(pul, self.default_policy)
+        self.front.submit(pul, self.front.default_policy, None)
     }
 
     /// Submits a producer PUL with an explicit producer policy.
     pub fn submit_with_policy(&mut self, pul: Pul, policy: Policy) -> SubmissionId {
-        self.submit_inner(pul, policy, None)
-    }
-
-    fn submit_inner(&mut self, pul: Pul, policy: Policy, pre_reduced: Option<Pul>) -> SubmissionId {
-        let id = SubmissionId(self.next_submission);
-        self.next_submission += 1;
-        self.submissions.push(Submission { id, pul, policy, pre_reduced, epoch: self.epoch });
-        id
+        self.front.submit(pul, policy, None)
     }
 
     /// Submits a producer PUL received in the XML exchange format (§4): the
     /// wire is decoded and submitted like [`submit`](Executor::submit), so
     /// [`resolve`](Executor::resolve) reduces it with the others.
     pub fn submit_xml(&mut self, wire: &str) -> Result<SubmissionId> {
-        Ok(self.submit(pul::xmlio::pul_from_xml(wire)?))
+        self.front.submit_xml(wire)
     }
 
     /// Submits a *sequence* of PULs from one producer (e.g. the editing
@@ -517,10 +423,7 @@ impl Executor {
 
     /// Withdraws a pending submission, returning its PUL.
     pub fn withdraw(&mut self, id: SubmissionId) -> Result<Pul> {
-        match self.submissions.iter().position(|s| s.id == id) {
-            Some(i) => Ok(self.submissions.remove(i).pul),
-            None => Err(Error::UnknownSubmission(id)),
-        }
+        self.front.withdraw(id)
     }
 
     // -------------------------------------------------------------- resolution
@@ -529,39 +432,23 @@ impl Executor {
     /// each PUL is reduced with the session strategy, the reductions are
     /// integrated (Alg. 1), the detected conflicts are reconciled under the
     /// producer policies (Alg. 3), and the survivor is reduced once more.
-    /// Fails with [`Error::Reconcile`] when some conflict cannot be solved
-    /// without violating a policy, and with [`Error::EpochFenced`] when a
-    /// pending submission predates the session's last [`compact`]
-    /// (Executor::compact) — its identifiers no longer name the nodes its
-    /// producer meant.
+    /// Fails with [`Error::Reconcile`](crate::Error::Reconcile) when some
+    /// conflict cannot be solved without violating a policy, and with
+    /// [`Error::EpochFenced`](crate::Error::EpochFenced) when a pending
+    /// submission predates the session's last [`compact`](Executor::compact)
+    /// — its identifiers no longer name the nodes its producer meant.
     pub fn resolve(&self) -> Result<Resolution> {
-        let _span = self.telemetry.span(|m| &m.resolve_ns);
-        if let Some(fenced) = self.submissions.iter().find(|s| s.epoch != self.epoch) {
-            return Err(Error::EpochFenced {
-                submission: fenced.id,
-                submission_epoch: fenced.epoch,
-                current_epoch: self.epoch,
-            });
-        }
-        let submitted_ops = self.submissions.iter().map(|s| s.pul.len()).sum();
-        let reduced: Vec<Pul> = self
-            .submissions
-            .iter()
-            .map(|s| match &s.pre_reduced {
-                Some(r) => r.clone(),
-                None => self.strategy.reduce(&s.pul),
-            })
-            .collect();
-        let policies: Vec<Policy> = self.submissions.iter().map(|s| s.policy).collect();
-        let integration = integrate(&reduced);
-        let pul = self.strategy.reduce(&reconcile_integration(&reduced, &integration, &policies)?);
+        let _span = self.front.telemetry.span(|m| &m.resolve_ns);
+        let pending = self.front.pending()?;
+        let integration = integrate(&pending.reduced);
+        let reconciled = reconcile_integration(&pending.reduced, &integration, &pending.policies)?;
         Ok(Resolution {
             version: self.core.version,
-            submission_ids: self.submissions.iter().map(|s| s.id).collect(),
-            pul,
+            submitted_puls: pending.ids.len(),
+            submitted_ops: self.front.submissions.iter().map(|s| s.pul.len()).sum(),
+            submission_ids: pending.ids,
+            pul: self.front.strategy.reduce(&reconciled),
             conflicts: integration.conflicts,
-            submitted_puls: self.submissions.len(),
-            submitted_ops,
         })
     }
 
@@ -576,8 +463,9 @@ impl Executor {
     }
 
     /// Applies a previously computed [`Resolution`]. Fails with
-    /// [`Error::StaleResolution`] if the document has been committed to since
-    /// the resolution was computed, and with [`Error::UnknownSubmission`] if a
+    /// [`Error::StaleResolution`](crate::Error::StaleResolution) if the
+    /// document has been committed to since the resolution was computed, and
+    /// with [`Error::UnknownSubmission`](crate::Error::UnknownSubmission) if a
     /// resolved submission has been withdrawn in the meantime. Submissions
     /// that arrived *after* the resolution stay pending.
     ///
@@ -589,73 +477,36 @@ impl Executor {
     /// success the journal is discarded (or, inside a [`Transaction`], kept
     /// for the transaction's own rollback).
     pub fn commit_resolution(&mut self, resolution: Resolution) -> Result<CommitReport> {
-        self.check_fresh(&resolution)?;
-        let _span = self.telemetry.span(|m| &m.commit_ns);
-        let apply = match self.sink.get() {
-            None => self.core.commit_pul(&resolution.pul)?,
-            Some(sink) => {
-                // Durable sessions make the WAL append the commit point: the
-                // apply runs inside an extra journal scope, so a failed append
-                // rewinds it and the version never advances without a durable
-                // record.
-                let scope = self.core.scope_open();
-                match self.core.commit_pul(&resolution.pul) {
-                    Ok(report) => {
-                        let appended = sink.lock().expect("commit sink mutex poisoned").on_commit(
-                            self.core.version,
-                            CommitRecord::Delta {
-                                pul: &resolution.pul,
-                                preserve_content_ids: self.core.apply_options.preserve_content_ids,
-                            },
-                        );
-                        match appended {
-                            Ok(()) => {
-                                self.core.scope_close(&scope);
-                                report
-                            }
-                            Err(e) => {
-                                self.core.scope_rewind(&scope);
-                                self.core.scope_close(&scope);
-                                self.telemetry.count(|m| &m.rollbacks);
-                                return Err(e);
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        // The apply already rewound its own partial work.
-                        self.core.scope_close(&scope);
-                        return Err(e);
-                    }
-                }
-            }
-        };
-        self.consume_submissions(&resolution);
-        let version = self.core.version;
-        self.telemetry.count(|m| &m.commits);
-        self.telemetry.event(EventKind::Commit, version, || {
-            format!("committed v{version} ({} ops)", resolution.pul.len())
-        });
-        Ok(CommitReport {
-            version,
-            applied_ops: resolution.pul.len(),
-            conflicts: resolution.conflicts,
-            apply,
-        })
-    }
-
-    fn check_fresh(&self, resolution: &Resolution) -> Result<()> {
-        check_resolution_fresh(
+        self.front.check_fresh(
             resolution.version,
             self.core.version,
             &resolution.submission_ids,
-            |id| self.submissions.iter().any(|s| s.id == id),
-        )
-    }
-
-    /// Consumes exactly the submissions the resolution covered (later arrivals
-    /// stay pending). The version advance lives with the core's apply.
-    fn consume_submissions(&mut self, resolution: &Resolution) {
-        self.submissions.retain(|s| !resolution.submission_ids.contains(&s.id));
+        )?;
+        let _span = self.front.telemetry.span(|m| &m.commit_ns);
+        // The apply runs inside an extra journal scope so that, in a durable
+        // session, a failed WAL append rewinds it: the append is the commit
+        // point, and the version never advances without a durable record.
+        let scope = self.core.scope_open();
+        let apply = match self.core.commit_pul(&resolution.pul) {
+            Ok(apply) => apply,
+            Err(e) => {
+                // The apply already rewound its own partial work.
+                self.core.scope_close(&scope);
+                return Err(e);
+            }
+        };
+        let preserve_content_ids = self.core.apply_options.preserve_content_ids;
+        let record = CommitRecord::Delta { pul: &resolution.pul, preserve_content_ids };
+        if let Err(e) = self.front.append(self.core.version, record) {
+            self.core.scope_rewind(&scope);
+            self.core.scope_close(&scope);
+            self.front.telemetry.count(|m| &m.rollbacks);
+            return Err(e);
+        }
+        self.core.scope_close(&scope);
+        let (version, applied_ops) = (self.core.version, resolution.pul.len());
+        self.front.committed(&resolution.submission_ids, version, applied_ops);
+        Ok(CommitReport { version, applied_ops, conflicts: resolution.conflicts, apply })
     }
 
     // ------------------------------------------------------------ transactions
@@ -679,8 +530,8 @@ impl Executor {
             // close-only-what-you-opened) lives once, in `pul::apply`; the
             // version capture lives with the core scope.
             core: self.core.scope_open(),
-            submissions: self.submissions.clone(),
-            next_submission: self.next_submission,
+            submissions: self.front.submissions.clone(),
+            next_submission: self.front.next_submission,
         }
     }
 
@@ -690,21 +541,21 @@ impl Executor {
     pub(crate) fn tx_rollback(&mut self, scope: TxScope) {
         self.core.scope_rewind(&scope.core);
         self.core.scope_close(&scope.core);
-        self.submissions = scope.submissions;
-        self.next_submission = scope.next_submission;
+        self.front.submissions = scope.submissions;
+        self.front.next_submission = scope.next_submission;
         let version = self.core.version;
-        self.telemetry.count(|m| &m.rollbacks);
-        self.telemetry.event(EventKind::Rollback, version, || {
+        self.front.telemetry.count(|m| &m.rollbacks);
+        self.front.telemetry.event(EventKind::Rollback, version, || {
             format!("transaction rolled back to v{version}")
         });
         // The rolled-back versions' numbers will be reused by later commits
         // with different contents: cached snapshots above the restored
         // version must not survive.
-        self.snapshots.purge_above(self.core.version);
+        self.front.snapshots.purge_above(version);
         // Durable sessions truncate the WAL records of the rolled-back
         // commits, so a crash cannot resurrect them.
-        if let Some(sink) = self.sink.get() {
-            sink.lock().expect("commit sink mutex poisoned").on_rollback(self.core.version);
+        if let Some(sink) = self.front.sink.get() {
+            sink.truncate(version);
         }
     }
 
@@ -743,45 +594,24 @@ impl Executor {
             "compact() inside a transaction scope: rollback could not replay \
              inverses across the renumbering"
         );
-        let before = self.slab_stats();
-        if let Some(sink) = self.sink.get() {
-            sink.lock()
-                .expect("commit sink mutex poisoned")
-                .on_commit(self.core.version + 1, CommitRecord::Epoch { epoch: self.epoch + 1 })?;
-        }
-        self.compact_in_place(self.epoch + 1);
-        let (epoch, version) = (self.epoch, self.core.version);
-        self.telemetry.event(EventKind::CompactionEpoch, version, || {
-            format!("compaction opened epoch {epoch} at v{version}")
-        });
-        Ok(CompactionReport {
-            epoch: self.epoch,
-            version: self.core.version,
-            before,
-            after: self.slab_stats(),
-        })
+        front::compact(self, |_| Ok(()), |session, ()| session.renumber())
     }
 
     /// The infallible, deterministic half of a compaction: renumber, rebuild
-    /// the labeling densely, advance the fences. Shared by the live
+    /// the labeling densely, advance the version. Shared by the live
     /// [`compact`](Executor::compact) and by WAL replay of an epoch record,
     /// so recovery reproduces the compacted state bit-identically.
-    pub(crate) fn compact_in_place(&mut self, epoch: u64) {
+    fn renumber(&mut self) {
         let _mapping = self.core.doc.assign_preorder_ids(1);
         self.core.labeling = Labeling::assign(&self.core.doc);
         self.core.version += 1;
-        self.epoch = epoch;
     }
 
     /// Replays a WAL `Epoch` record. The epoch is *set* (not incremented):
     /// the record is authoritative about the epoch it opened.
     pub(crate) fn replay_epoch(&mut self, epoch: u64) {
-        self.compact_in_place(epoch);
-    }
-
-    /// Restores the epoch fence from a checkpoint (recovery only).
-    pub(crate) fn set_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
+        self.renumber();
+        self.front.epoch = epoch;
     }
 
     // ---------------------------------------------------------------- recovery
@@ -841,8 +671,8 @@ impl Executor {
         ExecutorSnapshot {
             doc: self.core.doc.clone(),
             labeling: self.core.labeling.clone(),
-            submissions: self.submissions.clone(),
-            next_submission: self.next_submission,
+            submissions: self.front.submissions.clone(),
+            next_submission: self.front.next_submission,
             version: self.core.version,
         }
     }
@@ -856,11 +686,11 @@ impl Executor {
             self.core.labeling.deep_eq(&oracle.labeling),
             "labeling differs from the snapshot oracle"
         );
-        assert_eq!(self.submissions.len(), oracle.submissions.len());
-        for (a, b) in self.submissions.iter().zip(oracle.submissions.iter()) {
+        assert_eq!(self.front.submissions.len(), oracle.submissions.len());
+        for (a, b) in self.front.submissions.iter().zip(oracle.submissions.iter()) {
             assert_eq!(a.id, b.id, "pending submissions differ from the snapshot oracle");
         }
-        assert_eq!(self.next_submission, oracle.next_submission);
+        assert_eq!(self.front.next_submission, oracle.next_submission);
         assert_eq!(self.core.version, oracle.version);
     }
 }
@@ -905,55 +735,36 @@ pub struct CompactionReport {
     pub after: SessionSlabStats,
 }
 
-/// The ingestion pipeline drives a single executor exactly like a producer
-/// session would: admitted PULs become pending submissions (pre-reduced by
-/// the pipeline's drainer, so `resolve` skips their reduction), and the
-/// batch commit is [`commit_resolution`](Executor::commit_resolution).
-impl IngestBackend for Executor {
-    type Resolution = Resolution;
+impl Session for Executor {
+    type Resolved = Resolution;
 
-    fn admit(&mut self, pul: Pul, policy: Policy, reduced: Option<Pul>) -> SubmissionId {
-        self.submit_inner(pul, policy, reduced)
+    fn front(&self) -> &Front {
+        &self.front
     }
 
-    fn resolve_pending(&self) -> Result<Resolution> {
-        self.resolve()
+    fn front_mut(&mut self) -> &mut Front {
+        &mut self.front
     }
 
-    fn commit_pending(&mut self, resolution: Resolution) -> Result<BatchCommit> {
-        let applied_ops = resolution.pul.len();
-        let report = self.commit_resolution(resolution)?;
-        Ok(BatchCommit { version: report.version, applied_ops, conflicts: report.conflicts })
-    }
-
-    fn snapshot_view(&self) -> Snapshot {
-        self.snapshot()
-    }
-
-    fn discard(&mut self, id: SubmissionId) {
-        let _ = self.withdraw(id);
-    }
-
-    fn current_version(&self) -> u64 {
+    fn session_version(&self) -> u64 {
         self.core.version
     }
 
-    fn reduction_strategy(&self) -> ReductionStrategy {
-        self.strategy
+    fn session_slab_stats(&self) -> SessionSlabStats {
+        self.slab_stats()
     }
 
-    fn default_policy(&self) -> Policy {
-        self.default_policy
+    fn session_snapshot(&self) -> Snapshot {
+        self.snapshot()
     }
-}
 
-/// Convenience: build a PUL from loose operations against this session's
-/// labeling (the common test/example pattern).
-impl Executor {
-    /// Builds a PUL from operations, attaching the labels of the session
-    /// document — what a well-behaved producer does before shipping.
-    pub fn pul_from_ops(&self, ops: Vec<UpdateOp>) -> Pul {
-        Pul::from_ops(ops, &self.core.labeling)
+    fn session_resolve(&self) -> Result<Resolution> {
+        self.resolve()
+    }
+
+    fn session_commit(&mut self, resolution: Resolution) -> Result<BatchCommit> {
+        let report = self.commit_resolution(resolution)?;
+        Ok(BatchCommit { version: report.version, conflicts: report.conflicts })
     }
 }
 
@@ -1009,7 +820,7 @@ mod tests {
         assert_eq!(session.version(), 0);
         assert_eq!(session.pending(), 1, "the failed submission stays pending");
         // the session is fully usable afterwards: withdraw the bad PUL, commit a good one
-        let id = session.submissions[0].id;
+        let id = session.front.submissions[0].id;
         session.withdraw(id).unwrap();
         let good = session.produce("rename node /issue/article[1] as \"paper\"").unwrap();
         session.submit(good);

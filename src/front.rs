@@ -1,0 +1,290 @@
+//! The session front that [`Executor`](crate::Executor) and
+//! [`ShardedExecutor`](crate::ShardedExecutor) share.
+//!
+//! The paper's executor (§4) takes PULs from many producers and reasons on
+//! them before it touches the document. Everything on that side of the
+//! document is the same whether a session holds one core or N shards: the
+//! pending-submission book, the default policy and reduction strategy, the
+//! compaction epoch that fences stale submissions (`XPUL-E10`), the
+//! freshness check of a resolution, the commit sink a durable session
+//! appends through, the snapshot cache and the telemetry handle. [`Front`]
+//! holds that state with one body per verb. The sessions embed it and keep
+//! only what really differs — how they resolve, commit, freeze a snapshot
+//! and renumber — behind [`Session`], and one blanket implementation turns
+//! every session into an [`IngestBackend`].
+//!
+//! `Front` and `Session` are `pub` only so that public traits can name them
+//! (`DurableBackend: Session`, the blanket `IngestBackend` impl); this module
+//! is private, so neither can be named — or implemented — outside the crate.
+
+use std::sync::Arc;
+
+use pul::Pul;
+use pul_core::Policy;
+use pul_telemetry::{EventKind, Telemetry};
+use xdm::SharedDocument;
+use xlabel::Labeling;
+
+use crate::durable::{CommitRecord, SinkSlot};
+use crate::error::{Error, Result};
+use crate::executor::{CompactionReport, ReductionStrategy, SessionSlabStats, SubmissionId};
+use crate::ingest::{BatchCommit, IngestBackend};
+use crate::snapshot::{Snapshot, SnapshotCache};
+
+/// One producer PUL waiting in a session, with the policy its producer
+/// attached. Submissions admitted by the ingest pipeline carry the reduction
+/// its drainer already computed, so resolving skips reducing them.
+#[derive(Debug, Clone)]
+pub(crate) struct Submission {
+    pub(crate) id: SubmissionId,
+    pub(crate) pul: Pul,
+    policy: Policy,
+    pre_reduced: Option<Pul>,
+    /// The session epoch the submission was admitted under. Compaction
+    /// renumbers every identifier, so a submission from an earlier epoch is
+    /// fenced at resolve time (`XPUL-E10`) instead of silently targeting
+    /// whatever nodes now wear its ids.
+    epoch: u64,
+}
+
+/// The pending book after the epoch fence and the per-submission reduction:
+/// what a resolve integrates, in submission order.
+pub(crate) struct Pending {
+    pub(crate) ids: Vec<SubmissionId>,
+    pub(crate) policies: Vec<Policy>,
+    pub(crate) reduced: Vec<Pul>,
+}
+
+/// The producer-facing state of a session; see the module documentation.
+#[derive(Debug, Clone, Default)]
+pub struct Front {
+    /// The policy assumed for submissions that do not carry their own.
+    pub(crate) default_policy: Policy,
+    /// How every submission, and every reconciled survivor, is reduced.
+    pub(crate) strategy: ReductionStrategy,
+    pub(crate) submissions: Vec<Submission>,
+    pub(crate) next_submission: u64,
+    /// The compaction epoch: 0 at creation, +1 per compaction. Submissions
+    /// are stamped with the epoch they were admitted under; a mismatch at
+    /// resolve time is the `XPUL-E10` fence.
+    pub(crate) epoch: u64,
+    /// The durability hook: when a [`Durable`](crate::Durable) wrapper
+    /// installs a sink, every commit appends its WAL record while the commit
+    /// is still revocable, and a failed append rewinds it. Cloned sessions
+    /// never inherit the sink — two sessions appending to one log would
+    /// interleave divergent histories.
+    pub(crate) sink: SinkSlot,
+    /// Memoized MVCC snapshots keyed by `(version, epoch)`. Clones start cold
+    /// — a divergent copy reuses version numbers with different contents.
+    pub(crate) snapshots: SnapshotCache,
+    /// Spans, snapshot cache probes, commit and epoch events. Disabled (one
+    /// branch per probe) unless armed; clones share the registry.
+    pub(crate) telemetry: Telemetry,
+}
+
+impl Front {
+    /// Switches the reduction strategy. Pending pre-reductions were computed
+    /// under the previous one, so a change drops them.
+    pub(crate) fn set_strategy(&mut self, strategy: ReductionStrategy) {
+        if strategy != self.strategy {
+            for submission in &mut self.submissions {
+                submission.pre_reduced = None;
+            }
+        }
+        self.strategy = strategy;
+    }
+
+    /// Admits a producer PUL under `policy`, with the reduction the ingest
+    /// drainer already computed under [`strategy`](Front::strategy), if any.
+    pub(crate) fn submit(
+        &mut self,
+        pul: Pul,
+        policy: Policy,
+        pre_reduced: Option<Pul>,
+    ) -> SubmissionId {
+        let id = SubmissionId(self.next_submission);
+        self.next_submission += 1;
+        self.submissions.push(Submission { id, pul, policy, pre_reduced, epoch: self.epoch });
+        id
+    }
+
+    /// Decodes a PUL received in the XML exchange format (§4) and submits it
+    /// under the default policy.
+    pub(crate) fn submit_xml(&mut self, wire: &str) -> Result<SubmissionId> {
+        let pul = pul::xmlio::pul_from_xml(wire)?;
+        Ok(self.submit(pul, self.default_policy, None))
+    }
+
+    /// Withdraws a pending submission, returning its PUL.
+    pub(crate) fn withdraw(&mut self, id: SubmissionId) -> Result<Pul> {
+        match self.submissions.iter().position(|s| s.id == id) {
+            Some(i) => Ok(self.submissions.remove(i).pul),
+            None => Err(Error::UnknownSubmission(id)),
+        }
+    }
+
+    /// Fences and reduces the pending book. Fails with `XPUL-E10` when a
+    /// submission predates the last compaction — its identifiers no longer
+    /// name the nodes its producer meant; otherwise reduces every submission
+    /// with the session strategy, reusing the reduction the ingest drainer
+    /// attached.
+    pub(crate) fn pending(&self) -> Result<Pending> {
+        if let Some(fenced) = self.submissions.iter().find(|s| s.epoch != self.epoch) {
+            return Err(Error::EpochFenced {
+                submission: fenced.id,
+                submission_epoch: fenced.epoch,
+                current_epoch: self.epoch,
+            });
+        }
+        Ok(Pending {
+            ids: self.submissions.iter().map(|s| s.id).collect(),
+            policies: self.submissions.iter().map(|s| s.policy).collect(),
+            reduced: self
+                .submissions
+                .iter()
+                .map(|s| match &s.pre_reduced {
+                    Some(r) => r.clone(),
+                    None => self.strategy.reduce(&s.pul),
+                })
+                .collect(),
+        })
+    }
+
+    /// The freshness check of a commit: the resolution must have been
+    /// computed against the current version, and every submission it
+    /// reasoned about must still be pending (committing over a withdrawn PUL
+    /// would resurrect it).
+    pub(crate) fn check_fresh(
+        &self,
+        resolved_at: u64,
+        current: u64,
+        ids: &[SubmissionId],
+    ) -> Result<()> {
+        if resolved_at != current {
+            return Err(Error::StaleResolution { resolved_at, current });
+        }
+        match ids.iter().find(|&&id| !self.submissions.iter().any(|s| s.id == id)) {
+            Some(&gone) => Err(Error::UnknownSubmission(gone)),
+            None => Ok(()),
+        }
+    }
+
+    /// Records a commit that produced `version`: consumes exactly the
+    /// submissions its resolution covered (later arrivals stay pending), and
+    /// counts and journals it.
+    pub(crate) fn committed(&mut self, ids: &[SubmissionId], version: u64, ops: usize) {
+        self.submissions.retain(|s| !ids.contains(&s.id));
+        self.telemetry.count(|m| &m.commits);
+        self.telemetry
+            .event(EventKind::Commit, version, || format!("committed v{version} ({ops} ops)"));
+    }
+
+    /// Appends the WAL record of `version` through the installed sink — the
+    /// commit point of a durable session, reached while the commit is still
+    /// revocable. Without a sink there is nothing to append.
+    pub(crate) fn append(&self, version: u64, record: CommitRecord<'_>) -> Result<()> {
+        self.sink.get().map_or(Ok(()), |sink| sink.append(version, record))
+    }
+
+    /// Pins `version` into a [`Snapshot`]: a reference-count bump from the
+    /// cache at an unchanged `(version, epoch)`, otherwise `freeze` builds
+    /// the document and labeling (O(document)) and the result is memoized.
+    pub(crate) fn snapshot(
+        &self,
+        version: u64,
+        freeze: impl FnOnce() -> (SharedDocument, Arc<Labeling>),
+    ) -> Snapshot {
+        if let Some(hit) = self.snapshots.get(version, self.epoch) {
+            self.telemetry.count(|m| &m.snapshot_hits);
+            return hit;
+        }
+        self.telemetry.count(|m| &m.snapshot_misses);
+        let (doc, labeling) = freeze();
+        let snapshot = Snapshot::new(version, self.epoch, doc, labeling);
+        self.snapshots.insert(snapshot.clone());
+        snapshot
+    }
+}
+
+/// What differs between the sessions that embed a [`Front`]: where the front
+/// and the version live, and the verbs whose bodies depend on holding one
+/// core or N shards.
+pub trait Session: Send + 'static {
+    /// The session's resolution type.
+    type Resolved: Send;
+    fn front(&self) -> &Front;
+    fn front_mut(&mut self) -> &mut Front;
+    /// The session version: 0 at creation, +1 per commit or compaction.
+    fn session_version(&self) -> u64;
+    /// Slot occupancy of the session's dense stores (drives checkpoint and
+    /// compaction triggering).
+    fn session_slab_stats(&self) -> SessionSlabStats;
+    /// `snapshot()`: the current version, pinned.
+    fn session_snapshot(&self) -> Snapshot;
+    /// `resolve()`: reasons on every pending submission.
+    fn session_resolve(&self) -> Result<Self::Resolved>;
+    /// `commit_resolution()`, summarized for the ingest pipeline.
+    fn session_commit(&mut self, resolution: Self::Resolved) -> Result<BatchCommit>;
+}
+
+/// The compaction protocol of every session. `prepare` does the fallible
+/// work off to the side; the epoch record is appended next — the commit
+/// point, so a failed append leaves session and store on the pre-compaction
+/// version — and `install` then renumbers in place, which cannot fail, and
+/// advances the version by one.
+pub(crate) fn compact<S: Session, P>(
+    session: &mut S,
+    prepare: impl FnOnce(&S) -> Result<P>,
+    install: impl FnOnce(&mut S, P),
+) -> Result<CompactionReport> {
+    let before = session.session_slab_stats();
+    let prepared = prepare(session)?;
+    let (version, epoch) = (session.session_version() + 1, session.front().epoch + 1);
+    session.front().append(version, CommitRecord::Epoch { epoch })?;
+    install(session, prepared);
+    let front = session.front_mut();
+    front.epoch = epoch;
+    front.telemetry.event(EventKind::CompactionEpoch, version, || {
+        format!("compaction opened epoch {epoch} at v{version}")
+    });
+    Ok(CompactionReport { epoch, version, before, after: session.session_slab_stats() })
+}
+
+/// The ingestion pipeline drives every session through the same verbs: the
+/// drainer's reductions enter the pending book, and the resolve and commit
+/// are the session's own.
+impl<S: Session> IngestBackend for S {
+    type Resolution = S::Resolved;
+
+    fn admit(&mut self, pul: Pul, policy: Policy, reduced: Option<Pul>) -> SubmissionId {
+        self.front_mut().submit(pul, policy, reduced)
+    }
+
+    fn resolve_pending(&self) -> Result<S::Resolved> {
+        self.session_resolve()
+    }
+
+    fn commit_pending(&mut self, resolution: S::Resolved) -> Result<BatchCommit> {
+        self.session_commit(resolution)
+    }
+
+    fn snapshot_view(&self) -> Snapshot {
+        self.session_snapshot()
+    }
+
+    fn discard(&mut self, id: SubmissionId) {
+        let _ = self.front_mut().withdraw(id);
+    }
+
+    fn current_version(&self) -> u64 {
+        self.session_version()
+    }
+
+    fn reduction_strategy(&self) -> ReductionStrategy {
+        self.front().strategy
+    }
+
+    fn default_policy(&self) -> Policy {
+        self.front().default_policy
+    }
+}

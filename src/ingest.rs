@@ -75,8 +75,6 @@ use crate::SubmissionId;
 pub struct BatchCommit {
     /// The backend version produced by the commit.
     pub version: u64,
-    /// Total operations applied by the commit.
-    pub applied_ops: usize,
     /// The conflicts detected (and solved) while resolving the batch.
     /// [`OpRef::pul`](pul_core::OpRef) indexes the batch's submissions in
     /// admission order.

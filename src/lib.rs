@@ -85,6 +85,7 @@ pub use xqupdate;
 mod durable;
 mod error;
 mod executor;
+mod front;
 mod ingest;
 mod observe;
 mod resolution;
@@ -94,10 +95,7 @@ mod transaction;
 
 pub mod fixtures;
 
-pub use durable::{
-    CommitPayload, CommitRecord, CommitSink, Durable, DurableBackend, DurableOptions, RetryPolicy,
-    SharedSink,
-};
+pub use durable::{Durable, DurableBackend, DurableOptions, RetryPolicy};
 pub use error::{Error, Result};
 pub use executor::{
     CommitReport, CompactionReport, Executor, ExecutorCore, ReductionStrategy, SessionSlabStats,

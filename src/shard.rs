@@ -62,14 +62,14 @@ use pul_telemetry::{EventKind, Telemetry};
 use xdm::{Document, NodeId, SharedDocument};
 use xlabel::{LabelInterval, Labeling, NodeLabel, OrderKey};
 
-use crate::durable::{CommitRecord, SharedSink, SinkSlot};
+use crate::durable::CommitRecord;
 use crate::error::{Error, Result};
 use crate::executor::{
-    check_resolution_fresh, CompactionReport, CoreScope, ExecutorCore, ReductionStrategy,
-    SessionSlabStats, SubmissionId,
+    CompactionReport, CoreScope, ExecutorCore, ReductionStrategy, SessionSlabStats, SubmissionId,
 };
-use crate::ingest::{BatchCommit, IngestBackend};
-use crate::snapshot::{Snapshot, SnapshotCache};
+use crate::front::{self, Front, Session};
+use crate::ingest::BatchCommit;
+use crate::snapshot::Snapshot;
 
 /// One shard: an executor core over a slice of the document, plus the label
 /// interval it owns for routing.
@@ -77,21 +77,6 @@ use crate::snapshot::{Snapshot, SnapshotCache};
 struct Shard {
     core: ExecutorCore,
     interval: LabelInterval,
-}
-
-/// A pending producer submission (the full, unsplit PUL: splitting happens at
-/// resolve time, against the reduced form). Submissions admitted through the
-/// ingestion pipeline carry their reduction along, so `resolve` skips
-/// reducing them.
-#[derive(Debug, Clone)]
-struct ShardedSubmission {
-    id: SubmissionId,
-    pul: Pul,
-    policy: Policy,
-    pre_reduced: Option<Pul>,
-    /// The compaction epoch the submission was admitted under; fenced at
-    /// resolve time with `XPUL-E10` (compaction renumbers every identifier).
-    epoch: u64,
 }
 
 /// The outcome of a sharded resolve: one resolved PUL per shard, ready for
@@ -159,37 +144,21 @@ pub struct ShardedExecutor {
     /// (ShardedExecutor::pul_from_ops) so their reduction sees the true
     /// whole-document interval rather than one shard's synthetic slice.
     root_label: NodeLabel,
-    default_policy: Policy,
-    strategy: ReductionStrategy,
-    submissions: Vec<ShardedSubmission>,
-    next_submission: u64,
     version: u64,
-    /// The compaction epoch (see [`Executor::epoch`](crate::Executor::epoch)):
-    /// bumped by every [`compact`](ShardedExecutor::compact), fencing all
-    /// identifiers submitted before the renumbering.
-    epoch: u64,
     /// Aggregate dead slots right after construction or the last compaction:
     /// every shard document copies the root and skips the slices owned by its
     /// siblings, so its arena carries a *structural* gap of dead slots that no
     /// renumbering can reclaim. Only dead slots above this floor are churn.
     dead_floor: usize,
-    /// The durability hook (see [`Executor`](crate::Executor)'s field of the
-    /// same name): under a sink the WAL append becomes the commit point of
-    /// the two-phase protocol — it happens while every shard scope is still
-    /// open, so an append failure aborts exactly like a shard failure.
-    sink: SinkSlot,
     /// Failpoint handle consulted before each shard applies its sub-PUL
     /// (disabled unless a test injects a plan).
     faults: Faults,
-    /// Memoized MVCC snapshots of the reassembled document, keyed by
-    /// `(version, epoch)`: repeated [`document`](ShardedExecutor::document) /
-    /// [`serialize`](ShardedExecutor::serialize) calls between commits stop
-    /// re-grafting the whole tree. Clones start cold.
-    snapshots: SnapshotCache,
-    /// Telemetry handle (see [`Executor`](crate::Executor)'s field of the same
-    /// name): disabled by default, a single branch per probe; clones share the
-    /// installed registry.
-    telemetry: Telemetry,
+    /// Pending submissions, policy, strategy, epoch, commit sink, snapshot
+    /// cache and telemetry: the session front `Executor` embeds too. Under a
+    /// sink the WAL append is the commit point of the two-phase protocol; the
+    /// snapshot cache spares repeated `document()` / `serialize()` calls
+    /// between commits the re-grafting of the whole tree.
+    front: Front,
 }
 
 impl ShardedExecutor {
@@ -302,34 +271,17 @@ impl ShardedExecutor {
             }
             slabels.refresh_sibling_flags(&sdoc, root_id);
 
-            shards.push(Shard { core: ExecutorCore::from_parts(sdoc, slabels), interval });
+            shards.push((ExecutorCore::from_parts(sdoc, slabels), interval));
         }
-
-        let mut session = ShardedExecutor {
-            shards,
-            root_id,
-            root_label,
-            default_policy: Policy::default(),
-            strategy: ReductionStrategy::default(),
-            submissions: Vec::new(),
-            next_submission: 0,
-            version: 0,
-            epoch: 0,
-            dead_floor: 0,
-            sink: SinkSlot::default(),
-            faults: Faults::disabled(),
-            snapshots: SnapshotCache::default(),
-            telemetry: Telemetry::disabled(),
-        };
-        session.dead_floor = session.slab_stats().nodes.dead;
-        Ok(session)
+        Ok(ShardedExecutor::from_shards(shards, root_id, root_label, 0))
     }
 
-    /// Rebuilds a session from restored parts (checkpoint recovery): the
-    /// shard cores and routing intervals exactly as snapshotted, the root
-    /// identity, and the session version. Session configuration (policy,
-    /// strategy) reverts to the defaults — it is not part of durable state.
-    pub(crate) fn from_restored(
+    /// Assembles a session from its shard cores and routing intervals, the
+    /// root identity and the session version — fresh from `new`, or exactly
+    /// as a checkpoint snapshotted them.
+    /// Session configuration (policy, strategy) starts at the defaults — it
+    /// is not part of durable state.
+    pub(crate) fn from_shards(
         shards: Vec<(ExecutorCore, LabelInterval)>,
         root_id: NodeId,
         root_label: NodeLabel,
@@ -339,21 +291,15 @@ impl ShardedExecutor {
             shards: shards.into_iter().map(|(core, interval)| Shard { core, interval }).collect(),
             root_id,
             root_label,
-            default_policy: Policy::default(),
-            strategy: ReductionStrategy::default(),
-            submissions: Vec::new(),
-            next_submission: 0,
             version,
-            epoch: 0,
             dead_floor: 0,
-            sink: SinkSlot::default(),
             faults: Faults::disabled(),
-            snapshots: SnapshotCache::default(),
-            telemetry: Telemetry::disabled(),
+            front: Front::default(),
         };
-        // A restored arena mixes structural and churn dead slots and the split
-        // is not recorded; floor at the current count — conservative (never
-        // over-triggers compaction), self-correcting at the next compaction.
+        // Fresh from `new`, every dead slot is structural. A restored arena
+        // mixes structural and churn dead slots and the split is not
+        // recorded; flooring at the current count is conservative (never
+        // over-triggers compaction) and self-corrects at the next compaction.
         session.dead_floor = session.slab_stats().nodes.dead;
         session
     }
@@ -361,12 +307,6 @@ impl ShardedExecutor {
     /// The root element identifier and global root label (checkpointing).
     pub(crate) fn root_identity(&self) -> (NodeId, &NodeLabel) {
         (self.root_id, &self.root_label)
-    }
-
-    /// Installs (or removes) the commit sink (see [`Executor::set_sink`]
-    /// (crate::Executor)).
-    pub(crate) fn set_sink(&mut self, sink: Option<SharedSink>) {
-        self.sink.set(sink);
     }
 
     /// Installs the failpoint handle consulted in the two-phase commit.
@@ -378,13 +318,13 @@ impl ShardedExecutor {
     /// probes, and structured events are recorded into its registry. Pass
     /// [`Telemetry::disabled`] to turn instrumentation back off.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
+        self.front.telemetry = telemetry;
     }
 
     /// The installed telemetry handle (disabled unless
     /// [`set_telemetry`](ShardedExecutor::set_telemetry) armed one).
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        &self.front.telemetry
     }
 
     /// Opens a sharded session on the document serialized in `xml`.
@@ -395,14 +335,16 @@ impl ShardedExecutor {
     /// Sets the policy assumed for submissions that do not carry their own
     /// (builder style).
     pub fn policy(mut self, policy: Policy) -> Self {
-        self.default_policy = policy;
+        self.front.default_policy = policy;
         self
     }
 
     /// Sets the reduction strategy (builder style). Applied both to each
     /// submission before splitting and to every shard's reconciled survivor.
+    /// Pending submissions' pre-reductions were computed under the previous
+    /// strategy, so they are discarded.
     pub fn reduction(mut self, strategy: ReductionStrategy) -> Self {
-        self.strategy = strategy;
+        self.front.set_strategy(strategy);
         self
     }
 
@@ -458,20 +400,20 @@ impl ShardedExecutor {
 
     /// Number of submissions waiting to be resolved.
     pub fn pending(&self) -> usize {
-        self.submissions.len()
+        self.front.submissions.len()
     }
 
     /// The session's compaction epoch: 0 at start, +1 per
     /// [`compact`](ShardedExecutor::compact).
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.front.epoch
     }
 
     /// The unified observability snapshot (see
     /// [`Executor::telemetry_snapshot`](crate::Executor::telemetry_snapshot)):
     /// registry, aggregated shard slab statistics and the journal tail.
     pub fn telemetry_snapshot(&self) -> crate::TelemetrySnapshot {
-        crate::TelemetrySnapshot::gather(&self.telemetry, self.slab_stats())
+        crate::TelemetrySnapshot::gather(&self.front.telemetry, self.slab_stats())
     }
 
     /// Reassembles the authoritative document from the shard slices: the root
@@ -534,16 +476,11 @@ impl ShardedExecutor {
     /// cache as reference-count bumps, and readers holding clones are never
     /// blocked by — and never block — later commits.
     pub fn snapshot(&self) -> Snapshot {
-        if let Some(hit) = self.snapshots.get(self.version, self.epoch) {
-            self.telemetry.count(|m| &m.snapshot_hits);
-            return hit;
-        }
-        self.telemetry.count(|m| &m.snapshot_misses);
-        let doc = self.reassemble();
-        let labeling = self.reassemble_labeling(&doc);
-        let snapshot = Snapshot::new(self.version, self.epoch, doc.to_shared(), Arc::new(labeling));
-        self.snapshots.insert(snapshot.clone());
-        snapshot
+        self.front.snapshot(self.version, || {
+            let doc = self.reassemble();
+            let labeling = self.reassemble_labeling(&doc);
+            (doc.to_shared(), Arc::new(labeling))
+        })
     }
 
     /// The reassembled authoritative document, as a shared immutable handle.
@@ -603,34 +540,22 @@ impl ShardedExecutor {
 
     /// Submits a producer PUL under the session's default policy.
     pub fn submit(&mut self, pul: Pul) -> SubmissionId {
-        self.submit_with_policy(pul, self.default_policy)
+        self.front.submit(pul, self.front.default_policy, None)
     }
 
     /// Submits a producer PUL with an explicit producer policy.
     pub fn submit_with_policy(&mut self, pul: Pul, policy: Policy) -> SubmissionId {
-        self.submit_inner(pul, policy, None)
-    }
-
-    fn submit_inner(&mut self, pul: Pul, policy: Policy, pre_reduced: Option<Pul>) -> SubmissionId {
-        let id = SubmissionId(self.next_submission);
-        self.next_submission += 1;
-        let epoch = self.epoch;
-        self.submissions.push(ShardedSubmission { id, pul, policy, pre_reduced, epoch });
-        id
+        self.front.submit(pul, policy, None)
     }
 
     /// Submits a producer PUL received in the XML exchange format (§4).
     pub fn submit_xml(&mut self, wire: &str) -> Result<SubmissionId> {
-        let pul = pul::xmlio::pul_from_xml(wire)?;
-        Ok(self.submit(pul))
+        self.front.submit_xml(wire)
     }
 
     /// Withdraws a pending submission, returning its PUL.
     pub fn withdraw(&mut self, id: SubmissionId) -> Result<Pul> {
-        match self.submissions.iter().position(|s| s.id == id) {
-            Some(i) => Ok(self.submissions.remove(i).pul),
-            None => Err(Error::UnknownSubmission(id)),
-        }
+        self.front.withdraw(id)
     }
 
     // ----------------------------------------------------------------- routing
@@ -719,58 +644,18 @@ impl ShardedExecutor {
     /// integrates its sub-PULs, reconciles the detected conflicts under the
     /// producer policies and reduces its survivor once more.
     pub fn resolve(&self) -> Result<ShardedResolution> {
-        let _span = self.telemetry.span(|m| &m.resolve_ns);
-        // Epoch fence: a submission admitted before a compaction reasons in
-        // renumbered-away identifiers and labels — resolving it would route
-        // and conflict-check against the wrong nodes.
-        if let Some(fenced) = self.submissions.iter().find(|s| s.epoch != self.epoch) {
-            return Err(Error::EpochFenced {
-                submission: fenced.id,
-                submission_epoch: fenced.epoch,
-                current_epoch: self.epoch,
-            });
-        }
+        let _span = self.front.telemetry.span(|m| &m.resolve_ns);
+        // The epoch fence runs first: a submission admitted before a
+        // compaction reasons in renumbered-away identifiers and labels —
+        // resolving it would route and conflict-check against the wrong nodes.
+        let pending = self.front.pending()?;
         let n = self.shards.len();
-        let policies: Vec<Policy> = self.submissions.iter().map(|s| s.policy).collect();
-        // Per-submission reduction is independent work too: one scoped thread
-        // per producer PUL (reduction dominates resolve, §4.3). Submissions
-        // admitted through the ingestion pipeline already carry their
-        // reduction, so they spawn no thread at all.
-        let strategy = self.strategy;
-        let to_reduce = self.submissions.iter().filter(|s| s.pre_reduced.is_none()).count();
-        let reduced: Vec<Pul> = if to_reduce <= 1 {
-            self.submissions
-                .iter()
-                .map(|s| match &s.pre_reduced {
-                    Some(r) => r.clone(),
-                    None => strategy.reduce(&s.pul),
-                })
-                .collect()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .submissions
-                    .iter()
-                    .map(|s| match &s.pre_reduced {
-                        Some(r) => Ok(r.clone()),
-                        None => Err(scope.spawn(move || strategy.reduce(&s.pul))),
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h {
-                        Ok(r) => r,
-                        Err(h) => h.join().expect("reduction thread panicked"),
-                    })
-                    .collect()
-            })
-        };
 
         // Split every reduced submission into per-shard sub-PULs. All
         // producers stay represented in every shard (possibly with an empty
         // sub-PUL) so conflict references keep their producer indices.
         let mut per_shard_subs: Vec<Vec<Pul>> = vec![Vec::new(); n];
-        for pul in &reduced {
+        for pul in &pending.reduced {
             let routes = self.route_ops(pul)?;
             let mut i = 0;
             let parts = pul.split_by_target(n, |_| {
@@ -791,15 +676,14 @@ impl ShardedExecutor {
         // Spawning costs tens of microseconds per shard, so small resolutions
         // (a few hundred ops — the batched-ingestion common case) run inline.
         const PARALLEL_RESOLVE_MIN_OPS: usize = 512;
-        let strategy = self.strategy;
+        let (strategy, policies) = (self.front.strategy, &pending.policies);
         let total_ops: usize = per_shard_subs.iter().flat_map(|s| s.iter()).map(|p| p.len()).sum();
         let busy = per_shard_subs.iter().filter(|s| s.iter().any(|p| !p.is_empty())).count();
         let outcomes: Vec<Result<(Pul, Vec<Conflict>)>> = if busy <= 1
             || total_ops < PARALLEL_RESOLVE_MIN_OPS
         {
-            per_shard_subs.iter().map(|s| Self::resolve_shard(s, &policies, strategy)).collect()
+            per_shard_subs.iter().map(|s| Self::resolve_shard(s, policies, strategy)).collect()
         } else {
-            let policies = &policies;
             std::thread::scope(|scope| {
                 let handles: Vec<_> = per_shard_subs
                     .iter()
@@ -821,7 +705,7 @@ impl ShardedExecutor {
 
         Ok(ShardedResolution {
             version: self.version,
-            submission_ids: self.submissions.iter().map(|s| s.id).collect(),
+            submission_ids: pending.ids,
             per_shard,
             conflicts,
         })
@@ -869,8 +753,8 @@ impl ShardedExecutor {
         &mut self,
         resolution: ShardedResolution,
     ) -> Result<ShardedCommitReport> {
-        self.check_fresh(&resolution)?;
-        let _span = self.telemetry.span(|m| &m.commit_ns);
+        self.front.check_fresh(resolution.version, self.version, &resolution.submission_ids)?;
+        let _span = self.front.telemetry.span(|m| &m.commit_ns);
         let mut fence = self.shards.iter().map(|s| s.core.document().next_id()).max().unwrap_or(1);
         let mut open: Vec<(usize, CoreScope)> = Vec::new();
         let mut per_shard_ops = vec![0usize; self.shards.len()];
@@ -884,9 +768,9 @@ impl ShardedExecutor {
                 // An injected shard failure aborts exactly like a real one:
                 // every already-applied shard's journal replays in reverse.
                 self.abort_scopes(&open);
-                self.telemetry.count(|m| &m.fault_hits);
+                self.front.telemetry.count(|m| &m.fault_hits);
                 let version = self.version;
-                self.telemetry.event(EventKind::FaultHit, version, || {
+                self.front.telemetry.event(EventKind::FaultHit, version, || {
                     format!("{}: injected {kind:?}", site::SHARD_APPLY)
                 });
                 return Err(Error::injected(site::SHARD_APPLY, kind));
@@ -926,34 +810,22 @@ impl ShardedExecutor {
         // The WAL append is the commit point: it happens while every shard
         // scope is still open, so a failed append aborts the whole two-phase
         // commit exactly like a shard failure would.
-        if let Some(sink) = self.sink.get() {
-            let appended = sink.lock().expect("commit sink mutex poisoned").on_commit(
-                self.version + 1,
-                CommitRecord::Sharded {
-                    puls: &resolution.per_shard,
-                    preserve_content_ids: self.preserve_content_ids(),
-                },
-            );
-            if let Err(e) = appended {
-                self.abort_scopes(&open);
-                self.telemetry.count(|m| &m.rollbacks);
-                return Err(e);
-            }
+        let preserve_content_ids = self.preserve_content_ids();
+        let record = CommitRecord::Sharded { puls: &resolution.per_shard, preserve_content_ids };
+        if let Err(e) = self.front.append(self.version + 1, record) {
+            self.abort_scopes(&open);
+            self.front.telemetry.count(|m| &m.rollbacks);
+            return Err(e);
         }
         for (j, scope) in open.drain(..) {
             self.shards[j].core.scope_close(&scope);
         }
         self.version += 1;
-        self.submissions.retain(|s| !resolution.submission_ids.contains(&s.id));
-        let version = self.version;
-        self.telemetry.count(|m| &m.commits);
-        self.telemetry.event(EventKind::Commit, version, || {
-            let ops: usize = per_shard_ops.iter().sum();
-            format!("committed v{version} ({ops} ops across shards)")
-        });
+        let applied_ops = per_shard_ops.iter().sum();
+        self.front.committed(&resolution.submission_ids, self.version, applied_ops);
         Ok(ShardedCommitReport {
             version: self.version,
-            applied_ops: per_shard_ops.iter().sum(),
+            applied_ops,
             per_shard_ops,
             conflicts: resolution.conflicts,
             journal,
@@ -967,12 +839,6 @@ impl ShardedExecutor {
             core.scope_rewind(scope);
             core.scope_close(scope);
         }
-    }
-
-    fn check_fresh(&self, resolution: &ShardedResolution) -> Result<()> {
-        check_resolution_fresh(resolution.version, self.version, &resolution.submission_ids, |id| {
-            self.submissions.iter().any(|s| s.id == id)
-        })
     }
 
     // -------------------------------------------------------------- compaction
@@ -993,29 +859,9 @@ impl ShardedExecutor {
                  replay inverses across the renumbering"
             );
         }
-        let before = self.slab_stats();
-        // The fallible part first: build the compacted replacement off to the
-        // side, so neither a rebuild error nor a sink error can leave the
-        // session half-renumbered.
-        let rebuilt = self.rebuild_compacted()?;
-        if let Some(sink) = self.sink.get() {
-            sink.lock()
-                .expect("commit sink mutex poisoned")
-                .on_commit(self.version + 1, CommitRecord::Epoch { epoch: self.epoch + 1 })?;
-        }
-        self.install_compacted(rebuilt);
-        self.version += 1;
-        self.epoch += 1;
-        let (epoch, version) = (self.epoch, self.version);
-        self.telemetry.event(EventKind::CompactionEpoch, version, || {
-            format!("compaction opened epoch {epoch} at v{version}")
-        });
-        Ok(CompactionReport {
-            epoch: self.epoch,
-            version: self.version,
-            before,
-            after: self.slab_stats(),
-        })
+        // The fallible rebuild runs off to the side, so neither a rebuild
+        // error nor a sink error can leave the session half-renumbered.
+        front::compact(self, Self::rebuild_compacted, Self::install_compacted)
     }
 
     /// The renumber-and-repartition core of [`compact`](ShardedExecutor::compact):
@@ -1029,8 +875,9 @@ impl ShardedExecutor {
         ShardedExecutor::new(doc, self.shards.len())
     }
 
-    /// Installs the rebuilt shards, keeping this session's apply options (the
-    /// identifier discipline is session configuration, not document state).
+    /// Installs the rebuilt shards and advances the version, keeping this
+    /// session's apply options (the identifier discipline is session
+    /// configuration, not document state).
     fn install_compacted(&mut self, rebuilt: ShardedExecutor) {
         let options = self.shards[0].core.apply_options().clone();
         let ShardedExecutor { mut shards, root_id, root_label, dead_floor, .. } = rebuilt;
@@ -1041,6 +888,7 @@ impl ShardedExecutor {
         self.root_id = root_id;
         self.root_label = root_label;
         self.dead_floor = dead_floor;
+        self.version += 1;
     }
 
     /// Re-applies a WAL `Epoch` record during recovery: the same rebuild as a
@@ -1049,29 +897,24 @@ impl ShardedExecutor {
     pub(crate) fn replay_epoch(&mut self, epoch: u64) -> Result<()> {
         let rebuilt = self.rebuild_compacted()?;
         self.install_compacted(rebuilt);
-        self.version += 1;
-        self.epoch = epoch;
+        self.front.epoch = epoch;
         Ok(())
     }
 
-    /// Restores the epoch fence from a checkpoint (recovery only).
-    pub(crate) fn set_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
-    }
-
     /// Slot-occupancy statistics of the dense id-indexed stores, aggregated
-    /// across every shard (see [`Executor::slab_stats`]
-    /// (crate::Executor::slab_stats)). Dead slots accumulate per shard —
+    /// across every shard (see
+    /// [`Executor::slab_stats`](crate::Executor::slab_stats)). Dead slots accumulate per shard —
     /// identifiers are never reused — so this is the churn observable for
     /// long-lived sharded sessions too.
     pub fn slab_stats(&self) -> SessionSlabStats {
+        let epoch = self.front.epoch;
         self.shards.iter().fold(
-            SessionSlabStats { epoch: self.epoch, ..SessionSlabStats::default() },
+            SessionSlabStats { epoch, ..SessionSlabStats::default() },
             |acc, shard| {
                 acc.merged(SessionSlabStats {
                     nodes: shard.core.document().slab_stats(),
                     labels: shard.core.labeling().slab_stats(),
-                    epoch: self.epoch,
+                    epoch,
                 })
             },
         )
@@ -1086,54 +929,41 @@ impl ShardedExecutor {
         let nodes = self.slab_stats().nodes;
         nodes.dead.saturating_sub(self.dead_floor) as f64 / nodes.live.max(1) as f64
     }
-
-    /// The structural dead-slot floor (construction or last compaction).
-    pub fn dead_floor(&self) -> usize {
-        self.dead_floor
-    }
 }
 
-/// The ingestion pipeline drives a sharded session through the same
-/// submit → resolve → commit verbs as a single executor; the label-interval
-/// routing and the two-phase journal commit stay internal to the backend.
-impl IngestBackend for ShardedExecutor {
-    type Resolution = ShardedResolution;
+/// The label-interval routing and the two-phase journal commit stay internal
+/// to the session; the ingestion pipeline sees the same verbs as for a single
+/// executor.
+impl Session for ShardedExecutor {
+    type Resolved = ShardedResolution;
 
-    fn admit(&mut self, pul: Pul, policy: Policy, reduced: Option<Pul>) -> SubmissionId {
-        self.submit_inner(pul, policy, reduced)
+    fn front(&self) -> &Front {
+        &self.front
     }
 
-    fn resolve_pending(&self) -> Result<ShardedResolution> {
-        self.resolve()
+    fn front_mut(&mut self) -> &mut Front {
+        &mut self.front
     }
 
-    fn commit_pending(&mut self, resolution: ShardedResolution) -> Result<BatchCommit> {
-        let report = self.commit_resolution(resolution)?;
-        Ok(BatchCommit {
-            version: report.version,
-            applied_ops: report.applied_ops,
-            conflicts: report.conflicts,
-        })
-    }
-
-    fn snapshot_view(&self) -> Snapshot {
-        self.snapshot()
-    }
-
-    fn discard(&mut self, id: SubmissionId) {
-        let _ = self.withdraw(id);
-    }
-
-    fn current_version(&self) -> u64 {
+    fn session_version(&self) -> u64 {
         self.version
     }
 
-    fn reduction_strategy(&self) -> ReductionStrategy {
-        self.strategy
+    fn session_slab_stats(&self) -> SessionSlabStats {
+        self.slab_stats()
     }
 
-    fn default_policy(&self) -> Policy {
-        self.default_policy
+    fn session_snapshot(&self) -> Snapshot {
+        self.snapshot()
+    }
+
+    fn session_resolve(&self) -> Result<ShardedResolution> {
+        self.resolve()
+    }
+
+    fn session_commit(&mut self, resolution: ShardedResolution) -> Result<BatchCommit> {
+        let report = self.commit_resolution(resolution)?;
+        Ok(BatchCommit { version: report.version, conflicts: report.conflicts })
     }
 }
 
@@ -1413,7 +1243,7 @@ mod tests {
         assert_eq!(s.pending(), 1, "the failed submission stays pending");
         s.assert_consistent();
         // the session stays fully usable
-        let id = s.submissions[0].id;
+        let id = s.front.submissions[0].id;
         s.withdraw(id).unwrap();
         let pul = s.pul_from_ops(vec![UpdateOp::rename(3u64, "fine")]);
         s.submit(pul);

@@ -315,6 +315,31 @@ fn withdraw_and_unknown_submissions() {
     assert!(matches!(err, Error::UnknownSubmission(i) if i == id));
 }
 
+/// Switching the reduction strategy drops the reductions the ingest drainer
+/// attached under the old one, on both session kinds: two `ins↘` on one
+/// parent merge into one operation under `Deterministic` and stay two under
+/// `None`.
+#[test]
+fn a_strategy_change_drops_pending_pre_reductions_on_both_sessions() {
+    const DOC: &str = "<lib><b1/><b2/></lib>";
+    let mut single = Executor::parse(DOC).unwrap();
+    let mut sharded = ShardedExecutor::parse(DOC, 2).unwrap();
+    let b1 = single.document().find_element("b1").unwrap();
+    let pul = single.pul_from_ops(vec![
+        UpdateOp::ins_last(b1, vec![Tree::element("x")]),
+        UpdateOp::ins_last(b1, vec![Tree::element("y")]),
+    ]);
+    let reduced = ReductionStrategy::Deterministic.reduce(&pul);
+    assert_eq!(reduced.len(), 1, "the two insertions merge under Deterministic");
+    single.admit(pul.clone(), Policy::default(), Some(reduced.clone()));
+    sharded.admit(pul, Policy::default(), Some(reduced));
+
+    let single = single.reduction(ReductionStrategy::None);
+    assert_eq!(single.resolve().unwrap().resolved_ops(), 2, "executor");
+    let sharded = sharded.reduction(ReductionStrategy::None);
+    assert_eq!(sharded.resolve().unwrap().resolved_ops(), 2, "sharded executor");
+}
+
 /// Transactions roll back document, version and submissions — unless
 /// committed.
 #[test]
