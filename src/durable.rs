@@ -68,7 +68,7 @@ use xdm::NodeId;
 use xlabel::{LabelInterval, Labeling, NodeLabel, OrderKey};
 
 use crate::error::{Error, Result};
-use crate::executor::{Executor, ExecutorCore, ReductionStrategy, SubmissionId};
+use crate::executor::{Executor, ExecutorCore, SubmissionId};
 use crate::front::Session;
 use crate::ingest::{BatchCommit, IngestBackend};
 use crate::shard::{ShardedExecutor, ShardedResolution};
@@ -1051,8 +1051,8 @@ impl<B: DurableBackend + fmt::Debug> fmt::Debug for Durable<B> {
 impl<B: DurableBackend> IngestBackend for Durable<B> {
     type Resolution = B::Resolution;
 
-    fn admit(&mut self, pul: Pul, policy: pul_core::Policy, reduced: Option<Pul>) -> SubmissionId {
-        self.backend.admit(pul, policy, reduced)
+    fn admit(&mut self, pul: Pul, policy: pul_core::Policy) -> SubmissionId {
+        self.backend.admit(pul, policy)
     }
 
     fn resolve_pending(&self) -> Result<B::Resolution> {
@@ -1092,10 +1092,6 @@ impl<B: DurableBackend> IngestBackend for Durable<B> {
 
     fn current_version(&self) -> u64 {
         self.backend.current_version()
-    }
-
-    fn reduction_strategy(&self) -> ReductionStrategy {
-        self.backend.reduction_strategy()
     }
 
     fn default_policy(&self) -> pul_core::Policy {

@@ -144,7 +144,7 @@ impl Error {
     }
 
     /// The error an armed fault of `kind` injects at a failpoint `site`
-    /// outside the store (shard apply, ingest drainer/committer).
+    /// outside the store (shard apply, ingest prepare and commit).
     pub fn injected(site: &'static str, kind: pul_store::FaultKind) -> Error {
         Error::Io { kind: kind.io_kind(), msg: format!("injected fault at {site}") }
     }

@@ -264,10 +264,9 @@ impl Executor {
     }
 
     /// Sets the reduction strategy applied to every submission and to the
-    /// reconciled result (builder style). Pending submissions' pre-reductions
-    /// were computed under the previous strategy, so they are discarded.
+    /// reconciled result (builder style).
     pub fn reduction(mut self, strategy: ReductionStrategy) -> Self {
-        self.front.set_strategy(strategy);
+        self.front.strategy = strategy;
         self
     }
 
@@ -392,12 +391,12 @@ impl Executor {
 
     /// Submits a producer PUL under the session's default policy.
     pub fn submit(&mut self, pul: Pul) -> SubmissionId {
-        self.front.submit(pul, self.front.default_policy, None)
+        self.front.submit(pul, self.front.default_policy)
     }
 
     /// Submits a producer PUL with an explicit producer policy.
     pub fn submit_with_policy(&mut self, pul: Pul, policy: Policy) -> SubmissionId {
-        self.front.submit(pul, policy, None)
+        self.front.submit(pul, policy)
     }
 
     /// Submits a producer PUL received in the XML exchange format (§4): the

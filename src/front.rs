@@ -32,14 +32,12 @@ use crate::ingest::{BatchCommit, IngestBackend};
 use crate::snapshot::{Snapshot, SnapshotCache};
 
 /// One producer PUL waiting in a session, with the policy its producer
-/// attached. Submissions admitted by the ingest pipeline carry the reduction
-/// its drainer already computed, so resolving skips reducing them.
+/// attached.
 #[derive(Debug, Clone)]
 pub(crate) struct Submission {
     pub(crate) id: SubmissionId,
     pub(crate) pul: Pul,
     policy: Policy,
-    pre_reduced: Option<Pul>,
     /// The session epoch the submission was admitted under. Compaction
     /// renumbers every identifier, so a submission from an earlier epoch is
     /// fenced at resolve time (`XPUL-E10`) instead of silently targeting
@@ -83,28 +81,11 @@ pub struct Front {
 }
 
 impl Front {
-    /// Switches the reduction strategy. Pending pre-reductions were computed
-    /// under the previous one, so a change drops them.
-    pub(crate) fn set_strategy(&mut self, strategy: ReductionStrategy) {
-        if strategy != self.strategy {
-            for submission in &mut self.submissions {
-                submission.pre_reduced = None;
-            }
-        }
-        self.strategy = strategy;
-    }
-
-    /// Admits a producer PUL under `policy`, with the reduction the ingest
-    /// drainer already computed under [`strategy`](Front::strategy), if any.
-    pub(crate) fn submit(
-        &mut self,
-        pul: Pul,
-        policy: Policy,
-        pre_reduced: Option<Pul>,
-    ) -> SubmissionId {
+    /// Admits a producer PUL under `policy`.
+    pub(crate) fn submit(&mut self, pul: Pul, policy: Policy) -> SubmissionId {
         let id = SubmissionId(self.next_submission);
         self.next_submission += 1;
-        self.submissions.push(Submission { id, pul, policy, pre_reduced, epoch: self.epoch });
+        self.submissions.push(Submission { id, pul, policy, epoch: self.epoch });
         id
     }
 
@@ -112,7 +93,7 @@ impl Front {
     /// under the default policy.
     pub(crate) fn submit_xml(&mut self, wire: &str) -> Result<SubmissionId> {
         let pul = pul::xmlio::pul_from_xml(wire)?;
-        Ok(self.submit(pul, self.default_policy, None))
+        Ok(self.submit(pul, self.default_policy))
     }
 
     /// Withdraws a pending submission, returning its PUL.
@@ -126,8 +107,7 @@ impl Front {
     /// Fences and reduces the pending book. Fails with `XPUL-E10` when a
     /// submission predates the last compaction — its identifiers no longer
     /// name the nodes its producer meant; otherwise reduces every submission
-    /// with the session strategy, reusing the reduction the ingest drainer
-    /// attached.
+    /// with the session strategy.
     pub(crate) fn pending(&self) -> Result<Pending> {
         if let Some(fenced) = self.submissions.iter().find(|s| s.epoch != self.epoch) {
             return Err(Error::EpochFenced {
@@ -139,14 +119,7 @@ impl Front {
         Ok(Pending {
             ids: self.submissions.iter().map(|s| s.id).collect(),
             policies: self.submissions.iter().map(|s| s.policy).collect(),
-            reduced: self
-                .submissions
-                .iter()
-                .map(|s| match &s.pre_reduced {
-                    Some(r) => r.clone(),
-                    None => self.strategy.reduce(&s.pul),
-                })
-                .collect(),
+            reduced: self.submissions.iter().map(|s| self.strategy.reduce(&s.pul)).collect(),
         })
     }
 
@@ -250,14 +223,14 @@ pub(crate) fn compact<S: Session, P>(
     Ok(CompactionReport { epoch, version, before, after: session.session_slab_stats() })
 }
 
-/// The ingestion pipeline drives every session through the same verbs: the
-/// drainer's reductions enter the pending book, and the resolve and commit
-/// are the session's own.
+/// The ingestion pipeline drives every session through the same verbs:
+/// admitted PULs enter the pending book, and the resolve and commit are the
+/// session's own.
 impl<S: Session> IngestBackend for S {
     type Resolution = S::Resolved;
 
-    fn admit(&mut self, pul: Pul, policy: Policy, reduced: Option<Pul>) -> SubmissionId {
-        self.front_mut().submit(pul, policy, reduced)
+    fn admit(&mut self, pul: Pul, policy: Policy) -> SubmissionId {
+        self.front_mut().submit(pul, policy)
     }
 
     fn resolve_pending(&self) -> Result<S::Resolved> {
@@ -278,10 +251,6 @@ impl<S: Session> IngestBackend for S {
 
     fn current_version(&self) -> u64 {
         self.session_version()
-    }
-
-    fn reduction_strategy(&self) -> ReductionStrategy {
-        self.front().strategy
     }
 
     fn default_policy(&self) -> Policy {

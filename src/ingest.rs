@@ -8,18 +8,17 @@
 //!
 //! ```text
 //!  writers ──enqueue()──▶ ┌──────────── IngestQueue ─────────────┐
-//!  (PULs, wire XML,       │ queue ─▶ drainer: coalesce + reduce  │
-//!   many threads)         │             │  PreparedRound k+1     │
-//!    ◀──Ticket────        │             ▼                        │
-//!                         │          committer: admit, resolve,  │──▶ Document'
-//!                         │          commit round k (backend)    │
+//!  (PULs, wire XML,       │ queue ─▶ pipeline thread: drain,     │
+//!   many threads)         │          coalesce into rounds, then  │──▶ Document'
+//!    ◀──Ticket────        │          admit, resolve and commit   │
+//!                         │          each round (backend)        │
 //!                         └──────────────────────────────────────┘
 //! ```
 //!
 //! * **Batching.** `enqueue` returns immediately with a [`Ticket`] — a
 //!   completion handle that later yields the committed version and the
-//!   submission's conflict report, or the error that failed it. A drainer
-//!   thread flushes the queue when it reaches a size threshold or when a tick
+//!   submission's conflict report, or the error that failed it. The pipeline
+//!   thread drains the queue when it reaches a size threshold or when a tick
 //!   elapses since the window opened, whichever comes first ([`IngestConfig`]).
 //!
 //! * **Coalescing.** A drained batch is partitioned into *rounds*: queued
@@ -32,12 +31,11 @@
 //!   condition of query/update independence, decided dynamically on the
 //!   labels the PULs already carry — no document access.
 //!
-//! * **Pipelining.** Per-submission reduction — the dominant cost of
-//!   resolution — is document-independent (it reasons on labels only), so the
-//!   drainer pre-reduces round *k+1* while the committer is still applying
-//!   round *k*. The executor version counter fences the stages: each round is
-//!   resolved against, and committed at, exactly one version, and a commit
-//!   failure replays only that round's own journal scopes.
+//! * **One thread.** Draining, coalescing and committing run on a single
+//!   pipeline thread, one round after the other: each round is resolved
+//!   against, and committed at, exactly one version, and a commit failure
+//!   replays only that round's own journal scopes. Reduction runs once,
+//!   inside the backend's resolve, as for any directly submitted PUL.
 //!
 //! * **Failure isolation.** A failing round first rewinds bit-identically
 //!   (the PR 3 journal), then its members are retried *individually* in
@@ -49,21 +47,18 @@
 //! [`Executor`](crate::Executor) and [`ShardedExecutor`](crate::ShardedExecutor).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pul::{OpName, Pul};
 use pul_core::{Conflict, Policy};
-use pul_store::{site, Faults};
+use pul_store::{site, FaultKind, Faults};
 use pul_telemetry::{EventKind, Telemetry};
 use xdm::NodeId;
 use xlabel::LabelInterval;
 
 use crate::error::{Error, Result};
-use crate::executor::ReductionStrategy;
 use crate::SubmissionId;
 
 // ---------------------------------------------------------------------------
@@ -81,27 +76,24 @@ pub struct BatchCommit {
     pub conflicts: Vec<Conflict>,
 }
 
-/// The resolve + commit surface the ingestion pipeline drives. Both
-/// [`Executor`](crate::Executor) and [`ShardedExecutor`](crate::ShardedExecutor)
-/// implement it, so an [`IngestQueue`] can front either backend.
+/// The resolve + commit surface the ingestion pipeline drives. Both sessions,
+/// [`Executor`](crate::Executor) and [`ShardedExecutor`](crate::ShardedExecutor),
+/// implement it, and so does [`Durable`](crate::Durable) over either, so an
+/// [`IngestQueue`] can front any of them.
 ///
 /// The queue owns the backend exclusively: `admit` fills the pending set,
-/// `resolve_pending` reasons on *everything* pending, and `commit_pending`
-/// applies the resolution atomically. Submissions are pre-reduced by the
-/// queue's drainer thread (pipelined with the previous round's commit), so
-/// `admit` takes the reduction alongside the PUL and `resolve_pending` skips
-/// the reduction stage for it.
+/// `resolve_pending` reduces and reasons on *everything* pending, and
+/// `commit_pending` applies the resolution atomically.
 pub trait IngestBackend: Send + 'static {
     /// The backend's resolution type ([`Resolution`](crate::Resolution) or
     /// [`ShardedResolution`](crate::ShardedResolution)).
     type Resolution: Send;
 
-    /// Admits one producer PUL with its policy and an optional precomputed
-    /// reduction (computed under
-    /// [`reduction_strategy`](IngestBackend::reduction_strategy)).
-    fn admit(&mut self, pul: Pul, policy: Policy, reduced: Option<Pul>) -> SubmissionId;
+    /// Admits one producer PUL with its policy.
+    fn admit(&mut self, pul: Pul, policy: Policy) -> SubmissionId;
 
-    /// Reasons on every pending submission without touching the document.
+    /// Reduces and reasons on every pending submission without touching the
+    /// document.
     fn resolve_pending(&self) -> Result<Self::Resolution>;
 
     /// Atomically applies a resolution, consuming the submissions it covers.
@@ -119,12 +111,9 @@ pub trait IngestBackend: Send + 'static {
     /// not resurrect it).
     fn discard(&mut self, id: SubmissionId);
 
-    /// The backend's current version counter — the fence the pipeline orders
-    /// rounds by.
+    /// The backend's current version: 0 at creation, +1 per commit or
+    /// compaction.
     fn current_version(&self) -> u64;
-
-    /// The reduction strategy the drainer must pre-reduce with.
-    fn reduction_strategy(&self) -> ReductionStrategy;
 
     /// The policy assumed for submissions that do not carry their own.
     fn default_policy(&self) -> Policy;
@@ -361,16 +350,16 @@ pub struct IngestConfig {
     /// [`try_enqueue`](IngestQueue::try_enqueue) sheds load with `XPUL-E08`
     /// instead of blocking.
     pub capacity: usize,
-    /// Failpoints the pipeline consults: the drainer at
-    /// [`site::INGEST_PREPARE`] and the committer at [`site::INGEST_COMMIT`].
-    /// Disabled by default — a single branch per check.
+    /// Failpoints the pipeline consults: [`site::INGEST_PREPARE`] before each
+    /// round and [`site::INGEST_COMMIT`] before each commit attempt. Disabled
+    /// by default — a single branch per check.
     pub faults: Faults,
     /// Publish an MVCC snapshot of the backend after every committed round,
     /// readable through [`IngestQueue::latest_snapshot`] without stopping
     /// the pipeline. Default false — pinning a snapshot keeps the round's
     /// whole arena alive until readers drop it.
     pub publish_snapshots: bool,
-    /// Telemetry handle shared by the queue façade and both pipeline threads:
+    /// Telemetry handle shared by the queue façade and the pipeline thread:
     /// queue depth, enqueue-block and per-ticket latencies, coalescing and
     /// shedding counters, and shed/expired events. Disabled by default — a
     /// single branch per probe.
@@ -405,17 +394,6 @@ struct QueuedEntry {
     completer: TicketCompleter,
 }
 
-/// One entry of a prepared round: the original PUL plus its reduction
-/// (computed by the drainer, pipelined with the previous round's commit).
-struct PreparedEntry {
-    pul: Pul,
-    reduced: Pul,
-    policy: Policy,
-    expires: Option<Instant>,
-    enqueued: Option<Instant>,
-    completer: TicketCompleter,
-}
-
 struct QueueState {
     queue: VecDeque<QueuedEntry>,
     /// Entries drained but whose tickets are not yet completed.
@@ -424,23 +402,25 @@ struct QueueState {
     window_start: Option<Instant>,
     /// Set by [`IngestQueue::flush`]: drain immediately, skip the tick wait.
     flush_hint: bool,
+    /// Set by [`IngestQueue::close`]: no further submissions; the pipeline
+    /// drains what is queued and stops.
+    closed: bool,
 }
 
 struct Shared {
     state: Mutex<QueueState>,
-    /// Signaled on enqueue / close / flush — wakes the drainer.
+    /// Signaled on enqueue / close / flush — wakes the pipeline thread.
     enqueued: Condvar,
     /// Signaled when in-flight work completes — wakes `flush`.
     settled: Condvar,
-    closed: AtomicBool,
     /// The snapshot of the most recently committed round, published by the
-    /// committer when [`IngestConfig::publish_snapshots`] is on. Readers
+    /// pipeline when [`IngestConfig::publish_snapshots`] is on. Readers
     /// clone it out (a reference-count bump) while commits proceed.
     latest_snapshot: Mutex<Option<crate::Snapshot>>,
 }
 
-/// A batched, coalescing, pipelined submission queue in front of an
-/// [`IngestBackend`]. See the module documentation for the architecture.
+/// A batched, coalescing submission queue in front of an [`IngestBackend`].
+/// See the module documentation for the architecture.
 ///
 /// The queue is `Sync`: writers on any number of threads share one
 /// `&IngestQueue` and call [`enqueue`](IngestQueue::enqueue) concurrently.
@@ -451,8 +431,7 @@ pub struct IngestQueue<B: IngestBackend> {
     /// Clone of [`IngestConfig::telemetry`] for the enqueue façade (queue
     /// depth, block latency, shed accounting).
     telemetry: Telemetry,
-    drainer: Option<JoinHandle<()>>,
-    committer: Option<JoinHandle<B>>,
+    pipeline: Option<JoinHandle<B>>,
 }
 
 impl<B: IngestBackend> IngestQueue<B> {
@@ -463,10 +442,8 @@ impl<B: IngestBackend> IngestQueue<B> {
 
     /// Spawns the pipeline over `backend` with an explicit flush policy.
     pub fn with_config(backend: B, config: IngestConfig) -> Self {
-        let strategy = backend.reduction_strategy();
         let default_policy = backend.default_policy();
         let capacity = config.capacity.max(1);
-        let faults = config.faults.clone();
         let telemetry = config.telemetry.clone();
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState {
@@ -474,42 +451,20 @@ impl<B: IngestBackend> IngestQueue<B> {
                 in_flight: 0,
                 window_start: None,
                 flush_hint: false,
+                closed: false,
             }),
             enqueued: Condvar::new(),
             settled: Condvar::new(),
-            closed: AtomicBool::new(false),
             latest_snapshot: Mutex::new(None),
         });
-        let publish = config.publish_snapshots;
-        // Depth-1 channel: the drainer prepares (coalesces + reduces) round
-        // k+1 while the committer applies round k — deeper pipelining would
-        // only delay what the coalescer gets to see together.
-        let (tx, rx): (SyncSender<Vec<PreparedEntry>>, Receiver<Vec<PreparedEntry>>) =
-            sync_channel(1);
-        let drainer = {
+        let pipeline = {
             let shared = shared.clone();
             std::thread::Builder::new()
-                .name("ingest-drainer".into())
-                .spawn(move || drainer_loop(&shared, &config, strategy, tx))
-                .expect("spawn ingest drainer")
+                .name("ingest-pipeline".into())
+                .spawn(move || pipeline_loop(&shared, backend, &config))
+                .expect("spawn ingest pipeline")
         };
-        let committer = {
-            let shared = shared.clone();
-            let cfg =
-                CommitterCfg { faults: faults.clone(), telemetry: telemetry.clone(), publish };
-            std::thread::Builder::new()
-                .name("ingest-committer".into())
-                .spawn(move || committer_loop(&shared, backend, rx, &cfg))
-                .expect("spawn ingest committer")
-        };
-        IngestQueue {
-            shared,
-            default_policy,
-            capacity,
-            telemetry,
-            drainer: Some(drainer),
-            committer: Some(committer),
-        }
+        IngestQueue { shared, default_policy, capacity, telemetry, pipeline: Some(pipeline) }
     }
 
     /// Enqueues a producer PUL under the backend's default policy, returning
@@ -554,13 +509,9 @@ impl<B: IngestBackend> IngestQueue<B> {
         expires: Option<Instant>,
         block: bool,
     ) -> Result<Ticket> {
-        let closed_err = || Error::Ingest("queue closed: no further submissions accepted".into());
-        if self.shared.closed.load(Ordering::Acquire) {
-            return Err(closed_err());
-        }
         let mut state = self.shared.state.lock().expect("queue lock");
         let mut blocked_at: Option<Instant> = None;
-        while state.queue.len() >= self.capacity {
+        while !state.closed && state.queue.len() >= self.capacity {
             if !block {
                 self.telemetry.count(|m| &m.tickets_shed);
                 self.telemetry.event(EventKind::Shed, 0, || {
@@ -574,23 +525,23 @@ impl<B: IngestBackend> IngestQueue<B> {
             if blocked_at.is_none() && self.telemetry.is_enabled() {
                 blocked_at = Some(Instant::now());
             }
-            if self.shared.closed.load(Ordering::Acquire) {
-                return Err(closed_err());
-            }
-            if self.drainer.as_ref().is_none_or(|h| h.is_finished()) {
+            if self.pipeline.as_ref().is_none_or(|h| h.is_finished()) {
                 return Err(Error::Ingest(
-                    "ingest pipeline is dead: the drainer exited with the queue full".into(),
+                    "ingest pipeline is dead: its thread exited with the queue full".into(),
                 ));
             }
-            // The drainer signals `settled` after every drain (space freed);
-            // the timeout re-polls closed/liveness so a crash that happens
-            // while we wait is noticed too.
+            // The pipeline signals `settled` after every drain (space freed);
+            // the timeout re-polls liveness so a crash that happens while we
+            // wait is noticed too.
             let (s, _) = self
                 .shared
                 .settled
                 .wait_timeout(state, Duration::from_millis(50))
                 .expect("queue lock");
             state = s;
+        }
+        if state.closed {
+            return Err(Error::Ingest("queue closed: no further submissions accepted".into()));
         }
         if let Some(t0) = blocked_at {
             self.telemetry.observe_since(|m| &m.enqueue_block_ns, t0);
@@ -639,8 +590,7 @@ impl<B: IngestBackend> IngestQueue<B> {
     /// The MVCC snapshot of the most recently committed round — a
     /// cheaply-cloned pinned view readers hold while the pipeline keeps
     /// committing. `None` until the first round commits, or when
-    /// [`IngestConfig::publish_snapshots`] is off (or the backend has no
-    /// snapshot support).
+    /// [`IngestConfig::publish_snapshots`] is off.
     pub fn latest_snapshot(&self) -> Option<crate::Snapshot> {
         self.shared.latest_snapshot.lock().expect("snapshot slot mutex poisoned").clone()
     }
@@ -656,9 +606,7 @@ impl<B: IngestBackend> IngestQueue<B> {
             // A dead pipeline settles nothing ever again: bail out. (The
             // timeout below re-polls liveness, so a crash that happens while
             // we wait is noticed too.)
-            let drainer_dead = self.drainer.as_ref().is_none_or(|h| h.is_finished());
-            let committer_dead = self.committer.as_ref().is_none_or(|h| h.is_finished());
-            if drainer_dead && committer_dead {
+            if self.pipeline.as_ref().is_none_or(|h| h.is_finished()) {
                 break;
             }
             let (s, _) = self
@@ -671,177 +619,142 @@ impl<B: IngestBackend> IngestQueue<B> {
     }
 
     /// Closes the queue: everything already enqueued is drained and
-    /// committed, both pipeline threads stop, and the backend is returned.
+    /// committed, the pipeline thread stops, and the backend is returned.
     /// Subsequent `enqueue` calls fail with `XPUL-E06`.
     ///
-    /// If the committer thread panicked (a backend crash mid-commit), the
+    /// If the pipeline thread panicked (a backend crash mid-commit), the
     /// backend is lost with it: `close` reports a typed `XPUL-E06` error
     /// instead of propagating the panic into the caller.
     pub fn close(mut self) -> Result<B> {
-        self.shutdown();
-        let committer = self.committer.take().expect("committer joined once");
-        committer.join().map_err(|panic| {
+        self.shutdown().expect("pipeline joined once").map_err(|panic| {
             let what = panic
                 .downcast_ref::<&str>()
                 .map(|s| (*s).to_string())
                 .or_else(|| panic.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "non-string panic payload".into());
-            Error::Ingest(format!("ingest committer panicked: {what}"))
+            Error::Ingest(format!("ingest pipeline panicked: {what}"))
         })
     }
 
-    fn shutdown(&mut self) {
-        // The flag flips under the state lock: a drainer that has just read
-        // `closed == false` still holds that lock until it is parked in
-        // `wait`, so the wakeup below cannot fall between its check and its
-        // sleep. A poisoned lock is held just the same (this runs from `Drop`).
-        let guard = self.shared.state.lock();
-        self.shared.closed.store(true, Ordering::Release);
-        drop(guard);
+    /// Marks the queue closed, wakes the pipeline and joins it (`None` once
+    /// joined). A poisoned lock is taken just the same: this runs from `Drop`.
+    fn shutdown(&mut self) -> Option<std::thread::Result<B>> {
+        self.shared.state.lock().unwrap_or_else(PoisonError::into_inner).closed = true;
         self.shared.enqueued.notify_all();
-        if let Some(drainer) = self.drainer.take() {
-            let _ = drainer.join();
-        }
+        self.pipeline.take().map(JoinHandle::join)
     }
 }
 
 impl<B: IngestBackend> Drop for IngestQueue<B> {
     fn drop(&mut self) {
-        self.shutdown();
-        if let Some(committer) = self.committer.take() {
-            let _ = committer.join();
-        }
+        let _ = self.shutdown();
     }
 }
 
 // ---------------------------------------------------------------------------
-// drainer: window → batch → rounds → pre-reduction
+// the pipeline thread: window → batch → rounds → commits
 // ---------------------------------------------------------------------------
 
-fn drainer_loop(
-    shared: &Shared,
-    config: &IngestConfig,
-    strategy: ReductionStrategy,
-    tx: SyncSender<Vec<PreparedEntry>>,
-) {
-    loop {
-        let batch = {
-            let mut state = shared.state.lock().expect("queue lock");
-            loop {
-                let closed = shared.closed.load(Ordering::Acquire);
-                if state.queue.is_empty() {
-                    if closed {
-                        return; // dropping `tx` stops the committer
-                    }
-                    state = shared.enqueued.wait(state).expect("queue lock");
-                    continue;
-                }
-                let window_elapsed =
-                    state.window_start.map(|t| t.elapsed() >= config.tick).unwrap_or(true);
-                if closed
-                    || state.flush_hint
-                    || state.queue.len() >= config.flush_threshold
-                    || window_elapsed
-                {
-                    break;
-                }
-                let remaining = config
-                    .tick
-                    .saturating_sub(state.window_start.map(|t| t.elapsed()).unwrap_or_default());
-                let (s, _) = shared.enqueued.wait_timeout(state, remaining).expect("queue lock");
-                state = s;
-            }
-            state.flush_hint = false;
-            // A batch is capped at the threshold; the remainder (window_start
-            // cleared, so its window counts as elapsed) drains immediately as
-            // the next batch.
-            state.window_start = None;
-            let take = state.queue.len().min(config.flush_threshold.max(1));
-            state.in_flight += take;
-            let batch = state.queue.drain(..take).collect::<Vec<QueuedEntry>>();
-            config.telemetry.gauge_set(|m| &m.queue_depth, state.queue.len() as i64);
-            batch
-        };
-        // Space was freed: wake any producer blocked on the capacity bound.
-        shared.settled.notify_all();
-
-        // Fail deadline-expired entries before spending any preparation work
-        // on them. The rest of the batch is coalesced and committed as if
-        // the expired entries had never been enqueued.
+fn pipeline_loop<B: IngestBackend>(shared: &Shared, mut backend: B, config: &IngestConfig) -> B {
+    while let Some(batch) = next_batch(shared, config) {
+        let settle = InFlightGuard { shared, n: batch.len() };
+        // Fail deadline-expired entries before spending any work on them.
+        // The rest of the batch is coalesced and committed as if the expired
+        // entries had never been enqueued.
         let now = Instant::now();
         let (batch, expired): (Vec<QueuedEntry>, Vec<QueuedEntry>) =
             batch.into_iter().partition(|e| e.expires.is_none_or(|t| t > now));
-        if !expired.is_empty() {
-            let n = expired.len();
-            for e in expired {
-                expire(
-                    &config.telemetry,
-                    e.enqueued,
-                    e.completer,
-                    "ticket deadline expired before the submission was drained",
-                );
-            }
-            settle(shared, n);
+        for e in expired {
+            expire(
+                &config.telemetry,
+                e.enqueued,
+                e.completer,
+                "ticket deadline expired before the submission was drained",
+            );
         }
-
-        let rounds = coalesce(batch);
-        for round in &rounds {
+        for round in coalesce(batch) {
             if round.len() > 1 {
                 config.telemetry.count(|m| &m.rounds_coalesced);
             } else {
                 config.telemetry.count(|m| &m.rounds_serialized);
             }
-        }
-        let mut rounds = rounds.into_iter();
-        while let Some(round) = rounds.next() {
             // Failpoint: an injected preparation fault fails this round's
-            // tickets and nothing reaches the committer; later rounds of the
-            // batch (and the pipeline itself) continue.
-            if let Some(kind) = config.faults.check(site::INGEST_PREPARE) {
-                config.telemetry.count(|m| &m.fault_hits);
-                config.telemetry.event(EventKind::FaultHit, 0, || {
-                    format!("{}: injected {kind:?}", site::INGEST_PREPARE)
-                });
-                let n = round.len();
+            // tickets before anything is admitted; later rounds of the batch
+            // (and the pipeline itself) continue.
+            if let Some(kind) = fault_at(config, site::INGEST_PREPARE) {
                 for e in round {
-                    finish(
-                        &config.telemetry,
-                        e.enqueued,
-                        e.completer,
-                        Err(Error::injected(site::INGEST_PREPARE, kind)),
-                    );
+                    let err = Error::injected(site::INGEST_PREPARE, kind);
+                    finish(&config.telemetry, e.enqueued, e.completer, Err(err));
                 }
-                settle(shared, n);
                 continue;
             }
-            // Pre-reduce here, on the drainer thread: reduction dominates
-            // resolution (§4.3) and is document-independent, so it overlaps
-            // the committer applying the previous round.
-            let entries: Vec<PreparedEntry> = round
-                .into_iter()
-                .map(|e| PreparedEntry {
-                    reduced: strategy.reduce(&e.pul),
-                    pul: e.pul,
-                    policy: e.policy,
-                    expires: e.expires,
-                    enqueued: e.enqueued,
-                    completer: e.completer,
-                })
-                .collect();
-            if let Err(failed) = tx.send(entries) {
-                // Committer gone (panic): the entries of this and all later
-                // rounds are dropped — poisoning their tickets — and their
-                // in-flight counts are returned so `flush` can settle.
-                let mut orphaned = failed.0.len();
-                drop(failed);
-                for round in rounds {
-                    orphaned += round.len();
-                }
-                settle(shared, orphaned);
-                return;
+            commit_round(&mut backend, round, config);
+            if config.publish_snapshots {
+                let snapshot = backend.snapshot_view();
+                *shared.latest_snapshot.lock().expect("snapshot slot mutex poisoned") =
+                    Some(snapshot);
             }
         }
+        drop(settle);
+        // Nothing drained is in flight any more; with nothing queued either,
+        // this is a quiescent boundary — the only point where id-renumbering
+        // maintenance (compaction) is safe to run.
+        if shared.state.lock().is_ok_and(|state| state.queue.is_empty()) {
+            backend.maintain();
+        }
     }
+    // Closed and drained: maintenance gets its final chance before the
+    // backend is handed back.
+    backend.maintain();
+    backend
+}
+
+/// Waits until a batch is due — the threshold is reached, a tick has passed
+/// since the window opened, a flush is requested or the queue is closed —
+/// and drains it, capped at the threshold. `None` once the queue is closed
+/// and empty.
+fn next_batch(shared: &Shared, config: &IngestConfig) -> Option<Vec<QueuedEntry>> {
+    let mut state = shared.state.lock().expect("queue lock");
+    loop {
+        if state.queue.is_empty() {
+            if state.closed {
+                return None;
+            }
+            state = shared.enqueued.wait(state).expect("queue lock");
+            continue;
+        }
+        let waited = state.window_start.map(|t| t.elapsed());
+        if state.closed
+            || state.flush_hint
+            || state.queue.len() >= config.flush_threshold
+            || waited.is_none_or(|w| w >= config.tick)
+        {
+            break;
+        }
+        let remaining = config.tick.saturating_sub(waited.unwrap_or_default());
+        state = shared.enqueued.wait_timeout(state, remaining).expect("queue lock").0;
+    }
+    state.flush_hint = false;
+    // A batch is capped at the threshold; the remainder (window_start
+    // cleared, so its window counts as elapsed) drains immediately as the
+    // next batch.
+    state.window_start = None;
+    let take = state.queue.len().min(config.flush_threshold.max(1));
+    state.in_flight += take;
+    let batch = state.queue.drain(..take).collect();
+    config.telemetry.gauge_set(|m| &m.queue_depth, state.queue.len() as i64);
+    drop(state);
+    // Space was freed: wake any producer blocked on the capacity bound.
+    shared.settled.notify_all();
+    Some(batch)
+}
+
+/// Consults the failpoint at `site`, counting and journaling a hit.
+fn fault_at(config: &IngestConfig, site: &'static str) -> Option<FaultKind> {
+    let kind = config.faults.check(site)?;
+    config.telemetry.count(|m| &m.fault_hits);
+    config.telemetry.event(EventKind::FaultHit, 0, || format!("{site}: injected {kind:?}"));
+    Some(kind)
 }
 
 /// Completes a ticket, recording its end-to-end latency and the
@@ -880,18 +793,6 @@ fn expire(
     completer.complete(Err(Error::Overload(detail.into())));
 }
 
-/// Settles `n` drained-but-uncommitted entries: decrements the in-flight
-/// count and wakes both `flush` waiters and capacity-blocked producers.
-fn settle(shared: &Shared, n: usize) {
-    if n == 0 {
-        return;
-    }
-    let mut state = shared.state.lock().expect("queue lock");
-    state.in_flight -= n;
-    drop(state);
-    shared.settled.notify_all();
-}
-
 /// Partitions a drained batch into rounds of pairwise-independent PULs,
 /// preserving enqueue order between any two PULs that may interact: each PUL
 /// lands in the earliest round after every earlier PUL it overlaps (an opaque
@@ -920,13 +821,14 @@ fn coalesce(batch: Vec<QueuedEntry>) -> Vec<Vec<QueuedEntry>> {
 }
 
 // ---------------------------------------------------------------------------
-// committer: admit → resolve → commit → complete tickets
+// commits: admit → resolve → commit → complete tickets
 // ---------------------------------------------------------------------------
 
-/// Decrements the in-flight count when dropped — *including* during a panic
-/// unwind, so a backend crash inside `commit_round` cannot strand `flush`
-/// waiting on work no thread will ever settle (the tickets themselves are
-/// poisoned by their completers' own drops).
+/// Settles a drained batch: decrements the in-flight count and wakes `flush`
+/// waiters when dropped — *including* during a panic unwind, so a backend
+/// crash inside `commit_round` cannot strand `flush` waiting on work no
+/// thread will ever settle (the tickets themselves are poisoned by their
+/// completers' own drops).
 struct InFlightGuard<'a> {
     shared: &'a Shared,
     n: usize,
@@ -941,70 +843,14 @@ impl Drop for InFlightGuard<'_> {
     }
 }
 
-/// The committer thread's bundled configuration (one struct, so the loop and
-/// `commit_round` keep small signatures as probes accumulate).
-struct CommitterCfg {
-    faults: Faults,
-    telemetry: Telemetry,
-    publish: bool,
-}
-
-fn committer_loop<B: IngestBackend>(
-    shared: &Shared,
-    mut backend: B,
-    rx: Receiver<Vec<PreparedEntry>>,
-    cfg: &CommitterCfg,
-) -> B {
-    loop {
-        let entries = match rx.try_recv() {
-            Ok(entries) => entries,
-            Err(TryRecvError::Empty) => {
-                // No prepared round waiting. If the producers' queue is empty
-                // and nothing is in flight anywhere in the pipeline, this is
-                // a quiescent round boundary — the only point where id-
-                // renumbering maintenance (compaction) is safe to run.
-                let quiescent = shared
-                    .state
-                    .lock()
-                    .map(|state| state.queue.is_empty() && state.in_flight == 0)
-                    .unwrap_or(false);
-                if quiescent {
-                    backend.maintain();
-                }
-                match rx.recv() {
-                    Ok(entries) => entries,
-                    Err(_) => {
-                        backend.maintain();
-                        break;
-                    }
-                }
-            }
-            // Disconnection means the drainer drained everything and exited:
-            // the pipeline is quiescent by construction, so give maintenance
-            // its final chance before the backend is handed back.
-            Err(TryRecvError::Disconnected) => {
-                backend.maintain();
-                break;
-            }
-        };
-        let _settle = InFlightGuard { shared, n: entries.len() };
-        commit_round(&mut backend, entries, cfg);
-        if cfg.publish {
-            let snapshot = backend.snapshot_view();
-            *shared.latest_snapshot.lock().expect("snapshot slot mutex poisoned") = Some(snapshot);
-        }
-    }
-    backend
-}
-
 /// Commits one round. Members of a coalesced round are *proven* independent
 /// (disjoint footprints, validated as one compatible Def. 5 union), so the
 /// round is admitted as a **single merged submission** — `mergeUpdates` of
-/// the pre-reduced PULs — and the backend's cross-submission integration,
-/// which costs O(n²) in the number of producers, is skipped entirely: for an
+/// the members' PULs — and the backend's cross-submission integration, which
+/// costs O(n²) in the number of producers, is skipped entirely: for an
 /// independent batch it could only confirm what the footprints already
-/// guarantee. Resolution then amounts to one final reduce over the union
-/// (near-linear worklist) and one atomic apply.
+/// guarantee. Resolution then amounts to reducing the union (near-linear
+/// worklist) and one atomic apply.
 ///
 /// On failure, the journal has already rewound the document bit-identically;
 /// a multi-member round is then retried one entry at a time (in enqueue
@@ -1013,106 +859,79 @@ fn committer_loop<B: IngestBackend>(
 /// produced.
 fn commit_round<B: IngestBackend>(
     backend: &mut B,
-    entries: Vec<PreparedEntry>,
-    cfg: &CommitterCfg,
+    entries: Vec<QueuedEntry>,
+    config: &IngestConfig,
 ) {
     // Deadline check at commit time: expired members fail with `XPUL-E08`
     // and leave the round *before* the merge, so one expired ticket neither
     // blocks the survivors nor pushes them onto the serialized singleton
     // path — they still coalesce into a single commit.
     let now = Instant::now();
-    let (mut entries, expired): (Vec<PreparedEntry>, Vec<PreparedEntry>) =
+    let (mut entries, expired): (Vec<QueuedEntry>, Vec<QueuedEntry>) =
         entries.into_iter().partition(|e| e.expires.is_none_or(|t| t > now));
     for entry in expired {
         expire(
-            &cfg.telemetry,
+            &config.telemetry,
             entry.enqueued,
             entry.completer,
             "ticket deadline expired before its round committed",
         );
     }
     if entries.len() > 1 {
-        // Failpoint: an injected committer fault fails the merged attempt
-        // exactly like a real commit failure — the round degrades to the
-        // singleton retries below, each of which re-checks the failpoint.
-        let injected = cfg.faults.check(site::INGEST_COMMIT);
-        if let Some(kind) = injected {
-            cfg.telemetry.count(|m| &m.fault_hits);
-            cfg.telemetry.event(EventKind::FaultHit, 0, || {
-                format!("{}: injected {kind:?}", site::INGEST_COMMIT)
-            });
-        }
-        if injected.is_none() {
-            let merged = Pul::merge_all(entries.iter().map(|e| &e.pul)).and_then(|pul| {
-                Pul::merge_all(entries.iter().map(|e| &e.reduced)).map(|r| (pul, r))
-            });
-            // An Err here (not a well-formed union) falls through to singletons.
-            if let Ok((pul, reduced)) = merged {
-                // Policies steer conflict reconciliation only, and an
-                // independent round cannot conflict — any policy serves.
-                let id = backend.admit(pul, entries[0].policy, Some(reduced));
-                match backend.resolve_pending().and_then(|r| backend.commit_pending(r)) {
-                    Ok(batch) => {
-                        for entry in entries {
-                            finish(
-                                &cfg.telemetry,
-                                entry.enqueued,
-                                entry.completer,
-                                Ok(TicketOutcome { version: batch.version, conflicts: Vec::new() }),
-                            );
-                        }
-                        return;
-                    }
-                    Err(_) => backend.discard(id),
-                }
+        // Policies steer conflict reconciliation only, and an independent
+        // round cannot conflict — any policy serves.
+        let merged = Pul::merge_all(entries.iter().map(|e| &e.pul))
+            .map_err(Error::from)
+            .and_then(|pul| try_commit(backend, pul, entries[0].policy, config));
+        if let Ok(batch) = merged {
+            for entry in entries {
+                let outcome = TicketOutcome { version: batch.version, conflicts: Vec::new() };
+                finish(&config.telemetry, entry.enqueued, entry.completer, Ok(outcome));
             }
+            return;
         }
         // The merged commit failed (or the union was not well-formed — a
         // footprint bug backstop): degrade to sequential singleton rounds so
         // only the failing members fail.
         for entry in entries {
-            commit_round(backend, vec![entry], cfg);
+            commit_round(backend, vec![entry], config);
         }
         return;
     }
 
     let Some(entry) = entries.pop() else { return };
-    if let Some(kind) = cfg.faults.check(site::INGEST_COMMIT) {
-        cfg.telemetry.count(|m| &m.fault_hits);
-        cfg.telemetry.event(EventKind::FaultHit, 0, || {
-            format!("{}: injected {kind:?}", site::INGEST_COMMIT)
-        });
-        finish(
-            &cfg.telemetry,
-            entry.enqueued,
-            entry.completer,
-            Err(Error::injected(site::INGEST_COMMIT, kind)),
-        );
-        return;
+    let outcome = try_commit(backend, entry.pul, entry.policy, config).map(|batch| {
+        // Per-submission conflict report: OpRef.pul indexes the admission
+        // order (a singleton round is index 0 of its own resolution).
+        let conflicts: Vec<Conflict> = batch
+            .conflicts
+            .into_iter()
+            .filter(|c| c.all_ops().iter().any(|r| r.pul == 0))
+            .collect();
+        TicketOutcome { version: batch.version, conflicts }
+    });
+    finish(&config.telemetry, entry.enqueued, entry.completer, outcome);
+}
+
+/// One commit attempt: the [`site::INGEST_COMMIT`] failpoint (an injected
+/// fault fails the attempt exactly like a real commit failure), then admit →
+/// resolve → commit. A failed attempt discards its submission again, so a
+/// later round cannot resurrect it.
+fn try_commit<B: IngestBackend>(
+    backend: &mut B,
+    pul: Pul,
+    policy: Policy,
+    config: &IngestConfig,
+) -> Result<BatchCommit> {
+    if let Some(kind) = fault_at(config, site::INGEST_COMMIT) {
+        return Err(Error::injected(site::INGEST_COMMIT, kind));
     }
-    let id = backend.admit(entry.pul, entry.policy, Some(entry.reduced));
-    match backend.resolve_pending().and_then(|r| backend.commit_pending(r)) {
-        Ok(batch) => {
-            // Per-submission conflict report: OpRef.pul indexes the admission
-            // order (a singleton round is index 0 of its own resolution).
-            let conflicts: Vec<Conflict> = batch
-                .conflicts
-                .iter()
-                .filter(|c| c.all_ops().iter().any(|r| r.pul == 0))
-                .cloned()
-                .collect();
-            finish(
-                &cfg.telemetry,
-                entry.enqueued,
-                entry.completer,
-                Ok(TicketOutcome { version: batch.version, conflicts }),
-            );
-        }
-        Err(e) => {
-            backend.discard(id);
-            finish(&cfg.telemetry, entry.enqueued, entry.completer, Err(e));
-        }
+    let id = backend.admit(pul, policy);
+    let committed = backend.resolve_pending().and_then(|r| backend.commit_pending(r));
+    if committed.is_err() {
+        backend.discard(id);
     }
+    committed
 }
 
 #[cfg(test)]
@@ -1352,8 +1171,8 @@ mod tests {
 
     impl IngestBackend for PanickingBackend {
         type Resolution = crate::Resolution;
-        fn admit(&mut self, pul: Pul, policy: Policy, reduced: Option<Pul>) -> SubmissionId {
-            self.0.admit(pul, policy, reduced)
+        fn admit(&mut self, pul: Pul, policy: Policy) -> SubmissionId {
+            self.0.admit(pul, policy)
         }
         fn resolve_pending(&self) -> Result<crate::Resolution> {
             self.0.resolve_pending()
@@ -1370,16 +1189,13 @@ mod tests {
         fn current_version(&self) -> u64 {
             self.0.current_version()
         }
-        fn reduction_strategy(&self) -> ReductionStrategy {
-            self.0.reduction_strategy()
-        }
         fn default_policy(&self) -> Policy {
             self.0.default_policy()
         }
     }
 
     #[test]
-    fn committer_panic_poisons_tickets_and_flush_returns() {
+    fn pipeline_panic_poisons_tickets_and_flush_returns() {
         let session = Executor::parse(LIB).unwrap();
         let p1 = session.pul_from_ops(vec![UpdateOp::rename(3u64, "x")]);
         let p2 = session.pul_from_ops(vec![UpdateOp::rename(6u64, "y")]);
@@ -1393,12 +1209,12 @@ mod tests {
         );
         let t1 = queue.enqueue(p1).unwrap();
         let t2 = queue.enqueue(p2).unwrap();
-        // must return (in-flight counts are settled by the unwind guard and
-        // the drainer's orphan accounting), not hang forever
+        // must return (the in-flight count is settled by the unwind guard),
+        // not hang forever
         queue.flush();
         assert_eq!(t1.wait().unwrap_err().code(), "XPUL-E06");
         assert_eq!(t2.wait().unwrap_err().code(), "XPUL-E06");
-        drop(queue); // joins the panicked committer without propagating
+        drop(queue); // joins the panicked pipeline without propagating
     }
 
     #[test]
@@ -1430,7 +1246,7 @@ mod tests {
         let session = Executor::parse(LIB).unwrap();
         let p1 = session.pul_from_ops(vec![UpdateOp::rename(3u64, "x1")]);
         let p2 = session.pul_from_ops(vec![UpdateOp::rename(6u64, "x2")]);
-        // capacity 1 with an eager drainer: the second enqueue finds the
+        // capacity 1 with an eager pipeline: the second enqueue finds the
         // queue full and must wait for the drain, not error out.
         let queue = IngestQueue::with_config(
             session,
@@ -1471,7 +1287,6 @@ mod tests {
         // one already expired. The survivors must still coalesce into a
         // single merged commit — one version, not two serialized ones.
         let mut session = Executor::parse(LIB).unwrap();
-        let strategy = session.reduction_strategy();
         let policy = session.default_policy();
         let mut entries = Vec::new();
         let mut tickets = Vec::new();
@@ -1479,8 +1294,7 @@ mod tests {
             let pul = session.pul_from_ops(vec![UpdateOp::rename(id, name)]);
             let (ticket, completer) = Ticket::new();
             let expired = i == 1;
-            entries.push(PreparedEntry {
-                reduced: strategy.reduce(&pul),
+            entries.push(QueuedEntry {
                 pul,
                 policy,
                 expires: expired.then(Instant::now),
@@ -1489,12 +1303,7 @@ mod tests {
             });
             tickets.push(ticket);
         }
-        let cfg = CommitterCfg {
-            faults: Faults::disabled(),
-            telemetry: Telemetry::disabled(),
-            publish: false,
-        };
-        commit_round(&mut session, entries, &cfg);
+        commit_round(&mut session, entries, &IngestConfig::default());
         let o1 = tickets[0].wait().expect("live member commits");
         let o3 = tickets[2].wait().expect("live member commits");
         let err = tickets[1].wait().unwrap_err();
@@ -1506,7 +1315,7 @@ mod tests {
     }
 
     #[test]
-    fn close_after_committer_panic_returns_a_typed_error() {
+    fn close_after_pipeline_panic_returns_a_typed_error() {
         let session = Executor::parse(LIB).unwrap();
         let pul = session.pul_from_ops(vec![UpdateOp::rename(3u64, "x")]);
         let queue = IngestQueue::with_config(
@@ -1520,10 +1329,10 @@ mod tests {
         let ticket = queue.enqueue(pul).unwrap();
         queue.flush();
         assert_eq!(ticket.wait().unwrap_err().code(), "XPUL-E06");
-        // Regression: close() used to propagate the committer's panic into
+        // Regression: close() used to propagate the pipeline's panic into
         // the caller; it must report a typed error instead.
         let err = match queue.close() {
-            Ok(_) => panic!("close must fail after a committer panic"),
+            Ok(_) => panic!("close must fail after a pipeline panic"),
             Err(e) => e,
         };
         assert_eq!(err.code(), "XPUL-E06", "{err}");
@@ -1594,8 +1403,8 @@ mod tests {
         let mut session = Executor::parse(LIB).unwrap().policy(Policy::relaxed());
         let p1 = session.pul_from_ops(vec![UpdateOp::rename(9u64, "first")]);
         let p2 = session.pul_from_ops(vec![UpdateOp::rename(9u64, "second")]);
-        session.admit(p1, Policy::relaxed(), None);
-        session.admit(p2, Policy::relaxed(), None);
+        session.admit(p1, Policy::relaxed());
+        session.admit(p2, Policy::relaxed());
         let resolution = session.resolve_pending().unwrap();
         let batch = session.commit_pending(resolution).unwrap();
         assert_eq!(batch.conflicts.len(), 1);

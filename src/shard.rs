@@ -341,10 +341,8 @@ impl ShardedExecutor {
 
     /// Sets the reduction strategy (builder style). Applied both to each
     /// submission before splitting and to every shard's reconciled survivor.
-    /// Pending submissions' pre-reductions were computed under the previous
-    /// strategy, so they are discarded.
     pub fn reduction(mut self, strategy: ReductionStrategy) -> Self {
-        self.front.set_strategy(strategy);
+        self.front.strategy = strategy;
         self
     }
 
@@ -540,12 +538,12 @@ impl ShardedExecutor {
 
     /// Submits a producer PUL under the session's default policy.
     pub fn submit(&mut self, pul: Pul) -> SubmissionId {
-        self.front.submit(pul, self.front.default_policy, None)
+        self.front.submit(pul, self.front.default_policy)
     }
 
     /// Submits a producer PUL with an explicit producer policy.
     pub fn submit_with_policy(&mut self, pul: Pul, policy: Policy) -> SubmissionId {
-        self.front.submit(pul, policy, None)
+        self.front.submit(pul, policy)
     }
 
     /// Submits a producer PUL received in the XML exchange format (§4).

@@ -5,7 +5,7 @@
 //! `Durable<Executor>` and `Durable<ShardedExecutor>` — with an armed
 //! [`FaultPlan`] shared by every failpoint layer: the store (WAL
 //! append/sync/rotation, checkpoint write/rename), the commit sink, the
-//! shard two-phase apply, and the ingest drainer/committer. Whatever the
+//! shard two-phase apply, and the ingest prepare and commit sites. Whatever the
 //! plan injects, three invariants must hold:
 //!
 //! 1. **Exactness.** The surviving document equals a fault-free sequential
@@ -189,7 +189,7 @@ fn chaos_case<B: ChaosBackend>(seed: u64, plan: &FaultPlan, plan_idx: usize) {
     let dir = tmp_dir(B::TAG, seed, plan_idx);
 
     // One armed handle drives every layer: store, sink, shard apply, and
-    // (through the config) the ingest drainer and committer.
+    // (through the config) the ingest pipeline thread.
     let mut durable = Durable::create(&dir, B::from_doc(&case.doc), chaos_opts())
         .unwrap_or_else(|e| panic!("{ctx}: create: {e}"));
     durable.inject_faults(faults.clone());

@@ -573,7 +573,7 @@ fn ingest_compacts_at_round_boundaries_without_poisoning_tickets() {
     // Content oracle: the same ingest pipeline over a plain executor with
     // compaction out of the picture. Coalesced resolution of overlapping
     // PULs is order-sensitive, so the reference must go through the same
-    // drainer — only then does "compaction changed nothing but identifiers"
+    // pipeline — only then does "compaction changed nothing but identifiers"
     // reduce to a serialization comparison.
     let gen_base = Executor::new(doc.clone());
     let mut durable = Durable::create(
@@ -584,7 +584,7 @@ fn ingest_compacts_at_round_boundaries_without_poisoning_tickets() {
     .unwrap();
     durable.inject_faults(Faults::disabled());
 
-    // Round 1: one coalesced batch of churny PULs. The committer compacts
+    // Round 1: one coalesced batch of churny PULs. The pipeline compacts
     // after the round commits — the queue must stay healthy through it.
     let config = || IngestConfig {
         flush_threshold: 64,
@@ -619,7 +619,7 @@ fn ingest_compacts_at_round_boundaries_without_poisoning_tickets() {
     }
     let durable = queue.close().unwrap();
     let twin = twin.close().unwrap();
-    // With a 2% trigger the committer may compact after more than one round;
+    // With a 2% trigger the pipeline may compact after more than one round;
     // what matters is that it fired at a round boundary without wedging.
     assert!(durable.backend().epoch() >= 1, "{ctx}: compaction fired at the round boundary");
     let round1_xml = durable.backend().serialize();

@@ -315,12 +315,12 @@ fn withdraw_and_unknown_submissions() {
     assert!(matches!(err, Error::UnknownSubmission(i) if i == id));
 }
 
-/// Switching the reduction strategy drops the reductions the ingest drainer
-/// attached under the old one, on both session kinds: two `ins↘` on one
-/// parent merge into one operation under `Deterministic` and stay two under
-/// `None`.
+/// The reduction strategy in force at resolve time governs a pending
+/// submission, on both session kinds: two `ins↘` on one parent, admitted
+/// under `Deterministic` (which merges them into one operation), stay two
+/// once the session switches to `None` before resolving.
 #[test]
-fn a_strategy_change_drops_pending_pre_reductions_on_both_sessions() {
+fn the_strategy_in_force_at_resolve_time_governs_on_both_sessions() {
     const DOC: &str = "<lib><b1/><b2/></lib>";
     let mut single = Executor::parse(DOC).unwrap();
     let mut sharded = ShardedExecutor::parse(DOC, 2).unwrap();
@@ -331,8 +331,8 @@ fn a_strategy_change_drops_pending_pre_reductions_on_both_sessions() {
     ]);
     let reduced = ReductionStrategy::Deterministic.reduce(&pul);
     assert_eq!(reduced.len(), 1, "the two insertions merge under Deterministic");
-    single.admit(pul.clone(), Policy::default(), Some(reduced.clone()));
-    sharded.admit(pul, Policy::default(), Some(reduced));
+    single.admit(pul.clone(), Policy::default());
+    sharded.admit(pul, Policy::default());
 
     let single = single.reduction(ReductionStrategy::None);
     assert_eq!(single.resolve().unwrap().resolved_ops(), 2, "executor");

@@ -227,8 +227,9 @@ fn ingest_counters_reconcile_with_ticket_outcomes() {
 
 /// The journal ring is bounded, drops oldest-first, keeps sequence numbers
 /// strictly increasing and never interleaves the fields of one record with
-/// another, even when many threads push concurrently (as the executor,
-/// drainer, committer and store all share one journal in a live stack).
+/// another, even when many threads push concurrently (as producers, the
+/// ingest pipeline thread and the store all share one journal in a live
+/// stack).
 #[test]
 fn journal_drops_oldest_first_without_tearing() {
     let telemetry = Telemetry::enabled();
