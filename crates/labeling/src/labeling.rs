@@ -55,6 +55,12 @@ impl Labeling {
         Labeling { map: IdSlab::new(), journal: None }
     }
 
+    /// Creates an empty labeling sized for `n` labels whose identifiers lie
+    /// in `first..=last` (see [`IdSlab::with_id_range`]).
+    pub(crate) fn with_id_range(first: NodeId, last: NodeId, n: usize) -> Self {
+        Labeling { map: IdSlab::with_id_range(first, last, n), journal: None }
+    }
+
     // ------------------------------------------------------------------
     // journal scopes (mirroring `xdm::Document`)
     // ------------------------------------------------------------------

@@ -17,10 +17,13 @@
 //!   incremental label generation for nodes inserted by PUL application;
 //! * [`LabelInterval`] — half-open slices of the key space, used by the
 //!   sharded executor to route operations to the shard whose label interval
-//!   contains their target.
+//!   contains their target;
+//! * a binary [`codec`] for labels and for labeled documents (the durable
+//!   store's checkpoint images).
 
 #![forbid(unsafe_code)]
 
+pub mod codec;
 pub mod interval;
 pub mod label;
 pub mod labeling;

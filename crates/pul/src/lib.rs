@@ -16,11 +16,13 @@
 //!   the identified serialization of a document, never materializing it
 //!   (§4.3, Figure 6.a);
 //! * the XML **exchange format** for PULs ([`xmlio`]), used to ship PULs
-//!   between producers and the executor (§4).
+//!   between producers and the executor (§4), and its private binary twin
+//!   ([`codec`]), the payload of the durable store's WAL records.
 
 #![forbid(unsafe_code)]
 
 pub mod apply;
+pub mod codec;
 pub mod error;
 pub mod obtainable;
 pub mod op;

@@ -1,14 +1,37 @@
 //! Checkpoint images: one contiguous, checksummed snapshot of a session.
 //!
 //! A checkpoint freezes everything a backend needs to rebuild itself at one
-//! version: per shard (a single executor is the one-shard case) the
-//! identified document serialization, every node label in its lossless
-//! compact form, the fresh-identifier counter and the routing interval, plus
-//! the session-level fields (version, root identity). The store writes the
-//! encoded image as **one** write to a temporary file, fsyncs, and renames it
-//! into place — a crash leaves either the previous checkpoint set or the new
-//! one, never a half image. A trailing CRC-32 guards the loader against
-//! silent corruption.
+//! version: per shard (a single executor is the one-shard case) one opaque
+//! byte image of the shard's document and labeling, the fresh-identifier
+//! counter, the shard version and the routing interval, plus the
+//! session-level fields (version, compaction epoch, root identity). The store
+//! only frames and checksums: the backend encodes the images and reads them
+//! back. It writes the encoded checkpoint as **one** write to a temporary
+//! file, fsyncs, and renames it into place — a crash leaves either the
+//! previous checkpoint set or the new one, never a half image. A trailing
+//! CRC-32 guards the loader against silent corruption.
+//!
+//! ```text
+//!  field          encoding
+//!  magic          "XCKP"
+//!  format         u32 LE, 3
+//!  version        u64 LE
+//!  epoch          u64 LE
+//!  sharded        u8
+//!  root id        u64 LE
+//!  root label     u32 LE length + bytes
+//!  shard count    u32 LE, then per shard:
+//!    image        u32 LE length + bytes
+//!    next id      u64 LE
+//!    version      u64 LE
+//!    interval lo  u32 LE length + bytes
+//!    interval hi  u32 LE length + bytes
+//!  crc            u32 LE, CRC-32 of everything before it
+//! ```
+//!
+//! Format 3 replaced the identified XML and compact label strings of
+//! formats 1 and 2 with the backend's binary images. There is no reader for
+//! the retired formats: such an image fails to load.
 
 use std::io;
 
@@ -17,18 +40,15 @@ use crate::crc::crc32;
 /// Format magic opening every checkpoint image.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"XCKP";
 
-/// Current encoding version. Format 2 added the session compaction epoch;
-/// format 1 images (pre-epoch) still decode, with `epoch = 0`.
-pub const CHECKPOINT_FORMAT: u32 = 2;
+/// Current encoding version, the only one that decodes.
+pub const CHECKPOINT_FORMAT: u32 = 3;
 
 /// The frozen state of one shard (a single executor checkpoints as exactly
 /// one shard with an empty routing interval).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardSnapshot {
-    /// The shard document's identified serialization (node ids preserved).
-    pub doc: String,
-    /// Every label as `"<id> <compact>"` — the lossless compact label form.
-    pub labels: Vec<String>,
+    /// The shard's document and labeling, encoded by the backend.
+    pub image: Vec<u8>,
     /// The shard's fresh-identifier counter (restored with `reserve_ids`, so
     /// identifiers minted after recovery never collide with dead slots).
     pub next_id: u64,
@@ -47,14 +67,15 @@ pub struct CheckpointState {
     /// The session version the snapshot freezes.
     pub version: u64,
     /// The session's compaction epoch at the snapshot (0 for sessions that
-    /// never compacted, and for format-1 images written before epochs).
+    /// never compacted).
     pub epoch: u64,
     /// Whether the snapshot came from a sharded session.
     pub sharded: bool,
     /// The root element identifier (sharded sessions only; 0 otherwise).
     pub root_id: u64,
-    /// The global root label in compact form (sharded sessions only).
-    pub root_label: String,
+    /// The global root label, encoded by the backend (sharded sessions only;
+    /// empty otherwise).
+    pub root_label: Vec<u8>,
     /// One snapshot per shard, in shard order.
     pub shards: Vec<ShardSnapshot>,
 }
@@ -70,10 +91,6 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     put_u32(out, b.len() as u32);
     out.extend_from_slice(b);
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
 }
 
 struct Reader<'a> {
@@ -107,29 +124,22 @@ impl<'a> Reader<'a> {
         let len = self.u32()? as usize;
         Ok(self.take(len)?.to_vec())
     }
-
-    fn string(&mut self) -> io::Result<String> {
-        String::from_utf8(self.bytes()?).map_err(|_| corrupt("non-UTF-8 string"))
-    }
 }
 
 /// Encodes a checkpoint into its on-disk image (magic, format, body, CRC).
 pub fn encode(state: &CheckpointState) -> Vec<u8> {
-    let mut out = Vec::with_capacity(256);
+    let images: usize = state.shards.iter().map(|s| s.image.len() + 64).sum();
+    let mut out = Vec::with_capacity(images + 64);
     out.extend_from_slice(&CHECKPOINT_MAGIC);
     put_u32(&mut out, CHECKPOINT_FORMAT);
     put_u64(&mut out, state.version);
     put_u64(&mut out, state.epoch);
     out.push(u8::from(state.sharded));
     put_u64(&mut out, state.root_id);
-    put_str(&mut out, &state.root_label);
+    put_bytes(&mut out, &state.root_label);
     put_u32(&mut out, state.shards.len() as u32);
     for shard in &state.shards {
-        put_str(&mut out, &shard.doc);
-        put_u32(&mut out, shard.labels.len() as u32);
-        for label in &shard.labels {
-            put_str(&mut out, label);
-        }
+        put_bytes(&mut out, &shard.image);
         put_u64(&mut out, shard.next_id);
         put_u64(&mut out, shard.version);
         put_bytes(&mut out, &shard.interval_lo);
@@ -154,34 +164,30 @@ pub fn decode(bytes: &[u8]) -> io::Result<CheckpointState> {
     if r.take(4)? != CHECKPOINT_MAGIC {
         return Err(corrupt("bad magic"));
     }
-    let format = r.u32()?;
-    if format == 0 || format > CHECKPOINT_FORMAT {
-        return Err(corrupt("unknown format version"));
+    match r.u32()? {
+        CHECKPOINT_FORMAT => {}
+        format @ 1..CHECKPOINT_FORMAT => {
+            return Err(corrupt(&format!("format {format} is retired and has no reader")))
+        }
+        format => return Err(corrupt(&format!("unknown format {format}"))),
     }
     let version = r.u64()?;
-    // Format 1 predates compaction epochs: such a session never compacted.
-    let epoch = if format >= 2 { r.u64()? } else { 0 };
+    let epoch = r.u64()?;
     let sharded = r.take(1)?[0] != 0;
     let root_id = r.u64()?;
-    let root_label = r.string()?;
+    let root_label = r.bytes()?;
     // The counts are untrusted (the CRC only catches accidents), so vectors
     // grow with the entries actually read instead of being sized from them.
     let n_shards = r.u32()?;
     let mut shards = Vec::new();
     for _ in 0..n_shards {
-        let doc = r.string()?;
-        let n_labels = r.u32()?;
-        let mut labels = Vec::new();
-        for _ in 0..n_labels {
-            labels.push(r.string()?);
-        }
+        let image = r.bytes()?;
         let next_id = r.u64()?;
         let shard_version = r.u64()?;
         let interval_lo = r.bytes()?;
         let interval_hi = r.bytes()?;
         shards.push(ShardSnapshot {
-            doc,
-            labels,
+            image,
             next_id,
             version: shard_version,
             interval_lo,
@@ -204,19 +210,17 @@ mod tests {
             epoch: 3,
             sharded: true,
             root_id: 1,
-            root_label: "0-1;0-9;0;E;-;-;FL".into(),
+            root_label: vec![1, 1, 1, 9, 0, 0],
             shards: vec![
                 ShardSnapshot {
-                    doc: "<r xml:id=\"1\"><a xml:id=\"2\"/></r>".into(),
-                    labels: vec!["1 0-1;0-9;0;E;-;-;FL".into(), "2 0-2;0-3;1;E;1;-;FL".into()],
+                    image: b"opaque shard image".to_vec(),
                     next_id: 17,
                     version: 42,
                     interval_lo: vec![0, 1],
                     interval_hi: vec![0, 5],
                 },
                 ShardSnapshot {
-                    doc: "<r xml:id=\"1\"/>".into(),
-                    labels: vec!["1 0-5;0-9;0;E;-;-;FL".into()],
+                    image: vec![0; 3],
                     next_id: 17,
                     version: 40,
                     interval_lo: vec![0, 5],
@@ -235,10 +239,9 @@ mod tests {
             epoch: 0,
             sharded: false,
             root_id: 0,
-            root_label: String::new(),
+            root_label: Vec::new(),
             shards: vec![ShardSnapshot {
-                doc: "<d xml:id=\"1\"/>".into(),
-                labels: vec!["1 0-1;0-9;0;E;-;-;FL".into()],
+                image: b"one shard".to_vec(),
                 next_id: 2,
                 version: 0,
                 interval_lo: Vec::new(),
@@ -248,52 +251,22 @@ mod tests {
         assert_eq!(decode(&encode(&single)).unwrap(), single);
     }
 
-    /// Encodes `state` the way format 1 did (no epoch field), so the
-    /// backward-compatibility path is exercised against real layout.
-    fn encode_format1(state: &CheckpointState) -> Vec<u8> {
-        let mut out = Vec::with_capacity(256);
-        out.extend_from_slice(&CHECKPOINT_MAGIC);
-        put_u32(&mut out, 1);
-        put_u64(&mut out, state.version);
-        out.push(u8::from(state.sharded));
-        put_u64(&mut out, state.root_id);
-        put_str(&mut out, &state.root_label);
-        put_u32(&mut out, state.shards.len() as u32);
-        for shard in &state.shards {
-            put_str(&mut out, &shard.doc);
-            put_u32(&mut out, shard.labels.len() as u32);
-            for label in &shard.labels {
-                put_str(&mut out, label);
-            }
-            put_u64(&mut out, shard.next_id);
-            put_u64(&mut out, shard.version);
-            put_bytes(&mut out, &shard.interval_lo);
-            put_bytes(&mut out, &shard.interval_hi);
-        }
-        let crc = crc32(&out);
-        put_u32(&mut out, crc);
-        out
-    }
-
-    #[test]
-    fn format1_images_decode_with_epoch_zero() {
-        let mut state = sample();
-        state.epoch = 0; // format 1 cannot carry an epoch
-        let decoded = decode(&encode_format1(&state)).unwrap();
-        assert_eq!(decoded, state);
-        assert_eq!(decoded.epoch, 0);
-    }
-
-    #[test]
-    fn future_formats_are_rejected() {
-        let mut bytes = encode(&sample());
-        // Bump the format field past the current version and refresh the CRC.
-        let future = (CHECKPOINT_FORMAT + 1).to_le_bytes();
-        bytes[4..8].copy_from_slice(&future);
+    /// Rewrites the format field and refreshes the CRC.
+    fn with_format(mut bytes: Vec<u8>, format: u32) -> Vec<u8> {
+        bytes[4..8].copy_from_slice(&format.to_le_bytes());
         let body_len = bytes.len() - 4;
         let crc = crc32(&bytes[..body_len]).to_le_bytes();
         bytes[body_len..].copy_from_slice(&crc);
-        assert!(decode(&bytes).is_err());
+        bytes
+    }
+
+    #[test]
+    fn retired_and_future_formats_are_rejected() {
+        for format in [0, 1, 2, CHECKPOINT_FORMAT + 1, u32::MAX] {
+            let err = decode(&with_format(encode(&sample()), format)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("format"), "{err}");
+        }
     }
 
     #[test]
@@ -324,7 +297,7 @@ mod tests {
         put_u64(&mut out, 0); // epoch
         out.push(0); // not sharded
         put_u64(&mut out, 0); // root id
-        put_str(&mut out, ""); // root label
+        put_bytes(&mut out, b""); // root label
         put_u32(&mut out, n_shards);
         out
     }
@@ -335,9 +308,8 @@ mod tests {
     }
 
     #[test]
-    fn a_huge_label_count_is_rejected_without_preallocating() {
+    fn a_huge_image_length_is_rejected_without_preallocating() {
         let mut body = header(1);
-        put_str(&mut body, "<d xml:id=\"1\"/>");
         put_u32(&mut body, u32::MAX);
         assert!(decode(&sealed(body)).is_err());
     }
@@ -346,7 +318,7 @@ mod tests {
     fn truncated_images_are_rejected() {
         let bytes = encode(&sample());
         for cut in 0..bytes.len() {
-            assert!(decode(&bytes[..cut]).is_err(), "truncation at {cut} accepted");
+            assert!(decode(&bytes[..cut]).is_err(), "truncation at {cut}");
         }
     }
 }

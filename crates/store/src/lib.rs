@@ -10,6 +10,11 @@
 //!   image of the whole session at version `V` (see [`checkpoint`]), written
 //!   to a temporary file and renamed into place.
 //!
+//! The store frames and checksums; it never interprets what it stores. WAL
+//! payloads and the per-shard checkpoint images are opaque bytes encoded by
+//! the session layer (binary PULs and labeled node streams, see `pul::codec`
+//! and `xlabel::codec`).
+//!
 //! Writing a checkpoint rotates the WAL to a fresh segment, so the live tail
 //! that recovery must replay is always `records with version > checkpoint
 //! version`. With `retain_history` enabled (the default) older segments and
@@ -576,10 +581,9 @@ mod tests {
             epoch: 0,
             sharded: false,
             root_id: 0,
-            root_label: String::new(),
+            root_label: Vec::new(),
             shards: vec![ShardSnapshot {
-                doc: format!("<d xml:id=\"1\" v=\"{version}\"/>"),
-                labels: vec!["1 0-1;0-9;0;E;-;-;FL".into()],
+                image: format!("image of v{version}").into_bytes(),
                 next_id: 2,
                 version,
                 interval_lo: Vec::new(),

@@ -24,8 +24,8 @@ pub const RECORD_MAGIC: [u8; 4] = *b"XWAL";
 pub const RECORD_HEADER_LEN: usize = 20;
 
 /// Hard cap on one record's payload — a corrupt length field must not make
-/// the scanner allocate terabytes. One committed round serializes one PUL
-/// exchange document (or one per shard); 256 MiB is orders of magnitude above
+/// the scanner allocate terabytes. One committed round encodes one binary PUL
+/// (or one per shard); 256 MiB is orders of magnitude above
 /// anything real. [`Store::append`](crate::Store::append) refuses larger
 /// payloads up front, since [`scan`] would discard them as a corrupt tail.
 pub const MAX_PAYLOAD_LEN: usize = 256 << 20;

@@ -65,6 +65,12 @@ impl Document {
         Document { nodes: IdSlab::new(), root: None, next_id: first_id.max(1), journal: None }
     }
 
+    /// Creates an empty document sized for `n` nodes whose identifiers lie
+    /// in `first..=last` (see [`IdSlab::with_id_range`]).
+    pub(crate) fn with_id_range(first: NodeId, last: NodeId, n: usize) -> Self {
+        Document { nodes: IdSlab::with_id_range(first, last, n), ..Document::new() }
+    }
+
     // ------------------------------------------------------------------
     // journal scopes
     // ------------------------------------------------------------------

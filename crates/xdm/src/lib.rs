@@ -23,6 +23,8 @@
 //!   dependencies), including an *identified* serialization that embeds node
 //!   identifiers inside the document, mirroring the paper's prototype which
 //!   stores identifiers and labels within the document;
+//! * a binary node-stream [`codec`], the private encoding the durable store
+//!   writes for documents and parameter trees;
 //! * a SAX-style [`events`] module used by the streaming PUL evaluator;
 //! * an apply [`journal`]: inside a journal scope every mutator records the
 //!   inverse of its effect, so a failed or abandoned update is rolled back in
@@ -30,6 +32,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod codec;
 pub mod document;
 pub mod error;
 pub mod events;

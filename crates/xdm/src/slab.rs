@@ -93,6 +93,26 @@ impl<T> IdSlab<T> {
         IdSlab { base: 0, dense: Vec::with_capacity(n), spill: HashMap::new(), len: 0 }
     }
 
+    /// Creates an empty slab for `n` entries whose identifiers all lie in
+    /// `first..=last`. When that range spans at most twice `n` slots (plus
+    /// the dense gap), all of it is made dense up front, anchored at `first`:
+    /// the entries then land dense in any insertion order, and the vector
+    /// never regrows. Otherwise this is [`with_capacity`](IdSlab::with_capacity).
+    pub fn with_id_range(first: NodeId, last: NodeId, n: usize) -> Self {
+        let span = last.as_u64().checked_sub(first.as_u64());
+        match span {
+            Some(span) if span < (n as u64).saturating_mul(2).saturating_add(MAX_DENSE_GAP) => {
+                IdSlab {
+                    base: first.as_u64(),
+                    dense: std::iter::repeat_with(|| None).take(span as usize + 1).collect(),
+                    spill: HashMap::new(),
+                    len: 0,
+                }
+            }
+            _ => IdSlab::with_capacity(n),
+        }
+    }
+
     /// Number of stored entries.
     pub fn len(&self) -> usize {
         self.len
@@ -406,6 +426,28 @@ mod tests {
         // merging aggregates component-wise
         let merged = s.stats().merged(SlabStats { live: 1, dead: 2, spill: 3 });
         assert_eq!(merged, SlabStats { live: 9, dead: 4, spill: 4 });
+    }
+
+    #[test]
+    fn a_known_id_range_stays_dense_in_any_insertion_order() {
+        // Far jumps spill when the dense range has to grow over them ...
+        let scrambled = [1u64, 5000, 2, 4000, 3, 4999, 2500];
+        let mut grown: IdSlab<u64> = IdSlab::new();
+        for id in scrambled {
+            grown.insert(NodeId::new(id), id);
+        }
+        assert!(grown.stats().spill > 0);
+        // ... but not when the whole range is laid out up front.
+        let mut ranged = IdSlab::with_id_range(NodeId::new(1), NodeId::new(5000), 2600);
+        for id in scrambled {
+            ranged.insert(NodeId::new(id), id);
+        }
+        assert_eq!(ranged.stats(), SlabStats { live: 7, dead: 4993, spill: 0 });
+        assert_eq!(ranged.get(NodeId::new(4000)), Some(&4000));
+        ranged.assert_consistent();
+        // A range far wider than the entries falls back to plain growth.
+        let sparse: IdSlab<u64> = IdSlab::with_id_range(NodeId::new(1), NodeId::new(1 << 40), 4);
+        assert_eq!(sparse.stats(), SlabStats::default());
     }
 
     #[test]

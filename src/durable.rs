@@ -6,13 +6,20 @@
 //! - every committed PUL round is appended to a **write-ahead log** *before*
 //!   the commit becomes observable (the backend runs the apply inside a
 //!   journal scope and rewinds it if the append fails, so the WAL record is
-//!   the commit point);
+//!   the commit point); the record holds the resolved PUL in its binary form
+//!   (`pul::codec`, see `CommitRecord`), not the XML wire format;
 //! - **checkpoints** snapshot the whole session — arena, labeling, version —
 //!   as one contiguous checksummed image, triggered by WAL growth or by
-//!   dead-slot churn (`slab_stats().dead_ratio`), and rotate the log;
+//!   dead-slot churn (`slab_stats().dead_ratio`), and rotate the log; each
+//!   shard's arena and labeling are one binary image (`xlabel::codec`: the
+//!   document's node stream with every node's label keys inline), restored in
+//!   one pass with the tree-shaped label fields derived from tree position;
 //! - **recovery** ([`Durable::open`]) loads the last checkpoint, replays the
 //!   WAL tail through the very same journaled apply path as the live commits,
-//!   and discards any torn or corrupt tail record;
+//!   and discards any torn or corrupt tail record. Every later failure — an
+//!   image or payload that does not decode, a retired format, a record that
+//!   does not apply — is store corruption (`XPUL-E07`) naming the checkpoint
+//!   or record version;
 //! - **[`read_at`](Durable::read_at)** pins any retained version into an
 //!   immutable [`Snapshot`](crate::Snapshot) by replaying deltas forward from
 //!   the nearest checkpoint at or below it — memoized, so repeated reads of a
@@ -51,6 +58,7 @@
 //! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
+use std::collections::HashSet;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::path::Path;
@@ -64,8 +72,10 @@ use pul_store::{
     SyncPolicy,
 };
 use pul_telemetry::{EventKind, Telemetry};
+use xdm::codec::{put_bytes, put_varint, DecodeError, Reader};
 use xdm::NodeId;
-use xlabel::{LabelInterval, Labeling, NodeLabel, OrderKey};
+use xlabel::codec::{decode_label, decode_labeled_document, encode_label, encode_labeled_document};
+use xlabel::{LabelInterval, OrderKey};
 
 use crate::error::{Error, Result};
 use crate::executor::{Executor, ExecutorCore, SubmissionId};
@@ -156,14 +166,17 @@ fn with_retry<T>(
 // ---------------------------------------------------------------------------
 
 /// What one commit writes to the WAL, borrowed from the committing session.
-/// The payload byte format is one kind byte — for `D`/`S` followed by one
+/// The payload starts with one kind byte. `D` and `S` follow it with one
 /// identifier-discipline byte (`P`: the commit grafted parameter trees with
-/// their identifiers preserved, `F`: it minted fresh ones) — then the
-/// existing XML wire encodings (`pul::xmlio`). Replay must re-apply under
-/// the same discipline: a delta committed with `preserve_content_ids` grafts
-/// the tree identifiers the record carries, while a fresh-minting commit
-/// re-mints deterministically from the restored identifier counter. Either
-/// way the recovered arena is bit-identical to the one the live commit built.
+/// their identifiers preserved, `F`: it minted fresh ones), then binary PULs
+/// (`pul::codec`): one for `D`; for `S` a varint count, then each shard's
+/// PUL as a varint length plus its bytes. `E` follows it with the epoch as
+/// 8 little-endian bytes. The XML wire format is not used here: a payload
+/// that still holds XML is corrupt. Replay must re-apply under the recorded
+/// discipline: a delta committed with `preserve_content_ids` grafts the tree
+/// identifiers the record carries, while a fresh-minting commit re-mints
+/// deterministically from the restored identifier counter. Either way the
+/// recovered arena is bit-identical to the one the live commit built.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum CommitRecord<'a> {
     /// A single-executor commit: the resolved PUL that was applied (`D`).
@@ -198,20 +211,28 @@ impl CommitRecord<'_> {
             CommitRecord::Delta { pul, preserve_content_ids } => {
                 out.push(b'D');
                 out.push(discipline(*preserve_content_ids));
-                out.extend_from_slice(pul::xmlio::pul_to_xml(pul).as_bytes());
+                pul::codec::encode_pul(pul, &mut out);
             }
             CommitRecord::Sharded { puls, preserve_content_ids } => {
                 out.push(b'S');
                 out.push(discipline(*preserve_content_ids));
-                out.extend_from_slice(pul::xmlio::puls_to_xml(puls).as_bytes());
+                put_varint(&mut out, puls.len() as u64);
+                for pul in *puls {
+                    put_bytes(&mut out, &pul::codec::pul_to_bytes(pul));
+                }
             }
             CommitRecord::Epoch { epoch } => {
                 out.push(b'E');
-                out.extend_from_slice(epoch.to_string().as_bytes());
+                out.extend_from_slice(&epoch.to_le_bytes());
             }
         }
         out
     }
+}
+
+/// A corrupt WAL payload or checkpoint image: `XPUL-E07`.
+fn corrupt(what: &str, e: DecodeError) -> Error {
+    Error::store(format!("{what}: {e}"))
 }
 
 /// An owned, decoded WAL payload — what recovery replays.
@@ -239,48 +260,39 @@ impl CommitPayload {
     /// Decodes a WAL payload (the CRC of the frame already checked).
     pub(crate) fn decode(bytes: &[u8]) -> Result<CommitPayload> {
         let (&kind, rest) = bytes.split_first().ok_or_else(|| Error::store("empty WAL payload"))?;
-        let discipline = |rest: &[u8]| -> Result<(bool, String)> {
-            let (&flag, body) = rest
-                .split_first()
-                .ok_or_else(|| Error::store("WAL payload missing its discipline byte"))?;
-            let preserve = match flag {
-                b'P' => true,
-                b'F' => false,
-                other => {
-                    return Err(Error::store(format!(
-                        "unknown WAL identifier discipline {other:#04x}"
-                    )))
-                }
-            };
-            let text =
-                std::str::from_utf8(body).map_err(|_| Error::store("WAL payload is not UTF-8"))?;
-            Ok((preserve, text.to_string()))
-        };
         match kind {
-            b'D' => {
-                let (preserve_content_ids, text) = discipline(rest)?;
-                Ok(CommitPayload::Delta {
-                    pul: pul::xmlio::pul_from_xml(&text)?,
-                    preserve_content_ids,
-                })
-            }
-            b'S' => {
-                let (preserve_content_ids, text) = discipline(rest)?;
-                Ok(CommitPayload::Sharded {
-                    puls: pul::xmlio::puls_from_xml(&text)?,
-                    preserve_content_ids,
-                })
-            }
             b'E' => {
-                let text = std::str::from_utf8(rest)
-                    .map_err(|_| Error::store("WAL payload is not UTF-8"))?;
-                let epoch = text
-                    .parse()
-                    .map_err(|_| Error::store(format!("malformed epoch record {text:?}")))?;
-                Ok(CommitPayload::Epoch(epoch))
+                let epoch: [u8; 8] = rest.try_into().map_err(|_| {
+                    Error::store(format!("epoch record of {} bytes, not 8", rest.len()))
+                })?;
+                return Ok(CommitPayload::Epoch(u64::from_le_bytes(epoch)));
             }
-            other => Err(Error::store(format!("unknown WAL payload kind {other:#04x}"))),
+            b'D' | b'S' => {}
+            other => return Err(Error::store(format!("unknown WAL payload kind {other:#04x}"))),
         }
+        let (&flag, body) = rest
+            .split_first()
+            .ok_or_else(|| Error::store("WAL payload missing its discipline byte"))?;
+        let preserve_content_ids = match flag {
+            b'P' => true,
+            b'F' => false,
+            other => {
+                return Err(Error::store(format!("unknown WAL identifier discipline {other:#04x}")))
+            }
+        };
+        let bad = |e| corrupt("WAL payload", e);
+        if kind == b'D' {
+            let pul = pul::codec::pul_from_bytes(body).map_err(bad)?;
+            return Ok(CommitPayload::Delta { pul, preserve_content_ids });
+        }
+        let mut r = Reader::new(body);
+        let count = r.varint().map_err(bad)?;
+        let mut puls = Vec::new();
+        for _ in 0..count {
+            puls.push(pul::codec::pul_from_bytes(r.bytes().map_err(bad)?).map_err(bad)?);
+        }
+        r.finish().map_err(bad)?;
+        Ok(CommitPayload::Sharded { puls, preserve_content_ids })
     }
 }
 
@@ -436,18 +448,11 @@ pub trait DurableBackend: IngestBackend + Session + Sized {
     fn compact_session(&mut self) -> Result<crate::CompactionReport>;
 }
 
-/// Snapshots one executor core into a shard image. Labels are stored in
-/// id-sorted order so the checkpoint bytes are deterministic.
+/// Snapshots one executor core into a shard image: the document's node
+/// stream with each node's label keys inline (`xlabel::codec`).
 fn snapshot_core(core: &ExecutorCore, lo: Vec<u8>, hi: Vec<u8>) -> ShardSnapshot {
-    let mut labels: Vec<(u64, String)> = core
-        .labeling()
-        .iter()
-        .map(|l| (l.id.as_u64(), format!("{} {}", l.id.as_u64(), l.to_compact_string())))
-        .collect();
-    labels.sort_unstable_by_key(|&(id, _)| id);
     ShardSnapshot {
-        doc: core.serialize_identified(),
-        labels: labels.into_iter().map(|(_, line)| line).collect(),
+        image: encode_labeled_document(core.document(), core.labeling()),
         next_id: core.document().next_id(),
         version: core.version(),
         interval_lo: lo,
@@ -455,20 +460,15 @@ fn snapshot_core(core: &ExecutorCore, lo: Vec<u8>, hi: Vec<u8>) -> ShardSnapshot
     }
 }
 
-/// Rebuilds one executor core from a shard image: the identified parse
-/// restores the arena with original identifiers, `reserve_ids` lifts the
+/// Rebuilds one executor core from a shard image: one pass restores the
+/// arena with its original identifiers and the labeling, whose tree-shaped
+/// fields come from each node's position; `reserve_ids` then lifts the
 /// fresh-identifier counter over the snapshotted fence (so dead slots are
-/// never re-minted), and the compact labels restore the labeling verbatim.
+/// never re-minted).
 fn core_from_snapshot(snap: &ShardSnapshot) -> Result<ExecutorCore> {
-    let mut doc = xdm::parser::parse_document_identified(&snap.doc)?;
+    let (mut doc, labeling) =
+        decode_labeled_document(&snap.image).map_err(|e| corrupt("shard image", e))?;
     doc.reserve_ids(snap.next_id);
-    let mut labeling = Labeling::new();
-    for line in &snap.labels {
-        let bad = || Error::store(format!("malformed checkpoint label line {line:?}"));
-        let (id, compact) = line.split_once(' ').ok_or_else(bad)?;
-        let id: u64 = id.parse().map_err(|_| bad())?;
-        labeling.insert(NodeLabel::parse_compact(NodeId::new(id), compact).ok_or_else(bad)?);
-    }
     let mut core = ExecutorCore::from_parts(doc, labeling);
     core.version = snap.version;
     Ok(core)
@@ -481,7 +481,7 @@ impl DurableBackend for Executor {
             epoch: self.epoch(),
             sharded: false,
             root_id: 0,
-            root_label: String::new(),
+            root_label: Vec::new(),
             shards: vec![snapshot_core(self.core(), Vec::new(), Vec::new())],
         }
     }
@@ -522,12 +522,14 @@ impl DurableBackend for Executor {
 impl DurableBackend for ShardedExecutor {
     fn checkpoint_state(&self) -> CheckpointState {
         let (root_id, root_label) = self.root_identity();
+        let mut label = Vec::new();
+        encode_label(root_label, &mut label);
         CheckpointState {
             version: self.version(),
             epoch: self.epoch(),
             sharded: true,
             root_id: root_id.as_u64(),
-            root_label: root_label.to_compact_string(),
+            root_label: label,
             shards: (0..self.shard_count())
                 .map(|k| {
                     let interval = self.shard_interval(k);
@@ -548,15 +550,32 @@ impl DurableBackend for ShardedExecutor {
             ));
         }
         let root_id = NodeId::new(state.root_id);
-        let root_label = NodeLabel::parse_compact(root_id, &state.root_label)
-            .ok_or_else(|| Error::store("malformed checkpoint root label"))?;
-        let mut shards = Vec::with_capacity(state.shards.len());
+        let mut r = Reader::new(&state.root_label);
+        let root_label = decode_label(&mut r, root_id)
+            .and_then(|label| r.finish().map(|()| label))
+            .map_err(|e| corrupt("root label", e))?;
+        if state.shards.is_empty() {
+            return Err(Error::store("sharded checkpoint without shards"));
+        }
+        // Each image is sound on its own; what the session assumes across
+        // them is checked here: chained intervals, one shared root, and
+        // every other node in exactly one shard.
+        let mut shards: Vec<(ExecutorCore, LabelInterval)> = Vec::new();
+        let mut seen = HashSet::new();
         for snap in &state.shards {
-            let interval = LabelInterval::new(
-                OrderKey::from_digits(snap.interval_lo.clone()),
-                OrderKey::from_digits(snap.interval_hi.clone()),
-            );
-            shards.push((core_from_snapshot(snap)?, interval));
+            let lo = OrderKey::from_digits(snap.interval_lo.clone());
+            let hi = OrderKey::from_digits(snap.interval_hi.clone());
+            if lo >= hi || shards.last().is_some_and(|(_, prev)| prev.hi() > &lo) {
+                return Err(Error::store("shard intervals out of order"));
+            }
+            let core = core_from_snapshot(snap)?;
+            if core.document().root() != Some(root_id) {
+                return Err(Error::store(format!("shard image not rooted at node {root_id}")));
+            }
+            if !core.document().node_ids().filter(|&id| id != root_id).all(|id| seen.insert(id)) {
+                return Err(Error::store("a node is held by two shard images"));
+            }
+            shards.push((core, LabelInterval::new(lo, hi)));
         }
         Ok(ShardedExecutor::from_shards(shards, root_id, root_label, state.version))
     }
@@ -1005,13 +1024,21 @@ impl<B: DurableBackend> Durable<B> {
 
 /// Restores the checkpoint at `base` and replays the WAL records after it, up
 /// to `upto`, through the journaled apply path; every record must land on the
-/// version it claims.
+/// version it claims. Whatever fails on the way — an image or payload that
+/// does not decode, a record that does not apply — is store corruption
+/// (`XPUL-E07`) naming the checkpoint or record version.
 fn recover<B: DurableBackend>(store: &Store, base: u64, upto: u64) -> Result<B> {
+    let failed = |at: String, e: Error| match e {
+        Error::Store(inner) => Error::store(format!("{at}: {}", inner.msg)),
+        other => Error::store(format!("{at}: {other}")),
+    };
     let state = store.load_checkpoint(base)?;
-    let mut backend = B::restore(&state)?;
+    let mut backend = B::restore(&state).map_err(|e| failed(format!("checkpoint v{base}"), e))?;
     backend.front_mut().epoch = state.epoch;
     for record in store.replay_records(base, upto)? {
-        backend.replay(&record.payload)?;
+        backend
+            .replay(&record.payload)
+            .map_err(|e| failed(format!("WAL record v{}", record.version), e))?;
         if backend.current_version() != record.version {
             return Err(Error::store(format!(
                 "WAL replay reached version {} where the record claims {}",
@@ -1276,12 +1303,12 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Appends a well-framed record of a retired kind after `version` and
-    /// asserts that recovery refuses it with `XPUL-E07` — no panic, no
-    /// session, and not one byte of the store changed by the failed open.
-    fn assert_retired_record_refused<B: DurableBackend>(dir: &Path, version: u64, payload: &[u8]) {
+    /// Damages the store with `damage`, then asserts that recovery refuses
+    /// it with `XPUL-E07` — no panic, no session, and not one byte of the
+    /// store changed by the failed open.
+    fn assert_open_refused<B: DurableBackend>(dir: &Path, damage: impl FnOnce(&mut Store)) {
         let mut store = Store::open(dir, StoreOptions::default()).unwrap();
-        store.append(version + 1, payload).unwrap();
+        damage(&mut store);
         drop(store);
         let files = || {
             let mut files: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(dir)
@@ -1298,9 +1325,16 @@ mod tests {
         let before = files();
         let err = Durable::<B>::open(dir, DurableOptions::default())
             .err()
-            .expect("a retired WAL kind must not open");
+            .expect("a damaged store must not open");
         assert_eq!(err.code(), "XPUL-E07", "{err}");
         assert_eq!(files(), before, "the failed open left the store untouched");
+    }
+
+    /// Appends a well-framed record after `version` and asserts that
+    /// recovery refuses it (see [`assert_open_refused`]): a retired kind, a
+    /// payload that does not decode, or a record that does not apply.
+    fn assert_retired_record_refused<B: DurableBackend>(dir: &Path, version: u64, payload: &[u8]) {
+        assert_open_refused::<B>(dir, |store| store.append(version + 1, payload).unwrap());
     }
 
     #[test]
@@ -1336,6 +1370,104 @@ mod tests {
         laned[0] = b'L';
         drop(durable);
         assert_retired_record_refused::<ShardedExecutor>(&dir, 2, &laned);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A store at version 1 (checkpoint at 0, one `D` record), and the
+    /// state a checkpoint at version 1 would freeze.
+    fn store_at_v1(tag: &str) -> (PathBuf, CheckpointState) {
+        let dir = tmp_dir(tag);
+        let mut durable =
+            Durable::create(&dir, Executor::parse(DOC).unwrap(), DurableOptions::default())
+                .unwrap();
+        commit_rename(&mut durable, "b1", "x");
+        let state = durable.checkpoint_state();
+        drop(durable);
+        (dir, state)
+    }
+
+    #[test]
+    fn corrupt_records_and_images_fail_to_open_with_e07() {
+        let session = Executor::parse(DOC).unwrap();
+        let b2 = session.document().find_element("b2").unwrap();
+        let pul = session.pul_from_ops(vec![UpdateOp::rename(b2, "y")]);
+        let mut truncated = CommitRecord::Delta { pul: &pul, preserve_content_ids: true }.encode();
+        truncated.pop();
+        let ghost: Pul = [UpdateOp::rename(999_999u64, "ghost")].into_iter().collect();
+        let records: [(&str, Vec<u8>); 5] = [
+            // well-framed records whose payload does not decode: the XML wire
+            // form the WAL held before, a cut binary PUL, plain garbage
+            ("xml_delta", format!("DP{}", pul::xmlio::pul_to_xml(&pul)).into_bytes()),
+            (
+                "xml_sharded",
+                format!("SP{}", pul::xmlio::puls_to_xml(std::slice::from_ref(&pul))).into_bytes(),
+            ),
+            ("cut_delta", truncated),
+            ("garbage_delta", b"DP\xff\xff\xff\xff".to_vec()),
+            // a well-formed record naming a node the document does not hold
+            (
+                "ghost_target",
+                CommitRecord::Delta { pul: &ghost, preserve_content_ids: true }.encode(),
+            ),
+        ];
+        for (tag, payload) in records {
+            let (dir, _) = store_at_v1(tag);
+            assert_retired_record_refused::<Executor>(&dir, 1, &payload);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+
+        // checkpoints whose image does not decode, sealed with a valid CRC:
+        // a cut image, and the identified XML format 2 stored in its place
+        let (dir, state) = store_at_v1("cut_image");
+        assert_open_refused::<Executor>(&dir, |store| {
+            let mut cut = state.clone();
+            cut.shards[0].image.pop();
+            store.write_checkpoint(&cut).unwrap();
+        });
+        std::fs::remove_dir_all(&dir).unwrap();
+        let (dir, state) = store_at_v1("xml_image");
+        assert_open_refused::<Executor>(&dir, |store| {
+            let mut xml = state.clone();
+            xml.shards[0].image = Executor::parse(DOC).unwrap().serialize_identified().into_bytes();
+            store.write_checkpoint(&xml).unwrap();
+        });
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn format_2_checkpoints_fail_to_open_with_e07() {
+        // A format-2 image of the store's base checkpoint (version 0), laid
+        // out as that format was: identified XML plus compact label strings.
+        let session = Executor::parse(DOC).unwrap();
+        let mut body = b"XCKP".to_vec();
+        body.extend_from_slice(&2u32.to_le_bytes());
+        body.extend_from_slice(&[0; 16]); // version, epoch
+        body.push(0); // not sharded
+        body.extend_from_slice(&[0; 8 + 4]); // root id, empty root label
+        body.extend_from_slice(&1u32.to_le_bytes());
+        let text = |body: &mut Vec<u8>, s: &str| {
+            body.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            body.extend_from_slice(s.as_bytes());
+        };
+        text(&mut body, &session.serialize_identified());
+        let labels: Vec<String> = session
+            .labeling()
+            .iter()
+            .map(|l| format!("{} {}", l.id, l.to_compact_string()))
+            .collect();
+        body.extend_from_slice(&(labels.len() as u32).to_le_bytes());
+        for line in &labels {
+            text(&mut body, line);
+        }
+        body.extend_from_slice(&session.document().next_id().to_le_bytes());
+        body.extend_from_slice(&[0; 8 + 4 + 4]); // shard version, empty interval
+        let crc = pul_store::crc32(&body);
+        body.extend_from_slice(&crc.to_le_bytes());
+
+        let (dir, _) = store_at_v1("format_2");
+        assert_open_refused::<Executor>(&dir, |store| {
+            std::fs::write(store.dir().join("ckpt-000000000000.snap"), &body).unwrap();
+        });
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1543,6 +1675,18 @@ mod tests {
             }
             other => panic!("wrong payload kind: {other:?}"),
         }
+        let bytes = CommitRecord::Epoch { epoch: u64::MAX - 1 }.encode();
+        assert_eq!(bytes.len(), 9, "kind byte plus 8 LE bytes");
+        assert!(
+            matches!(CommitPayload::decode(&bytes).unwrap(), CommitPayload::Epoch(e) if e == u64::MAX - 1)
+        );
+        // payloads in the XML form the WAL held before are corrupt: D and S
+        // records whose PULs are wire XML, and decimal epochs
+        let xml = format!("DP{}", pul::xmlio::pul_to_xml(&pul));
+        assert_eq!(CommitPayload::decode(xml.as_bytes()).unwrap_err().code(), "XPUL-E07");
+        let xml = format!("SF{}", pul::xmlio::puls_to_xml(std::slice::from_ref(&pul)));
+        assert_eq!(CommitPayload::decode(xml.as_bytes()).unwrap_err().code(), "XPUL-E07");
+        assert_eq!(CommitPayload::decode(b"E3").unwrap_err().code(), "XPUL-E07");
         // the retired kinds (`W` whole-document swap, `L` laned sharded
         // commit) decode like any unknown kind
         assert_eq!(CommitPayload::decode(b"W<r xml:id=\"1\"/>").unwrap_err().code(), "XPUL-E07");
