@@ -19,6 +19,11 @@
 //!   are applied directly to the parameter trees that carry those nodes
 //!   (rule D6), using the hash table of Algorithm 2 to locate them in `O(1)`.
 //!
+//! A sequence whose sequential application fails because a PUL addresses a
+//! node an earlier one removed — deleted or replaced it or an ancestor,
+//! replaced the content of an ancestor, or inserted it and removed it again —
+//! is not aggregable either: it fails with the same `NotApplicable` error.
+//!
 //! The only situation not handled — exactly as in the paper, which defers it
 //! to the extended version — is a `repC` in an earlier PUL followed by a child
 //! insertion (`ins↙`/`ins↓`/`ins↘`) on the same node in a later PUL; in that
@@ -38,6 +43,15 @@ struct Slot {
     pul_index: usize,
 }
 
+/// A `del`, `repN` or `repC` of PUL `pul_index` on an original node: the
+/// first two remove their target and everything below it, a `repC` every
+/// node strictly below its target except the target's own attributes.
+struct Removal {
+    target: NodeId,
+    name: OpName,
+    pul_index: usize,
+}
+
 struct Aggregator {
     slots: Vec<Option<Slot>>,
     /// Slots indexed by (original-document) target node.
@@ -45,11 +59,55 @@ struct Aggregator {
     /// For every node carried inside the parameter trees of an aggregated
     /// operation: the slot that owns it (the `new` entries of Algorithm 2).
     new_owner: HashMap<NodeId, usize>,
+    /// Every removal so far, in sequence order.
+    removals: Vec<Removal>,
 }
 
 impl Aggregator {
     fn new() -> Self {
-        Aggregator { slots: Vec::new(), by_target: HashMap::new(), new_owner: HashMap::new() }
+        Aggregator {
+            slots: Vec::new(),
+            by_target: HashMap::new(),
+            new_owner: HashMap::new(),
+            removals: Vec::new(),
+        }
+    }
+
+    /// Checks, before PUL `pul_index` is aggregated, that the node `op`
+    /// targets survived the earlier PULs, and fails with `NotApplicable` —
+    /// the error sequential application raises — when it did not. A node an
+    /// earlier PUL inserted must still sit in its owner's parameter trees; an
+    /// original node must not be, or lie under, a node an earlier PUL deleted
+    /// or replaced, nor lie strictly under an earlier `repC` target.
+    fn check_present(&self, op: &UpdateOp, pul_index: usize, puls: &[Pul]) -> Result<(), PulError> {
+        let target = op.target();
+        let present = match self.new_owner.get(&target) {
+            Some(&owner) => self
+                .op(owner)
+                .and_then(|slot| slot.op.content())
+                .is_some_and(|trees| trees.iter().any(|t| t.contains(target))),
+            None => {
+                let label = puls[pul_index].label(target);
+                !self.removals.iter().any(|removal| {
+                    let removed = puls[removal.pul_index].label(removal.target);
+                    match (removal.name, label, removed) {
+                        (OpName::ReplaceContent, Some(l), Some(r)) => {
+                            l.is_descendant_not_attr_of(r)
+                        }
+                        (OpName::ReplaceContent, ..) => false,
+                        _ if removal.target == target => true,
+                        (_, Some(l), Some(r)) => l.is_descendant_of(r),
+                        _ => false,
+                    }
+                })
+            }
+        };
+        if present {
+            Ok(())
+        } else {
+            let reason = "an earlier PUL of the sequence removed the node".into();
+            Err(PulError::NotApplicable { target, reason })
+        }
     }
 
     fn register_content(&mut self, slot: usize, op: &UpdateOp) {
@@ -81,7 +139,7 @@ impl Aggregator {
     /// but across sequential PULs.
     fn drop_overridden(&mut self, op: &UpdateOp, pul_index: usize, puls: &[Pul]) {
         let target = op.target();
-        let target_label = puls.iter().find_map(|p| p.label(target));
+        let target_label = puls[pul_index].label(target);
         for idx in 0..self.slots.len() {
             let Some(slot) = &self.slots[idx] else { continue };
             if slot.pul_index >= pul_index {
@@ -91,7 +149,7 @@ impl Aggregator {
             let dropped = if earlier.target() == target {
                 local_override(op, earlier)
             } else {
-                match (target_label, puls.iter().find_map(|p| p.label(earlier.target()))) {
+                match (target_label, puls[slot.pul_index].label(earlier.target())) {
                     (Some(tl), Some(el)) => non_local_override(op, tl, earlier, el),
                     _ => false,
                 }
@@ -119,18 +177,17 @@ impl Aggregator {
     }
 }
 
-/// Applies `op` (from PUL `pul_index`) to the parameter tree of the aggregated
-/// operation in `owner_slot` that contains its target (rule D6).
+/// Applies `op` to the parameter tree of the aggregated operation in
+/// `owner_slot` that contains its target (rule D6).
 fn apply_to_owned_tree(
     agg: &mut Aggregator,
     owner_slot: usize,
     op: &UpdateOp,
-    pul_index: usize,
 ) -> Result<(), PulError> {
     let target = op.target();
     let Some(slot) = agg.slots[owner_slot].as_mut() else {
-        // The owning operation has been dropped (overridden): the dependent
-        // operation has no effect in the aggregate.
+        // The node was there when this PUL started (`check_present`), so an
+        // operation of this same PUL overrode its owner: the removal wins.
         return Ok(());
     };
     let Some(content) = slot.op.content_mut() else { return Ok(()) };
@@ -170,7 +227,6 @@ fn apply_to_owned_tree(
     }
     let owner_op = agg.slots[owner_slot].as_ref().expect("still present").op.clone();
     agg.register_content(owner_slot, &owner_op);
-    let _ = pul_index;
     Ok(())
 }
 
@@ -183,10 +239,13 @@ pub fn aggregate(puls: &[Pul]) -> Result<Pul, PulError> {
     let mut agg = Aggregator::new();
     for (k, pul) in puls.iter().enumerate() {
         for op in pul.ops() {
+            agg.check_present(op, k, puls)?;
+        }
+        for op in pul.ops() {
             let target = op.target();
             // ---- rule D6: the target is a node inserted by a previous PUL --
             if let Some(&owner) = agg.new_owner.get(&target) {
-                apply_to_owned_tree(&mut agg, owner, op, k)?;
+                apply_to_owned_tree(&mut agg, owner, op)?;
                 continue;
             }
             // ---- the target is an original document node --------------------
@@ -278,6 +337,9 @@ pub fn aggregate(puls: &[Pul]) -> Result<Pul, PulError> {
             // descendant operations.
             if op.name() == OpName::ReplaceContent {
                 agg.drop_overridden(op, k, puls);
+            }
+            if matches!(op.name(), OpName::Delete | OpName::ReplaceNode | OpName::ReplaceContent) {
+                agg.removals.push(Removal { target, name: op.name(), pul_index: k });
             }
         }
     }
@@ -600,6 +662,68 @@ mod tests {
         let p2 =
             Pul::from_ops(vec![UpdateOp::ins_last(articles, vec![Tree::element("x")])], &labels);
         assert!(matches!(aggregate_pair(&p1, &p2), Err(PulError::Dynamic(_))));
+    }
+
+    /// Applying `puls` in sequence fails at the last one with
+    /// `NotApplicable`, and so does aggregating them.
+    fn assert_not_aggregable(doc: &Document, puls: &[Pul]) {
+        let (last, earlier) = puls.split_last().expect("a sequence");
+        let mut sequential = doc.clone();
+        for p in earlier {
+            apply_pul(&mut sequential, p, &ApplyOptions::producer()).unwrap();
+        }
+        let applied = apply_pul(&mut sequential, last, &ApplyOptions::producer());
+        assert!(matches!(applied, Err(PulError::NotApplicable { .. })), "{applied:?}");
+        let aggregated = aggregate(puls);
+        assert!(matches!(aggregated, Err(PulError::NotApplicable { .. })), "{aggregated:?}");
+    }
+
+    #[test]
+    fn targets_an_earlier_pul_deleted_or_replaced_are_not_applicable() {
+        let (doc, labels) = fixture();
+        let articles = doc.find_element("articles").unwrap();
+        let old = doc.find_element("old").unwrap();
+        let note = doc.find_element("note").unwrap();
+        let del = |id| Pul::from_ops(vec![UpdateOp::delete(id)], &labels);
+        let ren = |id| Pul::from_ops(vec![UpdateOp::rename(id, "x")], &labels);
+        // the node itself, and a node under it
+        assert_not_aggregable(&doc, &[del(note), ren(note)]);
+        assert_not_aggregable(&doc, &[del(articles), ren(old)]);
+        let repn = Pul::from_ops(vec![UpdateOp::replace_node(articles, vec![])], &labels);
+        assert_not_aggregable(&doc, &[repn, ren(old)]);
+        // within one PUL a deletion and an edit of the same node are fine
+        let both =
+            Pul::from_ops(vec![UpdateOp::delete(note), UpdateOp::rename(note, "x")], &labels);
+        assert_aggregation_matches_sequential(&doc, &[both]);
+    }
+
+    #[test]
+    fn targets_strictly_under_an_earlier_repc_are_not_applicable() {
+        let (doc, labels) = fixture();
+        let articles = doc.find_element("articles").unwrap();
+        let old = doc.find_element("old").unwrap();
+        let repc =
+            Pul::from_ops(vec![UpdateOp::replace_content(articles, Some("t".into()))], &labels);
+        let ren_old = Pul::from_ops(vec![UpdateOp::rename(old, "x")], &labels);
+        assert_not_aggregable(&doc, &[repc.clone(), ren_old]);
+        // the repC target itself survives
+        let ren_articles = Pul::from_ops(vec![UpdateOp::rename(articles, "list")], &labels);
+        assert_aggregation_matches_sequential(&doc, &[repc, ren_articles]);
+    }
+
+    #[test]
+    fn d6_on_removed_inserted_content_is_not_applicable() {
+        let (doc, labels) = fixture();
+        let articles = doc.find_element("articles").unwrap();
+        let tree = parse_fragment_with_first_id("<article><title>t</title></article>", 50).unwrap();
+        let insert = Pul::from_ops(vec![UpdateOp::ins_last(articles, vec![tree])], &labels);
+        let ren_title = Pul::from_ops(vec![UpdateOp::rename(51u64, "heading")], &labels);
+        // the inserted tree was removed again (rule D6 on a removed tree)
+        let del_root = Pul::from_ops(vec![UpdateOp::delete(50u64)], &labels);
+        assert_not_aggregable(&doc, &[insert.clone(), del_root, ren_title.clone()]);
+        // its owner was overridden (rule D6 on a dropped owner)
+        let del_articles = Pul::from_ops(vec![UpdateOp::delete(articles)], &labels);
+        assert_not_aggregable(&doc, &[insert, del_articles, ren_title]);
     }
 
     #[test]

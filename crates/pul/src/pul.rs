@@ -210,9 +210,7 @@ impl Pul {
     /// N-way `mergeUpdates` (Def. 5 folded over a batch): the union of every
     /// PUL in the slice, with ops in slice order and one compatibility check
     /// over the final union — a single pass instead of the quadratic clone
-    /// chain that folding [`merge`](Pul::merge) pairwise would cost. Used by
-    /// the ingestion pipeline to validate that a coalesced batch of
-    /// independent PULs really is one well-formed PUL.
+    /// chain that folding [`merge`](Pul::merge) pairwise would cost.
     pub fn merge_all<'a>(puls: impl IntoIterator<Item = &'a Pul>) -> Result<Pul> {
         let mut merged = Pul::new();
         for pul in puls {

@@ -39,9 +39,10 @@ pub mod site {
     pub const SINK_COMMIT: &str = "sink.commit";
     /// Before each shard applies its sub-PUL in the two-phase commit.
     pub const SHARD_APPLY: &str = "shard.apply";
-    /// In the ingest pipeline, before a coalesced round is admitted.
+    /// In the ingest pipeline, before a drained batch is admitted.
     pub const INGEST_PREPARE: &str = "ingest.prepare";
-    /// In the ingest pipeline, before a round is resolved and committed.
+    /// In the ingest pipeline, before a batch (or a member retried alone) is
+    /// admitted, resolved and committed.
     pub const INGEST_COMMIT: &str = "ingest.commit";
 
     /// Every site, for randomized plan generation.

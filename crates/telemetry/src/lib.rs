@@ -350,8 +350,8 @@ registry! {
         rollbacks: "Journal rewinds: failed commits, transaction rollbacks, WAL truncates.",
         snapshot_hits: "MVCC snapshot cache probes served from the cache.",
         snapshot_misses: "MVCC snapshot cache probes that had to freeze or replay.",
-        rounds_coalesced: "Ingest rounds committed as one merged multi-submission PUL.",
-        rounds_serialized: "Ingest rounds committed as a single submission.",
+        rounds_coalesced: "Ingest batches of two or more submissions, committed as one aggregate.",
+        rounds_serialized: "Ingest batches of a single submission.",
         tickets_committed: "Ingest tickets completed with a committed version.",
         tickets_failed: "Ingest tickets completed with an error (conflicts, faults, overload).",
         tickets_shed: "Submissions shed at the admission bound (XPUL-E08).",

@@ -80,7 +80,7 @@ use xlabel::{LabelInterval, OrderKey};
 use crate::error::{Error, Result};
 use crate::executor::{Executor, ExecutorCore, SubmissionId};
 use crate::front::Session;
-use crate::ingest::{BatchCommit, IngestBackend};
+use crate::ingest::IngestBackend;
 use crate::shard::{ShardedExecutor, ShardedResolution};
 use crate::snapshot::{Snapshot, SnapshotCache};
 
@@ -930,7 +930,7 @@ impl<B: DurableBackend> Durable<B> {
     /// sessions.
     pub fn commit_durable(&mut self) -> Result<u64> {
         let resolution = self.backend.resolve_pending()?;
-        let version = self.backend.commit_pending(resolution)?.version;
+        let version = self.backend.commit_pending(resolution)?;
         // The commit's WAL record is durable at this point: a compaction or
         // checkpoint failure must not fail the commit (a caller retrying it
         // would re-apply an applied round). Degradation surfaces on the
@@ -1073,31 +1073,32 @@ impl<B: DurableBackend + fmt::Debug> fmt::Debug for Durable<B> {
 }
 
 /// The ingestion pipeline runs over a durable backend unchanged: one WAL
-/// record per committed round (the backend's sink fires inside
-/// `commit_pending`), with the checkpoint triggers evaluated between rounds.
+/// record and one sync per committed batch (the backend's sink fires inside
+/// `commit_pending`), with the checkpoint triggers evaluated between batches.
 impl<B: DurableBackend> IngestBackend for Durable<B> {
     type Resolution = B::Resolution;
 
-    fn admit(&mut self, pul: Pul, policy: pul_core::Policy) -> SubmissionId {
-        self.backend.admit(pul, policy)
+    fn admit(&mut self, batch: &[&Pul]) -> Result<SubmissionId> {
+        self.backend.admit(batch)
     }
 
     fn resolve_pending(&self) -> Result<B::Resolution> {
         self.backend.resolve_pending()
     }
 
-    fn commit_pending(&mut self, resolution: B::Resolution) -> Result<BatchCommit> {
-        let commit = self.backend.commit_pending(resolution)?;
-        // The round is durably committed: a checkpoint failure here must not
+    fn commit_pending(&mut self, resolution: B::Resolution) -> Result<u64> {
+        let version = self.backend.commit_pending(resolution)?;
+        // The batch is durably committed: a checkpoint failure here must not
         // fail it, or the ingest pipeline would retry (and re-apply) an
-        // already-applied round. Degradation surfaces on the next round.
-        // Compaction does NOT run here — a single flush can carry several
-        // dependent rounds, and renumbering between them would silently
-        // re-target the later rounds' identifiers. The pipeline calls
+        // already-applied batch. Degradation surfaces on the next batch.
+        // Compaction does NOT run here — the submissions still queued, and
+        // the members of a failed batch retried one by one, were minted
+        // against the current numbering, and renumbering under them would
+        // silently re-target their identifiers. The pipeline calls
         // `maintain` at its quiescent boundaries instead.
         let checkpointed = self.checkpoint_if_due();
         self.note_maintenance(checkpointed);
-        Ok(commit)
+        Ok(version)
     }
 
     fn snapshot_view(&self) -> Snapshot {
@@ -1119,10 +1120,6 @@ impl<B: DurableBackend> IngestBackend for Durable<B> {
 
     fn current_version(&self) -> u64 {
         self.backend.current_version()
-    }
-
-    fn default_policy(&self) -> pul_core::Policy {
-        self.backend.default_policy()
     }
 }
 

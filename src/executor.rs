@@ -31,7 +31,6 @@ use xlabel::Labeling;
 use crate::durable::CommitRecord;
 use crate::error::Result;
 use crate::front::{self, Front, Session, Submission};
-use crate::ingest::BatchCommit;
 use crate::resolution::Resolution;
 use crate::snapshot::Snapshot;
 use crate::transaction::Transaction;
@@ -761,9 +760,8 @@ impl Session for Executor {
         self.resolve()
     }
 
-    fn session_commit(&mut self, resolution: Resolution) -> Result<BatchCommit> {
-        let report = self.commit_resolution(resolution)?;
-        Ok(BatchCommit { version: report.version, conflicts: report.conflicts })
+    fn session_commit(&mut self, resolution: Resolution) -> Result<u64> {
+        self.commit_resolution(resolution).map(|report| report.version)
     }
 }
 

@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use pul::Pul;
-use pul_core::Policy;
+use pul_core::{aggregate, Policy};
 use pul_telemetry::{EventKind, Telemetry};
 use xdm::SharedDocument;
 use xlabel::Labeling;
@@ -28,7 +28,7 @@ use xlabel::Labeling;
 use crate::durable::{CommitRecord, SinkSlot};
 use crate::error::{Error, Result};
 use crate::executor::{CompactionReport, ReductionStrategy, SessionSlabStats, SubmissionId};
-use crate::ingest::{BatchCommit, IngestBackend};
+use crate::ingest::IngestBackend;
 use crate::snapshot::{Snapshot, SnapshotCache};
 
 /// One producer PUL waiting in a session, with the policy its producer
@@ -87,6 +87,23 @@ impl Front {
         self.next_submission += 1;
         self.submissions.push(Submission { id, pul, policy, epoch: self.epoch });
         id
+    }
+
+    /// Admits a sequence of PULs, in order, as one submission under the
+    /// default policy: a lone PUL as is, a longer sequence as the aggregation
+    /// (Def. 13) of its members, each first reduced with the session
+    /// strategy as its own commit would reduce it (the ingest module
+    /// documentation shows why the reduction cannot wait). Fails, admitting
+    /// nothing, when aggregation refuses the sequence.
+    pub(crate) fn submit_batch(&mut self, batch: &[&Pul]) -> Result<SubmissionId> {
+        let pul = match batch {
+            [one] => (*one).clone(),
+            members => {
+                let reduced: Vec<Pul> = members.iter().map(|p| self.strategy.reduce(p)).collect();
+                aggregate(&reduced)?
+            }
+        };
+        Ok(self.submit(pul, self.default_policy))
     }
 
     /// Decodes a PUL received in the XML exchange format (§4) and submits it
@@ -196,8 +213,8 @@ pub trait Session: Send + 'static {
     fn session_snapshot(&self) -> Snapshot;
     /// `resolve()`: reasons on every pending submission.
     fn session_resolve(&self) -> Result<Self::Resolved>;
-    /// `commit_resolution()`, summarized for the ingest pipeline.
-    fn session_commit(&mut self, resolution: Self::Resolved) -> Result<BatchCommit>;
+    /// `commit_resolution()`: the version the commit produced.
+    fn session_commit(&mut self, resolution: Self::Resolved) -> Result<u64>;
 }
 
 /// The compaction protocol of every session. `prepare` does the fallible
@@ -223,21 +240,21 @@ pub(crate) fn compact<S: Session, P>(
     Ok(CompactionReport { epoch, version, before, after: session.session_slab_stats() })
 }
 
-/// The ingestion pipeline drives every session through the same verbs:
-/// admitted PULs enter the pending book, and the resolve and commit are the
-/// session's own.
+/// The ingestion pipeline drives every session through the same verbs: an
+/// admitted batch enters the pending book as one submission, and the resolve
+/// and commit are the session's own.
 impl<S: Session> IngestBackend for S {
     type Resolution = S::Resolved;
 
-    fn admit(&mut self, pul: Pul, policy: Policy) -> SubmissionId {
-        self.front_mut().submit(pul, policy)
+    fn admit(&mut self, batch: &[&Pul]) -> Result<SubmissionId> {
+        self.front_mut().submit_batch(batch)
     }
 
     fn resolve_pending(&self) -> Result<S::Resolved> {
         self.session_resolve()
     }
 
-    fn commit_pending(&mut self, resolution: S::Resolved) -> Result<BatchCommit> {
+    fn commit_pending(&mut self, resolution: S::Resolved) -> Result<u64> {
         self.session_commit(resolution)
     }
 
@@ -251,9 +268,5 @@ impl<S: Session> IngestBackend for S {
 
     fn current_version(&self) -> u64 {
         self.session_version()
-    }
-
-    fn default_policy(&self) -> Policy {
-        self.front().default_policy
     }
 }

@@ -8,39 +8,43 @@
 //!
 //! ```text
 //!  writers ──enqueue()──▶ ┌──────────── IngestQueue ─────────────┐
-//!  (PULs, wire XML,       │ queue ─▶ pipeline thread: drain,     │
-//!   many threads)         │          coalesce into rounds, then  │──▶ Document'
-//!    ◀──Ticket────        │          admit, resolve and commit   │
-//!                         │          each round (backend)        │
+//!  (PULs, wire XML,       │ queue ─▶ pipeline thread: drain a    │
+//!   many threads)         │          batch, aggregate it into    │──▶ Document'
+//!    ◀──Ticket────        │          one PUL, admit, resolve     │
+//!                         │          and commit it (backend)     │
 //!                         └──────────────────────────────────────┘
 //! ```
 //!
 //! * **Batching.** `enqueue` returns immediately with a [`Ticket`] — a
-//!   completion handle that later yields the committed version and the
-//!   submission's conflict report, or the error that failed it. The pipeline
-//!   thread drains the queue when it reaches a size threshold or when a tick
-//!   elapses since the window opened, whichever comes first ([`IngestConfig`]).
+//!   completion handle that later yields the committed version, or the error
+//!   that failed the submission. The pipeline thread drains the queue when it
+//!   reaches a size threshold or when a tick elapses since the window opened,
+//!   whichever comes first ([`IngestConfig`]).
 //!
-//! * **Coalescing.** A drained batch is partitioned into *rounds*: queued
-//!   PULs whose **target label intervals** are pairwise disjoint (and whose
-//!   sibling-gap slots do not collide — see the footprint machinery below)
-//!   are independent in the sense of the Table-1 predicates, so they are
-//!   merged into a single resolution and committed together; a PUL
-//!   overlapping an earlier one is serialized into a later round, preserving
-//!   enqueue order wherever order can be observed. This is the commutativity
-//!   condition of query/update independence, decided dynamically on the
-//!   labels the PULs already carry — no document access.
+//! * **One batch, one aggregate, one commit.** A drained batch is a sequence
+//!   of PULs in enqueue order, and the paper has the operator for exactly
+//!   that: aggregation (Def. 13), substitutable for applying the members one
+//!   after another (Prop. 4). The pipeline thread admits the batch as **one
+//!   submission** — a lone member as is, a longer batch as the aggregate of
+//!   its members — then resolves and commits it once: one journal scope and,
+//!   durably, one WAL record and one sync per batch. One submission never
+//!   conflicts (integration pairs operations of *different* PULs), so no
+//!   policy is consulted.
 //!
-//! * **One thread.** Draining, coalescing and committing run on a single
-//!   pipeline thread, one round after the other: each round is resolved
-//!   against, and committed at, exactly one version, and a commit failure
-//!   replays only that round's own journal scopes. Reduction runs once,
-//!   inside the backend's resolve, as for any directly submitted PUL.
+//! * **Per-member reduction.** Each member is reduced with the session
+//!   strategy before it is aggregated, as its own commit would reduce it,
+//!   because reduction does not commute with aggregation: after
+//!   `{ins↓(v, a), ins↘(v, b)}`, a second member's `{ins↓(v, c)}` puts `c`
+//!   first when the two commit in turn (a lone `ins↓` reduces to `ins↙`),
+//!   whereas reducing their raw aggregate folds `c` into the `ins↘` by rule
+//!   I7, behind `v`'s existing children.
 //!
-//! * **Failure isolation.** A failing round first rewinds bit-identically
-//!   (the PR 3 journal), then its members are retried *individually* in
+//! * **Failure isolation.** When aggregation refuses the batch (a member is
+//!   not applicable after its predecessors, e.g. it targets a node an earlier
+//!   member deleted) or its commit fails — after the journal has rewound the
+//!   document bit-identically — the members are retried *individually* in
 //!   enqueue order, so only the tickets of the genuinely failing submissions
-//!   report an error — batched ingestion fails exactly the submissions a
+//!   report an error: batched ingestion fails exactly the submissions a
 //!   sequential executor would have failed.
 //!
 //! The queue is backend-generic over [`IngestBackend`], implemented by both
@@ -51,12 +55,9 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use pul::{OpName, Pul};
-use pul_core::{Conflict, Policy};
+use pul::Pul;
 use pul_store::{site, FaultKind, Faults};
 use pul_telemetry::{EventKind, Telemetry};
-use xdm::NodeId;
-use xlabel::LabelInterval;
 
 use crate::error::{Error, Result};
 use crate::SubmissionId;
@@ -64,17 +65,6 @@ use crate::SubmissionId;
 // ---------------------------------------------------------------------------
 // backend abstraction
 // ---------------------------------------------------------------------------
-
-/// Unified summary of one batched commit, whatever the backend.
-#[derive(Debug, Clone)]
-pub struct BatchCommit {
-    /// The backend version produced by the commit.
-    pub version: u64,
-    /// The conflicts detected (and solved) while resolving the batch.
-    /// [`OpRef::pul`](pul_core::OpRef) indexes the batch's submissions in
-    /// admission order.
-    pub conflicts: Vec<Conflict>,
-}
 
 /// The resolve + commit surface the ingestion pipeline drives. Both sessions,
 /// [`Executor`](crate::Executor) and [`ShardedExecutor`](crate::ShardedExecutor),
@@ -89,25 +79,30 @@ pub trait IngestBackend: Send + 'static {
     /// [`ShardedResolution`](crate::ShardedResolution)).
     type Resolution: Send;
 
-    /// Admits one producer PUL with its policy.
-    fn admit(&mut self, pul: Pul, policy: Policy) -> SubmissionId;
+    /// Admits a drained batch, in enqueue order, as one submission under the
+    /// backend's default policy: a lone PUL as is, a longer batch as the
+    /// aggregation (Def. 13) of its members, each first reduced with the
+    /// backend's strategy. Fails, admitting nothing, when aggregation refuses
+    /// the sequence.
+    fn admit(&mut self, batch: &[&Pul]) -> Result<SubmissionId>;
 
     /// Reduces and reasons on every pending submission without touching the
     /// document.
     fn resolve_pending(&self) -> Result<Self::Resolution>;
 
-    /// Atomically applies a resolution, consuming the submissions it covers.
-    /// On failure the backend state is exactly as before the call (journal
-    /// replay), with the submissions still pending.
-    fn commit_pending(&mut self, resolution: Self::Resolution) -> Result<BatchCommit>;
+    /// Atomically applies a resolution, consuming the submissions it covers,
+    /// and returns the version it produced. On failure the backend state is
+    /// exactly as before the call (journal replay), with the submissions
+    /// still pending.
+    fn commit_pending(&mut self, resolution: Self::Resolution) -> Result<u64>;
 
     /// Pins the backend's current version into an MVCC
     /// [`Snapshot`](crate::Snapshot) (the backend's own `snapshot()`, memoized
     /// per `(version, epoch)`), for the pipeline to publish to readers between
-    /// rounds.
+    /// batches.
     fn snapshot_view(&self) -> crate::Snapshot;
 
-    /// Drops a pending submission (after a failed commit, so later rounds do
+    /// Drops a pending submission (after a failed commit, so later batches do
     /// not resurrect it).
     fn discard(&mut self, id: SubmissionId);
 
@@ -115,15 +110,12 @@ pub trait IngestBackend: Send + 'static {
     /// compaction.
     fn current_version(&self) -> u64;
 
-    /// The policy assumed for submissions that do not carry their own.
-    fn default_policy(&self) -> Policy;
-
     /// Background maintenance, invoked by the pipeline only at a *quiescent*
     /// boundary: nothing queued, nothing drained, nothing in flight. This is
     /// the sole point where maintenance that renumbers node identifiers
     /// (slab compaction) may run — anywhere else it would silently re-target
     /// PULs already inside the pipeline that were minted against the old
-    /// numbering. Errors are the backend's to surface on a later round.
+    /// numbering. Errors are the backend's to surface on a later batch.
     fn maintain(&mut self) {}
 }
 
@@ -134,12 +126,10 @@ pub trait IngestBackend: Send + 'static {
 /// What a successfully committed submission reports back to its producer.
 #[derive(Debug, Clone)]
 pub struct TicketOutcome {
-    /// The backend version whose commit included this submission. Coalesced
-    /// submissions share a version; serialized ones get successive versions.
+    /// The backend version whose commit included this submission. The
+    /// members of one batch share a version; a member retried alone after
+    /// its batch failed gets a version of its own.
     pub version: u64,
-    /// The conflicts this submission was involved in (all solved under the
-    /// producer policies, or the ticket would have failed instead).
-    pub conflicts: Vec<Conflict>,
 }
 
 #[derive(Debug)]
@@ -149,9 +139,8 @@ struct TicketShared {
 }
 
 /// The completion handle returned by [`IngestQueue::enqueue`]: it resolves to
-/// the committed version and per-submission conflict report, or to the error
-/// that failed the submission. Dropping a ticket is fine — the submission
-/// still commits.
+/// the committed version, or to the error that failed the submission.
+/// Dropping a ticket is fine — the submission still commits.
 #[derive(Debug, Clone)]
 pub struct Ticket {
     shared: Arc<TicketShared>,
@@ -217,121 +206,6 @@ impl Drop for TicketCompleter {
 }
 
 // ---------------------------------------------------------------------------
-// independence footprints
-// ---------------------------------------------------------------------------
-
-/// A sibling-gap slot an operation may insert into (or vacate): a position in
-/// the child list of `parent`. Two operations on *disjoint* subtrees can
-/// still interact through a gap they share — the sibling-gap reduction rules
-/// (I18/IR19/IR20) pair an `ins→` on one subtree with an `ins←` on the next —
-/// so a footprint records the slots its operations touch in addition to the
-/// interval hull. Slots are canonical: inserting after the last child and
-/// inserting "as last into" the parent name the same [`GapSlot::End`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GapSlot {
-    /// Before the first child of the parent.
-    Start(NodeId),
-    /// Immediately after a given (non-last) child of the parent.
-    After(NodeId, NodeId),
-    /// After the last child of the parent.
-    End(NodeId),
-    /// Anywhere in the parent's child list (`ins↓`, position
-    /// implementation-defined until reduction pins it down).
-    Any(NodeId),
-}
-
-impl GapSlot {
-    fn parent(self) -> NodeId {
-        match self {
-            GapSlot::Start(p) | GapSlot::After(p, _) | GapSlot::End(p) | GapSlot::Any(p) => p,
-        }
-    }
-
-    fn collides(self, other: GapSlot) -> bool {
-        match (self, other) {
-            (GapSlot::Any(_), _) | (_, GapSlot::Any(_)) => self.parent() == other.parent(),
-            _ => self == other,
-        }
-    }
-}
-
-/// The independence footprint of one queued PUL: the convex hull of its
-/// target intervals plus the sibling-gap slots its operations touch. `None`
-/// when the PUL carries an operation whose target has no label (a node only
-/// its own content introduces, or an unlabeled producer op) — such a PUL is
-/// *opaque* and serializes against everything.
-#[derive(Debug, Clone)]
-struct Footprint {
-    hull: LabelInterval,
-    gaps: Vec<GapSlot>,
-}
-
-impl Footprint {
-    /// Computes the footprint, or `None` for an opaque PUL.
-    fn of(pul: &Pul) -> Option<Footprint> {
-        let mut labels = Vec::with_capacity(pul.len());
-        let mut gaps = Vec::new();
-        for op in pul.ops() {
-            let label = pul.label(op.target())?;
-            labels.push(label);
-            match op.name() {
-                OpName::InsBefore => gaps.push(if label.is_first_child {
-                    GapSlot::Start(label.parent?)
-                } else {
-                    GapSlot::After(label.parent?, label.left_sibling?)
-                }),
-                OpName::InsAfter => gaps.push(if label.is_last_child {
-                    GapSlot::End(label.parent?)
-                } else {
-                    GapSlot::After(label.parent?, label.id)
-                }),
-                OpName::InsFirst => gaps.push(GapSlot::Start(label.id)),
-                OpName::InsLast => gaps.push(GapSlot::End(label.id)),
-                OpName::InsInto => gaps.push(GapSlot::Any(label.id)),
-                OpName::Delete | OpName::ReplaceNode => {
-                    // Removing (or replacing) a child merges the two gaps
-                    // flanking it: any other PUL inserting into either gap
-                    // must be ordered against this one. Attributes live
-                    // outside the sibling order — deleting one touches no
-                    // gap (and its label carries no sibling metadata, so
-                    // falling through would misclassify the PUL as opaque).
-                    if label.kind != xdm::NodeKind::Attribute {
-                        if let Some(parent) = label.parent {
-                            gaps.push(if label.is_first_child {
-                                GapSlot::Start(parent)
-                            } else {
-                                GapSlot::After(parent, label.left_sibling?)
-                            });
-                            gaps.push(if label.is_last_child {
-                                GapSlot::End(parent)
-                            } else {
-                                GapSlot::After(parent, label.id)
-                            });
-                        }
-                    }
-                }
-                OpName::InsAttributes
-                | OpName::ReplaceValue
-                | OpName::ReplaceContent
-                | OpName::Rename => {}
-            }
-        }
-        let hull = LabelInterval::hull(labels)?;
-        Some(Footprint { hull, gaps })
-    }
-
-    /// Whether two footprints may interact: interval hulls overlap (covering
-    /// shared targets and every ancestor/descendant relation), or a
-    /// sibling-gap slot collides.
-    fn overlaps(&self, other: &Footprint) -> bool {
-        if !self.hull.is_disjoint_from(&other.hull) {
-            return true;
-        }
-        self.gaps.iter().any(|&a| other.gaps.iter().any(|&b| a.collides(b)))
-    }
-}
-
-// ---------------------------------------------------------------------------
 // queue plumbing
 // ---------------------------------------------------------------------------
 
@@ -339,7 +213,7 @@ impl Footprint {
 #[derive(Debug, Clone)]
 pub struct IngestConfig {
     /// Drain as soon as this many submissions are queued — and cap every
-    /// drained batch (hence every coalesced commit) at this size; a backlog
+    /// drained batch (hence every aggregated commit) at this size; a backlog
     /// beyond it drains as successive batches without waiting for a tick.
     pub flush_threshold: usize,
     /// Drain whatever is queued once this much time has passed since the
@@ -351,16 +225,16 @@ pub struct IngestConfig {
     /// instead of blocking.
     pub capacity: usize,
     /// Failpoints the pipeline consults: [`site::INGEST_PREPARE`] before each
-    /// round and [`site::INGEST_COMMIT`] before each commit attempt. Disabled
+    /// batch and [`site::INGEST_COMMIT`] before each commit attempt. Disabled
     /// by default — a single branch per check.
     pub faults: Faults,
-    /// Publish an MVCC snapshot of the backend after every committed round,
+    /// Publish an MVCC snapshot of the backend after every committed batch,
     /// readable through [`IngestQueue::latest_snapshot`] without stopping
-    /// the pipeline. Default false — pinning a snapshot keeps the round's
+    /// the pipeline. Default false — pinning a snapshot keeps the batch's
     /// whole arena alive until readers drop it.
     pub publish_snapshots: bool,
     /// Telemetry handle shared by the queue façade and the pipeline thread:
-    /// queue depth, enqueue-block and per-ticket latencies, coalescing and
+    /// queue depth, enqueue-block and per-ticket latencies, batch and
     /// shedding counters, and shed/expired events. Disabled by default — a
     /// single branch per probe.
     pub telemetry: Telemetry,
@@ -382,7 +256,6 @@ impl Default for IngestConfig {
 /// One entry waiting in the queue.
 struct QueuedEntry {
     pul: Pul,
-    policy: Policy,
     /// Absolute deadline: the entry fails with `XPUL-E08` instead of
     /// committing once this instant passes (checked at drain and again at
     /// commit). `None` means no deadline.
@@ -413,20 +286,19 @@ struct Shared {
     enqueued: Condvar,
     /// Signaled when in-flight work completes — wakes `flush`.
     settled: Condvar,
-    /// The snapshot of the most recently committed round, published by the
+    /// The snapshot of the most recently committed batch, published by the
     /// pipeline when [`IngestConfig::publish_snapshots`] is on. Readers
     /// clone it out (a reference-count bump) while commits proceed.
     latest_snapshot: Mutex<Option<crate::Snapshot>>,
 }
 
-/// A batched, coalescing submission queue in front of an [`IngestBackend`].
+/// A batched, aggregating submission queue in front of an [`IngestBackend`].
 /// See the module documentation for the architecture.
 ///
 /// The queue is `Sync`: writers on any number of threads share one
 /// `&IngestQueue` and call [`enqueue`](IngestQueue::enqueue) concurrently.
 pub struct IngestQueue<B: IngestBackend> {
     shared: Arc<Shared>,
-    default_policy: Policy,
     capacity: usize,
     /// Clone of [`IngestConfig::telemetry`] for the enqueue façade (queue
     /// depth, block latency, shed accounting).
@@ -442,7 +314,6 @@ impl<B: IngestBackend> IngestQueue<B> {
 
     /// Spawns the pipeline over `backend` with an explicit flush policy.
     pub fn with_config(backend: B, config: IngestConfig) -> Self {
-        let default_policy = backend.default_policy();
         let capacity = config.capacity.max(1);
         let telemetry = config.telemetry.clone();
         let shared = Arc::new(Shared {
@@ -464,51 +335,33 @@ impl<B: IngestBackend> IngestQueue<B> {
                 .spawn(move || pipeline_loop(&shared, backend, &config))
                 .expect("spawn ingest pipeline")
         };
-        IngestQueue { shared, default_policy, capacity, telemetry, pipeline: Some(pipeline) }
+        IngestQueue { shared, capacity, telemetry, pipeline: Some(pipeline) }
     }
 
-    /// Enqueues a producer PUL under the backend's default policy, returning
-    /// its completion ticket. Blocks while the queue is at
-    /// [`capacity`](IngestConfig::capacity); fails with `XPUL-E06` once the
-    /// queue is closed.
+    /// Enqueues a producer PUL, returning its completion ticket. Blocks while
+    /// the queue is at [`capacity`](IngestConfig::capacity); fails with
+    /// `XPUL-E06` once the queue is closed.
     pub fn enqueue(&self, pul: Pul) -> Result<Ticket> {
-        self.enqueue_with_policy(pul, self.default_policy)
-    }
-
-    /// Enqueues a producer PUL with an explicit producer policy (blocking at
-    /// capacity, like [`enqueue`](IngestQueue::enqueue)).
-    pub fn enqueue_with_policy(&self, pul: Pul, policy: Policy) -> Result<Ticket> {
-        self.enqueue_inner(pul, policy, None, true)
+        self.enqueue_inner(pul, None, true)
     }
 
     /// Non-blocking enqueue: if the queue is at capacity the submission is
     /// shed with `XPUL-E08` instead of waiting for space — the admission-
     /// control path for producers that would rather drop than stall.
     pub fn try_enqueue(&self, pul: Pul) -> Result<Ticket> {
-        self.enqueue_inner(pul, self.default_policy, None, false)
-    }
-
-    /// Non-blocking enqueue with an explicit producer policy.
-    pub fn try_enqueue_with_policy(&self, pul: Pul, policy: Policy) -> Result<Ticket> {
-        self.enqueue_inner(pul, policy, None, false)
+        self.enqueue_inner(pul, None, false)
     }
 
     /// Enqueues with a per-ticket deadline: if the submission has not
     /// committed when `deadline` elapses, its ticket fails with `XPUL-E08`
-    /// (checked when the entry is drained and again just before its round
-    /// commits). Other members of the same round are unaffected.
+    /// (checked when the entry is drained and again just before its batch
+    /// commits). Other members of the same batch are unaffected.
     pub fn enqueue_with_deadline(&self, pul: Pul, deadline: Duration) -> Result<Ticket> {
         let expires = Instant::now().checked_add(deadline);
-        self.enqueue_inner(pul, self.default_policy, expires, true)
+        self.enqueue_inner(pul, expires, true)
     }
 
-    fn enqueue_inner(
-        &self,
-        pul: Pul,
-        policy: Policy,
-        expires: Option<Instant>,
-        block: bool,
-    ) -> Result<Ticket> {
+    fn enqueue_inner(&self, pul: Pul, expires: Option<Instant>, block: bool) -> Result<Ticket> {
         let mut state = self.shared.state.lock().expect("queue lock");
         let mut blocked_at: Option<Instant> = None;
         while !state.closed && state.queue.len() >= self.capacity {
@@ -551,7 +404,7 @@ impl<B: IngestBackend> IngestQueue<B> {
             state.window_start = Some(Instant::now());
         }
         let enqueued = self.telemetry.is_enabled().then(Instant::now);
-        state.queue.push_back(QueuedEntry { pul, policy, expires, enqueued, completer });
+        state.queue.push_back(QueuedEntry { pul, expires, enqueued, completer });
         self.telemetry.gauge_set(|m| &m.queue_depth, state.queue.len() as i64);
         drop(state);
         self.shared.enqueued.notify_all();
@@ -566,7 +419,7 @@ impl<B: IngestBackend> IngestQueue<B> {
         self.enqueue(pul)
     }
 
-    /// Number of submissions waiting to be drained (in-flight rounds not
+    /// Number of submissions waiting to be drained (in-flight batches not
     /// included).
     pub fn queued(&self) -> usize {
         self.shared.state.lock().expect("queue lock").queue.len()
@@ -587,9 +440,9 @@ impl<B: IngestBackend> IngestQueue<B> {
         crate::TelemetrySnapshot::gather(&self.telemetry, Default::default())
     }
 
-    /// The MVCC snapshot of the most recently committed round — a
+    /// The MVCC snapshot of the most recently committed batch — a
     /// cheaply-cloned pinned view readers hold while the pipeline keeps
-    /// committing. `None` until the first round commits, or when
+    /// committing. `None` until the first batch commits, or when
     /// [`IngestConfig::publish_snapshots`] is off.
     pub fn latest_snapshot(&self) -> Option<crate::Snapshot> {
         self.shared.latest_snapshot.lock().expect("snapshot slot mutex poisoned").clone()
@@ -652,15 +505,15 @@ impl<B: IngestBackend> Drop for IngestQueue<B> {
 }
 
 // ---------------------------------------------------------------------------
-// the pipeline thread: window → batch → rounds → commits
+// the pipeline thread: window → batch → one aggregated commit
 // ---------------------------------------------------------------------------
 
 fn pipeline_loop<B: IngestBackend>(shared: &Shared, mut backend: B, config: &IngestConfig) -> B {
     while let Some(batch) = next_batch(shared, config) {
         let settle = InFlightGuard { shared, n: batch.len() };
         // Fail deadline-expired entries before spending any work on them.
-        // The rest of the batch is coalesced and committed as if the expired
-        // entries had never been enqueued.
+        // The rest of the batch is committed as if the expired entries had
+        // never been enqueued.
         let now = Instant::now();
         let (batch, expired): (Vec<QueuedEntry>, Vec<QueuedEntry>) =
             batch.into_iter().partition(|e| e.expires.is_none_or(|t| t > now));
@@ -672,27 +525,26 @@ fn pipeline_loop<B: IngestBackend>(shared: &Shared, mut backend: B, config: &Ing
                 "ticket deadline expired before the submission was drained",
             );
         }
-        for round in coalesce(batch) {
-            if round.len() > 1 {
+        if !batch.is_empty() {
+            if batch.len() > 1 {
                 config.telemetry.count(|m| &m.rounds_coalesced);
             } else {
                 config.telemetry.count(|m| &m.rounds_serialized);
             }
-            // Failpoint: an injected preparation fault fails this round's
-            // tickets before anything is admitted; later rounds of the batch
-            // (and the pipeline itself) continue.
+            // Failpoint: an injected preparation fault fails the batch's
+            // tickets before anything is admitted; the pipeline continues.
             if let Some(kind) = fault_at(config, site::INGEST_PREPARE) {
-                for e in round {
+                for e in batch {
                     let err = Error::injected(site::INGEST_PREPARE, kind);
                     finish(&config.telemetry, e.enqueued, e.completer, Err(err));
                 }
-                continue;
-            }
-            commit_round(&mut backend, round, config);
-            if config.publish_snapshots {
-                let snapshot = backend.snapshot_view();
-                *shared.latest_snapshot.lock().expect("snapshot slot mutex poisoned") =
-                    Some(snapshot);
+            } else {
+                commit_round(&mut backend, batch, config);
+                if config.publish_snapshots {
+                    let snapshot = backend.snapshot_view();
+                    *shared.latest_snapshot.lock().expect("snapshot slot mutex poisoned") =
+                        Some(snapshot);
+                }
             }
         }
         drop(settle);
@@ -793,33 +645,6 @@ fn expire(
     completer.complete(Err(Error::Overload(detail.into())));
 }
 
-/// Partitions a drained batch into rounds of pairwise-independent PULs,
-/// preserving enqueue order between any two PULs that may interact: each PUL
-/// lands in the earliest round after every earlier PUL it overlaps (an opaque
-/// PUL — one with an unlabeled target — overlaps everything).
-fn coalesce(batch: Vec<QueuedEntry>) -> Vec<Vec<QueuedEntry>> {
-    let footprints: Vec<Option<Footprint>> = batch.iter().map(|e| Footprint::of(&e.pul)).collect();
-    let n = batch.len();
-    let mut level = vec![0usize; n];
-    for i in 0..n {
-        for j in 0..i {
-            let interact = match (&footprints[i], &footprints[j]) {
-                (Some(a), Some(b)) => a.overlaps(b),
-                _ => true, // opaque: serialize against everything
-            };
-            if interact {
-                level[i] = level[i].max(level[j] + 1);
-            }
-        }
-    }
-    let n_rounds = level.iter().copied().max().map(|m| m + 1).unwrap_or(0);
-    let mut rounds: Vec<Vec<QueuedEntry>> = (0..n_rounds).map(|_| Vec::new()).collect();
-    for (entry, lvl) in batch.into_iter().zip(level) {
-        rounds[lvl].push(entry);
-    }
-    rounds
-}
-
 // ---------------------------------------------------------------------------
 // commits: admit → resolve → commit → complete tickets
 // ---------------------------------------------------------------------------
@@ -843,90 +668,64 @@ impl Drop for InFlightGuard<'_> {
     }
 }
 
-/// Commits one round. Members of a coalesced round are *proven* independent
-/// (disjoint footprints, validated as one compatible Def. 5 union), so the
-/// round is admitted as a **single merged submission** — `mergeUpdates` of
-/// the members' PULs — and the backend's cross-submission integration, which
-/// costs O(n²) in the number of producers, is skipped entirely: for an
-/// independent batch it could only confirm what the footprints already
-/// guarantee. Resolution then amounts to reducing the union (near-linear
-/// worklist) and one atomic apply.
+/// Commits one drained batch: the members still within their deadline are
+/// admitted as one submission ([`IngestBackend::admit`]), resolved and
+/// committed once, and every ticket reports the one version.
 ///
-/// On failure, the journal has already rewound the document bit-identically;
-/// a multi-member round is then retried one entry at a time (in enqueue
-/// order), so only the genuinely failing submissions fail — exactly the
-/// outcome a sequential `submit → resolve → commit` per producer would have
-/// produced.
+/// When aggregation refuses the batch or its commit fails (the journal has
+/// already rewound the document bit-identically), a multi-member batch is
+/// retried one member at a time in enqueue order, so only the genuinely
+/// failing submissions fail — exactly the outcome a sequential
+/// `submit → resolve → commit` per producer would have produced.
 fn commit_round<B: IngestBackend>(
     backend: &mut B,
     entries: Vec<QueuedEntry>,
     config: &IngestConfig,
 ) {
     // Deadline check at commit time: expired members fail with `XPUL-E08`
-    // and leave the round *before* the merge, so one expired ticket neither
-    // blocks the survivors nor pushes them onto the serialized singleton
-    // path — they still coalesce into a single commit.
+    // and leave the batch *before* it is aggregated, so one expired ticket
+    // neither blocks the survivors nor pushes them onto the singleton path.
     let now = Instant::now();
-    let (mut entries, expired): (Vec<QueuedEntry>, Vec<QueuedEntry>) =
+    let (entries, expired): (Vec<QueuedEntry>, Vec<QueuedEntry>) =
         entries.into_iter().partition(|e| e.expires.is_none_or(|t| t > now));
     for entry in expired {
         expire(
             &config.telemetry,
             entry.enqueued,
             entry.completer,
-            "ticket deadline expired before its round committed",
+            "ticket deadline expired before its batch committed",
         );
     }
-    if entries.len() > 1 {
-        // Policies steer conflict reconciliation only, and an independent
-        // round cannot conflict — any policy serves.
-        let merged = Pul::merge_all(entries.iter().map(|e| &e.pul))
-            .map_err(Error::from)
-            .and_then(|pul| try_commit(backend, pul, entries[0].policy, config));
-        if let Ok(batch) = merged {
-            for entry in entries {
-                let outcome = TicketOutcome { version: batch.version, conflicts: Vec::new() };
-                finish(&config.telemetry, entry.enqueued, entry.completer, Ok(outcome));
-            }
-            return;
-        }
-        // The merged commit failed (or the union was not well-formed — a
-        // footprint bug backstop): degrade to sequential singleton rounds so
-        // only the failing members fail.
+    if entries.is_empty() {
+        return;
+    }
+    let batch: Vec<&Pul> = entries.iter().map(|e| &e.pul).collect();
+    let committed = try_commit(backend, &batch, config);
+    if committed.is_err() && entries.len() > 1 {
         for entry in entries {
             commit_round(backend, vec![entry], config);
         }
         return;
     }
-
-    let Some(entry) = entries.pop() else { return };
-    let outcome = try_commit(backend, entry.pul, entry.policy, config).map(|batch| {
-        // Per-submission conflict report: OpRef.pul indexes the admission
-        // order (a singleton round is index 0 of its own resolution).
-        let conflicts: Vec<Conflict> = batch
-            .conflicts
-            .into_iter()
-            .filter(|c| c.all_ops().iter().any(|r| r.pul == 0))
-            .collect();
-        TicketOutcome { version: batch.version, conflicts }
-    });
-    finish(&config.telemetry, entry.enqueued, entry.completer, outcome);
+    for entry in entries {
+        let outcome = committed.clone().map(|version| TicketOutcome { version });
+        finish(&config.telemetry, entry.enqueued, entry.completer, outcome);
+    }
 }
 
 /// One commit attempt: the [`site::INGEST_COMMIT`] failpoint (an injected
 /// fault fails the attempt exactly like a real commit failure), then admit →
 /// resolve → commit. A failed attempt discards its submission again, so a
-/// later round cannot resurrect it.
+/// later batch cannot resurrect it.
 fn try_commit<B: IngestBackend>(
     backend: &mut B,
-    pul: Pul,
-    policy: Policy,
+    batch: &[&Pul],
     config: &IngestConfig,
-) -> Result<BatchCommit> {
+) -> Result<u64> {
     if let Some(kind) = fault_at(config, site::INGEST_COMMIT) {
         return Err(Error::injected(site::INGEST_COMMIT, kind));
     }
-    let id = backend.admit(pul, policy);
+    let id = backend.admit(batch)?;
     let committed = backend.resolve_pending().and_then(|r| backend.commit_pending(r));
     if committed.is_err() {
         backend.discard(id);
@@ -957,63 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn footprints_coalesce_disjoint_subtrees_and_serialize_overlaps() {
-        let session = Executor::parse(LIB).unwrap();
-        let p1 = session.pul_from_ops(vec![UpdateOp::rename(3u64, "x")]);
-        let p2 = session.pul_from_ops(vec![UpdateOp::replace_value(8u64, "B2")]);
-        let p3 = session.pul_from_ops(vec![UpdateOp::delete(4u64)]); // inside b1: overlaps p1
-        let f1 = Footprint::of(&p1).unwrap();
-        let f2 = Footprint::of(&p2).unwrap();
-        let f3 = Footprint::of(&p3).unwrap();
-        assert!(!f1.overlaps(&f2), "disjoint subtrees are independent");
-        assert!(f1.overlaps(&f3), "nested targets overlap");
-        assert!(f3.overlaps(&f1), "overlap is symmetric");
-    }
-
-    #[test]
-    fn sibling_gap_slots_force_serialization_across_disjoint_hulls() {
-        let session = Executor::parse(LIB).unwrap();
-        // b2 (6) and b3 (9) are adjacent: ins→ on b2 and ins← on b3 name the
-        // same gap even though the subtree hulls are disjoint.
-        let p1 = session.pul_from_ops(vec![UpdateOp::ins_after(6u64, vec![Tree::element("x")])]);
-        let p2 = session.pul_from_ops(vec![UpdateOp::ins_before(9u64, vec![Tree::element("y")])]);
-        let f1 = Footprint::of(&p1).unwrap();
-        let f2 = Footprint::of(&p2).unwrap();
-        assert!(f1.hull.is_disjoint_from(&f2.hull), "hulls alone would miss this");
-        assert!(f1.overlaps(&f2), "shared gap slot detected");
-        // a deletion of b3 also merges the flanking gaps
-        let p3 = session.pul_from_ops(vec![UpdateOp::delete(9u64)]);
-        let f3 = Footprint::of(&p3).unwrap();
-        assert!(f1.overlaps(&f3));
-        // but an ins↘ deep inside b4 shares nothing with b2's right gap
-        let p4 = session.pul_from_ops(vec![UpdateOp::ins_last(12u64, vec![Tree::element("z")])]);
-        let f4 = Footprint::of(&p4).unwrap();
-        assert!(!f1.overlaps(&f4));
-    }
-
-    #[test]
-    fn attribute_deletions_keep_their_footprint() {
-        // Attribute labels carry no sibling metadata; deleting one must not
-        // make the PUL opaque (it touches no sibling gap at all).
-        let session = Executor::parse(LIB).unwrap();
-        let year = session.document().attributes(xdm::NodeId::new(1)).unwrap()[0];
-        let p1 = session.pul_from_ops(vec![UpdateOp::delete(year)]);
-        let f1 = Footprint::of(&p1).expect("attribute deletion is not opaque");
-        assert!(f1.gaps.is_empty(), "attributes live outside the sibling order");
-        // and it coalesces with an edit on a disjoint subtree
-        let p2 = session.pul_from_ops(vec![UpdateOp::rename(9u64, "x")]);
-        let f2 = Footprint::of(&p2).unwrap();
-        assert!(!f1.overlaps(&f2));
-    }
-
-    #[test]
-    fn unlabeled_puls_are_opaque() {
-        let mut pul = Pul::new();
-        pul.push(UpdateOp::rename(3u64, "x")); // no label attached
-        assert!(Footprint::of(&pul).is_none());
-    }
-
-    #[test]
     fn independent_submissions_coalesce_into_one_version() {
         let session = Executor::parse(LIB).unwrap();
         let puls: Vec<Pul> = [(3u64, "x1"), (6u64, "x2"), (9u64, "x3"), (12u64, "x4")]
@@ -1028,7 +770,6 @@ mod tests {
         // all four commit — and in a single coalesced version
         let versions: Vec<u64> = outcomes.iter().map(|o| o.version).collect();
         assert!(versions.iter().all(|&v| v == versions[0]), "coalesced: {versions:?}");
-        assert!(outcomes.iter().all(|o| o.conflicts.is_empty()));
         let session = queue.close().unwrap();
         assert_eq!(session.version(), 1, "one commit for four independent submissions");
         let xml = session.serialize();
@@ -1049,10 +790,65 @@ mod tests {
         queue.flush();
         let o1 = t1.wait().unwrap();
         let o2 = t2.wait().unwrap();
-        assert!(o1.version < o2.version, "serialized rounds get successive versions");
+        assert_eq!(o1.version, o2.version, "one batch commits as one aggregate");
         let session = queue.close().unwrap();
-        assert_eq!(session.version(), 2);
-        assert!(session.serialize().contains("second"), "the later submission wins");
+        assert_eq!(session.version(), 1);
+        let xml = session.serialize();
+        assert!(xml.contains("second") && !xml.contains("first"), "the later one wins: {xml}");
+    }
+
+    #[test]
+    fn members_are_reduced_before_they_are_aggregated() {
+        // b1 (3) holds <t>A</t>. The first member's ins↓ folds into its ins↘
+        // (rule I7); the second member's lone ins↓ reduces to ins↙, so in
+        // sequence l3 lands first. Reducing the raw aggregate instead would
+        // fold l3 into the first member's ins↘, behind <t>.
+        let session = Executor::parse(LIB).unwrap();
+        let a = session.pul_from_ops(vec![
+            UpdateOp::ins_into(3u64, vec![Tree::element("l1")]),
+            UpdateOp::ins_last(3u64, vec![Tree::element("l2")]),
+        ]);
+        let b = session.pul_from_ops(vec![UpdateOp::ins_into(3u64, vec![Tree::element("l3")])]);
+        let mut sequential = session.clone();
+        for pul in [a.clone(), b.clone()] {
+            sequential.submit(pul);
+            sequential.commit().unwrap();
+        }
+        let queue = IngestQueue::with_config(session, giant_tick());
+        let ta = queue.enqueue(a).unwrap();
+        let tb = queue.enqueue(b).unwrap();
+        queue.flush();
+        assert_eq!(ta.wait().unwrap().version, tb.wait().unwrap().version);
+        let session = queue.close().unwrap();
+        assert_eq!(session.version(), 1, "one aggregated commit");
+        let xml = session.serialize();
+        assert!(xml.contains("<b1><l3/><t>A</t><l1/><l2/></b1>"), "{xml}");
+        assert_eq!(xml, sequential.serialize());
+        session.assert_consistent();
+    }
+
+    #[test]
+    fn a_member_its_predecessors_made_inapplicable_fails_alone() {
+        // The second member renames <t> inside b1, which the first member
+        // deletes: in sequence it fails with XPUL-P01, so aggregation refuses
+        // the batch and the singleton retries fail exactly that member.
+        let session = Executor::parse(LIB).unwrap();
+        let p1 = session.pul_from_ops(vec![UpdateOp::delete(3u64)]);
+        let p2 = session.pul_from_ops(vec![UpdateOp::rename(4u64, "gone")]);
+        let p3 = session.pul_from_ops(vec![UpdateOp::rename(6u64, "kept")]);
+        let queue = IngestQueue::with_config(session, giant_tick());
+        let tickets: Vec<Ticket> = [p1, p2, p3].map(|p| queue.enqueue(p).unwrap()).into();
+        queue.flush();
+        tickets[0].wait().expect("the deletion commits");
+        assert_eq!(tickets[1].wait().unwrap_err().code(), "XPUL-P01");
+        tickets[2].wait().expect("the independent rename commits");
+        let session = queue.close().unwrap();
+        let xml = session.serialize();
+        assert!(
+            !xml.contains("<b1>") && !xml.contains("<gone>") && xml.contains("<kept>"),
+            "{xml}"
+        );
+        session.assert_consistent();
     }
 
     #[test]
@@ -1171,13 +967,13 @@ mod tests {
 
     impl IngestBackend for PanickingBackend {
         type Resolution = crate::Resolution;
-        fn admit(&mut self, pul: Pul, policy: Policy) -> SubmissionId {
-            self.0.admit(pul, policy)
+        fn admit(&mut self, batch: &[&Pul]) -> Result<SubmissionId> {
+            self.0.admit(batch)
         }
         fn resolve_pending(&self) -> Result<crate::Resolution> {
             self.0.resolve_pending()
         }
-        fn commit_pending(&mut self, _resolution: crate::Resolution) -> Result<BatchCommit> {
+        fn commit_pending(&mut self, _resolution: crate::Resolution) -> Result<u64> {
             panic!("injected commit panic");
         }
         fn snapshot_view(&self) -> crate::Snapshot {
@@ -1188,9 +984,6 @@ mod tests {
         }
         fn current_version(&self) -> u64 {
             self.0.current_version()
-        }
-        fn default_policy(&self) -> Policy {
-            self.0.default_policy()
         }
     }
 
@@ -1287,7 +1080,6 @@ mod tests {
         // one already expired. The survivors must still coalesce into a
         // single merged commit — one version, not two serialized ones.
         let mut session = Executor::parse(LIB).unwrap();
-        let policy = session.default_policy();
         let mut entries = Vec::new();
         let mut tickets = Vec::new();
         for (i, &(id, name)) in [(3u64, "x1"), (6u64, "gone"), (9u64, "x3")].iter().enumerate() {
@@ -1296,7 +1088,6 @@ mod tests {
             let expired = i == 1;
             entries.push(QueuedEntry {
                 pul,
-                policy,
                 expires: expired.then(Instant::now),
                 enqueued: None,
                 completer,
@@ -1390,24 +1181,5 @@ mod tests {
         let xml = session.serialize();
         assert!(xml.contains("<kept>") && !xml.contains("<dropped>"), "{xml}");
         session.assert_consistent();
-    }
-
-    #[test]
-    fn conflicting_producers_in_one_round_report_their_conflicts() {
-        // Two relaxed producers renaming the same node are *not* independent:
-        // they serialize, so each commits alone and cleanly. To see a conflict
-        // report we coalesce via an overlapping pair that reconciliation can
-        // solve: handled by the round fallback? No — same-target renames
-        // serialize by footprint. Conflicts surface when a PUL is opaque and
-        // integrate() still reconciles; exercise via the backend directly.
-        let mut session = Executor::parse(LIB).unwrap().policy(Policy::relaxed());
-        let p1 = session.pul_from_ops(vec![UpdateOp::rename(9u64, "first")]);
-        let p2 = session.pul_from_ops(vec![UpdateOp::rename(9u64, "second")]);
-        session.admit(p1, Policy::relaxed());
-        session.admit(p2, Policy::relaxed());
-        let resolution = session.resolve_pending().unwrap();
-        let batch = session.commit_pending(resolution).unwrap();
-        assert_eq!(batch.conflicts.len(), 1);
-        assert_eq!(batch.version, 1);
     }
 }

@@ -53,8 +53,9 @@
 //! the paper's streaming evaluator, [`pul::apply_streaming`], applies a
 //! resolution's PUL in one pass over the identified serialization without
 //! materialising the document; [`IngestQueue`] fronts an executor (single or
-//! [sharded](ShardedExecutor)) with a batched, coalescing, pipelined
-//! submission queue for multi-writer ingestion.
+//! [sharded](ShardedExecutor)) with a batched submission queue for
+//! multi-writer ingestion that commits each drained batch as one aggregated
+//! PUL.
 //!
 //! ## Workspace layout
 //!
@@ -101,7 +102,7 @@ pub use executor::{
     CommitReport, CompactionReport, Executor, ExecutorCore, ReductionStrategy, SessionSlabStats,
     SubmissionId,
 };
-pub use ingest::{BatchCommit, IngestBackend, IngestConfig, IngestQueue, Ticket, TicketOutcome};
+pub use ingest::{IngestBackend, IngestConfig, IngestQueue, Ticket, TicketOutcome};
 pub use observe::TelemetrySnapshot;
 pub use pul_store::{
     site as fault_site, FaultKind, FaultPlan, FaultSpec, Faults, StoreError, SyncPolicy, Trigger,
@@ -117,12 +118,11 @@ pub use transaction::Transaction;
 /// The most commonly used items, for glob import in examples and tests.
 pub mod prelude {
     pub use crate::{
-        BatchCommit, CommitReport, CompactionReport, Durable, DurableOptions, Error, Event,
-        EventKind, Executor, ExecutorCore, FaultKind, FaultPlan, Faults, IngestBackend,
-        IngestConfig, IngestQueue, MetricsSnapshot, ReductionStrategy, Resolution, Result,
-        RetryPolicy, SessionSlabStats, ShardedCommitReport, ShardedExecutor, ShardedResolution,
-        Snapshot, SubmissionId, SyncPolicy, Telemetry, TelemetrySnapshot, Ticket, TicketOutcome,
-        Transaction, Trigger,
+        CommitReport, CompactionReport, Durable, DurableOptions, Error, Event, EventKind, Executor,
+        ExecutorCore, FaultKind, FaultPlan, Faults, IngestBackend, IngestConfig, IngestQueue,
+        MetricsSnapshot, ReductionStrategy, Resolution, Result, RetryPolicy, SessionSlabStats,
+        ShardedCommitReport, ShardedExecutor, ShardedResolution, Snapshot, SubmissionId,
+        SyncPolicy, Telemetry, TelemetrySnapshot, Ticket, TicketOutcome, Transaction, Trigger,
     };
     pub use pul::{ApplyOptions, OpClass, OpName, Pul, UpdateOp};
     pub use pul_core::{Conflict, ConflictType, Policy};

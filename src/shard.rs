@@ -68,7 +68,6 @@ use crate::executor::{
     CompactionReport, CoreScope, ExecutorCore, ReductionStrategy, SessionSlabStats, SubmissionId,
 };
 use crate::front::{self, Front, Session};
-use crate::ingest::BatchCommit;
 use crate::snapshot::Snapshot;
 
 /// One shard: an executor core over a slice of the document, plus the label
@@ -959,9 +958,8 @@ impl Session for ShardedExecutor {
         self.resolve()
     }
 
-    fn session_commit(&mut self, resolution: ShardedResolution) -> Result<BatchCommit> {
-        let report = self.commit_resolution(resolution)?;
-        Ok(BatchCommit { version: report.version, conflicts: report.conflicts })
+    fn session_commit(&mut self, resolution: ShardedResolution) -> Result<u64> {
+        self.commit_resolution(resolution).map(|report| report.version)
     }
 }
 

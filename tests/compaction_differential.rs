@@ -571,7 +571,7 @@ fn ingest_compacts_at_round_boundaries_without_poisoning_tickets() {
     let store_dir = root.join("store");
     let doc = seed_doc(13);
     // Content oracle: the same ingest pipeline over a plain executor with
-    // compaction out of the picture. Coalesced resolution of overlapping
+    // compaction out of the picture. Aggregating a batch of overlapping
     // PULs is order-sensitive, so the reference must go through the same
     // pipeline — only then does "compaction changed nothing but identifiers"
     // reduce to a serialization comparison.
@@ -584,7 +584,7 @@ fn ingest_compacts_at_round_boundaries_without_poisoning_tickets() {
     .unwrap();
     durable.inject_faults(Faults::disabled());
 
-    // Round 1: one coalesced batch of churny PULs. The pipeline compacts
+    // Round 1: one aggregated batch of churny PULs. The pipeline compacts
     // after the round commits — the queue must stay healthy through it.
     let config = || IngestConfig {
         flush_threshold: 64,

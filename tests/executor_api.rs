@@ -331,8 +331,8 @@ fn the_strategy_in_force_at_resolve_time_governs_on_both_sessions() {
     ]);
     let reduced = ReductionStrategy::Deterministic.reduce(&pul);
     assert_eq!(reduced.len(), 1, "the two insertions merge under Deterministic");
-    single.admit(pul.clone(), Policy::default());
-    sharded.admit(pul, Policy::default());
+    single.submit_with_policy(pul.clone(), Policy::default());
+    sharded.submit_with_policy(pul, Policy::default());
 
     let single = single.reduction(ReductionStrategy::None);
     assert_eq!(single.resolve().unwrap().resolved_ops(), 2, "executor");

@@ -1,8 +1,10 @@
 //! Seeded differential verification of the batched ingestion pipeline.
 //!
-//! For every seeded case (the [`workload::pulgen::differential_case_with`]
-//! generator: an XMark document plus the PULs of a dozen producers), the same
-//! submissions are committed
+//! For every seeded case ([`ingest_case`]: the
+//! [`workload::pulgen::differential_case_with`] XMark document and the PULs
+//! of a dozen random producers, behind six dependent pairs of producers
+//! whose second PUL reads what the first changed), the same submissions are
+//! committed
 //!
 //! * **sequentially** through a single [`Executor`] oracle — one
 //!   `submit → resolve → commit` round trip per producer, failed commits
@@ -10,16 +12,15 @@
 //! * **batched** through an [`IngestQueue`] at flush thresholds 1, 4 and 16,
 //!   over both backends ([`Executor`] and a 4-shard [`ShardedExecutor`]).
 //!
-//! Whatever the coalescer decides (merge independent PULs into one round,
-//! serialize overlapping ones), the committed document must be
-//! **bit-identical** to the oracle's (`deep_eq`: same arena entries, same
-//! identifiers), every Table-1 predicate of the final labeling must answer as
-//! the oracle's, every session must pass `assert_consistent`, and each
-//! ticket must succeed or fail exactly as the oracle's corresponding
-//! sequential commit did.
+//! Whether a batch commits as one aggregate or degrades to singleton
+//! commits, the committed document must be **bit-identical** to the
+//! oracle's (`deep_eq`: same arena entries, same identifiers), every Table-1
+//! predicate of the final labeling must answer as the oracle's, every
+//! session must pass `assert_consistent`, and each ticket must succeed or
+//! fail exactly as the oracle's corresponding sequential commit did.
 //!
 //! A separate fuzz drives a poison PUL (mid-apply dynamic failure) through
-//! every position of a coalesced batch and asserts that only the poison
+//! every position of an aggregated batch and asserts that only the poison
 //! ticket errors while the document rewinds cleanly around it.
 //!
 //! Commits run with `preserve_content_ids` (the §4.1 producer identifier
@@ -29,7 +30,8 @@
 use std::time::Duration;
 
 use pul::ApplyOptions;
-use workload::pulgen::differential_case_with;
+use workload::pulgen::{differential_case_with, DifferentialCase};
+use xdm::parser::parse_fragment_with_first_id;
 use xmlpul::prelude::*;
 
 const CI_SEEDS: u64 = 20;
@@ -51,6 +53,88 @@ fn config(batch: usize) -> IngestConfig {
         tick: Duration::from_secs(3600),
         ..IngestConfig::default()
     }
+}
+
+/// The seeded case: the document and random producers of
+/// [`differential_case_with`], behind six *dependent pairs* of producers
+/// whose second PUL reads what the first changed — the sequences where
+/// committing a batch as one aggregate (Def. 13) can go wrong:
+///
+/// 0. `{ins↓(v, a), ins↘(v, b)}` then `{ins↓(v, c)}`, and
+/// 1. the same with `ins↙`: each member must be reduced before aggregation;
+/// 2. an insertion into `v`, then one into the inserted tree (rule D6);
+/// 3. `del(v)` then an operation on `v`, and
+/// 4. `del(v)` then one on a child of `v`, and
+/// 5. `repC(v)` then one on a child of `v`: each second PUL fails in sequence.
+///
+/// The pairs come first, in that order, on pairwise disjoint subtrees, so at
+/// batch size 4 pairs 0–1 share a batch that commits as one aggregate, and
+/// each later batch of pairs holds a member that must fail alone.
+fn ingest_case(seed: u64) -> DifferentialCase {
+    let DifferentialCase { doc, puls: random } = differential_case_with(seed, PRODUCERS);
+    let first_element_child = |v: xdm::NodeId| {
+        doc.children(v).ok()?.iter().copied().find(|&c| doc.kind(c) == Ok(NodeKind::Element))
+    };
+    // Elements below the top-level sections with an element child, smallest
+    // subtree first (ties in a seeded order), picked greedily so no two nest.
+    let sections = doc.root().map(|r| doc.children(r).unwrap().to_vec()).unwrap_or_default();
+    let mut candidates: Vec<xdm::NodeId> = doc
+        .preorder_from_root()
+        .into_iter()
+        .filter(|&v| Some(v) != doc.root() && !sections.contains(&v))
+        .filter(|&v| first_element_child(v).is_some())
+        .collect();
+    candidates
+        .sort_by_key(|&v| (doc.preorder(v).len(), v.as_u64().wrapping_mul(0x9e37_79b9) ^ seed));
+    let mut targets: Vec<xdm::NodeId> = Vec::new();
+    for v in candidates {
+        if targets.len() < 6
+            && targets.iter().all(|&t| !doc.is_descendant_of(v, t) && !doc.is_descendant_of(t, v))
+        {
+            targets.push(v);
+        }
+    }
+    assert_eq!(targets.len(), 6, "seed {seed}: six disjoint subtrees for the dependent pairs");
+
+    let mut next_id = doc.next_id() + 1_000_000 * (PRODUCERS as u64 + 1);
+    let mut tree = || {
+        let t = parse_fragment_with_first_id("<new><label>pair</label></new>", next_id).unwrap();
+        next_id += t.size() as u64;
+        t
+    };
+    let labeling = Labeling::assign(&doc);
+    let mut puls = Vec::with_capacity(12 + random.len());
+    for (pair, &v) in targets.iter().enumerate() {
+        let child = first_element_child(v).expect("candidates have an element child");
+        let (first, second) = match pair {
+            0 => (
+                vec![UpdateOp::ins_into(v, vec![tree()]), UpdateOp::ins_last(v, vec![tree()])],
+                vec![UpdateOp::ins_into(v, vec![tree()])],
+            ),
+            1 => (
+                vec![UpdateOp::ins_into(v, vec![tree()]), UpdateOp::ins_first(v, vec![tree()])],
+                vec![UpdateOp::ins_into(v, vec![tree()])],
+            ),
+            2 => {
+                let inserted = tree();
+                let root = inserted.root_id();
+                (
+                    vec![UpdateOp::ins_last(v, vec![inserted])],
+                    vec![UpdateOp::ins_last(root, vec![tree()])],
+                )
+            }
+            3 => (vec![UpdateOp::delete(v)], vec![UpdateOp::rename(v, "gone")]),
+            4 => (vec![UpdateOp::delete(v)], vec![UpdateOp::rename(child, "gone")]),
+            _ => (
+                vec![UpdateOp::replace_content(v, Some("emptied".into()))],
+                vec![UpdateOp::rename(child, "gone")],
+            ),
+        };
+        puls.push(Pul::from_ops(first, &labeling));
+        puls.push(Pul::from_ops(second, &labeling));
+    }
+    puls.extend(random);
+    DifferentialCase { doc, puls }
 }
 
 /// Samples Table-1 predicate agreement between a labeling under test and the
@@ -114,8 +198,14 @@ fn sequential_oracle(case: &workload::pulgen::DifferentialCase) -> (Executor, Ve
 
 /// Runs one seeded case through the oracle and every batch size × backend.
 fn run_case(seed: u64) {
-    let case = differential_case_with(seed, PRODUCERS);
+    let case = ingest_case(seed);
     let (oracle, oracle_outcomes) = sequential_oracle(&case);
+    let pair_failures: Vec<usize> = (0..12).filter(|&i| oracle_outcomes[i].is_some()).collect();
+    assert_eq!(
+        pair_failures,
+        [7, 9, 11],
+        "seed {seed}: in sequence, exactly the removal pairs fail"
+    );
 
     for batch in BATCH_SIZES {
         // ---- single-executor backend -------------------------------------

@@ -343,6 +343,13 @@ fn render_text_is_deterministic_and_golden() {
          # TYPE xmlpul_commits counter\n\
          xmlpul_commits 1\n"
     ));
+    assert!(text.contains(
+        "# HELP xmlpul_rounds_coalesced Ingest batches of two or more submissions, \
+         committed as one aggregate.\n\
+         # TYPE xmlpul_rounds_coalesced counter\n\
+         xmlpul_rounds_coalesced 0\n\
+         # HELP xmlpul_rounds_serialized Ingest batches of a single submission.\n"
+    ));
     assert!(text.contains("# TYPE xmlpul_commit_ns summary\n"));
     assert!(text.contains("xmlpul_commit_ns_count 1\n"));
     assert!(text.contains("# TYPE xmlpul_queue_depth gauge\nxmlpul_queue_depth 0\n"));
