@@ -1,4 +1,5 @@
-//! The ingestion pipeline: a batched submission queue in front of an executor.
+//! The ingestion pipeline: a group-commit submission queue in front of an
+//! executor.
 //!
 //! The session API of [`Executor`](crate::Executor) (and its sharded sibling)
 //! is synchronous: every producer round-trips through
@@ -8,18 +9,22 @@
 //!
 //! ```text
 //!  writers ──enqueue()──▶ ┌──────────── IngestQueue ─────────────┐
-//!  (PULs, wire XML,       │ queue ─▶ pipeline thread: drain a    │
-//!   many threads)         │          batch, aggregate it into    │──▶ Document'
-//!    ◀──Ticket────        │          one PUL, admit, resolve     │
-//!                         │          and commit it (backend)     │
+//!  (PULs, wire XML,       │ queue ─▶ pipeline thread: drain all  │
+//!   many threads)         │          that is queued, aggregate   │──▶ Document'
+//!    ◀──Ticket────        │          it into one PUL, admit,     │
+//!                         │          resolve and commit it       │
 //!                         └──────────────────────────────────────┘
 //! ```
 //!
-//! * **Batching.** `enqueue` returns immediately with a [`Ticket`] — a
+//! * **Group commit.** `enqueue` returns immediately with a [`Ticket`] — a
 //!   completion handle that later yields the committed version, or the error
-//!   that failed the submission. The pipeline thread drains the queue when it
-//!   reaches a size threshold or when a tick elapses since the window opened,
-//!   whichever comes first ([`IngestConfig`]).
+//!   that failed the submission. The pipeline thread sleeps only while the
+//!   queue is empty; whenever it is free it drains **everything** queued as
+//!   one batch, so a batch is whatever arrived while the previous one was
+//!   committing — no timer, no size threshold. The queue's
+//!   [`capacity`](IngestConfig::capacity) bounds it.
+//!   [`enqueue_all`](IngestQueue::enqueue_all) appends a group under one lock
+//!   acquisition, so the group drains as one batch.
 //!
 //! * **One batch, one aggregate, one commit.** A drained batch is a sequence
 //!   of PULs in enqueue order, and the paper has the operator for exactly
@@ -209,17 +214,12 @@ impl Drop for TicketCompleter {
 // queue plumbing
 // ---------------------------------------------------------------------------
 
-/// Flush policy of the ingestion queue.
+/// Configuration of the ingestion queue. There is no batching window to
+/// tune: the pipeline drains everything queued whenever it is free.
 #[derive(Debug, Clone)]
 pub struct IngestConfig {
-    /// Drain as soon as this many submissions are queued — and cap every
-    /// drained batch (hence every aggregated commit) at this size; a backlog
-    /// beyond it drains as successive batches without waiting for a tick.
-    pub flush_threshold: usize,
-    /// Drain whatever is queued once this much time has passed since the
-    /// first submission of the current window.
-    pub tick: Duration,
-    /// Hard bound on the number of submissions waiting to be drained.
+    /// Hard bound on the number of submissions waiting to be drained — and
+    /// so on the size of one batch, hence of one aggregated commit.
     /// [`enqueue`](IngestQueue::enqueue) blocks while the queue is full;
     /// [`try_enqueue`](IngestQueue::try_enqueue) sheds load with `XPUL-E08`
     /// instead of blocking.
@@ -243,8 +243,6 @@ pub struct IngestConfig {
 impl Default for IngestConfig {
     fn default() -> Self {
         IngestConfig {
-            flush_threshold: 16,
-            tick: Duration::from_millis(2),
             capacity: 1024,
             faults: Faults::disabled(),
             publish_snapshots: false,
@@ -271,20 +269,17 @@ struct QueueState {
     queue: VecDeque<QueuedEntry>,
     /// Entries drained but whose tickets are not yet completed.
     in_flight: usize,
-    /// When the first entry of the current batching window was enqueued.
-    window_start: Option<Instant>,
-    /// Set by [`IngestQueue::flush`]: drain immediately, skip the tick wait.
-    flush_hint: bool,
-    /// Set by [`IngestQueue::close`]: no further submissions; the pipeline
-    /// drains what is queued and stops.
+    /// Set by [`IngestQueue::close`] (the pipeline drains what is queued and
+    /// stops) or by the pipeline thread's exit: no further submissions.
     closed: bool,
 }
 
 struct Shared {
     state: Mutex<QueueState>,
-    /// Signaled on enqueue / close / flush — wakes the pipeline thread.
+    /// Signaled on enqueue / close — wakes the pipeline thread.
     enqueued: Condvar,
-    /// Signaled when in-flight work completes — wakes `flush`.
+    /// Signaled when a batch is drained (space freed) or settled, and when
+    /// the pipeline exits — wakes blocked producers and `flush`.
     settled: Condvar,
     /// The snapshot of the most recently committed batch, published by the
     /// pipeline when [`IngestConfig::publish_snapshots`] is on. Readers
@@ -292,7 +287,8 @@ struct Shared {
     latest_snapshot: Mutex<Option<crate::Snapshot>>,
 }
 
-/// A batched, aggregating submission queue in front of an [`IngestBackend`].
+/// A group-commit, aggregating submission queue in front of an
+/// [`IngestBackend`].
 /// See the module documentation for the architecture.
 ///
 /// The queue is `Sync`: writers on any number of threads share one
@@ -312,18 +308,12 @@ impl<B: IngestBackend> IngestQueue<B> {
         IngestQueue::with_config(backend, IngestConfig::default())
     }
 
-    /// Spawns the pipeline over `backend` with an explicit flush policy.
+    /// Spawns the pipeline over `backend` with an explicit configuration.
     pub fn with_config(backend: B, config: IngestConfig) -> Self {
         let capacity = config.capacity.max(1);
         let telemetry = config.telemetry.clone();
         let shared = Arc::new(Shared {
-            state: Mutex::new(QueueState {
-                queue: VecDeque::new(),
-                in_flight: 0,
-                window_start: None,
-                flush_hint: false,
-                closed: false,
-            }),
+            state: Mutex::new(QueueState { queue: VecDeque::new(), in_flight: 0, closed: false }),
             enqueued: Condvar::new(),
             settled: Condvar::new(),
             latest_snapshot: Mutex::new(None),
@@ -340,16 +330,16 @@ impl<B: IngestBackend> IngestQueue<B> {
 
     /// Enqueues a producer PUL, returning its completion ticket. Blocks while
     /// the queue is at [`capacity`](IngestConfig::capacity); fails with
-    /// `XPUL-E06` once the queue is closed.
+    /// `XPUL-E06` once the queue is closed or its pipeline thread has died.
     pub fn enqueue(&self, pul: Pul) -> Result<Ticket> {
-        self.enqueue_inner(pul, None, true)
+        self.enqueue_one(pul, None, true)
     }
 
     /// Non-blocking enqueue: if the queue is at capacity the submission is
     /// shed with `XPUL-E08` instead of waiting for space — the admission-
     /// control path for producers that would rather drop than stall.
     pub fn try_enqueue(&self, pul: Pul) -> Result<Ticket> {
-        self.enqueue_inner(pul, None, false)
+        self.enqueue_one(pul, None, false)
     }
 
     /// Enqueues with a per-ticket deadline: if the submission has not
@@ -357,58 +347,73 @@ impl<B: IngestBackend> IngestQueue<B> {
     /// (checked when the entry is drained and again just before its batch
     /// commits). Other members of the same batch are unaffected.
     pub fn enqueue_with_deadline(&self, pul: Pul, deadline: Duration) -> Result<Ticket> {
-        let expires = Instant::now().checked_add(deadline);
-        self.enqueue_inner(pul, expires, true)
+        self.enqueue_one(pul, Instant::now().checked_add(deadline), true)
     }
 
-    fn enqueue_inner(&self, pul: Pul, expires: Option<Instant>, block: bool) -> Result<Ticket> {
+    /// Enqueues a group of PULs in order under one lock acquisition, so the
+    /// pipeline drains them into one batch (with whatever else is queued by
+    /// then) — the queue's counterpart of
+    /// [`Executor::submit_sequence`](crate::Executor::submit_sequence).
+    /// Blocks until the whole group fits; a group larger than
+    /// [`capacity`](IngestConfig::capacity) never fits and is shed with
+    /// `XPUL-E08`, and a closed queue fails it with `XPUL-E06`. Returns one
+    /// ticket per PUL.
+    pub fn enqueue_all(&self, puls: impl IntoIterator<Item = Pul>) -> Result<Vec<Ticket>> {
+        self.enqueue_inner(puls.into_iter().collect(), None, true)
+    }
+
+    fn enqueue_one(&self, pul: Pul, expires: Option<Instant>, block: bool) -> Result<Ticket> {
+        Ok(self.enqueue_inner(vec![pul], expires, block)?.pop().expect("one ticket per PUL"))
+    }
+
+    fn enqueue_inner(
+        &self,
+        puls: Vec<Pul>,
+        expires: Option<Instant>,
+        block: bool,
+    ) -> Result<Vec<Ticket>> {
         let mut state = self.shared.state.lock().expect("queue lock");
         let mut blocked_at: Option<Instant> = None;
-        while !state.closed && state.queue.len() >= self.capacity {
-            if !block {
+        while !state.closed && state.queue.len() + puls.len() > self.capacity {
+            if !block || puls.len() > self.capacity {
                 self.telemetry.count(|m| &m.tickets_shed);
-                self.telemetry.event(EventKind::Shed, 0, || {
-                    format!("submission shed: ingest queue at capacity ({})", self.capacity)
-                });
-                return Err(Error::Overload(format!(
-                    "ingest queue at capacity ({} waiting submissions)",
+                let what = format!(
+                    "{} submission(s) do not fit the ingest queue ({} waiting, capacity {})",
+                    puls.len(),
+                    state.queue.len(),
                     self.capacity
-                )));
+                );
+                self.telemetry.event(EventKind::Shed, 0, || format!("shed: {what}"));
+                return Err(Error::Overload(what));
             }
             if blocked_at.is_none() && self.telemetry.is_enabled() {
                 blocked_at = Some(Instant::now());
             }
-            if self.pipeline.as_ref().is_none_or(|h| h.is_finished()) {
-                return Err(Error::Ingest(
-                    "ingest pipeline is dead: its thread exited with the queue full".into(),
-                ));
-            }
-            // The pipeline signals `settled` after every drain (space freed);
-            // the timeout re-polls liveness so a crash that happens while we
-            // wait is noticed too.
-            let (s, _) = self
-                .shared
-                .settled
-                .wait_timeout(state, Duration::from_millis(50))
-                .expect("queue lock");
-            state = s;
+            // The pipeline signals `settled` after every drain (space freed)
+            // and when it exits (which closes the queue).
+            state = self.shared.settled.wait(state).expect("queue lock");
         }
         if state.closed {
-            return Err(Error::Ingest("queue closed: no further submissions accepted".into()));
+            return Err(Error::Ingest(
+                "queue closed (or its pipeline died): no further submissions accepted".into(),
+            ));
         }
         if let Some(t0) = blocked_at {
             self.telemetry.observe_since(|m| &m.enqueue_block_ns, t0);
         }
-        let (ticket, completer) = Ticket::new();
-        if state.queue.is_empty() {
-            state.window_start = Some(Instant::now());
-        }
         let enqueued = self.telemetry.is_enabled().then(Instant::now);
-        state.queue.push_back(QueuedEntry { pul, expires, enqueued, completer });
+        let tickets = puls
+            .into_iter()
+            .map(|pul| {
+                let (ticket, completer) = Ticket::new();
+                state.queue.push_back(QueuedEntry { pul, expires, enqueued, completer });
+                ticket
+            })
+            .collect();
         self.telemetry.gauge_set(|m| &m.queue_depth, state.queue.len() as i64);
         drop(state);
-        self.shared.enqueued.notify_all();
-        Ok(ticket)
+        self.shared.enqueued.notify_one();
+        Ok(tickets)
     }
 
     /// Enqueues a producer PUL received in the XML exchange format (§4).
@@ -453,31 +458,22 @@ impl<B: IngestBackend> IngestQueue<B> {
     /// poisoned and `flush` returns instead of waiting forever.
     pub fn flush(&self) {
         let mut state = self.shared.state.lock().expect("queue lock");
+        // The pipeline drains a non-empty queue without being asked, and its
+        // exit (normal or by panic) empties the queue and signals `settled`.
         while !state.queue.is_empty() || state.in_flight > 0 {
-            state.flush_hint = true;
-            self.shared.enqueued.notify_all();
-            // A dead pipeline settles nothing ever again: bail out. (The
-            // timeout below re-polls liveness, so a crash that happens while
-            // we wait is noticed too.)
-            if self.pipeline.as_ref().is_none_or(|h| h.is_finished()) {
-                break;
-            }
-            let (s, _) = self
-                .shared
-                .settled
-                .wait_timeout(state, Duration::from_millis(50))
-                .expect("queue lock");
-            state = s;
+            state = self.shared.settled.wait(state).expect("queue lock");
         }
     }
 
     /// Closes the queue: everything already enqueued is drained and
-    /// committed, the pipeline thread stops, and the backend is returned.
-    /// Subsequent `enqueue` calls fail with `XPUL-E06`.
+    /// committed (as the pipeline's next batch, like any other), the
+    /// pipeline thread stops, and the backend is returned. Subsequent
+    /// `enqueue` calls fail with `XPUL-E06`.
     ///
-    /// If the pipeline thread panicked (a backend crash mid-commit), the
-    /// backend is lost with it: `close` reports a typed `XPUL-E06` error
-    /// instead of propagating the panic into the caller.
+    /// If the pipeline thread panicked (a backend crash mid-commit), it had
+    /// already closed the queue and poisoned what was queued; the backend is
+    /// lost with it, and `close` reports a typed `XPUL-E06` error instead of
+    /// propagating the panic into the caller.
     pub fn close(mut self) -> Result<B> {
         self.shutdown().expect("pipeline joined once").map_err(|panic| {
             let what = panic
@@ -505,10 +501,11 @@ impl<B: IngestBackend> Drop for IngestQueue<B> {
 }
 
 // ---------------------------------------------------------------------------
-// the pipeline thread: window → batch → one aggregated commit
+// the pipeline thread: drain everything queued → one aggregated commit
 // ---------------------------------------------------------------------------
 
 fn pipeline_loop<B: IngestBackend>(shared: &Shared, mut backend: B, config: &IngestConfig) -> B {
+    let _exit = PipelineExit(shared);
     while let Some(batch) = next_batch(shared, config) {
         let settle = InFlightGuard { shared, n: batch.len() };
         // Fail deadline-expired entries before spending any work on them.
@@ -561,44 +558,43 @@ fn pipeline_loop<B: IngestBackend>(shared: &Shared, mut backend: B, config: &Ing
     backend
 }
 
-/// Waits until a batch is due — the threshold is reached, a tick has passed
-/// since the window opened, a flush is requested or the queue is closed —
-/// and drains it, capped at the threshold. `None` once the queue is closed
-/// and empty.
+/// Group commit: sleeps while the queue is empty, then drains everything
+/// queued — whatever arrived while the previous batch was committing — as
+/// one batch, bounded by the queue's capacity. `None` once the queue is
+/// closed and empty.
 fn next_batch(shared: &Shared, config: &IngestConfig) -> Option<Vec<QueuedEntry>> {
     let mut state = shared.state.lock().expect("queue lock");
-    loop {
-        if state.queue.is_empty() {
-            if state.closed {
-                return None;
-            }
-            state = shared.enqueued.wait(state).expect("queue lock");
-            continue;
+    while state.queue.is_empty() {
+        if state.closed {
+            return None;
         }
-        let waited = state.window_start.map(|t| t.elapsed());
-        if state.closed
-            || state.flush_hint
-            || state.queue.len() >= config.flush_threshold
-            || waited.is_none_or(|w| w >= config.tick)
-        {
-            break;
-        }
-        let remaining = config.tick.saturating_sub(waited.unwrap_or_default());
-        state = shared.enqueued.wait_timeout(state, remaining).expect("queue lock").0;
+        state = shared.enqueued.wait(state).expect("queue lock");
     }
-    state.flush_hint = false;
-    // A batch is capped at the threshold; the remainder (window_start
-    // cleared, so its window counts as elapsed) drains immediately as the
-    // next batch.
-    state.window_start = None;
-    let take = state.queue.len().min(config.flush_threshold.max(1));
-    state.in_flight += take;
-    let batch = state.queue.drain(..take).collect();
-    config.telemetry.gauge_set(|m| &m.queue_depth, state.queue.len() as i64);
+    state.in_flight += state.queue.len();
+    let batch = state.queue.drain(..).collect();
+    config.telemetry.gauge_set(|m| &m.queue_depth, 0);
     drop(state);
     // Space was freed: wake any producer blocked on the capacity bound.
     shared.settled.notify_all();
     Some(batch)
+}
+
+/// Closes the queue when the pipeline thread exits — including when a
+/// backend panic unwinds it — and poisons every ticket still queued
+/// (`XPUL-E06`, through its completer's drop), so no producer waits on a
+/// submission no thread will commit and later enqueues fail fast.
+struct PipelineExit<'a>(&'a Shared);
+
+impl Drop for PipelineExit<'_> {
+    fn drop(&mut self) {
+        let orphans = {
+            let mut state = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
+            state.closed = true;
+            std::mem::take(&mut state.queue)
+        };
+        drop(orphans);
+        self.0.settled.notify_all();
+    }
 }
 
 /// Consults the failpoint at `site`, counting and journaling a hit.
@@ -738,22 +734,13 @@ mod tests {
     use super::*;
     use crate::{Executor, ShardedExecutor};
     use pul::UpdateOp;
+    use std::sync::mpsc;
     use xdm::Tree;
 
     /// ids: lib=1, year=2, b1=3, t=4, "A"=5, b2=6, t=7, "B"=8,
     ///      b3=9, t=10, "C"=11, b4=12, t=13, "D"=14
     const LIB: &str = "<lib year=\"2011\"><b1><t>A</t></b1><b2><t>B</t></b2>\
                        <b3><t>C</t></b3><b4><t>D</t></b4></lib>";
-
-    fn giant_tick() -> IngestConfig {
-        // Threshold-driven draining only: keeps round formation deterministic
-        // in tests that enqueue faster than any realistic tick.
-        IngestConfig {
-            flush_threshold: 64,
-            tick: Duration::from_secs(3600),
-            ..IngestConfig::default()
-        }
-    }
 
     #[test]
     fn independent_submissions_coalesce_into_one_version() {
@@ -762,8 +749,8 @@ mod tests {
             .iter()
             .map(|&(id, name)| session.pul_from_ops(vec![UpdateOp::rename(id, name)]))
             .collect();
-        let queue = IngestQueue::with_config(session, giant_tick());
-        let tickets: Vec<Ticket> = puls.into_iter().map(|p| queue.enqueue(p).unwrap()).collect();
+        let queue = IngestQueue::new(session);
+        let tickets = queue.enqueue_all(puls).unwrap();
         queue.flush();
         let outcomes: Vec<TicketOutcome> =
             tickets.iter().map(|t| t.wait().expect("independent renames commit")).collect();
@@ -784,9 +771,8 @@ mod tests {
         let session = Executor::parse(LIB).unwrap();
         let p1 = session.pul_from_ops(vec![UpdateOp::replace_value(5u64, "first")]);
         let p2 = session.pul_from_ops(vec![UpdateOp::replace_value(5u64, "second")]);
-        let queue = IngestQueue::with_config(session, giant_tick());
-        let t1 = queue.enqueue(p1).unwrap();
-        let t2 = queue.enqueue(p2).unwrap();
+        let queue = IngestQueue::new(session);
+        let [t1, t2]: [Ticket; 2] = queue.enqueue_all([p1, p2]).unwrap().try_into().unwrap();
         queue.flush();
         let o1 = t1.wait().unwrap();
         let o2 = t2.wait().unwrap();
@@ -814,9 +800,8 @@ mod tests {
             sequential.submit(pul);
             sequential.commit().unwrap();
         }
-        let queue = IngestQueue::with_config(session, giant_tick());
-        let ta = queue.enqueue(a).unwrap();
-        let tb = queue.enqueue(b).unwrap();
+        let queue = IngestQueue::new(session);
+        let [ta, tb]: [Ticket; 2] = queue.enqueue_all([a, b]).unwrap().try_into().unwrap();
         queue.flush();
         assert_eq!(ta.wait().unwrap().version, tb.wait().unwrap().version);
         let session = queue.close().unwrap();
@@ -836,8 +821,8 @@ mod tests {
         let p1 = session.pul_from_ops(vec![UpdateOp::delete(3u64)]);
         let p2 = session.pul_from_ops(vec![UpdateOp::rename(4u64, "gone")]);
         let p3 = session.pul_from_ops(vec![UpdateOp::rename(6u64, "kept")]);
-        let queue = IngestQueue::with_config(session, giant_tick());
-        let tickets: Vec<Ticket> = [p1, p2, p3].map(|p| queue.enqueue(p).unwrap()).into();
+        let queue = IngestQueue::new(session);
+        let tickets = queue.enqueue_all([p1, p2, p3]).unwrap();
         queue.flush();
         tickets[0].wait().expect("the deletion commits");
         assert_eq!(tickets[1].wait().unwrap_err().code(), "XPUL-P01");
@@ -861,10 +846,9 @@ mod tests {
             vec![Tree::attribute("id", "1"), Tree::attribute("id", "2")],
         )]);
         let good2 = session.pul_from_ops(vec![UpdateOp::rename(12u64, "kept2")]);
-        let queue = IngestQueue::with_config(session, giant_tick());
-        let t1 = queue.enqueue(good1).unwrap();
-        let tp = queue.enqueue(poison).unwrap();
-        let t2 = queue.enqueue(good2).unwrap();
+        let queue = IngestQueue::new(session);
+        let [t1, tp, t2]: [Ticket; 3] =
+            queue.enqueue_all([good1, poison, good2]).unwrap().try_into().unwrap();
         queue.flush();
         t1.wait().expect("independent good submission commits");
         t2.wait().expect("independent good submission commits");
@@ -883,9 +867,8 @@ mod tests {
         let session = ShardedExecutor::parse(LIB, 2).unwrap();
         let p1 = session.pul_from_ops(vec![UpdateOp::rename(3u64, "s0")]);
         let p2 = session.pul_from_ops(vec![UpdateOp::rename(12u64, "s1")]);
-        let queue = IngestQueue::with_config(session, giant_tick());
-        let t1 = queue.enqueue(p1).unwrap();
-        let t2 = queue.enqueue(p2).unwrap();
+        let queue = IngestQueue::new(session);
+        let [t1, t2]: [Ticket; 2] = queue.enqueue_all([p1, p2]).unwrap().try_into().unwrap();
         queue.flush();
         let o1 = t1.wait().unwrap();
         let o2 = t2.wait().unwrap();
@@ -901,9 +884,11 @@ mod tests {
     fn enqueue_after_close_is_rejected_with_e06() {
         let session = Executor::parse(LIB).unwrap();
         let pul = session.pul_from_ops(vec![UpdateOp::rename(3u64, "x")]);
-        let mut queue = IngestQueue::with_config(session, giant_tick());
+        let mut queue = IngestQueue::new(session);
         queue.shutdown();
-        let err = queue.enqueue(pul).unwrap_err();
+        let err = queue.enqueue(pul.clone()).unwrap_err();
+        assert_eq!(err.code(), "XPUL-E06", "{err}");
+        let err = queue.enqueue_all([pul]).unwrap_err();
         assert_eq!(err.code(), "XPUL-E06", "{err}");
     }
 
@@ -918,7 +903,7 @@ mod tests {
         let closer = std::thread::spawn(move || {
             let session = Executor::parse(LIB).unwrap();
             for i in 0..40_000u32 {
-                let queue = IngestQueue::with_config(session.clone(), giant_tick());
+                let queue = IngestQueue::new(session.clone());
                 for _ in 0..(i % 256) * 16 {
                     std::hint::spin_loop();
                 }
@@ -936,7 +921,7 @@ mod tests {
     fn close_flushes_the_remaining_queue() {
         let session = Executor::parse(LIB).unwrap();
         let pul = session.pul_from_ops(vec![UpdateOp::rename(3u64, "flushed")]);
-        let queue = IngestQueue::with_config(session, giant_tick());
+        let queue = IngestQueue::new(session);
         let ticket = queue.enqueue(pul).unwrap();
         // no flush(): close() must still drain and commit the entry
         let session = queue.close().unwrap();
@@ -944,26 +929,53 @@ mod tests {
         assert!(session.serialize().contains("<flushed>"));
     }
 
-    #[test]
-    fn tick_flushes_below_the_threshold() {
-        let session = Executor::parse(LIB).unwrap();
-        let pul = session.pul_from_ops(vec![UpdateOp::rename(3u64, "ticked")]);
-        let queue = IngestQueue::with_config(
-            session,
-            IngestConfig {
-                flush_threshold: 1_000,
-                tick: Duration::from_millis(1),
-                ..IngestConfig::default()
-            },
-        );
-        let ticket = queue.enqueue(pul).unwrap();
-        let outcome = ticket.wait().expect("the tick drains a sub-threshold window");
-        assert_eq!(outcome.version, 1);
-        drop(queue);
-    }
-
     /// Backend double that panics on commit — the crash-in-pipeline case.
     struct PanickingBackend(Executor);
+
+    /// Backend double delegating to `inner` whose first `admit` signals
+    /// `held` and then blocks until `release` fires: the test holds batch 1
+    /// mid-commit and fills the next group-commit window deterministically.
+    struct GatedBackend<B> {
+        inner: B,
+        gate: Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>,
+    }
+
+    /// A gated backend plus the test's ends of its gate: `held` fires when
+    /// batch 1 reaches `admit`, a send on `release` lets it proceed.
+    fn gated<B>(inner: B) -> (GatedBackend<B>, mpsc::Receiver<()>, mpsc::Sender<()>) {
+        let (held_tx, held) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        (GatedBackend { inner, gate: Some((held_tx, release_rx)) }, held, release)
+    }
+
+    impl<B: IngestBackend> IngestBackend for GatedBackend<B> {
+        type Resolution = B::Resolution;
+        fn admit(&mut self, batch: &[&Pul]) -> Result<SubmissionId> {
+            if let Some((held, release)) = self.gate.take() {
+                held.send(()).unwrap();
+                release.recv().unwrap();
+            }
+            self.inner.admit(batch)
+        }
+        fn resolve_pending(&self) -> Result<B::Resolution> {
+            self.inner.resolve_pending()
+        }
+        fn commit_pending(&mut self, resolution: B::Resolution) -> Result<u64> {
+            self.inner.commit_pending(resolution)
+        }
+        fn snapshot_view(&self) -> crate::Snapshot {
+            self.inner.snapshot_view()
+        }
+        fn discard(&mut self, id: SubmissionId) {
+            self.inner.discard(id);
+        }
+        fn current_version(&self) -> u64 {
+            self.inner.current_version()
+        }
+    }
+
+    /// How long a test waits on a signal before declaring a hang.
+    const PATIENCE: Duration = Duration::from_secs(10);
 
     impl IngestBackend for PanickingBackend {
         type Resolution = crate::Resolution;
@@ -992,16 +1004,8 @@ mod tests {
         let session = Executor::parse(LIB).unwrap();
         let p1 = session.pul_from_ops(vec![UpdateOp::rename(3u64, "x")]);
         let p2 = session.pul_from_ops(vec![UpdateOp::rename(6u64, "y")]);
-        let queue = IngestQueue::with_config(
-            PanickingBackend(session),
-            IngestConfig {
-                flush_threshold: 2,
-                tick: Duration::from_millis(1),
-                ..IngestConfig::default()
-            },
-        );
-        let t1 = queue.enqueue(p1).unwrap();
-        let t2 = queue.enqueue(p2).unwrap();
+        let queue = IngestQueue::new(PanickingBackend(session));
+        let [t1, t2]: [Ticket; 2] = queue.enqueue_all([p1, p2]).unwrap().try_into().unwrap();
         // must return (the in-flight count is settled by the unwind guard),
         // not hang forever
         queue.flush();
@@ -1011,27 +1015,116 @@ mod tests {
     }
 
     #[test]
+    fn a_dead_pipeline_fails_queued_and_later_submissions_with_e06() {
+        // Regression: the pipeline's death left entries queued behind the
+        // panicking batch stranded, and `enqueue` kept returning tickets no
+        // thread would ever complete. Every wait here is bounded.
+        let session = Executor::parse(LIB).unwrap();
+        let puls: Vec<Pul> = [3u64, 6, 9, 12]
+            .iter()
+            .map(|&id| session.pul_from_ops(vec![UpdateOp::rename(id, "x")]))
+            .collect();
+        let [p1, p2, p3, p4]: [Pul; 4] = puls.try_into().unwrap();
+        let (backend, held, release) = gated(PanickingBackend(session));
+        let queue = IngestQueue::new(backend);
+        let t1 = queue.enqueue(p1).unwrap();
+        held.recv_timeout(PATIENCE).expect("batch 1 reaches admit");
+        // Queued while the batch that will panic is committing.
+        let t2 = queue.enqueue(p2.clone()).unwrap();
+        release.send(()).unwrap();
+        queue.flush();
+        let (done, outcomes) = mpsc::channel();
+        let waiters: Vec<_> = [t1, t2]
+            .into_iter()
+            .map(|ticket| {
+                let done = done.clone();
+                std::thread::spawn(move || done.send(ticket.wait()).unwrap())
+            })
+            .collect();
+        for _ in 0..2 {
+            let outcome =
+                outcomes.recv_timeout(PATIENCE).expect("a stranded ticket never completed");
+            assert_eq!(outcome.unwrap_err().code(), "XPUL-E06");
+        }
+        waiters.into_iter().for_each(|w| w.join().unwrap());
+        // The dead pipeline closed the queue: later submissions fail fast.
+        assert_eq!(queue.enqueue(p2).unwrap_err().code(), "XPUL-E06");
+        assert_eq!(queue.try_enqueue(p3).unwrap_err().code(), "XPUL-E06");
+        assert_eq!(queue.enqueue_all([p4]).unwrap_err().code(), "XPUL-E06");
+        drop(queue);
+    }
+
+    #[test]
+    fn everything_queued_during_a_commit_drains_as_one_batch() {
+        // lib=1, e0..e40 = 2..42
+        let xml: String = std::iter::once("<lib>".to_string())
+            .chain((0..=40).map(|i| format!("<e{i}/>")))
+            .chain(std::iter::once("</lib>".to_string()))
+            .collect();
+        let session = Executor::parse(&xml).unwrap();
+        let mut puls: Vec<Pul> = (0..=40u64)
+            .map(|i| session.pul_from_ops(vec![UpdateOp::rename(i + 2, format!("r{i}"))]))
+            .collect();
+        let rest = puls.split_off(1);
+        let (backend, held, release) = gated(session);
+        let queue = IngestQueue::new(backend);
+        let first = queue.enqueue(puls.pop().unwrap()).unwrap();
+        held.recv_timeout(PATIENCE).expect("batch 1 reaches admit");
+        // 40 independent renames arrive one by one while batch 1 is held.
+        let tickets: Vec<Ticket> = rest.into_iter().map(|p| queue.enqueue(p).unwrap()).collect();
+        release.send(()).unwrap();
+        assert_eq!(first.wait().unwrap().version, 1);
+        let versions: Vec<u64> = tickets.iter().map(|t| t.wait().unwrap().version).collect();
+        assert!(versions.iter().all(|&v| v == 2), "one batch, one version: {versions:?}");
+        let session = queue.close().unwrap().inner;
+        assert_eq!(session.version(), 2, "two commits for 41 submissions");
+        assert!(session.serialize().contains("<r40/>"));
+        session.assert_consistent();
+    }
+
+    #[test]
     fn try_enqueue_sheds_load_at_capacity() {
         let session = Executor::parse(LIB).unwrap();
         let puls: Vec<Pul> = [(3u64, "x1"), (6u64, "x2"), (9u64, "x3")]
             .iter()
             .map(|&(id, name)| session.pul_from_ops(vec![UpdateOp::rename(id, name)]))
             .collect();
-        // Giant tick + high threshold: nothing drains until flush, so the
-        // queue genuinely fills to its bound.
-        let queue = IngestQueue::with_config(session, IngestConfig { capacity: 2, ..giant_tick() });
+        // Batch 1 is held mid-commit, so nothing drains and the queue
+        // genuinely fills to its bound.
+        let hold = session.pul_from_ops(vec![UpdateOp::rename(12u64, "x4")]);
+        let (backend, held, release) = gated(session);
+        let queue =
+            IngestQueue::with_config(backend, IngestConfig { capacity: 2, ..Default::default() });
+        let t0 = queue.enqueue(hold).unwrap();
+        held.recv_timeout(PATIENCE).expect("batch 1 reaches admit");
         let mut puls = puls.into_iter();
         let t1 = queue.try_enqueue(puls.next().unwrap()).unwrap();
         let t2 = queue.try_enqueue(puls.next().unwrap()).unwrap();
         let err = queue.try_enqueue(puls.next().unwrap()).unwrap_err();
         assert_eq!(err.code(), "XPUL-E08", "{err}");
+        release.send(()).unwrap();
         queue.flush();
+        t0.wait().expect("the held batch commits");
         t1.wait().expect("admitted submissions commit");
         t2.wait().expect("admitted submissions commit");
-        let session = queue.close().unwrap();
+        let session = queue.close().unwrap().inner;
         let xml = session.serialize();
         assert!(xml.contains("<x1>") && xml.contains("<x2>"), "{xml}");
         assert!(!xml.contains("<x3>"), "the shed submission left no trace");
+    }
+
+    #[test]
+    fn enqueue_all_refuses_a_group_larger_than_capacity() {
+        let session = Executor::parse(LIB).unwrap();
+        let puls: Vec<Pul> = [3u64, 6, 9]
+            .iter()
+            .map(|&id| session.pul_from_ops(vec![UpdateOp::rename(id, "x")]))
+            .collect();
+        let queue =
+            IngestQueue::with_config(session, IngestConfig { capacity: 2, ..Default::default() });
+        let err = queue.enqueue_all(puls).unwrap_err();
+        assert_eq!(err.code(), "XPUL-E08", "{err}");
+        assert_eq!(queue.close().unwrap().version(), 0, "nothing of the group was queued");
     }
 
     #[test]
@@ -1041,15 +1134,8 @@ mod tests {
         let p2 = session.pul_from_ops(vec![UpdateOp::rename(6u64, "x2")]);
         // capacity 1 with an eager pipeline: the second enqueue finds the
         // queue full and must wait for the drain, not error out.
-        let queue = IngestQueue::with_config(
-            session,
-            IngestConfig {
-                flush_threshold: 1,
-                tick: Duration::from_millis(1),
-                capacity: 1,
-                ..IngestConfig::default()
-            },
-        );
+        let queue =
+            IngestQueue::with_config(session, IngestConfig { capacity: 1, ..Default::default() });
         let t1 = queue.enqueue(p1).unwrap();
         let t2 = queue.enqueue(p2).unwrap();
         queue.flush();
@@ -1064,7 +1150,7 @@ mod tests {
     fn expired_tickets_are_shed_at_drain_with_e08() {
         let session = Executor::parse(LIB).unwrap();
         let pul = session.pul_from_ops(vec![UpdateOp::rename(3u64, "late")]);
-        let queue = IngestQueue::with_config(session, giant_tick());
+        let queue = IngestQueue::new(session);
         let ticket = queue.enqueue_with_deadline(pul, Duration::ZERO).unwrap();
         queue.flush();
         let err = ticket.wait().unwrap_err();
@@ -1109,14 +1195,7 @@ mod tests {
     fn close_after_pipeline_panic_returns_a_typed_error() {
         let session = Executor::parse(LIB).unwrap();
         let pul = session.pul_from_ops(vec![UpdateOp::rename(3u64, "x")]);
-        let queue = IngestQueue::with_config(
-            PanickingBackend(session),
-            IngestConfig {
-                flush_threshold: 1,
-                tick: Duration::from_millis(1),
-                ..IngestConfig::default()
-            },
-        );
+        let queue = IngestQueue::new(PanickingBackend(session));
         let ticket = queue.enqueue(pul).unwrap();
         queue.flush();
         assert_eq!(ticket.wait().unwrap_err().code(), "XPUL-E06");
@@ -1141,10 +1220,9 @@ mod tests {
             .arm();
         let queue = IngestQueue::with_config(
             session,
-            IngestConfig { faults: faults.clone(), ..giant_tick() },
+            IngestConfig { faults: faults.clone(), ..IngestConfig::default() },
         );
-        let t1 = queue.enqueue(p1).unwrap();
-        let t2 = queue.enqueue(p2).unwrap();
+        let [t1, t2]: [Ticket; 2] = queue.enqueue_all([p1, p2]).unwrap().try_into().unwrap();
         queue.flush();
         // The merged attempt was failed by the injection; the singleton
         // retries commit both members, just in separate versions.
@@ -1168,7 +1246,8 @@ mod tests {
         let faults = FaultPlan::new(7)
             .fail(site::INGEST_PREPARE, Trigger::Nth(1), FaultKind::Permanent)
             .arm();
-        let queue = IngestQueue::with_config(session, IngestConfig { faults, ..giant_tick() });
+        let queue =
+            IngestQueue::with_config(session, IngestConfig { faults, ..Default::default() });
         let t1 = queue.enqueue(p1).unwrap();
         queue.flush();
         let err = t1.wait().unwrap_err();

@@ -53,9 +53,9 @@
 //! the paper's streaming evaluator, [`pul::apply_streaming`], applies a
 //! resolution's PUL in one pass over the identified serialization without
 //! materialising the document; [`IngestQueue`] fronts an executor (single or
-//! [sharded](ShardedExecutor)) with a batched submission queue for
-//! multi-writer ingestion that commits each drained batch as one aggregated
-//! PUL.
+//! [sharded](ShardedExecutor)) with a group-commit submission queue for
+//! multi-writer ingestion: whenever its pipeline thread is free it drains
+//! everything queued and commits it as one aggregated PUL.
 //!
 //! ## Workspace layout
 //!

@@ -23,9 +23,12 @@
 //! `--ignored` sweep runs 200 further randomized seeds. Run it with
 //! `cargo test --release --test chaos_differential -- --ignored`.
 
+mod common;
+
 use std::path::PathBuf;
 use std::time::Duration;
 
+use common::enqueue_in_batches;
 use pul::ApplyOptions;
 use workload::pulgen::differential_case_with;
 use xmlpul::prelude::*;
@@ -195,15 +198,9 @@ fn chaos_case<B: ChaosBackend>(seed: u64, plan: &FaultPlan, plan_idx: usize) {
     durable.inject_faults(faults.clone());
     let queue = IngestQueue::with_config(
         durable,
-        IngestConfig {
-            flush_threshold: 4,
-            tick: Duration::from_secs(3600),
-            faults: faults.clone(),
-            ..IngestConfig::default()
-        },
+        IngestConfig { faults: faults.clone(), ..IngestConfig::default() },
     );
-    let tickets: Vec<Ticket> =
-        case.puls.iter().map(|p| queue.enqueue(p.clone()).expect("queue open")).collect();
+    let tickets = enqueue_in_batches(&queue, &case.puls, 4);
     queue.flush();
     let durable = queue.close().unwrap_or_else(|e| panic!("{ctx}: close: {e}"));
 

@@ -20,7 +20,6 @@
 
 use std::fs;
 use std::path::PathBuf;
-use std::time::Duration;
 
 use workload::pulgen::generate_pul;
 use workload::{PulGenConfig, XmarkConfig};
@@ -586,29 +585,24 @@ fn ingest_compacts_at_round_boundaries_without_poisoning_tickets() {
 
     // Round 1: one aggregated batch of churny PULs. The pipeline compacts
     // after the round commits — the queue must stay healthy through it.
-    let config = || IngestConfig {
-        flush_threshold: 64,
-        tick: Duration::from_secs(3600),
-        ..IngestConfig::default()
-    };
-    let queue = IngestQueue::with_config(durable, config());
-    let twin = IngestQueue::with_config(Executor::new(doc), config());
-    let mut batch = Vec::new();
-    let mut twin_batch = Vec::new();
-    for i in 0..6u64 {
-        let pul = generate_pul(
-            gen_base.document(),
-            gen_base.labeling(),
-            &PulGenConfig {
-                n_ops: 3,
-                reducible_ratio: 0.2,
-                content_id_base: gen_base.document().next_id() + 50_000 * (i + 1),
-                seed: 271 + i,
-            },
-        );
-        batch.push(queue.enqueue(pul.clone()).expect("queue open"));
-        twin_batch.push(twin.enqueue(pul).expect("twin open"));
-    }
+    let queue = IngestQueue::new(durable);
+    let twin = IngestQueue::new(Executor::new(doc));
+    let puls: Vec<Pul> = (0..6u64)
+        .map(|i| {
+            generate_pul(
+                gen_base.document(),
+                gen_base.labeling(),
+                &PulGenConfig {
+                    n_ops: 3,
+                    reducible_ratio: 0.2,
+                    content_id_base: gen_base.document().next_id() + 50_000 * (i + 1),
+                    seed: 271 + i,
+                },
+            )
+        })
+        .collect();
+    let batch = queue.enqueue_all(puls.clone()).expect("queue open");
+    let twin_batch = twin.enqueue_all(puls).expect("twin open");
     queue.flush();
     twin.flush();
     for (i, ticket) in batch.iter().enumerate() {
@@ -641,7 +635,7 @@ fn ingest_compacts_at_round_boundaries_without_poisoning_tickets() {
             seed: 941,
         },
     );
-    let queue = IngestQueue::with_config(durable, config());
+    let queue = IngestQueue::new(durable);
     let ticket = queue.enqueue(pul.clone()).expect("queue open");
     resynced.submit(pul);
     resynced.commit().unwrap();

@@ -66,12 +66,7 @@ fn reader_committer_case(seed: u64) {
         .unwrap_or_else(|e| panic!("{ctx}: create: {e}"));
     let queue = IngestQueue::with_config(
         durable,
-        IngestConfig {
-            flush_threshold: 4,
-            tick: Duration::from_millis(1),
-            publish_snapshots: true,
-            ..IngestConfig::default()
-        },
+        IngestConfig { publish_snapshots: true, ..IngestConfig::default() },
     );
 
     let done = AtomicBool::new(false);

@@ -9,8 +9,10 @@
 //! * **sequentially** through a single [`Executor`] oracle — one
 //!   `submit → resolve → commit` round trip per producer, failed commits
 //!   withdrawn, exactly what a queue-less server loop would do — and
-//! * **batched** through an [`IngestQueue`] at flush thresholds 1, 4 and 16,
-//!   over both backends ([`Executor`] and a 4-shard [`ShardedExecutor`]).
+//! * **batched** through an [`IngestQueue`] in batches of 1, 4 and 16 (each
+//!   chunk sent with [`IngestQueue::enqueue_all`] once the previous one has
+//!   settled), over both backends ([`Executor`] and a 4-shard
+//!   [`ShardedExecutor`]).
 //!
 //! Whether a batch commits as one aggregate or degrades to singleton
 //! commits, the committed document must be **bit-identical** to the
@@ -27,8 +29,9 @@
 //! discipline, collision-free by construction), so identifier assignment is
 //! deterministic on both sides and `deep_eq` is meaningful.
 
-use std::time::Duration;
+mod common;
 
+use common::enqueue_in_batches;
 use pul::ApplyOptions;
 use workload::pulgen::{differential_case_with, DifferentialCase};
 use xdm::parser::parse_fragment_with_first_id;
@@ -43,16 +46,6 @@ const BATCH_SIZES: [usize; 3] = [1, 4, 16];
 /// oracle and every batched run mint identical identifiers.
 fn producer_options() -> ApplyOptions {
     ApplyOptions { validate: true, preserve_content_ids: true }
-}
-
-/// Threshold-driven config: the tick never fires, so round formation depends
-/// only on the flush threshold (and the closing flush).
-fn config(batch: usize) -> IngestConfig {
-    IngestConfig {
-        flush_threshold: batch,
-        tick: Duration::from_secs(3600),
-        ..IngestConfig::default()
-    }
 }
 
 /// The seeded case: the document and random producers of
@@ -212,9 +205,8 @@ fn run_case(seed: u64) {
         let backend = Executor::new(case.doc.clone())
             .policy(Policy::relaxed())
             .apply_options(producer_options());
-        let queue = IngestQueue::with_config(backend, config(batch));
-        let tickets: Vec<Ticket> =
-            case.puls.iter().map(|p| queue.enqueue(p.clone()).expect("queue open")).collect();
+        let queue = IngestQueue::new(backend);
+        let tickets = enqueue_in_batches(&queue, &case.puls, batch);
         let session = queue.close().unwrap();
         assert_outcomes_match(&tickets, &oracle_outcomes, seed, batch, "executor");
         assert!(
@@ -238,9 +230,8 @@ fn run_case(seed: u64) {
             .expect("rooted document shards")
             .policy(Policy::relaxed())
             .apply_options(producer_options());
-        let queue = IngestQueue::with_config(backend, config(batch));
-        let tickets: Vec<Ticket> =
-            case.puls.iter().map(|p| queue.enqueue(p.clone()).expect("queue open")).collect();
+        let queue = IngestQueue::new(backend);
+        let tickets = enqueue_in_batches(&queue, &case.puls, batch);
         let session = queue.close().unwrap();
         assert_outcomes_match(&tickets, &oracle_outcomes, seed, batch, "sharded");
         assert!(
@@ -336,16 +327,8 @@ fn mid_batch_commit_failure_fails_only_its_own_ticket() {
         let mut puls = good_ops(&session);
         puls.insert(poison_at, poison);
 
-        let queue = IngestQueue::with_config(
-            session,
-            IngestConfig {
-                flush_threshold: 6,
-                tick: Duration::from_secs(3600),
-                ..IngestConfig::default()
-            },
-        );
-        let tickets: Vec<Ticket> =
-            puls.iter().map(|p| queue.enqueue(p.clone()).expect("queue open")).collect();
+        let queue = IngestQueue::new(session);
+        let tickets = queue.enqueue_all(puls).expect("queue open");
         let session = queue.close().unwrap();
 
         for (i, ticket) in tickets.iter().enumerate() {

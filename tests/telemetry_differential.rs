@@ -16,9 +16,12 @@
 //!   *without waiting for the next failing commit* — the PR 10 regression;
 //! * the text exposition must be deterministic (golden rendering).
 
+mod common;
+
 use std::path::PathBuf;
 use std::time::Duration;
 
+use common::enqueue_in_batches;
 use pul::ApplyOptions;
 use workload::pulgen::differential_case_with;
 use xmlpul::prelude::*;
@@ -162,12 +165,7 @@ fn ingest_counters_reconcile_with_ticket_outcomes() {
         let case = differential_case_with(seed, PRODUCERS);
         for sharded in [false, true] {
             let telemetry = Telemetry::enabled();
-            let config = IngestConfig {
-                flush_threshold: 4,
-                tick: Duration::from_secs(3600),
-                telemetry: telemetry.clone(),
-                ..IngestConfig::default()
-            };
+            let config = IngestConfig { telemetry: telemetry.clone(), ..IngestConfig::default() };
             let tickets: Vec<Ticket> = if sharded {
                 let mut backend = ShardedExecutor::new(case.doc.clone(), 4)
                     .expect("rooted document shards")
@@ -175,7 +173,7 @@ fn ingest_counters_reconcile_with_ticket_outcomes() {
                     .apply_options(producer_options());
                 backend.set_telemetry(telemetry.clone());
                 let queue = IngestQueue::with_config(backend, config);
-                let tickets = case.puls.iter().map(|p| queue.enqueue(p.clone()).unwrap()).collect();
+                let tickets = enqueue_in_batches(&queue, &case.puls, 4);
                 queue.close().unwrap();
                 tickets
             } else {
@@ -184,7 +182,7 @@ fn ingest_counters_reconcile_with_ticket_outcomes() {
                     .apply_options(producer_options());
                 backend.set_telemetry(telemetry.clone());
                 let queue = IngestQueue::with_config(backend, config);
-                let tickets = case.puls.iter().map(|p| queue.enqueue(p.clone()).unwrap()).collect();
+                let tickets = enqueue_in_batches(&queue, &case.puls, 4);
                 queue.close().unwrap();
                 tickets
             };

@@ -12,6 +12,12 @@
 //! format silently changes what is reasoned about. The default suite covers
 //! 40 seeds; the `#[ignore]`d sweep (run nightly in CI with `--ignored`)
 //! covers 400 more.
+//!
+//! Hostile wire input: each seeded case's serialized PULs, truncated at every
+//! byte and hit by seeded single-byte mutations, must decode or be refused
+//! with `XPUL-P05` — never panic (6 seeds by default, 60 more nightly).
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use pul::xmlio::{pul_from_xml, pul_to_xml, puls_from_xml, puls_to_xml};
 use workload::pulgen::{differential_case_with, generate_pul};
@@ -65,11 +71,10 @@ fn assert_pul_roundtrips(orig: &Pul, back: &Pul, ctx: &str) {
     }
 }
 
-fn check_seed(seed: u64) {
-    // three producers ⇒ three generator streams per case, plus one dense PUL
-    // with a high reducible ratio to bias toward op-pair shapes
-    let case = differential_case_with(seed, 3);
-    let mut puls = case.puls.clone();
+/// The seeded PULs of one case: three producers' generator streams plus one
+/// dense PUL with a high reducible ratio, to bias toward op-pair shapes.
+fn seeded_puls(seed: u64) -> Vec<Pul> {
+    let mut puls = differential_case_with(seed, 3).puls;
     let doc = workload::generate_xmark(&XmarkConfig {
         target_nodes: 80 + (seed as usize % 7) * 30,
         seed: seed.wrapping_mul(31),
@@ -85,7 +90,11 @@ fn check_seed(seed: u64) {
             seed: seed.wrapping_mul(7919),
         },
     ));
+    puls
+}
 
+fn check_seed(seed: u64) {
+    let puls = seeded_puls(seed);
     for (i, pul) in puls.iter().enumerate() {
         let xml = pul_to_xml(pul);
         let back = pul_from_xml(&xml)
@@ -178,5 +187,76 @@ fn adversarial_scalar_values_roundtrip() {
 fn randomized_puls_roundtrip_exactly_sweep() {
     for seed in 40..440 {
         check_seed(seed);
+    }
+}
+
+/// A tiny seeded generator (xorshift64*), so a mutation replays from its seed.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        (self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) % n.max(1) as u64) as usize
+    }
+}
+
+/// The bytes a mutation writes: the markup, entity and number characters
+/// the decoder branches on.
+const HOSTILE: &[u8] = b"<>&;\"'/=x0 ?!-[]#";
+
+/// Decodes `wire`, which must either succeed or be refused with `XPUL-P05`;
+/// a panic or any other code fails the test. Returns whether it decoded.
+fn decode_hostile(wire: &str, ctx: &dyn Fn() -> String) -> bool {
+    match catch_unwind(AssertUnwindSafe(|| pul_from_xml(wire))) {
+        Ok(Ok(_)) => true,
+        Ok(Err(e)) => {
+            let code = xmlpul::Error::from(e).code();
+            assert_eq!(code, "XPUL-P05", "{}: refused with the wrong code", ctx());
+            false
+        }
+        Err(_) => panic!("{}: the wire decoder panicked on {wire:?}", ctx()),
+    }
+}
+
+/// Every truncation of each seeded PUL's wire form, plus `mutations` seeded
+/// single-byte overwrites or insertions from [`HOSTILE`] (at character
+/// boundaries, so the input stays a `&str`).
+fn hostile_wire_sweep(seed: u64, mutations: usize) {
+    let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+    for (i, pul) in seeded_puls(seed).iter().enumerate() {
+        let wire = pul_to_xml(pul);
+        for cut in (0..wire.len()).filter(|&at| wire.is_char_boundary(at)) {
+            decode_hostile(&wire[..cut], &|| format!("seed {seed}, pul {i}, cut at {cut}"));
+        }
+        let boundaries: Vec<usize> = wire.char_indices().map(|(at, _)| at).collect();
+        for m in 0..mutations {
+            let at = boundaries[rng.below(boundaries.len())];
+            let byte = char::from(HOSTILE[rng.below(HOSTILE.len())]).to_string();
+            let mut hostile = wire.clone();
+            if rng.below(2) == 0 {
+                let end = at + hostile[at..].chars().next().map_or(0, char::len_utf8);
+                hostile.replace_range(at..end, &byte);
+            } else {
+                hostile.insert_str(at, &byte);
+            }
+            decode_hostile(&hostile, &|| format!("seed {seed}, pul {i}, mutation {m} at {at}"));
+        }
+    }
+}
+
+#[test]
+fn hostile_wire_input_decodes_or_is_refused_with_p05() {
+    for seed in 0..6 {
+        hostile_wire_sweep(seed, 400);
+    }
+}
+
+#[test]
+#[ignore = "many-seed hostile wire sweep, run nightly with --ignored"]
+fn hostile_wire_input_decodes_or_is_refused_with_p05_sweep() {
+    for seed in 6..66 {
+        hostile_wire_sweep(seed, 2_000);
     }
 }
