@@ -84,15 +84,6 @@ impl NodeLabel {
         self.is_descendant_of(other) && !self.is_attribute_of(other)
     }
 
-    /// `self` and `other` are siblings (same parent, both non-attribute).
-    pub fn is_sibling_of(&self, other: &NodeLabel) -> bool {
-        self.kind != NodeKind::Attribute
-            && other.kind != NodeKind::Attribute
-            && self.parent.is_some()
-            && self.parent == other.parent
-            && self.id != other.id
-    }
-
     // ------------------------------------------------------------------
     // compact serialization (used by the PUL XML exchange format)
     // ------------------------------------------------------------------
@@ -254,8 +245,6 @@ mod tests {
         assert!(!x.is_child_of(&a), "attributes are not children");
         assert!(x.is_attribute_of(&a));
         assert!(!b.is_attribute_of(&a));
-        assert!(a.is_sibling_of(&c));
-        assert!(!a.is_sibling_of(&b));
     }
 
     #[test]

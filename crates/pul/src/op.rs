@@ -319,24 +319,6 @@ impl UpdateOp {
         }
     }
 
-    /// Rewrites the target of the operation (used by reasoning algorithms when
-    /// relocating operations, e.g. aggregation rule D6).
-    pub fn set_target(&mut self, new_target: NodeId) {
-        match self {
-            UpdateOp::InsBefore { target, .. }
-            | UpdateOp::InsAfter { target, .. }
-            | UpdateOp::InsFirst { target, .. }
-            | UpdateOp::InsLast { target, .. }
-            | UpdateOp::InsInto { target, .. }
-            | UpdateOp::InsAttributes { target, .. }
-            | UpdateOp::Delete { target }
-            | UpdateOp::ReplaceNode { target, .. }
-            | UpdateOp::ReplaceValue { target, .. }
-            | UpdateOp::ReplaceContent { target, .. }
-            | UpdateOp::Rename { target, .. } => *target = new_target,
-        }
-    }
-
     /// `o(op)` — the name of the operation.
     pub fn name(&self) -> OpName {
         match self {
@@ -436,11 +418,6 @@ impl UpdateOp {
     /// *children* to their target (`ins↙`, `ins↘`, `ins↓`).
     pub fn inserts_children(&self) -> bool {
         matches!(self.name(), OpName::InsFirst | OpName::InsLast | OpName::InsInto)
-    }
-
-    /// Whether the operation inserts *siblings* of its target (`ins←`, `ins→`).
-    pub fn inserts_siblings(&self) -> bool {
-        matches!(self.name(), OpName::InsBefore | OpName::InsAfter)
     }
 
     // ------------------------------------------------------------------
@@ -597,7 +574,6 @@ mod tests {
         assert_eq!(op.name(), OpName::InsAfter);
         assert_eq!(op.class(), OpClass::Insertion);
         assert_eq!(op.stage(), 2);
-        assert!(op.inserts_siblings());
         assert!(!op.inserts_children());
         assert_eq!(op.content().unwrap().len(), 1);
 
@@ -747,13 +723,6 @@ mod tests {
         assert_eq!(UpdateOp::rename(5u64, "title").to_string(), "ren(5, title)");
         assert_eq!(UpdateOp::replace_value(15u64, "R").to_string(), "repV(15, 'R')");
         assert_eq!(UpdateOp::replace_content(1u64, None).to_string(), "repC(1, [])");
-    }
-
-    #[test]
-    fn set_target_rewrites_target() {
-        let mut op = UpdateOp::rename(5u64, "x");
-        op.set_target(NodeId::new(9));
-        assert_eq!(op.target(), NodeId::new(9));
     }
 
     /// The comparator the evaluators used before [`UpdateOp::canonical_cmp`]:

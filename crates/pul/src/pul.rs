@@ -122,15 +122,6 @@ impl Pul {
         out
     }
 
-    /// Groups the operation indices by target node.
-    pub fn ops_by_target(&self) -> HashMap<NodeId, Vec<usize>> {
-        let mut map: HashMap<NodeId, Vec<usize>> = HashMap::new();
-        for (i, op) in self.ops.iter().enumerate() {
-            map.entry(op.target()).or_default().push(i);
-        }
-        map
-    }
-
     // ------------------------------------------------------------------
     // Definitions 3–5
     // ------------------------------------------------------------------
@@ -265,8 +256,6 @@ mod tests {
         pul.push(UpdateOp::replace_value(5u64, "X"));
         assert_eq!(pul.len(), 3);
         assert_eq!(pul.targets(), vec![NodeId::new(5), NodeId::new(3)]);
-        let by_target = pul.ops_by_target();
-        assert_eq!(by_target[&NodeId::new(5)].len(), 2);
         assert_eq!(pul.iter().count(), 3);
     }
 

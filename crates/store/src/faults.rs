@@ -35,8 +35,6 @@ pub mod site {
     pub const CKPT_WRITE: &str = "ckpt.write";
     /// Before the checkpoint temporary is renamed into place.
     pub const CKPT_RENAME: &str = "ckpt.rename";
-    /// In the durable commit sink, before the WAL append is attempted.
-    pub const SINK_COMMIT: &str = "sink.commit";
     /// Before each shard applies its sub-PUL in the two-phase commit.
     pub const SHARD_APPLY: &str = "shard.apply";
     /// In the ingest pipeline, before a drained batch is admitted.
@@ -52,7 +50,6 @@ pub mod site {
         WAL_ROTATE,
         CKPT_WRITE,
         CKPT_RENAME,
-        SINK_COMMIT,
         SHARD_APPLY,
         INGEST_PREPARE,
         INGEST_COMMIT,
@@ -185,11 +182,6 @@ impl Faults {
         Faults(None)
     }
 
-    /// Whether a plan is armed behind this handle.
-    pub fn is_armed(&self) -> bool {
-        self.0.is_some()
-    }
-
     /// Consults the failpoint `site`: `Some(kind)` when an armed spec fires.
     /// The disabled handle answers without locking anything.
     #[inline]
@@ -262,7 +254,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(f.check(site::WAL_APPEND), None);
         }
-        assert!(!f.is_armed());
         assert_eq!(f.injected(), 0);
     }
 

@@ -17,9 +17,8 @@
 //!
 //! Writing a checkpoint rotates the WAL to a fresh segment, so the live tail
 //! that recovery must replay is always `records with version > checkpoint
-//! version`. With `retain_history` enabled (the default) older segments and
-//! checkpoints are kept, which is what makes `read_at(version)` time travel
-//! possible; without it they are pruned after each durable checkpoint.
+//! version`. Older segments and checkpoints are kept, which is what makes
+//! `read_at(version)` time travel possible.
 //!
 //! Recovery ([`Store::open`]) scans segments oldest-first, physically
 //! truncates the torn or corrupt tail of the *current* segment (earlier
@@ -74,14 +73,11 @@ pub enum SyncPolicy {
 pub struct StoreOptions {
     /// Append sync policy.
     pub sync: SyncPolicy,
-    /// Keep sealed segments and old checkpoints (enables `read_at` over the
-    /// full history). When off, a durable checkpoint prunes everything older.
-    pub retain_history: bool,
 }
 
 impl Default for StoreOptions {
     fn default() -> Self {
-        StoreOptions { sync: SyncPolicy::PerCommit, retain_history: true }
+        StoreOptions { sync: SyncPolicy::PerCommit }
     }
 }
 
@@ -405,9 +401,9 @@ impl Store {
         Ok(())
     }
 
-    /// Writes a checkpoint image durably (tmp + fsync + rename + dir fsync),
-    /// rotates the WAL to a fresh segment, and — without `retain_history` —
-    /// prunes everything the new checkpoint supersedes.
+    /// Writes a checkpoint image durably (tmp + fsync + rename + dir fsync)
+    /// and rotates the WAL to a fresh segment. Sealed segments and older
+    /// checkpoints are kept: they serve point-in-time reads.
     ///
     /// The operation is retry-idempotent: in-memory state only changes after
     /// every I/O step has succeeded, the temporary is recreated from scratch
@@ -493,33 +489,6 @@ impl Store {
         self.telemetry.event(EventKind::Checkpoint, state.version, || {
             format!("checkpoint v{} written, wal rotated to segment {segment}", state.version)
         });
-
-        if !self.opts.retain_history {
-            // Everything at or below the checkpoint is reachable from the
-            // image alone; drop sealed segments and older checkpoints. A file
-            // already removed by a previous attempt is not an error.
-            let perr = |e: &io::Error| StoreError::io("store.prune", e);
-            let sealed: Vec<u64> =
-                self.segments.iter().copied().filter(|&s| s < self.segment).collect();
-            for seg in sealed {
-                match fs::remove_file(self.dir.join(segment_name(seg))) {
-                    Ok(()) => {}
-                    Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                    Err(e) => return Err(perr(&e)),
-                }
-                self.segments.retain(|&s| s != seg);
-            }
-            let old: Vec<u64> =
-                self.checkpoints.iter().copied().filter(|&v| v < state.version).collect();
-            for v in old {
-                match fs::remove_file(self.dir.join(checkpoint_name(v))) {
-                    Ok(()) => {}
-                    Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                    Err(e) => return Err(perr(&e)),
-                }
-                self.checkpoints.retain(|&c| c != v);
-            }
-        }
         Ok(())
     }
 
@@ -707,22 +676,6 @@ mod tests {
     }
 
     #[test]
-    fn without_retain_history_checkpoint_prunes() {
-        let dir = tmp_dir("prune");
-        let opts = StoreOptions { retain_history: false, ..StoreOptions::default() };
-        let mut store = Store::create(&dir, opts).unwrap();
-        store.append(1, b"one").unwrap();
-        store.write_checkpoint(&shardless(1)).unwrap();
-        store.append(2, b"two").unwrap();
-        store.write_checkpoint(&shardless(2)).unwrap();
-        assert_eq!(store.checkpoints(), &[2]);
-        assert!(!dir.join(segment_name(0)).exists());
-        assert!(!dir.join(checkpoint_name(1)).exists());
-        assert!(dir.join(checkpoint_name(2)).exists());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn checkpoint_at_or_before_picks_nearest() {
         let dir = tmp_dir("nearest");
         let mut store = Store::create(&dir, StoreOptions::default()).unwrap();
@@ -742,7 +695,7 @@ mod tests {
     #[test]
     fn interval_sync_policy_counts_appends() {
         let dir = tmp_dir("interval");
-        let opts = StoreOptions { sync: SyncPolicy::Interval(3), ..StoreOptions::default() };
+        let opts = StoreOptions { sync: SyncPolicy::Interval(3) };
         let mut store = Store::create(&dir, opts).unwrap();
         for v in 1..=7 {
             store.append(v, b"x").unwrap();

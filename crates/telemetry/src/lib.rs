@@ -68,12 +68,6 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
-    /// Moves the level by `d` (negative to decrease).
-    #[inline]
-    pub fn add(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
-    }
-
     /// The current level.
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
@@ -435,14 +429,6 @@ impl Telemetry {
         self.0.is_some()
     }
 
-    /// Whether two handles share the same registry.
-    pub fn same_registry(&self, other: &Telemetry) -> bool {
-        match (&self.0, &other.0) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
-    }
-
     /// Bumps a counter by one. `sel` picks the series:
     /// `t.count(|m| &m.commits)`.
     #[inline]
@@ -465,14 +451,6 @@ impl Telemetry {
     pub fn gauge_set(&self, sel: fn(&Metrics) -> &Gauge, v: i64) {
         if let Some(inner) = &self.0 {
             sel(&inner.metrics).set(v);
-        }
-    }
-
-    /// Moves a gauge by `d`.
-    #[inline]
-    pub fn gauge_add(&self, sel: fn(&Metrics) -> &Gauge, d: i64) {
-        if let Some(inner) = &self.0 {
-            sel(&inner.metrics).add(d);
         }
     }
 
@@ -575,18 +553,15 @@ mod tests {
         on.count(|m| &m.commits);
         on.add(|m| &m.commits, 2);
         on.gauge_set(|m| &m.queue_depth, 9);
-        on.gauge_add(|m| &m.queue_depth, -4);
         let snap = on.snapshot().unwrap();
         assert_eq!(snap.commits, 3);
-        assert_eq!(snap.queue_depth, 5);
+        assert_eq!(snap.queue_depth, 9);
     }
 
     #[test]
     fn clones_share_one_registry() {
         let a = Telemetry::enabled();
         let b = a.clone();
-        assert!(a.same_registry(&b));
-        assert!(!a.same_registry(&Telemetry::enabled()));
         b.count(|m| &m.rollbacks);
         assert_eq!(a.snapshot().unwrap().rollbacks, 1);
     }

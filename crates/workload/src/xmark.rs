@@ -21,13 +21,6 @@ pub struct XmarkConfig {
     pub seed: u64,
 }
 
-impl XmarkConfig {
-    /// A document of roughly `target_nodes` nodes.
-    pub fn with_nodes(target_nodes: usize) -> Self {
-        XmarkConfig { target_nodes, seed: 42 }
-    }
-}
-
 impl Default for XmarkConfig {
     fn default() -> Self {
         XmarkConfig { target_nodes: 2_000, seed: 42 }
@@ -219,7 +212,7 @@ mod tests {
     #[test]
     fn node_count_tracks_target() {
         for target in [500usize, 2_000, 10_000] {
-            let doc = generate(&XmarkConfig::with_nodes(target));
+            let doc = generate(&XmarkConfig { target_nodes: target, ..XmarkConfig::default() });
             let n = doc.node_count();
             assert!(
                 n as f64 > target as f64 * 0.5 && (n as f64) < target as f64 * 1.8,

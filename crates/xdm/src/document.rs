@@ -392,16 +392,6 @@ impl Document {
         }
     }
 
-    /// Returns the right sibling of a (non-attribute) node, if any.
-    pub fn right_sibling(&self, id: NodeId) -> Result<Option<NodeId>> {
-        let Some(p) = self.parent(id)? else { return Ok(None) };
-        let siblings = self.children(p)?;
-        match siblings.iter().position(|&c| c == id) {
-            Some(i) if i + 1 < siblings.len() => Ok(Some(siblings[i + 1])),
-            _ => Ok(None),
-        }
-    }
-
     /// `v1 /c v2` — `child` is a non-attribute child of `parent`.
     pub fn is_child_of(&self, child: NodeId, parent: NodeId) -> bool {
         self.node(parent).map(|d| d.children.contains(&child)).unwrap_or(false)
@@ -745,15 +735,6 @@ impl Document {
         }
     }
 
-    /// Removes all non-attribute children of `element` from the arena.
-    pub fn clear_children(&mut self, element: NodeId) -> Result<()> {
-        let children: Vec<NodeId> = self.children(element)?.to_vec();
-        for c in children {
-            self.remove_subtree(c)?;
-        }
-        Ok(())
-    }
-
     // ------------------------------------------------------------------
     // grafting (deep copy across arenas)
     // ------------------------------------------------------------------
@@ -821,15 +802,6 @@ impl Document {
             self.arena_insert(nid, data);
         }
         Ok(root)
-    }
-
-    /// Extracts the subtree rooted at `root` as a standalone document (deep
-    /// copy, identifiers preserved).
-    pub fn extract_subtree(&self, root: NodeId) -> Result<Document> {
-        let mut out = Document::new();
-        let new_root = out.graft(self, root, true)?;
-        out.set_root(new_root)?;
-        Ok(out)
     }
 
     // ------------------------------------------------------------------
@@ -1050,7 +1022,6 @@ mod tests {
         assert_eq!(d.depth(txt).unwrap(), Some(3));
         assert_eq!(d.left_sibling(a2).unwrap(), Some(a1));
         assert_eq!(d.left_sibling(a1).unwrap(), None);
-        assert_eq!(d.right_sibling(a1).unwrap(), Some(a2));
     }
 
     #[test]
@@ -1151,15 +1122,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_children_removes_content() {
-        let (mut d, _issue, a1, t, txt, _a2) = sample();
-        d.clear_children(a1).unwrap();
-        assert!(d.children(a1).unwrap().is_empty());
-        assert!(!d.contains(t));
-        assert!(!d.contains(txt));
-    }
-
-    #[test]
     fn explicit_ids_and_duplicates() {
         let mut d = Document::new();
         let a = d.new_element_with_id(10u64, "a").unwrap();
@@ -1227,16 +1189,6 @@ mod tests {
         dst.append_child(issue, copy).unwrap();
         dst.assert_consistent();
         assert!(dst.subtree_equal(copy, &src, e));
-    }
-
-    #[test]
-    fn extract_subtree_preserves_ids() {
-        let (d, _issue, a1, t, txt, _a2) = sample();
-        let sub = d.extract_subtree(a1).unwrap();
-        assert_eq!(sub.root(), Some(a1));
-        assert!(sub.contains(t));
-        assert!(sub.contains(txt));
-        assert_eq!(sub.node_count(), 3);
     }
 
     #[test]

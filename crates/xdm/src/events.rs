@@ -72,14 +72,6 @@ impl Event {
             | Event::EndElement { id, .. } => *id,
         }
     }
-
-    /// Returns the kind of node this event refers to.
-    pub fn node_kind(&self) -> NodeKind {
-        match self {
-            Event::StartElement { .. } | Event::EndElement { .. } => NodeKind::Element,
-            Event::Text { .. } => NodeKind::Text,
-        }
-    }
 }
 
 /// How the reader assigns identifiers to the nodes it encounters.

@@ -22,17 +22,20 @@
 //!   or record version;
 //! - **[`read_at`](Durable::read_at)** pins any retained version into an
 //!   immutable [`Snapshot`](crate::Snapshot) by replaying deltas forward from
-//!   the nearest checkpoint at or below it — memoized, so repeated reads of a
-//!   version replay once; [`restore_at`](Durable::restore_at) materialises a
-//!   full mutable session instead.
+//!   the nearest checkpoint at or below it — memoized in the session's one
+//!   snapshot cache, so repeated reads of a version replay once;
+//!   [`restore_at`](Durable::restore_at) materialises a full mutable session
+//!   instead.
 //!
-//! The wrapper derefs to its backend, so the whole session API —
-//! `submit` / `resolve` / `commit` — stays available unchanged; commits made
-//! through the deref'd backend are logged automatically by the store sink
-//! installed in the session. The [`IngestQueue`](crate::IngestQueue) works
-//! unchanged too: `Durable<B>` implements [`IngestBackend`] by delegation,
-//! logging one WAL record per committed round and checkpointing between
-//! rounds.
+//! The store has one owner: the sink in the backend's session front, which
+//! holds it together with the sticky degraded flag. `Durable` keeps only its
+//! options and its maintenance record, and reaches the store through the
+//! sink. The wrapper derefs to its backend, so the whole session API —
+//! `submit` / `resolve` / `commit` — stays available unchanged, and commits
+//! made through the deref'd backend are logged by that same sink. The
+//! [`IngestQueue`](crate::IngestQueue) works unchanged too: `Durable<B>`
+//! implements [`IngestBackend`] by delegation, logging one WAL record per
+//! committed round and checkpointing between rounds.
 //!
 //! ```
 //! use xmlpul::prelude::*;
@@ -62,14 +65,11 @@ use std::collections::HashSet;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use pul::Pul;
 use pul_store::{
-    site, CheckpointState, Faults, ShardSnapshot, Store, StoreError, StoreOptions, StoreResult,
-    SyncPolicy,
+    CheckpointState, Faults, ShardSnapshot, Store, StoreOptions, StoreResult, SyncPolicy,
 };
 use pul_telemetry::{EventKind, Telemetry};
 use xdm::codec::{put_bytes, put_varint, DecodeError, Reader};
@@ -78,11 +78,15 @@ use xlabel::codec::{decode_label, decode_labeled_document, encode_label, encode_
 use xlabel::{LabelInterval, OrderKey};
 
 use crate::error::{Error, Result};
-use crate::executor::{Executor, ExecutorCore, SubmissionId};
-use crate::front::Session;
+use crate::executor::{Executor, ExecutorCore, SessionSlabStats, SubmissionId};
+use crate::front::Front;
 use crate::ingest::IngestBackend;
+use crate::resolution::Resolution;
 use crate::shard::{ShardedExecutor, ShardedResolution};
-use crate::snapshot::{Snapshot, SnapshotCache};
+use crate::snapshot::Snapshot;
+
+/// Why a [`Durable`] could find no sink in its session.
+const DETACHED: &str = "the durable session's store was detached by replacing its backend";
 
 // ---------------------------------------------------------------------------
 // Retry policy
@@ -113,50 +117,6 @@ impl Default for RetryPolicy {
             base_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(50),
             op_deadline: Duration::from_secs(1),
-        }
-    }
-}
-
-enum RetryOutcome<T> {
-    /// An attempt succeeded.
-    Done(T),
-    /// A permanent failure: not worth retrying, session stays usable.
-    Permanent(StoreError),
-    /// Transient failures exhausted the attempt or deadline budget.
-    Exhausted(StoreError),
-}
-
-/// Runs `f` under the policy: transient errors retry with exponential
-/// backoff until the attempt count or the operation deadline runs out.
-/// Every backoff retry is counted (and journaled) through `telemetry`.
-fn with_retry<T>(
-    retry: &RetryPolicy,
-    telemetry: &Telemetry,
-    mut f: impl FnMut() -> StoreResult<T>,
-) -> RetryOutcome<T> {
-    let start = Instant::now();
-    let mut backoff = retry.base_backoff;
-    let mut attempts = 0u32;
-    loop {
-        match f() {
-            Ok(v) => return RetryOutcome::Done(v),
-            Err(e) if !e.is_transient() => return RetryOutcome::Permanent(e),
-            Err(e) => {
-                attempts += 1;
-                if attempts > retry.max_retries
-                    || start.elapsed().saturating_add(backoff) > retry.op_deadline
-                {
-                    return RetryOutcome::Exhausted(e);
-                }
-                telemetry.count(|m| &m.retry_attempts);
-                telemetry.event(EventKind::Retry, 0, || {
-                    format!("transient store failure, retrying (attempt {attempts}): {e}")
-                });
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
-                backoff = backoff.saturating_mul(2).min(retry.max_backoff);
-            }
         }
     }
 }
@@ -297,7 +257,7 @@ impl CommitPayload {
 }
 
 // ---------------------------------------------------------------------------
-// The commit sink
+// The store sink
 // ---------------------------------------------------------------------------
 
 /// The sink slot embedded in the session front. **Cloning a session empties
@@ -311,8 +271,12 @@ impl SinkSlot {
         self.0.as_ref()
     }
 
-    pub(crate) fn set(&mut self, sink: Option<StoreSink>) {
-        self.0 = sink;
+    pub(crate) fn get_mut(&mut self) -> Option<&mut StoreSink> {
+        self.0.as_mut()
+    }
+
+    fn set(&mut self, sink: StoreSink) {
+        self.0 = Some(sink);
     }
 }
 
@@ -328,52 +292,86 @@ impl fmt::Debug for SinkSlot {
     }
 }
 
-/// What a durable session calls at its commit point: appends to the shared
-/// [`Store`], retrying transient failures under the session's
-/// [`RetryPolicy`]. An exhausted retry budget flips the shared degraded flag
-/// — from then on every commit is refused with `XPUL-E09` until the store is
+/// The store of a durable session, owned by the session front: every commit
+/// appends its WAL record here at its commit point, and [`Durable`] writes
+/// its checkpoints here. Transient failures retry under the session's
+/// [`RetryPolicy`]; an exhausted retry budget sets the sticky degraded flag —
+/// from then on every write is refused with `XPUL-E09` until the store is
 /// reopened.
 pub(crate) struct StoreSink {
-    store: Arc<Mutex<Store>>,
-    faults: Faults,
+    store: Store,
     retry: RetryPolicy,
-    degraded: Arc<AtomicBool>,
-    /// The durable session's `read_at` snapshot cache, shared so a rollback
-    /// invalidates the snapshots of the versions it discards.
-    snapshots: Arc<SnapshotCache>,
-    /// Telemetry handle shared with the whole durable stack: retry counters,
-    /// degraded-mode transition events, rollback truncation events.
-    telemetry: Telemetry,
+    /// Sticky read-only flag: set when a WAL append or a checkpoint write
+    /// exhausts its retry budget.
+    degraded: bool,
+}
+
+/// The `XPUL-E09` refusal of every write path in degraded mode.
+fn degraded_error() -> Error {
+    Error::Degraded("session is read-only after an exhausted retry budget".into())
 }
 
 impl StoreSink {
     /// Persists the record of the commit that produces `version`. Runs while
     /// the commit is still revocable (journal scopes open): an error aborts
     /// the commit, which rewinds as if the apply itself had failed.
-    pub(crate) fn append(&self, version: u64, record: CommitRecord<'_>) -> Result<()> {
-        if self.degraded.load(Ordering::SeqCst) {
-            return Err(Error::Degraded(
-                "session is read-only after an exhausted WAL retry budget".into(),
-            ));
-        }
+    pub(crate) fn append(
+        &mut self,
+        version: u64,
+        record: CommitRecord<'_>,
+        telemetry: &Telemetry,
+    ) -> Result<()> {
         let payload = record.encode();
-        let outcome = with_retry(&self.retry, &self.telemetry, || {
-            if let Some(kind) = self.faults.check(site::SINK_COMMIT) {
-                self.telemetry.count(|m| &m.fault_hits);
-                self.telemetry.event(EventKind::FaultHit, version, || {
-                    format!("{}: injected {kind:?}", site::SINK_COMMIT)
+        self.retried("WAL append", version, telemetry, |store| store.append(version, &payload))
+    }
+
+    /// Writes a checkpoint of `state` and rotates the WAL.
+    fn checkpoint(&mut self, state: &CheckpointState, telemetry: &Telemetry) -> Result<()> {
+        self.retried("checkpoint", state.version, telemetry, |store| store.write_checkpoint(state))
+    }
+
+    /// Runs `op` on the store: transient errors retry with exponential
+    /// backoff until the attempt count or the operation deadline runs out,
+    /// every retry counted and journaled through `telemetry`. Permanent
+    /// failures are never retried and leave the session usable; an exhausted
+    /// budget degrades it, recording the transition (not every refused write
+    /// afterwards) as a counter bump plus an `XPUL-E09` journal event.
+    fn retried<T>(
+        &mut self,
+        what: &str,
+        version: u64,
+        telemetry: &Telemetry,
+        mut op: impl FnMut(&mut Store) -> StoreResult<T>,
+    ) -> Result<T> {
+        if self.degraded {
+            return Err(degraded_error());
+        }
+        let (start, mut backoff, mut attempts) = (Instant::now(), self.retry.base_backoff, 0u32);
+        loop {
+            let e = match op(&mut self.store) {
+                Ok(v) => return Ok(v),
+                Err(e) if !e.is_transient() => return Err(Error::Store(e)),
+                Err(e) => e,
+            };
+            attempts += 1;
+            if attempts > self.retry.max_retries
+                || start.elapsed().saturating_add(backoff) > self.retry.op_deadline
+            {
+                self.degraded = true;
+                telemetry.count(|m| &m.degraded_transitions);
+                telemetry.event(EventKind::Degraded, version, || {
+                    format!("session degraded to read-only: retries exhausted: {e}")
                 });
-                return Err(StoreError::injected(site::SINK_COMMIT, kind));
+                return Err(Error::Degraded(format!("{what} retries exhausted: {e}")));
             }
-            self.store.lock().expect("store mutex poisoned").append(version, &payload)
-        });
-        match outcome {
-            RetryOutcome::Done(()) => Ok(()),
-            RetryOutcome::Permanent(e) => Err(Error::Store(e)),
-            RetryOutcome::Exhausted(e) => {
-                note_degraded(&self.degraded, &self.telemetry, version, &e);
-                Err(Error::Degraded(format!("WAL append retries exhausted: {e}")))
+            telemetry.count(|m| &m.retry_attempts);
+            telemetry.event(EventKind::Retry, 0, || {
+                format!("transient store failure, retrying (attempt {attempts}): {e}")
+            });
+            if !backoff.is_zero() {
+                std::thread::sleep(backoff);
             }
+            backoff = backoff.saturating_mul(2).min(self.retry.max_backoff);
         }
     }
 
@@ -382,31 +380,10 @@ impl StoreSink {
     /// for commits the session rolled back, and recovery would replay them
     /// over the restored state: there is no way to continue safely, so it
     /// panics.
-    pub(crate) fn truncate(&self, version: u64) {
+    pub(crate) fn truncate(&mut self, version: u64) {
         self.store
-            .lock()
-            .expect("store mutex poisoned")
             .truncate_to_version(version)
             .expect("WAL truncation failed while rolling back a transaction");
-        // The rolled-back versions' numbers will be reused with different
-        // contents; their cached snapshots must not survive them.
-        self.snapshots.purge_above(version);
-        self.telemetry
-            .event(EventKind::Rollback, version, || format!("WAL truncated back to v{version}"));
-    }
-}
-
-/// Flips the sticky degraded flag, recording the *transition* (not every
-/// refused commit afterwards) as a counter bump plus an `XPUL-E09` journal
-/// event — so the flip is observable the moment it happens, not only through
-/// the next failing commit.
-fn note_degraded(degraded: &AtomicBool, telemetry: &Telemetry, version: u64, cause: &StoreError) {
-    let was = degraded.swap(true, Ordering::SeqCst);
-    if !was {
-        telemetry.count(|m| &m.degraded_transitions);
-        telemetry.event(EventKind::Degraded, version, || {
-            format!("session degraded to read-only: retries exhausted: {cause}")
-        });
     }
 }
 
@@ -414,14 +391,32 @@ fn note_degraded(degraded: &AtomicBool, telemetry: &Telemetry, version: u64, cau
 // Backend adapters
 // ---------------------------------------------------------------------------
 
-/// What [`Durable`] needs from a session backend on top of the
-/// [`IngestBackend`] verbs (version, snapshot, resolve and commit):
-/// snapshot/restore through the checkpoint image, record replay through the
-/// journaled apply path, and compaction. Implemented by [`Executor`] and
-/// [`ShardedExecutor`] only: the commit sink, the telemetry handle and the
-/// pending submissions `Durable` installs into and reads live in the
-/// crate-private session front both share, which seals the trait.
-pub trait DurableBackend: IngestBackend + Session + Sized {
+/// A session [`Durable`] can wrap, and through one blanket implementation an
+/// [`IngestBackend`]: the verbs whose bodies depend on holding one core or N
+/// shards (version, snapshot, resolve, commit), snapshot/restore through the
+/// checkpoint image, record replay through the journaled apply path, and
+/// compaction. Implemented by [`Executor`] and [`ShardedExecutor`] only: the
+/// store, the telemetry handle and the pending submissions live in the
+/// crate-private session front both embed, and the methods that return it
+/// seal the trait.
+pub trait DurableBackend: Send + Sized + 'static {
+    /// The session's resolution type.
+    type Resolved: Send;
+    /// The session front (crate-private).
+    fn front(&self) -> &Front;
+    /// The session front, mutably (crate-private).
+    fn front_mut(&mut self) -> &mut Front;
+    /// The session version: 0 at creation, +1 per commit or compaction.
+    fn session_version(&self) -> u64;
+    /// Slot occupancy of the session's dense stores (drives checkpoint and
+    /// compaction triggering).
+    fn session_slab_stats(&self) -> SessionSlabStats;
+    /// `snapshot()`: the current version, pinned.
+    fn session_snapshot(&self) -> Snapshot;
+    /// `resolve()`: reasons on every pending submission.
+    fn session_resolve(&self) -> Result<Self::Resolved>;
+    /// `commit_resolution()`: the version the commit produced.
+    fn session_commit(&mut self, resolution: Self::Resolved) -> Result<u64>;
     /// Freezes the full session state at the current version.
     fn checkpoint_state(&self) -> CheckpointState;
     /// Rebuilds a session's cores from a checkpoint image; [`Durable`]
@@ -475,6 +470,36 @@ fn core_from_snapshot(snap: &ShardSnapshot) -> Result<ExecutorCore> {
 }
 
 impl DurableBackend for Executor {
+    type Resolved = Resolution;
+
+    fn front(&self) -> &Front {
+        &self.front
+    }
+
+    fn front_mut(&mut self) -> &mut Front {
+        &mut self.front
+    }
+
+    fn session_version(&self) -> u64 {
+        self.version()
+    }
+
+    fn session_slab_stats(&self) -> SessionSlabStats {
+        self.slab_stats()
+    }
+
+    fn session_snapshot(&self) -> Snapshot {
+        self.snapshot()
+    }
+
+    fn session_resolve(&self) -> Result<Resolution> {
+        self.resolve()
+    }
+
+    fn session_commit(&mut self, resolution: Resolution) -> Result<u64> {
+        self.commit_resolution(resolution).map(|report| report.version)
+    }
+
     fn checkpoint_state(&self) -> CheckpointState {
         CheckpointState {
             version: self.version(),
@@ -519,7 +544,40 @@ impl DurableBackend for Executor {
     }
 }
 
+/// The label-interval routing and the two-phase journal commit stay internal
+/// to the session; the ingestion pipeline sees the same verbs as for a single
+/// executor.
 impl DurableBackend for ShardedExecutor {
+    type Resolved = ShardedResolution;
+
+    fn front(&self) -> &Front {
+        &self.front
+    }
+
+    fn front_mut(&mut self) -> &mut Front {
+        &mut self.front
+    }
+
+    fn session_version(&self) -> u64 {
+        self.version()
+    }
+
+    fn session_slab_stats(&self) -> SessionSlabStats {
+        self.slab_stats()
+    }
+
+    fn session_snapshot(&self) -> Snapshot {
+        self.snapshot()
+    }
+
+    fn session_resolve(&self) -> Result<ShardedResolution> {
+        self.resolve()
+    }
+
+    fn session_commit(&mut self, resolution: ShardedResolution) -> Result<u64> {
+        self.commit_resolution(resolution).map(|report| report.version)
+    }
+
     fn checkpoint_state(&self) -> CheckpointState {
         let (root_id, root_label) = self.root_identity();
         let mut label = Vec::new();
@@ -651,10 +709,6 @@ pub struct DurableOptions {
     /// so auto-triggering is opt-in). The trigger is evaluated between
     /// committed rounds and declines while submissions are pending.
     pub compact_dead_ratio: f64,
-    /// Keep sealed WAL segments and superseded checkpoints (default true).
-    /// Required for [`Durable::read_at`] over the full history; turn off for
-    /// a fixed-size store that only ever recovers the latest version.
-    pub retain_history: bool,
     /// How transient WAL-append and checkpoint failures are retried.
     pub retry: RetryPolicy,
 }
@@ -666,7 +720,6 @@ impl Default for DurableOptions {
             checkpoint_wal_bytes: 1 << 20,
             checkpoint_dead_ratio: 0.5,
             compact_dead_ratio: f64::INFINITY,
-            retain_history: true,
             retry: RetryPolicy::default(),
         }
     }
@@ -674,41 +727,29 @@ impl Default for DurableOptions {
 
 impl DurableOptions {
     fn store_options(&self) -> StoreOptions {
-        StoreOptions { sync: self.sync, retain_history: self.retain_history }
+        StoreOptions { sync: self.sync }
     }
 }
 
-/// A durable session: a backend (deref'd, full session API available) plus
-/// the store its commits append to. See the module documentation.
+/// A durable session: a backend (deref'd, full session API available) whose
+/// front owns the store its commits append to. See the module documentation.
 pub struct Durable<B: DurableBackend> {
     backend: B,
-    store: Arc<Mutex<Store>>,
     opts: DurableOptions,
     /// Node-arena dead-slot count when the last checkpoint was written; the
     /// churn trigger compares against it.
     dead_at_checkpoint: usize,
-    /// Failpoint handle shared with the store, the sink and the backend.
-    faults: Faults,
-    /// Sticky read-only flag, shared with the sink: set when a WAL append or
-    /// checkpoint write exhausts its retry budget.
-    degraded: Arc<AtomicBool>,
-    /// Memoized [`read_at`](Durable::read_at) snapshots, keyed by version and
-    /// shared with the sink (a rollback purges the versions it discards).
-    snapshots: Arc<SnapshotCache>,
     /// The most recent background-maintenance failure — see
     /// [`last_maintenance_error`](Durable::last_maintenance_error).
     last_maintenance_error: Option<Error>,
     /// How many background-maintenance attempts have failed.
     maintenance_failures: u64,
-    /// Telemetry handle shared with the store, the sink and the backend (see
-    /// [`set_telemetry`](Durable::set_telemetry)). Disabled by default.
-    telemetry: Telemetry,
 }
 
 impl<B: DurableBackend> Durable<B> {
     /// Creates a fresh store in `dir` (which must not already hold one),
     /// writes a base checkpoint of `backend` at its current version, and
-    /// installs the commit sink. Every commit from here on is logged.
+    /// moves the store into the session. Every commit from here on is logged.
     pub fn create(dir: impl AsRef<Path>, backend: B, opts: DurableOptions) -> Result<Durable<B>> {
         let store = Store::create(dir, opts.store_options())?;
         let mut durable = Durable::assemble(backend, store, opts);
@@ -718,9 +759,9 @@ impl<B: DurableBackend> Durable<B> {
 
     /// Recovers a session from `dir`: loads the last checkpoint, replays the
     /// WAL tail through the journaled apply path (any torn or corrupt tail
-    /// record was already discarded by the store scan), and installs the
-    /// commit sink. The recovered state is bit-identical to the last durable
-    /// version's.
+    /// record was already discarded by the store scan), and moves the store
+    /// into the session. The recovered state is bit-identical to the last
+    /// durable version's.
     pub fn open(dir: impl AsRef<Path>, opts: DurableOptions) -> Result<Durable<B>> {
         let store = Store::open(dir, opts.store_options())?;
         let base =
@@ -729,70 +770,60 @@ impl<B: DurableBackend> Durable<B> {
         Ok(Durable::assemble(backend, store, opts))
     }
 
-    /// Wraps `backend` around `store` and installs the commit sink; the
-    /// churn trigger counts dead slots from the backend's current ones.
-    fn assemble(backend: B, store: Store, opts: DurableOptions) -> Durable<B> {
-        let mut durable = Durable {
+    /// Moves `store` into `backend`'s front as its sink; the churn trigger
+    /// counts dead slots from the backend's current ones.
+    fn assemble(mut backend: B, store: Store, opts: DurableOptions) -> Durable<B> {
+        backend.front_mut().sink.set(StoreSink { store, retry: opts.retry, degraded: false });
+        Durable {
             dead_at_checkpoint: backend.session_slab_stats().nodes.dead,
             backend,
-            store: Arc::new(Mutex::new(store)),
             opts,
-            faults: Faults::disabled(),
-            degraded: Arc::new(AtomicBool::new(false)),
-            snapshots: Arc::new(SnapshotCache::default()),
             last_maintenance_error: None,
             maintenance_failures: 0,
-            telemetry: Telemetry::disabled(),
-        };
-        durable.install();
-        durable
+        }
     }
 
-    fn install(&mut self) {
-        let sink = StoreSink {
-            store: Arc::clone(&self.store),
-            faults: self.faults.clone(),
-            retry: self.opts.retry,
-            degraded: Arc::clone(&self.degraded),
-            snapshots: Arc::clone(&self.snapshots),
-            telemetry: self.telemetry.clone(),
-        };
-        self.backend.front_mut().sink.set(Some(sink));
+    /// The session's sink. Present from construction on: nothing but
+    /// replacing the whole backend through `DerefMut` takes it out.
+    fn sink(&self) -> &StoreSink {
+        self.backend.front().sink.get().expect(DETACHED)
+    }
+
+    /// The session's sink and the telemetry handle it reports through.
+    fn sink_mut(&mut self) -> (&mut StoreSink, &Telemetry) {
+        let front = self.backend.front_mut();
+        (front.sink.get_mut().expect(DETACHED), &front.telemetry)
     }
 
     /// Installs one telemetry handle across the whole durable stack: the
-    /// store (WAL/checkpoint timings), the commit sink (retry counters,
-    /// degraded transitions), and the backend (commit spans, snapshot cache
-    /// probes). Pass [`Telemetry::enabled`] to arm; clones of the same handle
-    /// observe into the same registry.
+    /// store (WAL/checkpoint timings) and the session (commit spans, snapshot
+    /// cache probes, retry counters, degraded transitions). Pass
+    /// [`Telemetry::enabled`] to arm; clones of the same handle observe into
+    /// the same registry.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.store.lock().expect("store mutex poisoned").set_telemetry(telemetry.clone());
-        self.backend.front_mut().telemetry = telemetry.clone();
-        self.telemetry = telemetry;
-        self.install();
+        self.sink_mut().0.store.set_telemetry(telemetry.clone());
+        self.backend.front_mut().telemetry = telemetry;
     }
 
     /// The installed telemetry handle (disabled unless
     /// [`set_telemetry`](Durable::set_telemetry) armed one).
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        &self.backend.front().telemetry
     }
 
     /// The unified observability snapshot of the durable stack: the shared
     /// registry and journal tail plus the backend session's slab statistics.
     pub fn telemetry_snapshot(&self) -> crate::TelemetrySnapshot {
-        crate::TelemetrySnapshot::gather(&self.telemetry, self.backend.session_slab_stats())
+        crate::TelemetrySnapshot::gather(self.telemetry(), self.backend.session_slab_stats())
     }
 
     /// Installs an armed failpoint handle across the whole durable stack:
-    /// the store (WAL append/sync/rotation, checkpoint write/rename), the
-    /// commit sink, and the backend (shard apply). Tests only; a handle is
-    /// never installed in production paths.
+    /// the store (WAL append/sync/rotation, checkpoint write/rename) and the
+    /// backend (shard apply). Tests only; a handle is never installed in
+    /// production paths.
     pub fn inject_faults(&mut self, faults: Faults) {
-        self.store.lock().expect("store mutex poisoned").set_faults(faults.clone());
-        self.faults = faults.clone();
+        self.sink_mut().0.store.set_faults(faults.clone());
         self.backend.install_faults(faults);
-        self.install();
     }
 
     /// Whether the session is in sticky read-only degraded mode: a WAL
@@ -801,15 +832,13 @@ impl<B: DurableBackend> Durable<B> {
     /// [`Durable::read_at`]) still work. Reopening the store is the recovery
     /// path.
     pub fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::SeqCst)
+        self.sink().degraded
     }
 
     /// The `XPUL-E09` refusal of every write path in degraded mode.
     fn refuse_if_degraded(&self) -> Result<()> {
         if self.is_degraded() {
-            return Err(Error::Degraded(
-                "session is read-only after an exhausted retry budget".into(),
-            ));
+            return Err(degraded_error());
         }
         Ok(())
     }
@@ -819,26 +848,19 @@ impl<B: DurableBackend> Durable<B> {
         &self.backend
     }
 
-    /// Unwraps the backend, removing its commit sink. The store files stay on
-    /// disk; later commits on the returned session are **not** logged.
-    pub fn into_backend(mut self) -> B {
-        self.backend.front_mut().sink.set(None);
-        self.backend
-    }
-
     /// Bytes in the live WAL segment.
     pub fn wal_bytes(&self) -> u64 {
-        self.store.lock().expect("store mutex poisoned").wal_bytes()
+        self.sink().store.wal_bytes()
     }
 
     /// Version of the most recent durable checkpoint.
     pub fn last_checkpoint(&self) -> Option<u64> {
-        self.store.lock().expect("store mutex poisoned").last_checkpoint()
+        self.sink().store.last_checkpoint()
     }
 
     /// Versions of every retained checkpoint, ascending.
     pub fn checkpoints(&self) -> Vec<u64> {
-        self.store.lock().expect("store mutex poisoned").checkpoints().to_vec()
+        self.sink().store.checkpoints().to_vec()
     }
 
     /// Writes a checkpoint of the current state unconditionally and rotates
@@ -848,22 +870,10 @@ impl<B: DurableBackend> Durable<B> {
     pub fn checkpoint(&mut self) -> Result<u64> {
         self.refuse_if_degraded()?;
         let state = self.backend.checkpoint_state();
-        let version = state.version;
-        let outcome = {
-            let mut store = self.store.lock().expect("store mutex poisoned");
-            with_retry(&self.opts.retry, &self.telemetry, || store.write_checkpoint(&state))
-        };
-        match outcome {
-            RetryOutcome::Done(()) => {
-                self.dead_at_checkpoint = self.backend.session_slab_stats().nodes.dead;
-                Ok(version)
-            }
-            RetryOutcome::Permanent(e) => Err(Error::Store(e)),
-            RetryOutcome::Exhausted(e) => {
-                note_degraded(&self.degraded, &self.telemetry, version, &e);
-                Err(Error::Degraded(format!("checkpoint retries exhausted: {e}")))
-            }
-        }
+        let (sink, telemetry) = self.sink_mut();
+        sink.checkpoint(&state, telemetry)?;
+        self.dead_at_checkpoint = self.backend.session_slab_stats().nodes.dead;
+        Ok(state.version)
     }
 
     /// Checkpoints if a trigger fires: the live WAL segment reached
@@ -874,10 +884,8 @@ impl<B: DurableBackend> Durable<B> {
     pub fn checkpoint_if_due(&mut self) -> Result<bool> {
         self.refuse_if_degraded()?;
         let version = self.backend.current_version();
-        let (wal_bytes, last) = {
-            let store = self.store.lock().expect("store mutex poisoned");
-            (store.wal_bytes(), store.last_checkpoint())
-        };
+        let store = &self.sink().store;
+        let (wal_bytes, last) = (store.wal_bytes(), store.last_checkpoint());
         if last.is_some_and(|c| c >= version) {
             return Ok(false);
         }
@@ -950,9 +958,9 @@ impl<B: DurableBackend> Durable<B> {
     fn note_maintenance<T>(&mut self, outcome: Result<T>) {
         if let Err(e) = outcome {
             self.maintenance_failures += 1;
-            self.telemetry.count(|m| &m.maintenance_failures);
             let version = self.backend.current_version();
-            self.telemetry.event(EventKind::MaintenanceFailure, version, || {
+            self.telemetry().count(|m| &m.maintenance_failures);
+            self.telemetry().event(EventKind::MaintenanceFailure, version, || {
                 format!("background maintenance failed: {e}")
             });
             self.last_maintenance_error = Some(e);
@@ -977,25 +985,22 @@ impl<B: DurableBackend> Durable<B> {
     }
 
     /// Pins `version` into an immutable [`Snapshot`] (a point-in-time read).
-    /// The first read of a version restores the nearest checkpoint and
-    /// replays deltas forward — O(history); repeated reads of the same
-    /// version are served from a small per-session cache as reference-count
-    /// bumps, and the current version is pinned straight from the live
-    /// backend without touching the store at all. Requires `retain_history`
-    /// for historical versions; fails with `XPUL-E07` for pruned or
-    /// never-durable ones.
+    /// The current version is pinned straight from the live backend without
+    /// touching the store at all. The first read of a historical version
+    /// restores the nearest checkpoint and replays deltas forward —
+    /// O(history). Both are memoized in the session's snapshot cache, so
+    /// repeated reads of a version are reference-count bumps. Fails with
+    /// `XPUL-E07` for never-durable versions.
     pub fn read_at(&self, version: u64) -> Result<Snapshot> {
-        if let Some(hit) = self.snapshots.get_version(version) {
-            self.telemetry.count(|m| &m.snapshot_hits);
+        if version == self.backend.current_version() {
+            return Ok(self.backend.snapshot_view());
+        }
+        let front = self.backend.front();
+        if let Some(hit) = front.cached(version) {
             return Ok(hit);
         }
-        self.telemetry.count(|m| &m.snapshot_misses);
-        let snapshot = if version == self.backend.current_version() {
-            self.backend.snapshot_view()
-        } else {
-            self.restore_at(version)?.snapshot_view()
-        };
-        self.snapshots.insert(snapshot.clone());
+        let snapshot = self.restore_at(version)?.snapshot_view();
+        front.snapshots.insert(snapshot.clone());
         Ok(snapshot)
     }
 
@@ -1003,15 +1008,14 @@ impl<B: DurableBackend> Durable<B> {
     /// point-in-time restore): restores the greatest retained checkpoint at
     /// or below it and replays deltas forward. The returned session is a
     /// plain backend with no sink — committing to it never touches this
-    /// store. Requires `retain_history`; fails with `XPUL-E07` for pruned or
-    /// never-durable versions. For read-only access prefer
-    /// [`read_at`](Durable::read_at), which memoizes.
+    /// store. Fails with `XPUL-E07` for never-durable versions. For
+    /// read-only access prefer [`read_at`](Durable::read_at), which memoizes.
     pub fn restore_at(&self, version: u64) -> Result<B> {
-        let store = self.store.lock().expect("store mutex poisoned");
+        let store = &self.sink().store;
         let base = store.checkpoint_at_or_before(version).ok_or_else(|| {
             Error::store(format!("no checkpoint at or below version {version} is retained"))
         })?;
-        let backend: B = recover(&store, base, version)?;
+        let backend: B = recover(store, base, version)?;
         if backend.current_version() != version {
             return Err(Error::store(format!(
                 "version {version} is not durable (replay stopped at {})",
@@ -1076,17 +1080,17 @@ impl<B: DurableBackend + fmt::Debug> fmt::Debug for Durable<B> {
 /// record and one sync per committed batch (the backend's sink fires inside
 /// `commit_pending`), with the checkpoint triggers evaluated between batches.
 impl<B: DurableBackend> IngestBackend for Durable<B> {
-    type Resolution = B::Resolution;
+    type Resolution = B::Resolved;
 
     fn admit(&mut self, batch: &[&Pul]) -> Result<SubmissionId> {
         self.backend.admit(batch)
     }
 
-    fn resolve_pending(&self) -> Result<B::Resolution> {
+    fn resolve_pending(&self) -> Result<B::Resolved> {
         self.backend.resolve_pending()
     }
 
-    fn commit_pending(&mut self, resolution: B::Resolution) -> Result<u64> {
+    fn commit_pending(&mut self, resolution: B::Resolved) -> Result<u64> {
         let version = self.backend.commit_pending(resolution)?;
         // The batch is durably committed: a checkpoint failure here must not
         // fail it, or the ingest pipeline would retry (and re-apply) an
@@ -1127,6 +1131,7 @@ impl<B: DurableBackend> IngestBackend for Durable<B> {
 mod tests {
     use super::*;
     use pul::UpdateOp;
+    use pul_store::site;
     use std::path::PathBuf;
     use xdm::Tree;
 
@@ -1549,7 +1554,7 @@ mod tests {
         let opts = DurableOptions { retry: fast_retry(4), ..DurableOptions::default() };
         let mut durable = Durable::create(&dir, Executor::parse(DOC).unwrap(), opts).unwrap();
         durable.inject_faults(
-            FaultPlan::new(1).fail(site::SINK_COMMIT, Trigger::Nth(1), FaultKind::Permanent).arm(),
+            FaultPlan::new(1).fail(site::WAL_APPEND, Trigger::Nth(1), FaultKind::Permanent).arm(),
         );
         let before = durable.serialize();
         let id = durable.document().find_element("b1").unwrap();
@@ -1581,7 +1586,7 @@ mod tests {
         let mut durable = Durable::create(&dir, Executor::parse(DOC).unwrap(), opts).unwrap();
         commit_rename(&mut durable, "b1", "durable");
         let faults =
-            FaultPlan::new(1).fail(site::SINK_COMMIT, Trigger::Always, FaultKind::Transient).arm();
+            FaultPlan::new(1).fail(site::WAL_APPEND, Trigger::Always, FaultKind::Transient).arm();
         durable.inject_faults(faults.clone());
         let id = durable.document().find_element("b2").unwrap();
         let pul = durable.pul_from_ops(vec![UpdateOp::rename(id, "refused")]);
@@ -1589,7 +1594,7 @@ mod tests {
         let err = durable.commit().unwrap_err();
         assert_eq!(err.code(), "XPUL-E09", "{err}");
         assert!(durable.is_degraded());
-        assert_eq!(faults.injected_at(site::SINK_COMMIT), 3, "initial attempt + 2 retries");
+        assert_eq!(faults.injected_at(site::WAL_APPEND), 3, "initial attempt + 2 retries");
         // Sticky: every further write path is refused with E09 without
         // touching the failpoint again — including checkpoint_if_due.
         let id = durable.document().find_element("b3").unwrap();
@@ -1598,7 +1603,7 @@ mod tests {
         assert_eq!(durable.commit().unwrap_err().code(), "XPUL-E09");
         assert_eq!(durable.checkpoint_if_due().unwrap_err().code(), "XPUL-E09");
         assert_eq!(durable.checkpoint().unwrap_err().code(), "XPUL-E09");
-        assert_eq!(faults.injected_at(site::SINK_COMMIT), 3, "degraded mode short-circuits");
+        assert_eq!(faults.injected_at(site::WAL_APPEND), 3, "degraded mode short-circuits");
         // Reads still work in degraded mode.
         assert!(durable.read_at(1).unwrap().serialize().contains("<durable>"));
         drop(durable);
@@ -1611,6 +1616,49 @@ mod tests {
         assert!(!recovered.serialize().contains("refused"));
         commit_rename(&mut recovered, "b2", "healed");
         assert_eq!(recovered.version(), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_checkpoint_degrades_the_whole_session() {
+        use crate::ingest::IngestQueue;
+        use pul_store::{FaultKind, FaultPlan, Trigger};
+        let dir = tmp_dir("degraded_checkpoint");
+        let opts = DurableOptions { retry: fast_retry(2), ..DurableOptions::default() };
+        let mut durable = Durable::create(&dir, Executor::parse(DOC).unwrap(), opts).unwrap();
+        commit_rename(&mut durable, "b1", "durable");
+        let faults =
+            FaultPlan::new(1).fail(site::CKPT_WRITE, Trigger::Always, FaultKind::Transient).arm();
+        durable.inject_faults(faults.clone());
+        assert_eq!(durable.checkpoint().unwrap_err().code(), "XPUL-E09");
+        assert!(durable.is_degraded());
+        assert_eq!(faults.injected_at(site::CKPT_WRITE), 3, "initial attempt + 2 retries");
+        // The flag lives in the session's sink, so commits through the
+        // deref'd backend see it too.
+        let b2 = durable.document().find_element("b2").unwrap();
+        let pul = durable.pul_from_ops(vec![UpdateOp::rename(b2, "refused")]);
+        let refused = durable.submit(pul);
+        assert_eq!(durable.commit().unwrap_err().code(), "XPUL-E09");
+        durable.withdraw(refused).unwrap();
+        // So do batches through the ingest pipeline.
+        let queue = IngestQueue::new(durable);
+        let b3 = Executor::parse(DOC).unwrap().document().find_element("b3").unwrap();
+        let pul: Pul = [UpdateOp::rename(b3, "queued")].into_iter().collect();
+        assert_eq!(queue.enqueue(pul).unwrap().wait().unwrap_err().code(), "XPUL-E09");
+        let durable = queue.close().unwrap();
+        // Reads still serve, current and historical.
+        assert!(durable.read_at(1).unwrap().serialize().contains("<durable>"));
+        assert!(durable.read_at(0).unwrap().serialize().contains("<b1>"));
+        assert_eq!(durable.version(), 1);
+        drop(durable);
+        // Reopening heals.
+        let mut recovered: Durable<Executor> =
+            Durable::open(&dir, DurableOptions::default()).unwrap();
+        assert!(!recovered.is_degraded());
+        assert_eq!(recovered.version(), 1);
+        commit_rename(&mut recovered, "b2", "healed");
+        recovered.checkpoint().unwrap();
+        assert_eq!(recovered.last_checkpoint(), Some(2));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

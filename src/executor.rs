@@ -30,7 +30,7 @@ use xlabel::Labeling;
 
 use crate::durable::CommitRecord;
 use crate::error::Result;
-use crate::front::{self, Front, Session, Submission};
+use crate::front::{self, Front, Submission};
 use crate::resolution::Resolution;
 use crate::snapshot::Snapshot;
 use crate::transaction::Transaction;
@@ -216,9 +216,9 @@ pub(crate) struct CoreScope {
 #[derive(Debug, Clone)]
 pub struct Executor {
     core: ExecutorCore,
-    /// Pending submissions, policy, strategy, epoch, commit sink, snapshot
+    /// Pending submissions, policy, strategy, epoch, store sink, snapshot
     /// cache and telemetry: the session front `ShardedExecutor` embeds too.
-    front: Front,
+    pub(crate) front: Front,
 }
 
 impl Executor {
@@ -345,8 +345,8 @@ impl Executor {
     /// cheaply clonable view serving reads, serialization and Table-1
     /// predicate checks while this session commits ahead. The first snapshot
     /// at a version freezes the document and labeling once (O(document));
-    /// repeated calls at an unchanged `(version, epoch)` are served from the
-    /// session's snapshot cache as reference-count bumps.
+    /// repeated calls at an unchanged version are served from the session's
+    /// snapshot cache as reference-count bumps.
     pub fn snapshot(&self) -> Snapshot {
         let freeze = || (self.core.doc.to_shared(), Arc::new(self.core.labeling.clone()));
         if self.core.doc.journal_is_active() {
@@ -546,15 +546,7 @@ impl Executor {
         self.front.telemetry.event(EventKind::Rollback, version, || {
             format!("transaction rolled back to v{version}")
         });
-        // The rolled-back versions' numbers will be reused by later commits
-        // with different contents: cached snapshots above the restored
-        // version must not survive.
-        self.front.snapshots.purge_above(version);
-        // Durable sessions truncate the WAL records of the rolled-back
-        // commits, so a crash cannot resurrect them.
-        if let Some(sink) = self.front.sink.get() {
-            sink.truncate(version);
-        }
+        self.front.rolled_back(version);
     }
 
     /// Makes the scope's changes permanent: the recorded inverses are dropped
@@ -579,7 +571,7 @@ impl Executor {
     /// at resolve time, because the identifiers it carries now name
     /// different nodes.
     ///
-    /// Durable sessions append an epoch record through the commit sink
+    /// Durable sessions append an epoch record through the store sink
     /// *before* renumbering: the append is the commit point (renumbering
     /// itself is infallible), so a failed append leaves the session and the
     /// store untouched on the pre-compaction version.
@@ -731,38 +723,6 @@ pub struct CompactionReport {
     pub before: SessionSlabStats,
     /// Slab occupancy after: dense, no dead slots, no spill.
     pub after: SessionSlabStats,
-}
-
-impl Session for Executor {
-    type Resolved = Resolution;
-
-    fn front(&self) -> &Front {
-        &self.front
-    }
-
-    fn front_mut(&mut self) -> &mut Front {
-        &mut self.front
-    }
-
-    fn session_version(&self) -> u64 {
-        self.core.version
-    }
-
-    fn session_slab_stats(&self) -> SessionSlabStats {
-        self.slab_stats()
-    }
-
-    fn session_snapshot(&self) -> Snapshot {
-        self.snapshot()
-    }
-
-    fn session_resolve(&self) -> Result<Resolution> {
-        self.resolve()
-    }
-
-    fn session_commit(&mut self, resolution: Resolution) -> Result<u64> {
-        self.commit_resolution(resolution).map(|report| report.version)
-    }
 }
 
 #[cfg(test)]

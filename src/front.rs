@@ -6,16 +6,16 @@
 //! document is the same whether a session holds one core or N shards: the
 //! pending-submission book, the default policy and reduction strategy, the
 //! compaction epoch that fences stale submissions (`XPUL-E10`), the
-//! freshness check of a resolution, the commit sink a durable session
-//! appends through, the snapshot cache and the telemetry handle. [`Front`]
-//! holds that state with one body per verb. The sessions embed it and keep
-//! only what really differs — how they resolve, commit, freeze a snapshot
-//! and renumber — behind [`Session`], and one blanket implementation turns
-//! every session into an [`IngestBackend`].
+//! freshness check of a resolution, the store a durable session commits to,
+//! the snapshot cache and the telemetry handle. [`Front`] holds that state
+//! with one body per verb. The sessions embed it and keep only what really
+//! differs — how they resolve, commit, freeze a snapshot and renumber —
+//! behind [`DurableBackend`], and one blanket implementation turns every
+//! session into an [`IngestBackend`].
 //!
-//! `Front` and `Session` are `pub` only so that public traits can name them
-//! (`DurableBackend: Session`, the blanket `IngestBackend` impl); this module
-//! is private, so neither can be named — or implemented — outside the crate.
+//! `Front` is `pub` only so that the public [`DurableBackend`] can name it;
+//! this module is private, so it cannot be named outside the crate, and
+//! neither can the trait methods that return it be implemented there.
 
 use std::sync::Arc;
 
@@ -25,9 +25,9 @@ use pul_telemetry::{EventKind, Telemetry};
 use xdm::SharedDocument;
 use xlabel::Labeling;
 
-use crate::durable::{CommitRecord, SinkSlot};
+use crate::durable::{CommitRecord, DurableBackend, SinkSlot};
 use crate::error::{Error, Result};
-use crate::executor::{CompactionReport, ReductionStrategy, SessionSlabStats, SubmissionId};
+use crate::executor::{CompactionReport, ReductionStrategy, SubmissionId};
 use crate::ingest::IngestBackend;
 use crate::snapshot::{Snapshot, SnapshotCache};
 
@@ -66,14 +66,15 @@ pub struct Front {
     /// are stamped with the epoch they were admitted under; a mismatch at
     /// resolve time is the `XPUL-E10` fence.
     pub(crate) epoch: u64,
-    /// The durability hook: when a [`Durable`](crate::Durable) wrapper
-    /// installs a sink, every commit appends its WAL record while the commit
-    /// is still revocable, and a failed append rewinds it. Cloned sessions
-    /// never inherit the sink — two sessions appending to one log would
-    /// interleave divergent histories.
+    /// The durability hook: a [`Durable`](crate::Durable) wrapper moves its
+    /// store in here, and every commit appends its WAL record while the
+    /// commit is still revocable; a failed append rewinds it. Cloned
+    /// sessions never inherit the sink — two sessions appending to one log
+    /// would interleave divergent histories.
     pub(crate) sink: SinkSlot,
-    /// Memoized MVCC snapshots keyed by `(version, epoch)`. Clones start cold
-    /// — a divergent copy reuses version numbers with different contents.
+    /// The session's one snapshot cache, keyed by version: live snapshots
+    /// and `Durable::read_at` both memoize here. Clones start cold — a
+    /// divergent copy reuses version numbers with different contents.
     pub(crate) snapshots: SnapshotCache,
     /// Spans, snapshot cache probes, commit and epoch events. Disabled (one
     /// branch per probe) unless armed; clones share the registry.
@@ -172,23 +173,49 @@ impl Front {
     /// Appends the WAL record of `version` through the installed sink — the
     /// commit point of a durable session, reached while the commit is still
     /// revocable. Without a sink there is nothing to append.
-    pub(crate) fn append(&self, version: u64, record: CommitRecord<'_>) -> Result<()> {
-        self.sink.get().map_or(Ok(()), |sink| sink.append(version, record))
+    pub(crate) fn append(&mut self, version: u64, record: CommitRecord<'_>) -> Result<()> {
+        match self.sink.get_mut() {
+            Some(sink) => sink.append(version, record, &self.telemetry),
+            None => Ok(()),
+        }
     }
 
-    /// Pins `version` into a [`Snapshot`]: a reference-count bump from the
-    /// cache at an unchanged `(version, epoch)`, otherwise `freeze` builds
-    /// the document and labeling (O(document)) and the result is memoized.
+    /// Forgets the versions above `version` after a rollback restored the
+    /// session to it: their numbers will be reused with different contents,
+    /// so their cached snapshots go, and a durable session truncates their
+    /// WAL records so that a crash cannot resurrect them.
+    pub(crate) fn rolled_back(&mut self, version: u64) {
+        self.snapshots.purge_above(version);
+        if let Some(sink) = self.sink.get_mut() {
+            sink.truncate(version);
+            self.telemetry.event(EventKind::Rollback, version, || {
+                format!("WAL truncated back to v{version}")
+            });
+        }
+    }
+
+    /// The cached snapshot of `version`, if any; counts the probe as a hit
+    /// or a miss.
+    pub(crate) fn cached(&self, version: u64) -> Option<Snapshot> {
+        let hit = self.snapshots.get(version);
+        match hit {
+            Some(_) => self.telemetry.count(|m| &m.snapshot_hits),
+            None => self.telemetry.count(|m| &m.snapshot_misses),
+        }
+        hit
+    }
+
+    /// Pins the current `version` into a [`Snapshot`]: a reference-count
+    /// bump from the cache, otherwise `freeze` builds the document and
+    /// labeling (O(document)) and the result is memoized.
     pub(crate) fn snapshot(
         &self,
         version: u64,
         freeze: impl FnOnce() -> (SharedDocument, Arc<Labeling>),
     ) -> Snapshot {
-        if let Some(hit) = self.snapshots.get(version, self.epoch) {
-            self.telemetry.count(|m| &m.snapshot_hits);
+        if let Some(hit) = self.cached(version) {
             return hit;
         }
-        self.telemetry.count(|m| &m.snapshot_misses);
         let (doc, labeling) = freeze();
         let snapshot = Snapshot::new(version, self.epoch, doc, labeling);
         self.snapshots.insert(snapshot.clone());
@@ -196,33 +223,12 @@ impl Front {
     }
 }
 
-/// What differs between the sessions that embed a [`Front`]: where the front
-/// and the version live, and the verbs whose bodies depend on holding one
-/// core or N shards.
-pub trait Session: Send + 'static {
-    /// The session's resolution type.
-    type Resolved: Send;
-    fn front(&self) -> &Front;
-    fn front_mut(&mut self) -> &mut Front;
-    /// The session version: 0 at creation, +1 per commit or compaction.
-    fn session_version(&self) -> u64;
-    /// Slot occupancy of the session's dense stores (drives checkpoint and
-    /// compaction triggering).
-    fn session_slab_stats(&self) -> SessionSlabStats;
-    /// `snapshot()`: the current version, pinned.
-    fn session_snapshot(&self) -> Snapshot;
-    /// `resolve()`: reasons on every pending submission.
-    fn session_resolve(&self) -> Result<Self::Resolved>;
-    /// `commit_resolution()`: the version the commit produced.
-    fn session_commit(&mut self, resolution: Self::Resolved) -> Result<u64>;
-}
-
 /// The compaction protocol of every session. `prepare` does the fallible
 /// work off to the side; the epoch record is appended next — the commit
 /// point, so a failed append leaves session and store on the pre-compaction
 /// version — and `install` then renumbers in place, which cannot fail, and
 /// advances the version by one.
-pub(crate) fn compact<S: Session, P>(
+pub(crate) fn compact<S: DurableBackend, P>(
     session: &mut S,
     prepare: impl FnOnce(&S) -> Result<P>,
     install: impl FnOnce(&mut S, P),
@@ -230,7 +236,7 @@ pub(crate) fn compact<S: Session, P>(
     let before = session.session_slab_stats();
     let prepared = prepare(session)?;
     let (version, epoch) = (session.session_version() + 1, session.front().epoch + 1);
-    session.front().append(version, CommitRecord::Epoch { epoch })?;
+    session.front_mut().append(version, CommitRecord::Epoch { epoch })?;
     install(session, prepared);
     let front = session.front_mut();
     front.epoch = epoch;
@@ -243,7 +249,7 @@ pub(crate) fn compact<S: Session, P>(
 /// The ingestion pipeline drives every session through the same verbs: an
 /// admitted batch enters the pending book as one submission, and the resolve
 /// and commit are the session's own.
-impl<S: Session> IngestBackend for S {
+impl<S: DurableBackend> IngestBackend for S {
     type Resolution = S::Resolved;
 
     fn admit(&mut self, batch: &[&Pul]) -> Result<SubmissionId> {

@@ -103,8 +103,7 @@ pub trait IngestBackend: Send + 'static {
 
     /// Pins the backend's current version into an MVCC
     /// [`Snapshot`](crate::Snapshot) (the backend's own `snapshot()`, memoized
-    /// per `(version, epoch)`), for the pipeline to publish to readers between
-    /// batches.
+    /// per version), for the pipeline to publish to readers between batches.
     fn snapshot_view(&self) -> crate::Snapshot;
 
     /// Drops a pending submission (after a failed commit, so later batches do
@@ -169,11 +168,6 @@ impl Ticket {
     /// The outcome, if the submission has already been committed or failed.
     pub fn try_outcome(&self) -> Option<Result<TicketOutcome>> {
         self.shared.outcome.lock().expect("ticket lock").clone()
-    }
-
-    /// Whether the submission has reached its outcome.
-    pub fn is_done(&self) -> bool {
-        self.shared.outcome.lock().expect("ticket lock").is_some()
     }
 }
 

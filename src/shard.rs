@@ -67,7 +67,7 @@ use crate::error::{Error, Result};
 use crate::executor::{
     CompactionReport, CoreScope, ExecutorCore, ReductionStrategy, SessionSlabStats, SubmissionId,
 };
-use crate::front::{self, Front, Session};
+use crate::front::{self, Front};
 use crate::snapshot::Snapshot;
 
 /// One shard: an executor core over a slice of the document, plus the label
@@ -152,12 +152,12 @@ pub struct ShardedExecutor {
     /// Failpoint handle consulted before each shard applies its sub-PUL
     /// (disabled unless a test injects a plan).
     faults: Faults,
-    /// Pending submissions, policy, strategy, epoch, commit sink, snapshot
+    /// Pending submissions, policy, strategy, epoch, store sink, snapshot
     /// cache and telemetry: the session front `Executor` embeds too. Under a
     /// sink the WAL append is the commit point of the two-phase protocol; the
     /// snapshot cache spares repeated `document()` / `serialize()` calls
     /// between commits the re-grafting of the whole tree.
-    front: Front,
+    pub(crate) front: Front,
 }
 
 impl ShardedExecutor {
@@ -469,8 +469,8 @@ impl ShardedExecutor {
     /// Pins the current version into an immutable MVCC [`Snapshot`] of the
     /// reassembled authoritative document (plus its global labeling). The
     /// first call at a version pays the O(document) reassembly; repeated
-    /// calls at an unchanged `(version, epoch)` are served from the snapshot
-    /// cache as reference-count bumps, and readers holding clones are never
+    /// calls at an unchanged version are served from the snapshot cache as
+    /// reference-count bumps, and readers holding clones are never
     /// blocked by — and never block — later commits.
     pub fn snapshot(&self) -> Snapshot {
         self.front.snapshot(self.version, || {
@@ -481,7 +481,7 @@ impl ShardedExecutor {
     }
 
     /// The reassembled authoritative document, as a shared immutable handle.
-    /// Served through the `(version, epoch)`-keyed snapshot cache: repeated
+    /// Served through the version-keyed snapshot cache: repeated
     /// calls between commits do no O(document) work.
     pub fn document(&self) -> SharedDocument {
         self.snapshot().shared_document()
@@ -925,41 +925,6 @@ impl ShardedExecutor {
     pub fn reclaimable_dead_ratio(&self) -> f64 {
         let nodes = self.slab_stats().nodes;
         nodes.dead.saturating_sub(self.dead_floor) as f64 / nodes.live.max(1) as f64
-    }
-}
-
-/// The label-interval routing and the two-phase journal commit stay internal
-/// to the session; the ingestion pipeline sees the same verbs as for a single
-/// executor.
-impl Session for ShardedExecutor {
-    type Resolved = ShardedResolution;
-
-    fn front(&self) -> &Front {
-        &self.front
-    }
-
-    fn front_mut(&mut self) -> &mut Front {
-        &mut self.front
-    }
-
-    fn session_version(&self) -> u64 {
-        self.version
-    }
-
-    fn session_slab_stats(&self) -> SessionSlabStats {
-        self.slab_stats()
-    }
-
-    fn session_snapshot(&self) -> Snapshot {
-        self.snapshot()
-    }
-
-    fn session_resolve(&self) -> Result<ShardedResolution> {
-        self.resolve()
-    }
-
-    fn session_commit(&mut self, resolution: ShardedResolution) -> Result<u64> {
-        self.commit_resolution(resolution).map(|report| report.version)
     }
 }
 

@@ -10,10 +10,12 @@
 //!
 //! Snapshots are produced by `Executor::snapshot`,
 //! `ShardedExecutor::snapshot` and (for historical versions)
-//! `Durable::read_at`. Each producer memoizes the last few snapshots in a
-//! [`SnapshotCache`] keyed by `(version, epoch)`: the *first* read at a
-//! version pays the O(document) freeze (or WAL replay), every later read at
-//! the same version is a reference-count bump.
+//! `Durable::read_at`, all memoized in the session's one [`SnapshotCache`],
+//! keyed by version: the *first* read at a version pays the O(document)
+//! freeze (or WAL replay), every later read at the same version is a
+//! reference-count bump. The version alone is a sound key because it names
+//! exactly one state: commits and compactions both advance it, and a
+//! rollback purges the versions it undoes.
 //!
 //! What pins memory: a snapshot keeps its whole document arena and labeling
 //! alive until the last clone is dropped — including across compaction epoch
@@ -98,30 +100,17 @@ impl Snapshot {
 /// recently read historical ones.
 const SNAPSHOT_CACHE_CAP: usize = 8;
 
-/// A small `(version, epoch)`-keyed LRU of [`Snapshot`]s with interior
-/// mutability, so `&self` read paths can memoize. **Cloning a session empties
-/// the cache** (same rationale as the sink slot: a clone diverges).
+/// A small version-keyed LRU of [`Snapshot`]s with interior mutability, so
+/// `&self` read paths can memoize. **Cloning a session empties the cache**
+/// (same rationale as the sink slot: a clone diverges).
 #[derive(Debug, Default)]
 pub(crate) struct SnapshotCache {
     inner: Mutex<Vec<Snapshot>>,
 }
 
 impl SnapshotCache {
-    /// The cached snapshot for `(version, epoch)`, refreshed to
-    /// most-recently-used.
-    pub(crate) fn get(&self, version: u64, epoch: u64) -> Option<Snapshot> {
-        let mut slots = self.inner.lock().expect("snapshot cache mutex poisoned");
-        let at = slots.iter().position(|s| s.version == version && s.epoch == epoch)?;
-        let hit = slots.remove(at);
-        slots.push(hit.clone());
-        Some(hit)
-    }
-
-    /// The cached snapshot for `version` under *any* epoch, refreshed to
-    /// most-recently-used. The durable layer keys by version alone: within
-    /// one WAL history a version determines its epoch, and the epoch is not
-    /// known until the version has been restored.
-    pub(crate) fn get_version(&self, version: u64) -> Option<Snapshot> {
+    /// The cached snapshot of `version`, refreshed to most-recently-used.
+    pub(crate) fn get(&self, version: u64) -> Option<Snapshot> {
         let mut slots = self.inner.lock().expect("snapshot cache mutex poisoned");
         let at = slots.iter().position(|s| s.version == version)?;
         let hit = slots.remove(at);
@@ -132,7 +121,7 @@ impl SnapshotCache {
     /// Memoizes a snapshot, evicting the least recently used beyond the cap.
     pub(crate) fn insert(&self, snapshot: Snapshot) {
         let mut slots = self.inner.lock().expect("snapshot cache mutex poisoned");
-        slots.retain(|s| !(s.version == snapshot.version && s.epoch == snapshot.epoch));
+        slots.retain(|s| s.version != snapshot.version);
         slots.push(snapshot);
         if slots.len() > SNAPSHOT_CACHE_CAP {
             slots.remove(0);
@@ -167,12 +156,11 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_are_keyed_by_version_and_epoch() {
+    fn cache_hits_are_keyed_by_version() {
         let cache = SnapshotCache::default();
         cache.insert(snap(3, 0));
-        assert!(cache.get(3, 0).is_some());
-        assert!(cache.get(3, 1).is_none(), "an epoch bump invalidates the key");
-        assert!(cache.get(2, 0).is_none());
+        assert!(cache.get(3).is_some());
+        assert!(cache.get(2).is_none());
     }
 
     #[test]
@@ -182,9 +170,9 @@ mod tests {
         cache.insert(snap(2, 0));
         cache.insert(snap(3, 0));
         cache.purge_above(1);
-        assert!(cache.get(1, 0).is_some());
-        assert!(cache.get(2, 0).is_none());
-        assert!(cache.get(3, 0).is_none());
+        assert!(cache.get(1).is_some());
+        assert!(cache.get(2).is_none());
+        assert!(cache.get(3).is_none());
     }
 
     #[test]
@@ -193,12 +181,12 @@ mod tests {
         for v in 0..20 {
             cache.insert(snap(v, 0));
         }
-        cache.get(12, 0).expect("recent entries are retained");
+        cache.get(12).expect("recent entries are retained");
         cache.insert(snap(99, 0)); // evicts the oldest untouched entry
-        assert!(cache.get(12, 0).is_some(), "the refreshed entry survived");
-        assert!(cache.get(0, 0).is_none(), "old entries evicted");
+        assert!(cache.get(12).is_some(), "the refreshed entry survived");
+        assert!(cache.get(0).is_none(), "old entries evicted");
         let cloned = cache.clone();
-        assert!(cloned.get(12, 0).is_none(), "clones start cold");
+        assert!(cloned.get(12).is_none(), "clones start cold");
     }
 
     #[test]

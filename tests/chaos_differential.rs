@@ -4,8 +4,8 @@
 //! Each case drives the full durable ingestion stack — `IngestQueue` over
 //! `Durable<Executor>` and `Durable<ShardedExecutor>` — with an armed
 //! [`FaultPlan`] shared by every failpoint layer: the store (WAL
-//! append/sync/rotation, checkpoint write/rename), the commit sink, the
-//! shard two-phase apply, and the ingest prepare and commit sites. Whatever the
+//! append/sync/rotation, checkpoint write/rename), the shard two-phase
+//! apply, and the ingest prepare and commit sites. Whatever the
 //! plan injects, three invariants must hold:
 //!
 //! 1. **Exactness.** The surviving document equals a fault-free sequential
@@ -101,12 +101,17 @@ fn random_plan(seed: u64) -> FaultPlan {
 }
 
 /// The deterministic CI matrix: one plan per failpoint family, then the
-/// seed-randomized plan on top.
+/// seed-randomized plan on top. The `wal.sync` plan is the crash between
+/// append and sync: the store repairs the tail, the ticket fails, and
+/// reopening must not bring the record back. A case commits two batches, so
+/// it fails every second sync: the second batch, then every second member
+/// retried alone.
 fn plan_matrix(seed: u64) -> Vec<FaultPlan> {
     vec![
         FaultPlan::new(seed).fail(site::WAL_APPEND, Trigger::Nth(1), FaultKind::Transient),
         FaultPlan::new(seed).fail(site::WAL_APPEND, Trigger::Nth(2), FaultKind::Torn),
-        FaultPlan::new(seed).fail(site::SINK_COMMIT, Trigger::EveryNth(2), FaultKind::Permanent),
+        FaultPlan::new(seed).fail(site::WAL_APPEND, Trigger::EveryNth(2), FaultKind::Permanent),
+        FaultPlan::new(seed).fail(site::WAL_SYNC, Trigger::EveryNth(2), FaultKind::Permanent),
         FaultPlan::new(seed).fail(site::CKPT_WRITE, Trigger::Nth(1), FaultKind::Transient).fail(
             site::CKPT_RENAME,
             Trigger::Nth(1),
@@ -184,8 +189,9 @@ impl ChaosBackend for ShardedExecutor {
     }
 }
 
-/// One chaos case: workload `seed` under `plan`, over backend `B`.
-fn chaos_case<B: ChaosBackend>(seed: u64, plan: &FaultPlan, plan_idx: usize) {
+/// One chaos case: workload `seed` under `plan`, over backend `B`. Returns
+/// the armed handle and the number of rejected tickets.
+fn chaos_case<B: ChaosBackend>(seed: u64, plan: &FaultPlan, plan_idx: usize) -> (Faults, usize) {
     let ctx = format!("seed {seed}, plan {plan_idx} ({:?}), backend {}", plan.specs(), B::TAG);
     let case = differential_case_with(seed, PRODUCERS);
     let faults = plan.arm();
@@ -254,6 +260,7 @@ fn chaos_case<B: ChaosBackend>(seed: u64, plan: &FaultPlan, plan_idx: usize) {
     );
     recovered.backend().check_consistent();
     std::fs::remove_dir_all(&dir).unwrap();
+    (faults, tickets.len() - accepted.len())
 }
 
 /// Pinned seeds × the deterministic plan matrix, both backends: the CI
@@ -262,8 +269,21 @@ fn chaos_case<B: ChaosBackend>(seed: u64, plan: &FaultPlan, plan_idx: usize) {
 fn chaos_survivors_match_fault_free_replay() {
     for seed in 0..CI_SEEDS {
         for (plan_idx, plan) in plan_matrix(seed).iter().enumerate() {
-            chaos_case::<Executor>(seed, plan, plan_idx);
-            chaos_case::<ShardedExecutor>(seed, plan, plan_idx);
+            for (faults, rejected) in [
+                chaos_case::<Executor>(seed, plan, plan_idx),
+                chaos_case::<ShardedExecutor>(seed, plan, plan_idx),
+            ] {
+                // The sync plan must reach its path, or it proves nothing.
+                if let [spec] = plan.specs() {
+                    if spec.site == site::WAL_SYNC {
+                        assert!(
+                            faults.injected_at(site::WAL_SYNC) > 0,
+                            "seed {seed}: no sync failed"
+                        );
+                        assert!(rejected > 0, "seed {seed}: a failed sync rejected no ticket");
+                    }
+                }
+            }
         }
     }
 }

@@ -517,7 +517,7 @@ fn auto_compaction_brings_dead_ratio_back_below_threshold() {
 /// work.
 fn faulted_compaction_case<B: CompactBackend>(fault_site: &'static str, kind: FaultKind) {
     let ctx = format!("{} fault {fault_site:?}/{kind:?}", B::TAG);
-    let root = tmp_root(&format!("fault_{}_{}", B::TAG, fault_site.replace('.', "_")));
+    let root = tmp_root(&format!("fault_{}_{}_{kind:?}", B::TAG, fault_site.replace('.', "_")));
     let store_dir = root.join("store");
     let doc = seed_doc(5);
     let mut oracle = Executor::new(doc.clone());
@@ -554,9 +554,9 @@ fn faulted_compaction_case<B: CompactBackend>(fault_site: &'static str, kind: Fa
 
 #[test]
 fn fault_during_compaction_leaves_the_pre_compaction_version() {
-    faulted_compaction_case::<Executor>(site::SINK_COMMIT, FaultKind::Permanent);
+    faulted_compaction_case::<Executor>(site::WAL_APPEND, FaultKind::Permanent);
     faulted_compaction_case::<Executor>(site::WAL_APPEND, FaultKind::Torn);
-    faulted_compaction_case::<ShardedExecutor>(site::SINK_COMMIT, FaultKind::Permanent);
+    faulted_compaction_case::<ShardedExecutor>(site::WAL_APPEND, FaultKind::Permanent);
     faulted_compaction_case::<ShardedExecutor>(site::WAL_APPEND, FaultKind::Torn);
 }
 

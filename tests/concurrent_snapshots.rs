@@ -177,7 +177,7 @@ fn snapshots_survive_a_compaction_epoch_bump() {
 /// per-call reassembly or replay.
 #[test]
 fn repeated_reads_at_an_unchanged_version_share_one_arena() {
-    // Single executor: snapshot() memoizes per (version, epoch).
+    // Single executor: snapshot() memoizes per version.
     let mut exec = Executor::parse("<r><a/><b/></r>").unwrap();
     let first = exec.snapshot();
     assert!(
