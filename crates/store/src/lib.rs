@@ -61,9 +61,6 @@ pub use wal::{ScanOutcome, WalRecord};
 pub enum SyncPolicy {
     /// `fsync` after every appended record — a reported commit is durable.
     PerCommit,
-    /// `fsync` every `n` records; a crash can lose up to `n - 1` recent
-    /// commits but never corrupts the prefix.
-    Interval(u32),
     /// Never `fsync` explicitly; the OS flushes when it pleases.
     Off,
 }
@@ -110,8 +107,6 @@ pub struct Store {
     /// `(version, frame start offset)` of every record in the current
     /// segment, in append order — lets a rollback truncate precisely.
     appended: Vec<(u64, u64)>,
-    /// Appends since the last explicit sync (for `SyncPolicy::Interval`).
-    unsynced: u32,
     /// Versions of every checkpoint on disk, ascending.
     checkpoints: Vec<u64>,
     /// Indices of every segment on disk, ascending (last = current).
@@ -158,7 +153,6 @@ impl Store {
             wal_file,
             wal_len: 0,
             appended: Vec::new(),
-            unsynced: 0,
             checkpoints: Vec::new(),
             segments: vec![0],
             faults: Faults::disabled(),
@@ -222,7 +216,6 @@ impl Store {
             wal_file,
             wal_len: scan.valid_len,
             appended,
-            unsynced: 0,
             checkpoints,
             segments,
             faults: Faults::disabled(),
@@ -338,12 +331,7 @@ impl Store {
             self.telemetry.observe_since(|m| &m.wal_append_ns, t0);
             self.telemetry.add(|m| &m.wal_append_bytes, frame.len() as u64);
         }
-        let need_sync = match self.opts.sync {
-            SyncPolicy::PerCommit => true,
-            SyncPolicy::Interval(n) => self.unsynced + 1 >= n.max(1),
-            SyncPolicy::Off => false,
-        };
-        if need_sync {
+        if self.opts.sync == SyncPolicy::PerCommit {
             if let Some(kind) = self.faults.check(site::WAL_SYNC) {
                 self.note_fault(site::WAL_SYNC, kind, version);
                 self.repair_tail();
@@ -359,9 +347,6 @@ impl Store {
             if let Some(t0) = sync_started {
                 self.telemetry.observe_since(|m| &m.wal_sync_ns, t0);
             }
-            self.unsynced = 0;
-        } else if matches!(self.opts.sync, SyncPolicy::Interval(_)) {
-            self.unsynced += 1;
         }
         self.appended.push((version, self.wal_len));
         self.wal_len += frame.len() as u64;
@@ -396,7 +381,6 @@ impl Store {
             self.appended.truncate(idx);
         }
         self.wal_len = new_len;
-        self.unsynced = 0;
         self.poisoned = false;
         Ok(())
     }
@@ -477,7 +461,6 @@ impl Store {
         self.segments.dedup();
         self.wal_len = 0;
         self.appended.clear();
-        self.unsynced = 0;
         self.poisoned = false;
         self.checkpoints.push(state.version);
         self.checkpoints.sort_unstable();
@@ -689,20 +672,6 @@ mod tests {
         assert_eq!(store.checkpoint_at_or_before(2), Some(1));
         assert_eq!(store.checkpoint_at_or_before(3), Some(3));
         assert_eq!(store.checkpoint_at_or_before(99), Some(3));
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn interval_sync_policy_counts_appends() {
-        let dir = tmp_dir("interval");
-        let opts = StoreOptions { sync: SyncPolicy::Interval(3) };
-        let mut store = Store::create(&dir, opts).unwrap();
-        for v in 1..=7 {
-            store.append(v, b"x").unwrap();
-        }
-        // No assertion beyond "it works" — the policy only changes fsync
-        // cadence, which the filesystem hides from us here.
-        assert_eq!(store.last_version(), Some(7));
         fs::remove_dir_all(&dir).unwrap();
     }
 

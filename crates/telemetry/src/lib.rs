@@ -189,14 +189,12 @@ pub enum EventKind {
     Retry,
     /// The durable layer flipped into sticky read-only degraded mode.
     Degraded,
-    /// A background maintenance pass (checkpoint/compaction) failed.
+    /// A background checkpoint (after a commit or a compaction) failed.
     MaintenanceFailure,
     /// Compaction renumbered the arena and bumped the epoch.
     CompactionEpoch,
     /// An ingest submission was shed at the admission bound.
     Shed,
-    /// An ingest ticket's deadline expired before its round committed.
-    DeadlineExpired,
     /// A checkpoint image was written and the WAL rotated.
     Checkpoint,
     /// An injected failpoint fired.
@@ -214,7 +212,6 @@ impl EventKind {
             EventKind::MaintenanceFailure => "maintenance_failure",
             EventKind::CompactionEpoch => "compaction_epoch",
             EventKind::Shed => "shed",
-            EventKind::DeadlineExpired => "deadline_expired",
             EventKind::Checkpoint => "checkpoint",
             EventKind::FaultHit => "fault_hit",
         }
@@ -224,7 +221,7 @@ impl EventKind {
     pub fn code(self) -> Option<&'static str> {
         match self {
             EventKind::Degraded => Some("XPUL-E09"),
-            EventKind::Shed | EventKind::DeadlineExpired => Some("XPUL-E08"),
+            EventKind::Shed => Some("XPUL-E08"),
             EventKind::FaultHit => Some("XPUL-E04"),
             _ => None,
         }
@@ -347,12 +344,11 @@ registry! {
         rounds_coalesced: "Ingest batches of two or more submissions, committed as one aggregate.",
         rounds_serialized: "Ingest batches of a single submission.",
         tickets_committed: "Ingest tickets completed with a committed version.",
-        tickets_failed: "Ingest tickets completed with an error (conflicts, faults, overload).",
+        tickets_failed: "Ingest tickets completed with an error (conflicts, faults, XPUL-E09).",
         tickets_shed: "Submissions shed at the admission bound (XPUL-E08).",
-        tickets_expired: "Tickets failed by their deadline before committing (XPUL-E08).",
         wal_append_bytes: "Bytes appended to the write-ahead log.",
         retry_attempts: "Transient store-operation attempts beyond the first (backoff retries).",
-        maintenance_failures: "Background maintenance passes that failed (checkpoint/compaction).",
+        maintenance_failures: "Background checkpoints that failed (after a commit or compaction).",
         degraded_transitions: "Flips into sticky read-only degraded mode (XPUL-E09).",
         fault_hits: "Injected failpoints that fired.",
     }

@@ -25,7 +25,12 @@
 //!   the nearest checkpoint at or below it — memoized in the session's one
 //!   snapshot cache, so repeated reads of a version replay once;
 //!   [`restore_at`](Durable::restore_at) materialises a full mutable session
-//!   instead.
+//!   instead;
+//! - **transient store failures** retry under one fixed budget: 4 retries,
+//!   backoff from 1 ms doubling to a 50 ms cap, 1 s per operation. An
+//!   exhausted budget degrades the session to read-only (`XPUL-E09`) until
+//!   the store is reopened. Compaction is never triggered automatically:
+//!   [`Durable::compact`] runs only when called.
 //!
 //! The store has one owner: the sink in the backend's session front, which
 //! holds it together with the sticky degraded flag. `Durable` keeps only its
@@ -89,37 +94,23 @@ use crate::snapshot::Snapshot;
 const DETACHED: &str = "the durable session's store was detached by replacing its backend";
 
 // ---------------------------------------------------------------------------
-// Retry policy
+// Retry budget
 // ---------------------------------------------------------------------------
 
-/// How transient store failures (see [`Error::is_transient`]) are retried:
-/// bounded attempts with exponential backoff, all under one per-operation
-/// deadline. Permanent failures are never retried. An operation that
-/// exhausts this budget tips the session into sticky degraded mode
-/// (`XPUL-E09`).
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Retries after the first failed attempt (default 4).
-    pub max_retries: u32,
-    /// Sleep before the first retry (default 1 ms); doubles per retry.
-    pub base_backoff: Duration,
-    /// Backoff ceiling (default 50 ms).
-    pub max_backoff: Duration,
-    /// Wall-clock budget for the operation including backoff sleeps
-    /// (default 1 s). Retries stop once the next sleep would cross it.
-    pub op_deadline: Duration,
-}
+// Transient store failures (see `Error::is_transient`) are retried with
+// exponential backoff, all under one per-operation deadline; permanent
+// failures never are. An operation that exhausts this budget tips the session
+// into sticky degraded mode (`XPUL-E09`).
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 4,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(50),
-            op_deadline: Duration::from_secs(1),
-        }
-    }
-}
+/// Retries after the first failed attempt.
+const MAX_RETRIES: u32 = 4;
+/// Sleep before the first retry; doubles per retry up to [`MAX_BACKOFF`].
+const BASE_BACKOFF: Duration = Duration::from_millis(1);
+/// Backoff ceiling.
+const MAX_BACKOFF: Duration = Duration::from_millis(50);
+/// Wall-clock budget of one operation including its backoff sleeps: retries
+/// stop once the next sleep would cross it.
+const OP_DEADLINE: Duration = Duration::from_secs(1);
 
 // ---------------------------------------------------------------------------
 // WAL record payloads
@@ -294,13 +285,11 @@ impl fmt::Debug for SinkSlot {
 
 /// The store of a durable session, owned by the session front: every commit
 /// appends its WAL record here at its commit point, and [`Durable`] writes
-/// its checkpoints here. Transient failures retry under the session's
-/// [`RetryPolicy`]; an exhausted retry budget sets the sticky degraded flag —
-/// from then on every write is refused with `XPUL-E09` until the store is
-/// reopened.
+/// its checkpoints here. Transient failures retry with bounded backoff; an
+/// exhausted retry budget sets the sticky degraded flag — from then on every
+/// write is refused with `XPUL-E09` until the store is reopened.
 pub(crate) struct StoreSink {
     store: Store,
-    retry: RetryPolicy,
     /// Sticky read-only flag: set when a WAL append or a checkpoint write
     /// exhausts its retry budget.
     degraded: bool,
@@ -346,7 +335,7 @@ impl StoreSink {
         if self.degraded {
             return Err(degraded_error());
         }
-        let (start, mut backoff, mut attempts) = (Instant::now(), self.retry.base_backoff, 0u32);
+        let (start, mut backoff, mut attempts) = (Instant::now(), BASE_BACKOFF, 0u32);
         loop {
             let e = match op(&mut self.store) {
                 Ok(v) => return Ok(v),
@@ -354,9 +343,7 @@ impl StoreSink {
                 Err(e) => e,
             };
             attempts += 1;
-            if attempts > self.retry.max_retries
-                || start.elapsed().saturating_add(backoff) > self.retry.op_deadline
-            {
+            if attempts > MAX_RETRIES || start.elapsed().saturating_add(backoff) > OP_DEADLINE {
                 self.degraded = true;
                 telemetry.count(|m| &m.degraded_transitions);
                 telemetry.event(EventKind::Degraded, version, || {
@@ -365,13 +352,11 @@ impl StoreSink {
                 return Err(Error::Degraded(format!("{what} retries exhausted: {e}")));
             }
             telemetry.count(|m| &m.retry_attempts);
-            telemetry.event(EventKind::Retry, 0, || {
+            telemetry.event(EventKind::Retry, version, || {
                 format!("transient store failure, retrying (attempt {attempts}): {e}")
             });
-            if !backoff.is_zero() {
-                std::thread::sleep(backoff);
-            }
-            backoff = backoff.saturating_mul(2).min(self.retry.max_backoff);
+            std::thread::sleep(backoff);
+            backoff = (backoff * 2).min(MAX_BACKOFF);
         }
     }
 
@@ -408,8 +393,8 @@ pub trait DurableBackend: Send + Sized + 'static {
     fn front_mut(&mut self) -> &mut Front;
     /// The session version: 0 at creation, +1 per commit or compaction.
     fn session_version(&self) -> u64;
-    /// Slot occupancy of the session's dense stores (drives checkpoint and
-    /// compaction triggering).
+    /// Slot occupancy of the session's dense stores (drives the churn
+    /// checkpoint trigger).
     fn session_slab_stats(&self) -> SessionSlabStats;
     /// `snapshot()`: the current version, pinned.
     fn session_snapshot(&self) -> Snapshot;
@@ -431,12 +416,6 @@ pub trait DurableBackend: Send + Sized + 'static {
     /// commit phases (e.g. shard apply). Backends without failpoints ignore
     /// it.
     fn install_faults(&mut self, _faults: Faults) {}
-    /// The fraction of the live population held in *reclaimable* dead slots
-    /// (drives the compaction trigger). Backends whose layout carries
-    /// structural, unreclaimable dead slots — the sharded partition gaps —
-    /// subtract them here, or the trigger would re-fire forever on a freshly
-    /// compacted session.
-    fn reclaimable_dead_ratio(&self) -> f64;
     /// Compacts the session: renumbers densely and opens a new epoch. The
     /// installed sink appends the epoch record before the renumbering, so a
     /// failed append leaves session and store on the pre-compaction version.
@@ -533,10 +512,6 @@ impl DurableBackend for Executor {
                 Err(Error::store("sharded WAL record replayed into a single executor"))
             }
         }
-    }
-
-    fn reclaimable_dead_ratio(&self) -> f64 {
-        self.reclaimable_dead_ratio()
     }
 
     fn compact_session(&mut self) -> Result<crate::CompactionReport> {
@@ -676,10 +651,6 @@ impl DurableBackend for ShardedExecutor {
         self.set_faults(faults);
     }
 
-    fn reclaimable_dead_ratio(&self) -> f64 {
-        self.reclaimable_dead_ratio()
-    }
-
     fn compact_session(&mut self) -> Result<crate::CompactionReport> {
         self.compact()
     }
@@ -703,14 +674,6 @@ pub struct DurableOptions {
     /// Identifiers are never reused, so a checkpoint is the only point where
     /// the on-disk image sheds dead slots.
     pub checkpoint_dead_ratio: f64,
-    /// Compact the session (see [`Durable::compact`]) once the backend's
-    /// reclaimable dead ratio reaches this value (default `f64::INFINITY`:
-    /// never — compaction renumbers every identifier and fences producers,
-    /// so auto-triggering is opt-in). The trigger is evaluated between
-    /// committed rounds and declines while submissions are pending.
-    pub compact_dead_ratio: f64,
-    /// How transient WAL-append and checkpoint failures are retried.
-    pub retry: RetryPolicy,
 }
 
 impl Default for DurableOptions {
@@ -719,8 +682,6 @@ impl Default for DurableOptions {
             sync: SyncPolicy::PerCommit,
             checkpoint_wal_bytes: 1 << 20,
             checkpoint_dead_ratio: 0.5,
-            compact_dead_ratio: f64::INFINITY,
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -773,7 +734,7 @@ impl<B: DurableBackend> Durable<B> {
     /// Moves `store` into `backend`'s front as its sink; the churn trigger
     /// counts dead slots from the backend's current ones.
     fn assemble(mut backend: B, store: Store, opts: DurableOptions) -> Durable<B> {
-        backend.front_mut().sink.set(StoreSink { store, retry: opts.retry, degraded: false });
+        backend.front_mut().sink.set(StoreSink { store, degraded: false });
         Durable {
             dead_at_checkpoint: backend.session_slab_stats().nodes.dead,
             backend,
@@ -864,9 +825,9 @@ impl<B: DurableBackend> Durable<B> {
     }
 
     /// Writes a checkpoint of the current state unconditionally and rotates
-    /// the WAL, retrying transient failures under the session's
-    /// [`RetryPolicy`]. Returns the checkpointed version. An exhausted retry
-    /// budget degrades the session (`XPUL-E09`).
+    /// the WAL, retrying transient failures with bounded backoff. Returns the
+    /// checkpointed version. An exhausted retry budget degrades the session
+    /// (`XPUL-E09`).
     pub fn checkpoint(&mut self) -> Result<u64> {
         self.refuse_if_degraded()?;
         let state = self.backend.checkpoint_state();
@@ -913,39 +874,17 @@ impl<B: DurableBackend> Durable<B> {
         Ok(report)
     }
 
-    /// Compacts if the trigger fires: the backend's *reclaimable* dead ratio
-    /// (dead slots a renumbering can actually free — the sharded session
-    /// subtracts its structural partition gaps) reached `compact_dead_ratio`
-    /// and no submission is pending (compacting under
-    /// pending submissions would fence work already admitted — the ingest
-    /// pipeline calls this between rounds, when the queue has drained). In
-    /// degraded mode the call fails with `XPUL-E09`.
-    pub fn compact_if_due(&mut self) -> Result<bool> {
-        self.refuse_if_degraded()?;
-        if !self.backend.front().submissions.is_empty() {
-            return Ok(false);
-        }
-        let ratio = self.backend.reclaimable_dead_ratio();
-        if ratio > 0.0 && ratio >= self.opts.compact_dead_ratio {
-            self.compact()?;
-            return Ok(true);
-        }
-        Ok(false)
-    }
-
-    /// Commits everything pending durably, then runs the compaction and
-    /// checkpoint triggers: the one-call maintenance loop body for long-lived
-    /// sessions.
+    /// Commits everything pending durably, then runs the checkpoint
+    /// triggers: the one-call loop body for long-lived sessions. Compaction
+    /// is never triggered here; call [`compact`](Durable::compact).
     pub fn commit_durable(&mut self) -> Result<u64> {
         let resolution = self.backend.resolve_pending()?;
         let version = self.backend.commit_pending(resolution)?;
-        // The commit's WAL record is durable at this point: a compaction or
-        // checkpoint failure must not fail the commit (a caller retrying it
-        // would re-apply an applied round). Degradation surfaces on the
-        // *next* commit through the sink; the failure itself is recorded in
+        // The commit's WAL record is durable at this point: a checkpoint
+        // failure must not fail the commit (a caller retrying it would
+        // re-apply an applied round). Degradation surfaces on the *next*
+        // commit through the sink; the failure itself is recorded in
         // `last_maintenance_error` rather than swallowed.
-        let compacted = self.compact_if_due();
-        self.note_maintenance(compacted);
         let checkpointed = self.checkpoint_if_due();
         self.note_maintenance(checkpointed);
         Ok(version)
@@ -953,8 +892,8 @@ impl<B: DurableBackend> Durable<B> {
 
     /// Records a background-maintenance outcome: commit paths must stay
     /// infallible once the round's WAL record is durable, so a failed
-    /// opportunistic compaction or checkpoint is *recorded* here instead of
-    /// surfacing from the commit (where a retry would re-apply the round).
+    /// opportunistic checkpoint is *recorded* here instead of surfacing from
+    /// the commit (where a retry would re-apply the round).
     fn note_maintenance<T>(&mut self, outcome: Result<T>) {
         if let Err(e) = outcome {
             self.maintenance_failures += 1;
@@ -968,11 +907,10 @@ impl<B: DurableBackend> Durable<B> {
     }
 
     /// The most recent failure of opportunistic background maintenance — the
-    /// post-commit `compact_if_due` / `checkpoint_if_due` triggers and the
-    /// best-effort checkpoint after a durable compaction. `None` when every
-    /// attempt so far succeeded. The error is sticky until a later failure
-    /// replaces it; a degraded session additionally refuses commits with
-    /// `XPUL-E09`.
+    /// post-commit `checkpoint_if_due` trigger and the best-effort checkpoint
+    /// after a durable compaction. `None` when every attempt so far
+    /// succeeded. The error is sticky until a later failure replaces it; a
+    /// degraded session additionally refuses commits with `XPUL-E09`.
     pub fn last_maintenance_error(&self) -> Option<&Error> {
         self.last_maintenance_error.as_ref()
     }
@@ -1095,11 +1033,6 @@ impl<B: DurableBackend> IngestBackend for Durable<B> {
         // The batch is durably committed: a checkpoint failure here must not
         // fail it, or the ingest pipeline would retry (and re-apply) an
         // already-applied batch. Degradation surfaces on the next batch.
-        // Compaction does NOT run here — the submissions still queued, and
-        // the members of a failed batch retried one by one, were minted
-        // against the current numbering, and renumbering under them would
-        // silently re-target their identifiers. The pipeline calls
-        // `maintain` at its quiescent boundaries instead.
         let checkpointed = self.checkpoint_if_due();
         self.note_maintenance(checkpointed);
         Ok(version)
@@ -1107,15 +1040,6 @@ impl<B: DurableBackend> IngestBackend for Durable<B> {
 
     fn snapshot_view(&self) -> Snapshot {
         self.backend.snapshot_view()
-    }
-
-    fn maintain(&mut self) {
-        // Only reached when the whole ingest pipeline is quiescent, so the
-        // renumbering cannot strand any in-flight producer. Failures degrade
-        // the session, surface on the next commit, and are recorded in
-        // `last_maintenance_error`.
-        let compacted = self.compact_if_due();
-        self.note_maintenance(compacted);
     }
 
     fn discard(&mut self, id: SubmissionId) {
@@ -1517,28 +1441,25 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Zero-backoff policy: retry semantics without test-suite sleeps.
-    fn fast_retry(max_retries: u32) -> RetryPolicy {
-        RetryPolicy {
-            max_retries,
-            base_backoff: Duration::ZERO,
-            max_backoff: Duration::ZERO,
-            op_deadline: Duration::from_secs(5),
-        }
-    }
-
     #[test]
     fn transient_faults_are_retried_and_the_commit_succeeds() {
         use pul_store::{FaultKind, FaultPlan, Trigger};
         let dir = tmp_dir("retry_transient");
-        let opts = DurableOptions { retry: fast_retry(4), ..DurableOptions::default() };
-        let mut durable = Durable::create(&dir, Executor::parse(DOC).unwrap(), opts).unwrap();
+        let mut durable =
+            Durable::create(&dir, Executor::parse(DOC).unwrap(), DurableOptions::default())
+                .unwrap();
+        let telemetry = Telemetry::enabled();
+        durable.set_telemetry(telemetry.clone());
         let faults =
             FaultPlan::new(1).fail(site::WAL_APPEND, Trigger::Nth(1), FaultKind::Transient).arm();
         durable.inject_faults(faults.clone());
         commit_rename(&mut durable, "b1", "retried");
         assert_eq!(faults.injected_at(site::WAL_APPEND), 1, "the fault fired once");
         assert!(!durable.is_degraded());
+        let retries: Vec<_> =
+            telemetry.recent_events().into_iter().filter(|e| e.kind == EventKind::Retry).collect();
+        assert_eq!(retries.len(), 1, "one retry journaled: {retries:?}");
+        assert_eq!(retries[0].version, 1, "the retry names the version being appended");
         let reference = durable.backend().clone();
         drop(durable);
         let recovered: Durable<Executor> = Durable::open(&dir, DurableOptions::default()).unwrap();
@@ -1551,8 +1472,9 @@ mod tests {
     fn permanent_faults_fail_the_commit_but_not_the_session() {
         use pul_store::{FaultKind, FaultPlan, Trigger};
         let dir = tmp_dir("permanent_fault");
-        let opts = DurableOptions { retry: fast_retry(4), ..DurableOptions::default() };
-        let mut durable = Durable::create(&dir, Executor::parse(DOC).unwrap(), opts).unwrap();
+        let mut durable =
+            Durable::create(&dir, Executor::parse(DOC).unwrap(), DurableOptions::default())
+                .unwrap();
         durable.inject_faults(
             FaultPlan::new(1).fail(site::WAL_APPEND, Trigger::Nth(1), FaultKind::Permanent).arm(),
         );
@@ -1582,8 +1504,9 @@ mod tests {
     fn exhausted_retries_degrade_the_session_stickily() {
         use pul_store::{FaultKind, FaultPlan, Trigger};
         let dir = tmp_dir("degraded_sticky");
-        let opts = DurableOptions { retry: fast_retry(2), ..DurableOptions::default() };
-        let mut durable = Durable::create(&dir, Executor::parse(DOC).unwrap(), opts).unwrap();
+        let mut durable =
+            Durable::create(&dir, Executor::parse(DOC).unwrap(), DurableOptions::default())
+                .unwrap();
         commit_rename(&mut durable, "b1", "durable");
         let faults =
             FaultPlan::new(1).fail(site::WAL_APPEND, Trigger::Always, FaultKind::Transient).arm();
@@ -1594,7 +1517,7 @@ mod tests {
         let err = durable.commit().unwrap_err();
         assert_eq!(err.code(), "XPUL-E09", "{err}");
         assert!(durable.is_degraded());
-        assert_eq!(faults.injected_at(site::WAL_APPEND), 3, "initial attempt + 2 retries");
+        assert_eq!(faults.injected_at(site::WAL_APPEND), 5, "initial attempt + 4 retries");
         // Sticky: every further write path is refused with E09 without
         // touching the failpoint again — including checkpoint_if_due.
         let id = durable.document().find_element("b3").unwrap();
@@ -1603,7 +1526,7 @@ mod tests {
         assert_eq!(durable.commit().unwrap_err().code(), "XPUL-E09");
         assert_eq!(durable.checkpoint_if_due().unwrap_err().code(), "XPUL-E09");
         assert_eq!(durable.checkpoint().unwrap_err().code(), "XPUL-E09");
-        assert_eq!(faults.injected_at(site::WAL_APPEND), 3, "degraded mode short-circuits");
+        assert_eq!(faults.injected_at(site::WAL_APPEND), 5, "degraded mode short-circuits");
         // Reads still work in degraded mode.
         assert!(durable.read_at(1).unwrap().serialize().contains("<durable>"));
         drop(durable);
@@ -1624,15 +1547,16 @@ mod tests {
         use crate::ingest::IngestQueue;
         use pul_store::{FaultKind, FaultPlan, Trigger};
         let dir = tmp_dir("degraded_checkpoint");
-        let opts = DurableOptions { retry: fast_retry(2), ..DurableOptions::default() };
-        let mut durable = Durable::create(&dir, Executor::parse(DOC).unwrap(), opts).unwrap();
+        let mut durable =
+            Durable::create(&dir, Executor::parse(DOC).unwrap(), DurableOptions::default())
+                .unwrap();
         commit_rename(&mut durable, "b1", "durable");
         let faults =
             FaultPlan::new(1).fail(site::CKPT_WRITE, Trigger::Always, FaultKind::Transient).arm();
         durable.inject_faults(faults.clone());
         assert_eq!(durable.checkpoint().unwrap_err().code(), "XPUL-E09");
         assert!(durable.is_degraded());
-        assert_eq!(faults.injected_at(site::CKPT_WRITE), 3, "initial attempt + 2 retries");
+        assert_eq!(faults.injected_at(site::CKPT_WRITE), 5, "initial attempt + 4 retries");
         // The flag lives in the session's sink, so commits through the
         // deref'd backend see it too.
         let b2 = durable.document().find_element("b2").unwrap();
@@ -1666,8 +1590,9 @@ mod tests {
     fn torn_writes_poison_the_wal_until_a_checkpoint_heals_it() {
         use pul_store::{FaultKind, FaultPlan, Trigger};
         let dir = tmp_dir("torn_heal");
-        let opts = DurableOptions { retry: fast_retry(2), ..DurableOptions::default() };
-        let mut durable = Durable::create(&dir, Executor::parse(DOC).unwrap(), opts).unwrap();
+        let mut durable =
+            Durable::create(&dir, Executor::parse(DOC).unwrap(), DurableOptions::default())
+                .unwrap();
         commit_rename(&mut durable, "b1", "before");
         durable.inject_faults(
             FaultPlan::new(1).fail(site::WAL_APPEND, Trigger::Nth(1), FaultKind::Torn).arm(),

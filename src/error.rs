@@ -68,9 +68,9 @@ pub enum Error {
     /// stream inconsistent with the session it was replayed into. Carries the
     /// structured [`StoreError`] (operation, `io::ErrorKind`, WAL position).
     Store(StoreError),
-    /// Admission control rejected a submission: the ingest queue was at
-    /// capacity (`try_enqueue` sheds load rather than block) or the ticket's
-    /// deadline expired before its round committed.
+    /// Admission control rejected a submission: an
+    /// [`enqueue_all`](crate::IngestQueue::enqueue_all) group is larger than
+    /// the ingest queue's capacity, so it could never fit.
     Overload(String),
     /// The durable session is in sticky read-only degraded mode: a WAL or
     /// checkpoint write exhausted its retry budget, so further commits are

@@ -333,14 +333,6 @@ impl Executor {
         }
     }
 
-    /// The fraction of the live population held in reclaimable dead slots.
-    /// For a single executor every dead slot is reclaimable — compaction
-    /// renumbers to a fully dense arena (the sharded session subtracts its
-    /// structural partition floor here).
-    pub fn reclaimable_dead_ratio(&self) -> f64 {
-        self.slab_stats().nodes.dead_ratio()
-    }
-
     /// Pins the current version into an immutable MVCC [`Snapshot`]: a
     /// cheaply clonable view serving reads, serialization and Table-1
     /// predicate checks while this session commits ahead. The first snapshot

@@ -21,10 +21,15 @@
 //!   that failed the submission. The pipeline thread sleeps only while the
 //!   queue is empty; whenever it is free it drains **everything** queued as
 //!   one batch, so a batch is whatever arrived while the previous one was
-//!   committing — no timer, no size threshold. The queue's
-//!   [`capacity`](IngestConfig::capacity) bounds it.
+//!   committing — no timer, no size threshold.
 //!   [`enqueue_all`](IngestQueue::enqueue_all) appends a group under one lock
 //!   acquisition, so the group drains as one batch.
+//!
+//! * **Admission.** The queue's [`capacity`](IngestConfig::capacity) is the
+//!   only admission control: `enqueue` blocks while the queue is full, and a
+//!   group larger than the capacity, which could never fit, is refused with
+//!   `XPUL-E08`. A ticket has no deadline; it completes when its batch
+//!   commits or fails.
 //!
 //! * **One batch, one aggregate, one commit.** A drained batch is a sequence
 //!   of PULs in enqueue order, and the paper has the operator for exactly
@@ -58,7 +63,7 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use pul::Pul;
 use pul_store::{site, FaultKind, Faults};
@@ -113,14 +118,6 @@ pub trait IngestBackend: Send + 'static {
     /// The backend's current version: 0 at creation, +1 per commit or
     /// compaction.
     fn current_version(&self) -> u64;
-
-    /// Background maintenance, invoked by the pipeline only at a *quiescent*
-    /// boundary: nothing queued, nothing drained, nothing in flight. This is
-    /// the sole point where maintenance that renumbers node identifiers
-    /// (slab compaction) may run — anywhere else it would silently re-target
-    /// PULs already inside the pipeline that were minted against the old
-    /// numbering. Errors are the backend's to surface on a later batch.
-    fn maintain(&mut self) {}
 }
 
 // ---------------------------------------------------------------------------
@@ -214,9 +211,9 @@ impl Drop for TicketCompleter {
 pub struct IngestConfig {
     /// Hard bound on the number of submissions waiting to be drained — and
     /// so on the size of one batch, hence of one aggregated commit.
-    /// [`enqueue`](IngestQueue::enqueue) blocks while the queue is full;
-    /// [`try_enqueue`](IngestQueue::try_enqueue) sheds load with `XPUL-E08`
-    /// instead of blocking.
+    /// [`enqueue`](IngestQueue::enqueue) blocks while the queue is full; an
+    /// [`enqueue_all`](IngestQueue::enqueue_all) group larger than the bound
+    /// can never fit and is refused with `XPUL-E08`.
     pub capacity: usize,
     /// Failpoints the pipeline consults: [`site::INGEST_PREPARE`] before each
     /// batch and [`site::INGEST_COMMIT`] before each commit attempt. Disabled
@@ -229,8 +226,8 @@ pub struct IngestConfig {
     pub publish_snapshots: bool,
     /// Telemetry handle shared by the queue façade and the pipeline thread:
     /// queue depth, enqueue-block and per-ticket latencies, batch and
-    /// shedding counters, and shed/expired events. Disabled by default — a
-    /// single branch per probe.
+    /// shedding counters, and shed events. Disabled by default — a single
+    /// branch per probe.
     pub telemetry: Telemetry,
 }
 
@@ -248,10 +245,6 @@ impl Default for IngestConfig {
 /// One entry waiting in the queue.
 struct QueuedEntry {
     pul: Pul,
-    /// Absolute deadline: the entry fails with `XPUL-E08` instead of
-    /// committing once this instant passes (checked at drain and again at
-    /// commit). `None` means no deadline.
-    expires: Option<Instant>,
     /// When the entry was enqueued — `None` when telemetry is disabled, so
     /// the disabled pipeline never reads the clock. Feeds the per-ticket
     /// latency histogram at completion.
@@ -326,22 +319,7 @@ impl<B: IngestBackend> IngestQueue<B> {
     /// the queue is at [`capacity`](IngestConfig::capacity); fails with
     /// `XPUL-E06` once the queue is closed or its pipeline thread has died.
     pub fn enqueue(&self, pul: Pul) -> Result<Ticket> {
-        self.enqueue_one(pul, None, true)
-    }
-
-    /// Non-blocking enqueue: if the queue is at capacity the submission is
-    /// shed with `XPUL-E08` instead of waiting for space — the admission-
-    /// control path for producers that would rather drop than stall.
-    pub fn try_enqueue(&self, pul: Pul) -> Result<Ticket> {
-        self.enqueue_one(pul, None, false)
-    }
-
-    /// Enqueues with a per-ticket deadline: if the submission has not
-    /// committed when `deadline` elapses, its ticket fails with `XPUL-E08`
-    /// (checked when the entry is drained and again just before its batch
-    /// commits). Other members of the same batch are unaffected.
-    pub fn enqueue_with_deadline(&self, pul: Pul, deadline: Duration) -> Result<Ticket> {
-        self.enqueue_one(pul, Instant::now().checked_add(deadline), true)
+        Ok(self.enqueue_all([pul])?.pop().expect("one ticket per PUL"))
     }
 
     /// Enqueues a group of PULs in order under one lock acquisition, so the
@@ -353,23 +331,11 @@ impl<B: IngestBackend> IngestQueue<B> {
     /// `XPUL-E08`, and a closed queue fails it with `XPUL-E06`. Returns one
     /// ticket per PUL.
     pub fn enqueue_all(&self, puls: impl IntoIterator<Item = Pul>) -> Result<Vec<Ticket>> {
-        self.enqueue_inner(puls.into_iter().collect(), None, true)
-    }
-
-    fn enqueue_one(&self, pul: Pul, expires: Option<Instant>, block: bool) -> Result<Ticket> {
-        Ok(self.enqueue_inner(vec![pul], expires, block)?.pop().expect("one ticket per PUL"))
-    }
-
-    fn enqueue_inner(
-        &self,
-        puls: Vec<Pul>,
-        expires: Option<Instant>,
-        block: bool,
-    ) -> Result<Vec<Ticket>> {
+        let puls: Vec<Pul> = puls.into_iter().collect();
         let mut state = self.shared.state.lock().expect("queue lock");
         let mut blocked_at: Option<Instant> = None;
         while !state.closed && state.queue.len() + puls.len() > self.capacity {
-            if !block || puls.len() > self.capacity {
+            if puls.len() > self.capacity {
                 self.telemetry.count(|m| &m.tickets_shed);
                 let what = format!(
                     "{} submission(s) do not fit the ingest queue ({} waiting, capacity {})",
@@ -400,7 +366,7 @@ impl<B: IngestBackend> IngestQueue<B> {
             .into_iter()
             .map(|pul| {
                 let (ticket, completer) = Ticket::new();
-                state.queue.push_back(QueuedEntry { pul, expires, enqueued, completer });
+                state.queue.push_back(QueuedEntry { pul, enqueued, completer });
                 ticket
             })
             .collect();
@@ -502,53 +468,28 @@ fn pipeline_loop<B: IngestBackend>(shared: &Shared, mut backend: B, config: &Ing
     let _exit = PipelineExit(shared);
     while let Some(batch) = next_batch(shared, config) {
         let settle = InFlightGuard { shared, n: batch.len() };
-        // Fail deadline-expired entries before spending any work on them.
-        // The rest of the batch is committed as if the expired entries had
-        // never been enqueued.
-        let now = Instant::now();
-        let (batch, expired): (Vec<QueuedEntry>, Vec<QueuedEntry>) =
-            batch.into_iter().partition(|e| e.expires.is_none_or(|t| t > now));
-        for e in expired {
-            expire(
-                &config.telemetry,
-                e.enqueued,
-                e.completer,
-                "ticket deadline expired before the submission was drained",
-            );
+        if batch.len() > 1 {
+            config.telemetry.count(|m| &m.rounds_coalesced);
+        } else {
+            config.telemetry.count(|m| &m.rounds_serialized);
         }
-        if !batch.is_empty() {
-            if batch.len() > 1 {
-                config.telemetry.count(|m| &m.rounds_coalesced);
-            } else {
-                config.telemetry.count(|m| &m.rounds_serialized);
+        // Failpoint: an injected preparation fault fails the batch's tickets
+        // before anything is admitted; the pipeline continues.
+        if let Some(kind) = fault_at(config, site::INGEST_PREPARE) {
+            for e in batch {
+                let err = Error::injected(site::INGEST_PREPARE, kind);
+                finish(&config.telemetry, e.enqueued, e.completer, Err(err));
             }
-            // Failpoint: an injected preparation fault fails the batch's
-            // tickets before anything is admitted; the pipeline continues.
-            if let Some(kind) = fault_at(config, site::INGEST_PREPARE) {
-                for e in batch {
-                    let err = Error::injected(site::INGEST_PREPARE, kind);
-                    finish(&config.telemetry, e.enqueued, e.completer, Err(err));
-                }
-            } else {
-                commit_round(&mut backend, batch, config);
-                if config.publish_snapshots {
-                    let snapshot = backend.snapshot_view();
-                    *shared.latest_snapshot.lock().expect("snapshot slot mutex poisoned") =
-                        Some(snapshot);
-                }
+        } else {
+            commit_round(&mut backend, batch, config);
+            if config.publish_snapshots {
+                let snapshot = backend.snapshot_view();
+                *shared.latest_snapshot.lock().expect("snapshot slot mutex poisoned") =
+                    Some(snapshot);
             }
         }
         drop(settle);
-        // Nothing drained is in flight any more; with nothing queued either,
-        // this is a quiescent boundary — the only point where id-renumbering
-        // maintenance (compaction) is safe to run.
-        if shared.state.lock().is_ok_and(|state| state.queue.is_empty()) {
-            backend.maintain();
-        }
     }
-    // Closed and drained: maintenance gets its final chance before the
-    // backend is handed back.
-    backend.maintain();
     backend
 }
 
@@ -600,9 +541,8 @@ fn fault_at(config: &IngestConfig, site: &'static str) -> Option<FaultKind> {
 }
 
 /// Completes a ticket, recording its end-to-end latency and the
-/// committed/failed counter for its outcome. Deadline expiry goes through
-/// [`expire`] instead, so the three completion counters stay disjoint:
-/// `tickets_committed + tickets_failed + tickets_expired` = completed tickets.
+/// committed/failed counter for its outcome, so
+/// `tickets_committed + tickets_failed` = completed tickets.
 fn finish(
     telemetry: &Telemetry,
     enqueued: Option<Instant>,
@@ -617,22 +557,6 @@ fn finish(
         Err(_) => telemetry.count(|m| &m.tickets_failed),
     }
     completer.complete(outcome);
-}
-
-/// Fails a deadline-expired ticket with `XPUL-E08`, counting it under
-/// `tickets_expired` and journaling a `DeadlineExpired` event.
-fn expire(
-    telemetry: &Telemetry,
-    enqueued: Option<Instant>,
-    completer: TicketCompleter,
-    detail: &'static str,
-) {
-    if let Some(t0) = enqueued {
-        telemetry.observe_since(|m| &m.ticket_latency_ns, t0);
-    }
-    telemetry.count(|m| &m.tickets_expired);
-    telemetry.event(EventKind::DeadlineExpired, 0, || detail.to_string());
-    completer.complete(Err(Error::Overload(detail.into())));
 }
 
 // ---------------------------------------------------------------------------
@@ -658,9 +582,9 @@ impl Drop for InFlightGuard<'_> {
     }
 }
 
-/// Commits one drained batch: the members still within their deadline are
-/// admitted as one submission ([`IngestBackend::admit`]), resolved and
-/// committed once, and every ticket reports the one version.
+/// Commits one drained batch: its members are admitted as one submission
+/// ([`IngestBackend::admit`]), resolved and committed once, and every ticket
+/// reports the one version.
 ///
 /// When aggregation refuses the batch or its commit fails (the journal has
 /// already rewound the document bit-identically), a multi-member batch is
@@ -672,23 +596,6 @@ fn commit_round<B: IngestBackend>(
     entries: Vec<QueuedEntry>,
     config: &IngestConfig,
 ) {
-    // Deadline check at commit time: expired members fail with `XPUL-E08`
-    // and leave the batch *before* it is aggregated, so one expired ticket
-    // neither blocks the survivors nor pushes them onto the singleton path.
-    let now = Instant::now();
-    let (entries, expired): (Vec<QueuedEntry>, Vec<QueuedEntry>) =
-        entries.into_iter().partition(|e| e.expires.is_none_or(|t| t > now));
-    for entry in expired {
-        expire(
-            &config.telemetry,
-            entry.enqueued,
-            entry.completer,
-            "ticket deadline expired before its batch committed",
-        );
-    }
-    if entries.is_empty() {
-        return;
-    }
     let batch: Vec<&Pul> = entries.iter().map(|e| &e.pul).collect();
     let committed = try_commit(backend, &batch, config);
     if committed.is_err() && entries.len() > 1 {
@@ -729,6 +636,7 @@ mod tests {
     use crate::{Executor, ShardedExecutor};
     use pul::UpdateOp;
     use std::sync::mpsc;
+    use std::time::Duration;
     use xdm::Tree;
 
     /// ids: lib=1, year=2, b1=3, t=4, "A"=5, b2=6, t=7, "B"=8,
@@ -1043,7 +951,7 @@ mod tests {
         waiters.into_iter().for_each(|w| w.join().unwrap());
         // The dead pipeline closed the queue: later submissions fail fast.
         assert_eq!(queue.enqueue(p2).unwrap_err().code(), "XPUL-E06");
-        assert_eq!(queue.try_enqueue(p3).unwrap_err().code(), "XPUL-E06");
+        assert_eq!(queue.enqueue(p3).unwrap_err().code(), "XPUL-E06");
         assert_eq!(queue.enqueue_all([p4]).unwrap_err().code(), "XPUL-E06");
         drop(queue);
     }
@@ -1077,37 +985,6 @@ mod tests {
     }
 
     #[test]
-    fn try_enqueue_sheds_load_at_capacity() {
-        let session = Executor::parse(LIB).unwrap();
-        let puls: Vec<Pul> = [(3u64, "x1"), (6u64, "x2"), (9u64, "x3")]
-            .iter()
-            .map(|&(id, name)| session.pul_from_ops(vec![UpdateOp::rename(id, name)]))
-            .collect();
-        // Batch 1 is held mid-commit, so nothing drains and the queue
-        // genuinely fills to its bound.
-        let hold = session.pul_from_ops(vec![UpdateOp::rename(12u64, "x4")]);
-        let (backend, held, release) = gated(session);
-        let queue =
-            IngestQueue::with_config(backend, IngestConfig { capacity: 2, ..Default::default() });
-        let t0 = queue.enqueue(hold).unwrap();
-        held.recv_timeout(PATIENCE).expect("batch 1 reaches admit");
-        let mut puls = puls.into_iter();
-        let t1 = queue.try_enqueue(puls.next().unwrap()).unwrap();
-        let t2 = queue.try_enqueue(puls.next().unwrap()).unwrap();
-        let err = queue.try_enqueue(puls.next().unwrap()).unwrap_err();
-        assert_eq!(err.code(), "XPUL-E08", "{err}");
-        release.send(()).unwrap();
-        queue.flush();
-        t0.wait().expect("the held batch commits");
-        t1.wait().expect("admitted submissions commit");
-        t2.wait().expect("admitted submissions commit");
-        let session = queue.close().unwrap().inner;
-        let xml = session.serialize();
-        assert!(xml.contains("<x1>") && xml.contains("<x2>"), "{xml}");
-        assert!(!xml.contains("<x3>"), "the shed submission left no trace");
-    }
-
-    #[test]
     fn enqueue_all_refuses_a_group_larger_than_capacity() {
         let session = Executor::parse(LIB).unwrap();
         let puls: Vec<Pul> = [3u64, 6, 9]
@@ -1137,51 +1014,6 @@ mod tests {
         t2.wait().unwrap();
         let session = queue.close().unwrap();
         assert!(session.serialize().contains("<x2>"));
-        session.assert_consistent();
-    }
-
-    #[test]
-    fn expired_tickets_are_shed_at_drain_with_e08() {
-        let session = Executor::parse(LIB).unwrap();
-        let pul = session.pul_from_ops(vec![UpdateOp::rename(3u64, "late")]);
-        let queue = IngestQueue::new(session);
-        let ticket = queue.enqueue_with_deadline(pul, Duration::ZERO).unwrap();
-        queue.flush();
-        let err = ticket.wait().unwrap_err();
-        assert_eq!(err.code(), "XPUL-E08", "{err}");
-        let session = queue.close().unwrap();
-        assert_eq!(session.version(), 0, "the expired submission never committed");
-        assert!(!session.serialize().contains("<late>"));
-    }
-
-    #[test]
-    fn mid_batch_expiry_does_not_serialize_the_round() {
-        // Drive commit_round directly: three independent entries, the middle
-        // one already expired. The survivors must still coalesce into a
-        // single merged commit — one version, not two serialized ones.
-        let mut session = Executor::parse(LIB).unwrap();
-        let mut entries = Vec::new();
-        let mut tickets = Vec::new();
-        for (i, &(id, name)) in [(3u64, "x1"), (6u64, "gone"), (9u64, "x3")].iter().enumerate() {
-            let pul = session.pul_from_ops(vec![UpdateOp::rename(id, name)]);
-            let (ticket, completer) = Ticket::new();
-            let expired = i == 1;
-            entries.push(QueuedEntry {
-                pul,
-                expires: expired.then(Instant::now),
-                enqueued: None,
-                completer,
-            });
-            tickets.push(ticket);
-        }
-        commit_round(&mut session, entries, &IngestConfig::default());
-        let o1 = tickets[0].wait().expect("live member commits");
-        let o3 = tickets[2].wait().expect("live member commits");
-        let err = tickets[1].wait().unwrap_err();
-        assert_eq!(err.code(), "XPUL-E08", "{err}");
-        assert_eq!(o1.version, o3.version, "survivors coalesce into one commit");
-        assert_eq!(session.version(), 1, "one merged commit, no singleton fallback");
-        assert!(!session.serialize().contains("<gone>"));
         session.assert_consistent();
     }
 

@@ -96,7 +96,7 @@ mod transaction;
 
 pub mod fixtures;
 
-pub use durable::{Durable, DurableBackend, DurableOptions, RetryPolicy};
+pub use durable::{Durable, DurableBackend, DurableOptions};
 pub use error::{Error, Result};
 pub use executor::{
     CommitReport, CompactionReport, Executor, ExecutorCore, ReductionStrategy, SessionSlabStats,
@@ -120,7 +120,7 @@ pub mod prelude {
     pub use crate::{
         CommitReport, CompactionReport, Durable, DurableOptions, Error, Event, EventKind, Executor,
         ExecutorCore, FaultKind, FaultPlan, Faults, IngestBackend, IngestConfig, IngestQueue,
-        MetricsSnapshot, ReductionStrategy, Resolution, Result, RetryPolicy, SessionSlabStats,
+        MetricsSnapshot, ReductionStrategy, Resolution, Result, SessionSlabStats,
         ShardedCommitReport, ShardedExecutor, ShardedResolution, Snapshot, SubmissionId,
         SyncPolicy, Telemetry, TelemetrySnapshot, Ticket, TicketOutcome, Transaction, Trigger,
     };

@@ -144,11 +144,6 @@ pub struct ShardedExecutor {
     /// whole-document interval rather than one shard's synthetic slice.
     root_label: NodeLabel,
     version: u64,
-    /// Aggregate dead slots right after construction or the last compaction:
-    /// every shard document copies the root and skips the slices owned by its
-    /// siblings, so its arena carries a *structural* gap of dead slots that no
-    /// renumbering can reclaim. Only dead slots above this floor are churn.
-    dead_floor: usize,
     /// Failpoint handle consulted before each shard applies its sub-PUL
     /// (disabled unless a test injects a plan).
     faults: Faults,
@@ -286,21 +281,14 @@ impl ShardedExecutor {
         root_label: NodeLabel,
         version: u64,
     ) -> Self {
-        let mut session = ShardedExecutor {
+        ShardedExecutor {
             shards: shards.into_iter().map(|(core, interval)| Shard { core, interval }).collect(),
             root_id,
             root_label,
             version,
-            dead_floor: 0,
             faults: Faults::disabled(),
             front: Front::default(),
-        };
-        // Fresh from `new`, every dead slot is structural. A restored arena
-        // mixes structural and churn dead slots and the split is not
-        // recorded; flooring at the current count is conservative (never
-        // over-triggers compaction) and self-corrects at the next compaction.
-        session.dead_floor = session.slab_stats().nodes.dead;
-        session
+        }
     }
 
     /// The root element identifier and global root label (checkpointing).
@@ -877,14 +865,13 @@ impl ShardedExecutor {
     /// configuration, not document state).
     fn install_compacted(&mut self, rebuilt: ShardedExecutor) {
         let options = self.shards[0].core.apply_options().clone();
-        let ShardedExecutor { mut shards, root_id, root_label, dead_floor, .. } = rebuilt;
+        let ShardedExecutor { mut shards, root_id, root_label, .. } = rebuilt;
         for shard in &mut shards {
             shard.core.set_apply_options(options.clone());
         }
         self.shards = shards;
         self.root_id = root_id;
         self.root_label = root_label;
-        self.dead_floor = dead_floor;
         self.version += 1;
     }
 
@@ -915,16 +902,6 @@ impl ShardedExecutor {
                 })
             },
         )
-    }
-
-    /// The fraction of the live population held in *reclaimable* dead slots:
-    /// aggregate dead above the structural partition floor (each shard's
-    /// arena skips the slices owned by its siblings — those gaps survive any
-    /// renumbering and must not count as churn, or the compaction trigger
-    /// would re-fire forever on a freshly compacted sharded session).
-    pub fn reclaimable_dead_ratio(&self) -> f64 {
-        let nodes = self.slab_stats().nodes;
-        nodes.dead.saturating_sub(self.dead_floor) as f64 / nodes.live.max(1) as f64
     }
 }
 

@@ -21,15 +21,17 @@
 //! random-mutation test over 200 more seeds.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
 
 use pul::codec::{pul_from_bytes, pul_to_bytes};
 use pul::xmlio::pul_to_xml;
 use pul_store::checkpoint::{self, CheckpointState};
+use pul_store::wal::RECORD_HEADER_LEN;
 use workload::pulgen::{differential_case, generate_pul, generate_sequential_puls};
 use workload::{PulGenConfig, SequentialConfig};
 use xdm::codec::{put_bytes, put_varint};
 use xmlpul::prelude::*;
-use xmlpul::DurableBackend;
+use xmlpul::{Durable, DurableBackend, DurableOptions};
 
 fn producer() -> ApplyOptions {
     ApplyOptions { validate: true, preserve_content_ids: true }
@@ -559,4 +561,88 @@ fn seeded_mutations_are_refused_or_decode_soundly_sweep() {
     for seed in 3..203 {
         mutation_sweep(seed, 200);
     }
+}
+
+// ---------------------------------------------------------------------------
+// segment-level WAL damage
+// ---------------------------------------------------------------------------
+
+/// A fresh store directory under the system temp dir.
+fn store_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("xmlpul_binfmt_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Ten commits into a store at `dir`, checkpointed after v4 and v8. Segment 0
+/// was sealed empty by the base checkpoint, sealed segment 1 holds v1..v4,
+/// sealed segment 2 holds v5..v8, and the live segment 3 holds v9 and v10.
+/// Returns the serialization at every version.
+fn segmented_store(dir: &Path) -> Vec<String> {
+    let session = Executor::parse("<log><head/></log>").unwrap();
+    let mut durable = Durable::create(dir, session, DurableOptions::default()).unwrap();
+    let mut history = vec![durable.serialize()];
+    for v in 1..=10u64 {
+        let root = durable.document().root().unwrap();
+        let pul = durable.pul_from_ops(vec![UpdateOp::ins_last(
+            root,
+            vec![Tree::element_with_text(format!("e{v}"), "entry")],
+        )]);
+        durable.submit(pul);
+        durable.commit().unwrap();
+        history.push(durable.serialize());
+        if v % 4 == 0 {
+            durable.checkpoint().unwrap();
+        }
+    }
+    assert_eq!(durable.checkpoints(), [0, 4, 8]);
+    history
+}
+
+/// A byte flipped inside the middle frame of a sealed segment: `open`, whose
+/// base checkpoint (v8) lies past the damage, recovers the right version;
+/// reads served from checkpoints at or after v4, or from the intact prefix
+/// before the damaged frame, still serve; a read whose replay crosses the
+/// damage is refused with `XPUL-E07`.
+#[test]
+fn damage_in_a_sealed_segment_fails_only_the_reads_that_cross_it() {
+    let dir = store_dir("sealed_damage");
+    let history = segmented_store(&dir);
+    let segment = dir.join("wal-000001.log");
+    let mut bytes = std::fs::read(&segment).unwrap();
+    let records = pul_store::wal::scan(&bytes).records;
+    assert_eq!(records.iter().map(|r| r.version).collect::<Vec<_>>(), [1, 2, 3, 4]);
+    let second = RECORD_HEADER_LEN + records[0].payload.len();
+    bytes[second + RECORD_HEADER_LEN + records[1].payload.len() / 2] ^= 0x20;
+    std::fs::write(&segment, &bytes).unwrap();
+
+    let durable: Durable<Executor> =
+        Durable::open(&dir, DurableOptions::default()).expect("the base checkpoint is intact");
+    assert_eq!(durable.version(), 10);
+    assert_eq!(durable.serialize(), history[10]);
+    for v in [0, 1, 4, 5, 6, 7, 8, 9] {
+        let at = durable.read_at(v).unwrap_or_else(|e| panic!("read_at({v}): {e}"));
+        assert_eq!(at.serialize(), history[v as usize], "read_at({v})");
+    }
+    for v in [2, 3] {
+        let err = durable.read_at(v).expect_err("a replay across the damage must fail");
+        assert_eq!(err.code(), "XPUL-E07", "read_at({v}): {err}");
+    }
+    drop(durable);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The live segment copied under the next segment number holds every one of
+/// its records twice: recovery must refuse the store with `XPUL-E07` rather
+/// than replay a record onto the version it already produced.
+#[test]
+fn a_live_segment_duplicated_under_the_next_number_fails_to_open_with_e07() {
+    let dir = store_dir("dup_segment");
+    segmented_store(&dir);
+    assert!(!dir.join("wal-000004.log").exists());
+    std::fs::copy(dir.join("wal-000003.log"), dir.join("wal-000004.log")).unwrap();
+    let err = Durable::<Executor>::open(&dir, DurableOptions::default())
+        .expect_err("a store with a duplicated segment must not open");
+    assert_eq!(err.code(), "XPUL-E07", "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -26,7 +26,6 @@
 mod common;
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use common::enqueue_in_batches;
 use pul::ApplyOptions;
@@ -42,21 +41,12 @@ fn producer_options() -> ApplyOptions {
     ApplyOptions { validate: true, preserve_content_ids: true }
 }
 
-/// Zero-backoff retry policy: real retry semantics without chaos-suite
-/// sleeps.
-fn fast_retry() -> RetryPolicy {
-    RetryPolicy {
-        max_retries: 2,
-        base_backoff: Duration::ZERO,
-        max_backoff: Duration::ZERO,
-        op_deadline: Duration::from_secs(5),
-    }
-}
-
 /// Small checkpoint threshold so chaos runs cross checkpoint boundaries
-/// (and their failpoints) mid-workload.
+/// (and their failpoints) mid-workload. Transient faults retry under the
+/// durable layer's fixed budget: 1 attempt plus 4 retries, about 15 ms of
+/// backoff per exhausted operation.
 fn chaos_opts() -> DurableOptions {
-    DurableOptions { checkpoint_wal_bytes: 512, retry: fast_retry(), ..DurableOptions::default() }
+    DurableOptions { checkpoint_wal_bytes: 512, ..DurableOptions::default() }
 }
 
 fn tmp_dir(tag: &str, seed: u64, plan_idx: usize) -> PathBuf {

@@ -15,8 +15,10 @@
 //! * a fault injected during compaction (sink failure, torn WAL append)
 //!   leaves session *and* store on the pre-compaction version — compaction
 //!   is atomic at the epoch-record commit point;
-//! * the ingest pipeline auto-compacts at a round boundary without poisoning
-//!   in-flight tickets, and keeps accepting work under the new epoch.
+//! * a caller that compacts whenever churn crosses a dead-slot threshold
+//!   brings the dead ratio back below it, and recovers bit-identically;
+//! * work generated after a compaction commits through a fresh ingest queue
+//!   (close the queue → `compact()` → a new `IngestQueue`).
 
 use std::fs;
 use std::path::PathBuf;
@@ -34,7 +36,7 @@ fn tmp_root(tag: &str) -> PathBuf {
     dir
 }
 
-/// Options that never checkpoint or compact on their own.
+/// Options that never checkpoint on their own.
 fn quiet_opts() -> DurableOptions {
     DurableOptions {
         checkpoint_wal_bytes: u64::MAX,
@@ -255,18 +257,20 @@ fn structural_identity_case<B: CompactBackend>(seed: u64) {
     let before_xml = backend.xml();
     let before_version = backend.current_version();
     let before = backend.stats();
-    assert!(before.nodes.dead > 0, "{ctx}: churn must strand dead slots: {before:?}");
-    assert!(backend.reclaimable_dead_ratio() > 0.0, "{ctx}: churn dead is reclaimable");
+    // A fresh construction from the same content is the densest layout this
+    // backend can represent (0 dead for a single executor; the sharded
+    // partition keeps its structural gaps). Compaction must reach it.
+    let pristine = B::from_doc(xdm::parser::parse_document(&before_xml).unwrap()).stats();
+    assert!(
+        before.nodes.dead > pristine.nodes.dead,
+        "{ctx}: churn must strand reclaimable dead slots: {before:?} vs {pristine:?}"
+    );
     assert_eq!(before.epoch, 0, "{ctx}: epoch starts at zero");
 
     let report = backend.run_compact().unwrap_or_else(|e| panic!("{ctx}: compact: {e}"));
     assert_eq!(report.epoch, 1, "{ctx}: first compaction opens epoch 1");
     assert_eq!(report.version, before_version + 1, "{ctx}: compaction commits a version");
     assert_eq!(report.before.nodes.dead, before.nodes.dead, "{ctx}: report.before");
-    // A fresh construction from the compacted content is the densest layout
-    // this backend can represent (0 dead for a single executor; the sharded
-    // partition keeps its structural gaps). Compaction must reach it.
-    let pristine = B::from_doc(xdm::parser::parse_document(&before_xml).unwrap()).stats();
     assert_eq!(report.after.nodes.dead, pristine.nodes.dead, "{ctx}: dense node arena");
     assert_eq!(report.after.nodes.spill, pristine.nodes.spill, "{ctx}: node spill");
     assert_eq!(report.after.labels.dead, pristine.labels.dead, "{ctx}: dense labeling");
@@ -279,7 +283,6 @@ fn structural_identity_case<B: CompactBackend>(seed: u64) {
     let after = backend.stats();
     assert_eq!(after.epoch, 1, "{ctx}: slab_stats reports the epoch");
     assert_eq!(after.nodes.dead, pristine.nodes.dead, "{ctx}: slab_stats dead");
-    assert_eq!(backend.reclaimable_dead_ratio(), 0.0, "{ctx}: reclaimable ratio resets");
     backend.check_consistent();
     backend.check_table1(&ctx);
 
@@ -443,22 +446,26 @@ fn durable_open_and_read_at_recover_across_the_epoch_record() {
     }
 }
 
-/// Auto-compaction: with a low `compact_dead_ratio`, the maintenance loop
-/// (`commit_durable`) compacts on its own once churn strands enough dead
-/// slots, and the dead ratio returns below the trigger threshold.
-fn auto_compaction_case<B: CompactBackend>(seed: u64) {
-    let ctx = format!("{} auto seed {seed}", B::TAG);
+/// Reclaimable churn: dead node slots above `floor` per live node. `floor`
+/// is the dead count of the backend's densest layout (see
+/// `structural_identity_case`): a sharded session's partition gaps are dead
+/// slots no renumbering frees.
+fn churn_ratio(stats: SessionSlabStats, floor: usize) -> f64 {
+    stats.nodes.dead.saturating_sub(floor) as f64 / stats.nodes.live.max(1) as f64
+}
+
+/// Threshold-driven compaction: the caller compacts (`Durable::compact`)
+/// once churn strands enough reclaimable dead slots, and the dead ratio
+/// returns below the threshold.
+fn threshold_compaction_case<B: CompactBackend>(seed: u64) {
+    let ctx = format!("{} threshold seed {seed}", B::TAG);
     let threshold = 0.05;
     let root = tmp_root(&format!("auto_{}_{seed}", B::TAG));
     let store_dir = root.join("store");
     let doc = seed_doc(seed);
     let mut oracle = Executor::new(doc.clone());
-    let mut durable = Durable::create(
-        &store_dir,
-        B::from_doc(doc),
-        DurableOptions { compact_dead_ratio: threshold, ..quiet_opts() },
-    )
-    .unwrap();
+    let mut durable = Durable::create(&store_dir, B::from_doc(doc), quiet_opts()).unwrap();
+    let mut floor = durable.backend().stats().nodes.dead;
 
     let mut attempts = 0u64;
     while durable.backend().cur_epoch() == 0 && attempts < 64 {
@@ -483,18 +490,21 @@ fn auto_compaction_case<B: CompactBackend>(seed: u64) {
                 continue;
             }
         }
-        // Mirror an auto-compaction into the oracle so generated identifiers
-        // keep lining up with the renumbered backend.
-        if durable.backend().cur_epoch() > oracle.epoch() {
+        // Compact in lockstep with the oracle so generated identifiers keep
+        // lining up with the renumbered backend.
+        if churn_ratio(durable.backend().stats(), floor) >= threshold {
+            durable.compact().unwrap_or_else(|e| panic!("{ctx}: compact: {e}"));
             oracle.compact().unwrap();
+            floor = durable.backend().stats().nodes.dead;
         }
     }
     assert!(
         durable.backend().cur_epoch() >= 1,
-        "{ctx}: auto-compaction never fired in {attempts} commits"
+        "{ctx}: the threshold was never crossed in {attempts} commits"
     );
-    let ratio = durable.backend().reclaimable_dead_ratio();
-    assert!(ratio < threshold, "{ctx}: dead ratio must fall back below the trigger: {ratio}");
+    let pristine = B::from_doc(xdm::parser::parse_document(&durable.xml()).unwrap()).stats();
+    let ratio = churn_ratio(durable.backend().stats(), pristine.nodes.dead);
+    assert!(ratio < threshold, "{ctx}: dead ratio must fall back below the threshold: {ratio}");
     assert_eq!(durable.xml(), oracle.serialize(), "{ctx}: content diverged");
     durable.backend().check_consistent();
 
@@ -508,8 +518,8 @@ fn auto_compaction_case<B: CompactBackend>(seed: u64) {
 
 #[test]
 fn auto_compaction_brings_dead_ratio_back_below_threshold() {
-    auto_compaction_case::<Executor>(3);
-    auto_compaction_case::<ShardedExecutor>(3);
+    threshold_compaction_case::<Executor>(3);
+    threshold_compaction_case::<ShardedExecutor>(3);
 }
 
 /// A fault injected during compaction leaves session and store on the
@@ -560,12 +570,12 @@ fn fault_during_compaction_leaves_the_pre_compaction_version() {
     faulted_compaction_case::<ShardedExecutor>(site::WAL_APPEND, FaultKind::Torn);
 }
 
-/// Ingest auto-compaction at a round boundary: every in-flight ticket
-/// settles, the epoch bumps between rounds, and the queue keeps accepting
-/// work generated against the compacted document.
+/// Ingest across a compaction: a batch commits through the queue, the queue
+/// is closed, the session compacts, and work generated against the compacted
+/// document commits through a fresh queue under the new epoch.
 #[test]
-fn ingest_compacts_at_round_boundaries_without_poisoning_tickets() {
-    let ctx = "ingest round-boundary compaction";
+fn ingest_after_compaction_commits_through_a_fresh_queue() {
+    let ctx = "ingest across a compaction";
     let root = tmp_root("ingest");
     let store_dir = root.join("store");
     let doc = seed_doc(13);
@@ -575,16 +585,9 @@ fn ingest_compacts_at_round_boundaries_without_poisoning_tickets() {
     // pipeline — only then does "compaction changed nothing but identifiers"
     // reduce to a serialization comparison.
     let gen_base = Executor::new(doc.clone());
-    let mut durable = Durable::create(
-        &store_dir,
-        Executor::new(doc.clone()),
-        DurableOptions { compact_dead_ratio: 0.02, ..quiet_opts() },
-    )
-    .unwrap();
-    durable.inject_faults(Faults::disabled());
+    let durable = Durable::create(&store_dir, Executor::new(doc.clone()), quiet_opts()).unwrap();
 
-    // Round 1: one aggregated batch of churny PULs. The pipeline compacts
-    // after the round commits — the queue must stay healthy through it.
+    // Round 1: one aggregated batch of churny PULs.
     let queue = IngestQueue::new(durable);
     let twin = IngestQueue::new(Executor::new(doc));
     let puls: Vec<Pul> = (0..6u64)
@@ -611,13 +614,16 @@ fn ingest_compacts_at_round_boundaries_without_poisoning_tickets() {
     for (i, ticket) in twin_batch.iter().enumerate() {
         ticket.wait().unwrap_or_else(|e| panic!("{ctx}: round-1 twin ticket {i} rejected: {e}"));
     }
-    let durable = queue.close().unwrap();
+    let mut durable = queue.close().unwrap();
     let twin = twin.close().unwrap();
-    // With a 2% trigger the pipeline may compact after more than one round;
-    // what matters is that it fired at a round boundary without wedging.
-    assert!(durable.backend().epoch() >= 1, "{ctx}: compaction fired at the round boundary");
     let round1_xml = durable.backend().serialize();
     assert_eq!(round1_xml, twin.serialize(), "{ctx}: round-1 content");
+
+    // The queue is closed, so nothing in flight was minted against the old
+    // numbering: compact between the two queues.
+    let report = durable.compact().unwrap_or_else(|e| panic!("{ctx}: compact: {e}"));
+    assert_eq!(report.epoch, 1, "{ctx}: compaction opens epoch 1");
+    assert_eq!(durable.backend().serialize(), round1_xml, "{ctx}: compaction changed content");
     durable.backend().assert_consistent();
 
     // Round 2 under the new epoch: producers re-synced to the compacted
@@ -652,8 +658,8 @@ fn ingest_compacts_at_round_boundaries_without_poisoning_tickets() {
     fs::remove_dir_all(&root).unwrap();
 }
 
-/// Thousands of commits through auto-compaction: the long-haul churn sweep,
-/// run nightly with `--ignored`.
+/// Thousands of commits, compacting whenever the dead ratio reaches 0.3: the
+/// long-haul churn sweep, run nightly with `--ignored`.
 #[test]
 #[ignore = "churn sweep with thousands of commits; run nightly with --ignored"]
 fn churn_sweep_through_auto_compaction() {
@@ -666,11 +672,7 @@ fn churn_sweep_through_auto_compaction() {
         let mut durable = Durable::create(
             &store_dir,
             Executor::new(doc),
-            DurableOptions {
-                compact_dead_ratio: 0.3,
-                checkpoint_wal_bytes: 1 << 20,
-                ..DurableOptions::default()
-            },
+            DurableOptions { checkpoint_wal_bytes: 1 << 20, ..DurableOptions::default() },
         )
         .unwrap();
         let mut committed = 0u64;
@@ -696,7 +698,8 @@ fn churn_sweep_through_auto_compaction() {
                 }
             }
             committed += 1;
-            if durable.backend().epoch() > oracle.epoch() {
+            if durable.slab_stats().nodes.dead_ratio() >= 0.3 {
+                durable.compact().unwrap_or_else(|e| panic!("{ctx}: compact: {e}"));
                 oracle.compact().unwrap();
             }
         }
@@ -706,7 +709,7 @@ fn churn_sweep_through_auto_compaction() {
             "{ctx}: sustained churn must compact repeatedly (epoch {})",
             durable.backend().epoch()
         );
-        assert!(durable.backend().reclaimable_dead_ratio() < 0.3, "{ctx}: dead ratio");
+        assert!(durable.slab_stats().nodes.dead_ratio() < 0.3, "{ctx}: dead ratio");
         assert_eq!(durable.serialize(), oracle.serialize(), "{ctx}: content diverged");
         durable.backend().assert_consistent();
         let live = durable.backend().clone();
