@@ -35,7 +35,7 @@ pub struct Labeling {
     map: IdSlab<NodeLabel>,
     /// Inverse-entry log, present while a journal scope is active. Kept in
     /// lockstep with the document journal by the executor, so that a failed
-    /// commit or a transaction rollback rewinds labels and document together.
+    /// commit rewinds labels and document together.
     journal: Option<LabelJournal>,
 }
 

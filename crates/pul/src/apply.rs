@@ -120,10 +120,11 @@ pub fn apply_pul_with_labeling(
 /// authoritative copy.
 ///
 /// Journal ownership is scoped: when the caller already holds an active
-/// journal (e.g. a `Transaction` in the session crate), this function marks
-/// and — on failure — rewinds to its own mark, leaving the outer entries
-/// intact; when it activated journaling itself, it discards the journal
-/// before returning. On success the recorded entry counts are published in
+/// journal (e.g. the session crate's commit, which keeps the applied change
+/// revocable until its WAL append or its sibling shards succeed), this
+/// function marks and — on failure — rewinds to its own mark, leaving the
+/// outer entries intact; when it activated journaling itself, it discards
+/// the journal before returning. On success the recorded entry counts are published in
 /// [`ApplyReport::journal`].
 ///
 /// The rollback also fires on *unwind*: a panic inside the apply rewinds both
@@ -166,7 +167,7 @@ pub fn apply_pul_journaled(
 
 /// One journal scope over a document/labeling pair — the single home of the
 /// scope protocol shared by [`apply_pul_journaled`] and the session crate's
-/// `Transaction`: per-store ownership detection, dual mark-taking, rewind
+/// commit scopes: per-store ownership detection, dual mark-taking, rewind
 /// ordering (labeling before document), and close-discards-only-what-this-
 /// scope-activated.
 #[derive(Debug, Clone, Copy)]

@@ -20,10 +20,12 @@
 //! version`. Older segments and checkpoints are kept, which is what makes
 //! `read_at(version)` time travel possible.
 //!
-//! Recovery ([`Store::open`]) scans segments oldest-first, physically
-//! truncates the torn or corrupt tail of the *current* segment (earlier
-//! segments are sealed by the checkpoint that rotated them), and leaves the
-//! store ready to append.
+//! Recovery ([`Store::open`]) reads the *current* (highest) segment,
+//! physically truncates its torn or corrupt tail (earlier segments are sealed
+//! by the checkpoint that rotated them), and leaves the store ready to
+//! append. A current segment whose last record lies below the last
+//! checkpoint cannot be the live tail — a copy of an older sealed segment
+//! put in its place — and is refused.
 //!
 //! Every fallible operation returns a [`StoreError`] carrying the underlying
 //! [`std::io::ErrorKind`] plus the WAL position involved, and consults the
@@ -32,8 +34,10 @@
 //! deterministically. A failed append or sync repairs the segment tail back
 //! to the last good frame boundary; if that repair itself fails (or a torn
 //! write is injected) the store is **poisoned** — every further append is
-//! refused — until a rollback truncation, a checkpoint rotation, or a reopen
-//! restores a clean tail.
+//! refused — until a checkpoint rotation or a reopen restores a clean tail.
+//!
+//! A version, once appended, names one state for the life of the store: no
+//! operation removes an appended record.
 
 #![forbid(unsafe_code)]
 
@@ -104,9 +108,8 @@ pub struct Store {
     wal_file: File,
     /// Byte length of the current segment.
     wal_len: u64,
-    /// `(version, frame start offset)` of every record in the current
-    /// segment, in append order — lets a rollback truncate precisely.
-    appended: Vec<(u64, u64)>,
+    /// Version of the last record in the current segment, if it holds any.
+    last_appended: Option<u64>,
     /// Versions of every checkpoint on disk, ascending.
     checkpoints: Vec<u64>,
     /// Indices of every segment on disk, ascending (last = current).
@@ -114,8 +117,8 @@ pub struct Store {
     /// Armed failpoints (disabled unless a test injects a plan).
     faults: Faults,
     /// The segment tail may hold torn bytes past `wal_len` (a failed repair
-    /// or an injected torn write): appends are refused until a truncation,
-    /// rotation or reopen restores a clean frame boundary.
+    /// or an injected torn write): appends are refused until a rotation or
+    /// reopen restores a clean frame boundary.
     poisoned: bool,
     /// Telemetry handle (disabled unless installed): WAL append/sync/rotate
     /// timings and bytes, checkpoint duration, fault-hit events.
@@ -152,7 +155,7 @@ impl Store {
             segment: 0,
             wal_file,
             wal_len: 0,
-            appended: Vec::new(),
+            last_appended: None,
             checkpoints: Vec::new(),
             segments: vec![0],
             faults: Faults::disabled(),
@@ -162,7 +165,10 @@ impl Store {
     }
 
     /// Opens an existing store, truncating any torn or corrupt tail of the
-    /// current (highest-numbered) segment.
+    /// current (highest-numbered) segment. Refuses (`InvalidData`) a current
+    /// segment whose last record lies below the last checkpoint: a live tail
+    /// is empty, or ends at or above it — a crash between the checkpoint
+    /// rename and the WAL rotation leaves the checkpoint's own record last.
     pub fn open(dir: impl AsRef<Path>, opts: StoreOptions) -> StoreResult<Store> {
         let op = "store.open";
         let dir = dir.as_ref().to_path_buf();
@@ -190,6 +196,20 @@ impl Store {
         let path = dir.join(segment_name(segment));
         let bytes = fs::read(&path).map_err(|e| StoreError::io(op, &e).at(segment, 0))?;
         let scan = wal::scan(&bytes);
+        let last_appended = scan.records.last().map(|r| r.version);
+        if let (Some(last), Some(&ckpt)) = (last_appended, checkpoints.last()) {
+            if last < ckpt {
+                return Err(StoreError::new(
+                    op,
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "live segment {} ends at v{last}, below the v{ckpt} checkpoint",
+                        segment_name(segment)
+                    ),
+                )
+                .at(segment, 0));
+            }
+        }
         if scan.valid_len < bytes.len() as u64 {
             // Torn or corrupt tail from a crash mid-append: cut it off so the
             // next append starts on a clean frame boundary.
@@ -197,12 +217,6 @@ impl Store {
             let f = OpenOptions::new().write(true).open(&path).map_err(|e| cut(&e))?;
             f.set_len(scan.valid_len).map_err(|e| cut(&e))?;
             f.sync_all().map_err(|e| cut(&e))?;
-        }
-        let mut appended = Vec::with_capacity(scan.records.len());
-        let mut at = 0u64;
-        for rec in &scan.records {
-            appended.push((rec.version, at));
-            at += (wal::RECORD_HEADER_LEN + rec.payload.len()) as u64;
         }
         let wal_file = OpenOptions::new()
             .append(true)
@@ -215,7 +229,7 @@ impl Store {
             segment,
             wal_file,
             wal_len: scan.valid_len,
-            appended,
+            last_appended,
             checkpoints,
             segments,
             faults: Faults::disabled(),
@@ -264,8 +278,7 @@ impl Store {
     /// The highest version the store holds durably: the greater of the last
     /// checkpoint and the last WAL record in the current segment.
     pub fn last_version(&self) -> Option<u64> {
-        let from_wal = self.appended.last().map(|&(v, _)| v);
-        match (self.last_checkpoint(), from_wal) {
+        match (self.last_checkpoint(), self.last_appended) {
             (Some(c), Some(w)) => Some(c.max(w)),
             (a, b) => a.or(b),
         }
@@ -274,7 +287,7 @@ impl Store {
     /// After a failed append or sync, restores the segment to the last good
     /// frame boundary so a retry re-appends cleanly. If the repair itself
     /// fails the tail may hold torn bytes: the store poisons itself and
-    /// refuses appends until truncation, rotation or reopen heals the tail.
+    /// refuses appends until rotation or reopen heals the tail.
     fn repair_tail(&mut self) {
         let ok = self.wal_file.set_len(self.wal_len).is_ok() && self.wal_file.sync_data().is_ok();
         if !ok {
@@ -348,7 +361,7 @@ impl Store {
                 self.telemetry.observe_since(|m| &m.wal_sync_ns, t0);
             }
         }
-        self.appended.push((version, self.wal_len));
+        self.last_appended = Some(version);
         self.wal_len += frame.len() as u64;
         Ok(())
     }
@@ -358,31 +371,6 @@ impl Store {
     fn note_fault(&self, at: &'static str, kind: FaultKind, version: u64) {
         self.telemetry.count(|m| &m.fault_hits);
         self.telemetry.event(EventKind::FaultHit, version, || format!("{at}: injected {kind:?}"));
-    }
-
-    /// Drops every record of the current segment with a version above `v` —
-    /// the durable half of a rollback. The frames are physically truncated so
-    /// a crash cannot resurrect them. Also discards any poisoned torn bytes
-    /// past the last good frame, healing the tail.
-    pub fn truncate_to_version(&mut self, v: u64) -> StoreResult<()> {
-        let op = "wal.truncate";
-        let keep = self.appended.iter().position(|&(rv, _)| rv > v);
-        let new_len = match keep {
-            Some(idx) => self.appended[idx].1,
-            // No record to drop, but a poisoned tail still needs cutting.
-            None if self.poisoned => self.wal_len,
-            None => return Ok(()),
-        };
-        self.wal_file
-            .set_len(new_len)
-            .and_then(|_| self.wal_file.sync_all())
-            .map_err(|e| StoreError::io(op, &e).at(self.segment, new_len))?;
-        if let Some(idx) = keep {
-            self.appended.truncate(idx);
-        }
-        self.wal_len = new_len;
-        self.poisoned = false;
-        Ok(())
     }
 
     /// Writes a checkpoint image durably (tmp + fsync + rename + dir fsync)
@@ -407,6 +395,14 @@ impl Store {
             f.write_all(&image).map_err(|e| werr(&e))?;
             f.sync_all().map_err(|e| werr(&e))?;
         }
+        // The records the checkpoint supersedes reach the disk before it
+        // does, so the live segment never ends below the last checkpoint
+        // (`open` refuses one that does).
+        if !self.poisoned {
+            self.wal_file
+                .sync_data()
+                .map_err(|e| StoreError::io(site::WAL_ROTATE, &e).at(self.segment, self.wal_len))?;
+        }
         if let Some(kind) = self.faults.check(site::CKPT_RENAME) {
             self.note_fault(site::CKPT_RENAME, kind, state.version);
             return Err(StoreError::injected(site::CKPT_RENAME, kind));
@@ -428,11 +424,6 @@ impl Store {
             return Err(StoreError::injected(site::WAL_ROTATE, kind).at(self.segment, self.wal_len));
         }
         let rotate_started = self.telemetry.is_enabled().then(Instant::now);
-        if !self.poisoned {
-            self.wal_file
-                .sync_data()
-                .map_err(|e| StoreError::io(site::WAL_ROTATE, &e).at(self.segment, self.wal_len))?;
-        }
         let next = self.segment + 1;
         let next_path = self.dir.join(segment_name(next));
         let rerr = |e: &io::Error| StoreError::io(site::WAL_ROTATE, e).at(next, 0);
@@ -460,7 +451,7 @@ impl Store {
         self.segments.sort_unstable();
         self.segments.dedup();
         self.wal_len = 0;
-        self.appended.clear();
+        self.last_appended = None;
         self.poisoned = false;
         self.checkpoints.push(state.version);
         self.checkpoints.sort_unstable();
@@ -618,22 +609,6 @@ mod tests {
     }
 
     #[test]
-    fn truncate_to_version_discards_precisely() {
-        let dir = tmp_dir("rollback");
-        let mut store = Store::create(&dir, StoreOptions::default()).unwrap();
-        for v in 1..=4 {
-            store.append(v, format!("payload-{v}").as_bytes()).unwrap();
-        }
-        store.truncate_to_version(2).unwrap();
-        assert_eq!(store.last_version(), Some(2));
-        drop(store);
-        let store = Store::open(&dir, StoreOptions::default()).unwrap();
-        let recs = store.replay_records(0, u64::MAX).unwrap();
-        assert_eq!(recs.iter().map(|r| r.version).collect::<Vec<_>>(), vec![1, 2]);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn checkpoint_rotates_and_replay_spans_segments() {
         let dir = tmp_dir("rotate");
         let mut store = Store::create(&dir, StoreOptions::default()).unwrap();
@@ -720,7 +695,7 @@ mod tests {
     }
 
     #[test]
-    fn torn_write_poisons_until_truncation_heals() {
+    fn torn_write_poisons_the_tail() {
         let dir = tmp_dir("inj_torn");
         let mut store = Store::create(&dir, StoreOptions::default()).unwrap();
         store.set_faults(
@@ -736,13 +711,7 @@ mod tests {
         assert!(on_disk.len() as u64 > good_len);
         // Every append is refused while poisoned — even of a fresh version.
         assert!(store.append(2, b"retry").is_err());
-        // Rolling back to the last good version cuts the torn bytes.
-        store.truncate_to_version(1).unwrap();
-        assert!(!store.is_poisoned());
-        assert_eq!(fs::read(dir.join(segment_name(0))).unwrap().len() as u64, good_len);
-        store.append(2, b"retry").unwrap();
-        let recs = store.replay_records(0, u64::MAX).unwrap();
-        assert_eq!(recs.iter().map(|r| r.version).collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(store.last_version(), Some(1));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -183,8 +183,6 @@ pub struct HistogramSummary {
 pub enum EventKind {
     /// A commit published a new version.
     Commit,
-    /// A commit or transaction rolled back (journal rewind / WAL truncate).
-    Rollback,
     /// A transient store failure was retried with backoff.
     Retry,
     /// The durable layer flipped into sticky read-only degraded mode.
@@ -206,7 +204,6 @@ impl EventKind {
     pub fn label(self) -> &'static str {
         match self {
             EventKind::Commit => "commit",
-            EventKind::Rollback => "rollback",
             EventKind::Retry => "retry",
             EventKind::Degraded => "degraded",
             EventKind::MaintenanceFailure => "maintenance_failure",
@@ -338,7 +335,7 @@ macro_rules! registry {
 registry! {
     counters {
         commits: "Commits published (any surface, merged ingest rounds count once).",
-        rollbacks: "Journal rewinds: failed commits, transaction rollbacks, WAL truncates.",
+        rollbacks: "Commits rewound by the apply journal: a failed apply, shard abort or WAL append.",
         snapshot_hits: "MVCC snapshot cache probes served from the cache.",
         snapshot_misses: "MVCC snapshot cache probes that had to freeze or replay.",
         rounds_coalesced: "Ingest batches of two or more submissions, committed as one aggregate.",

@@ -20,9 +20,10 @@
 //!    [`Document::journal_discard`](crate::Document::journal_discard) — on
 //!    success the recorded inverses are simply dropped.
 //!
-//! An inner scope (say, one commit inside a transaction) rewinds to its own
-//! mark on failure while the outer scope's entries stay recorded, so the
-//! transaction can still undo successfully committed changes later.
+//! An inner scope (say, the apply inside a commit) rewinds to its own mark on
+//! failure while the outer scope's entries stay recorded, so the commit can
+//! still undo an apply that succeeded when a later step (its WAL append, or
+//! a sibling shard's apply) fails.
 
 use crate::node::{NodeData, NodeId};
 

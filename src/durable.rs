@@ -359,17 +359,6 @@ impl StoreSink {
             backoff = (backoff * 2).min(MAX_BACKOFF);
         }
     }
-
-    /// Discards every record above `version` after a transaction rollback
-    /// restored the session to it. A failed truncation would leave records
-    /// for commits the session rolled back, and recovery would replay them
-    /// over the restored state: there is no way to continue safely, so it
-    /// panics.
-    pub(crate) fn truncate(&mut self, version: u64) {
-        self.store
-            .truncate_to_version(version)
-            .expect("WAL truncation failed while rolling back a transaction");
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1204,28 +1193,6 @@ mod tests {
         let reread = durable.read_at(1).unwrap();
         assert!(reread.document().deep_eq(durable.document()));
         reread.assert_consistent();
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn transaction_rollback_truncates_the_wal() {
-        let dir = tmp_dir("tx_rollback");
-        let mut durable =
-            Durable::create(&dir, Executor::parse(DOC).unwrap(), DurableOptions::default())
-                .unwrap();
-        commit_rename(&mut durable, "b1", "kept");
-        {
-            let mut tx = durable.transaction();
-            let pul = tx.produce("rename node /lib/b2 as \"discarded\"").unwrap();
-            tx.submit(pul);
-            tx.apply().unwrap();
-            assert_eq!(tx.version(), 2);
-        } // rollback: version 2's record must leave the WAL too
-        assert_eq!(durable.version(), 1);
-        drop(durable);
-        let recovered: Durable<Executor> = Durable::open(&dir, DurableOptions::default()).unwrap();
-        assert_eq!(recovered.version(), 1, "rolled-back commit must not be replayed");
-        assert!(!recovered.serialize().contains("discarded"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

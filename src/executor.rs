@@ -24,16 +24,15 @@ use pul::apply::{apply_pul_journaled, ApplyOptions, ApplyReport, JournalScope};
 use pul::{Pul, UpdateOp};
 use pul_core::reduce::{reduce_with, ReductionKind};
 use pul_core::{aggregate, integrate, reconcile_integration, Policy};
-use pul_telemetry::{EventKind, Telemetry};
+use pul_telemetry::Telemetry;
 use xdm::{parser, writer, Document};
 use xlabel::Labeling;
 
 use crate::durable::CommitRecord;
 use crate::error::Result;
-use crate::front::{self, Front, Submission};
+use crate::front::{self, Front};
 use crate::resolution::Resolution;
 use crate::snapshot::Snapshot;
-use crate::transaction::Transaction;
 
 /// How the executor reduces PULs — the session-level replacement for the
 /// historical `reduce` / `deterministic_reduce` / `canonical_form` free
@@ -340,15 +339,9 @@ impl Executor {
     /// repeated calls at an unchanged version are served from the session's
     /// snapshot cache as reference-count bumps.
     pub fn snapshot(&self) -> Snapshot {
-        let freeze = || (self.core.doc.to_shared(), Arc::new(self.core.labeling.clone()));
-        if self.core.doc.journal_is_active() {
-            // Mid-transaction state is provisional: a rollback would reuse
-            // this version number with different contents, so the view is
-            // built fresh and never memoized.
-            let (doc, labeling) = freeze();
-            return Snapshot::new(self.core.version, self.front.epoch, doc, labeling);
-        }
-        self.front.snapshot(self.core.version, freeze)
+        self.front.snapshot(self.core.version, || {
+            (self.core.doc.to_shared(), Arc::new(self.core.labeling.clone()))
+        })
     }
 
     /// Serializes the authoritative document.
@@ -463,9 +456,9 @@ impl Executor {
     /// application runs inside a journal scope, every mutation recording its
     /// inverse, so a mid-apply failure replays the inverses and leaves the
     /// session (document, labeling, version, submissions) exactly as it was —
-    /// at a cost proportional to the partial change, not to the document. On
-    /// success the journal is discarded (or, inside a [`Transaction`], kept
-    /// for the transaction's own rollback).
+    /// at a cost proportional to the partial change, not to the document. In
+    /// a durable session the same scope rewinds an applied commit whose WAL
+    /// append fails. On success the journal is discarded.
     pub fn commit_resolution(&mut self, resolution: Resolution) -> Result<CommitReport> {
         self.front.check_fresh(
             resolution.version,
@@ -475,77 +468,24 @@ impl Executor {
         let _span = self.front.telemetry.span(|m| &m.commit_ns);
         // The apply runs inside an extra journal scope so that, in a durable
         // session, a failed WAL append rewinds it: the append is the commit
-        // point, and the version never advances without a durable record.
+        // point, and the version never advances without a durable record. A
+        // failed apply has already rewound its own partial work, so the
+        // scope's rewind is then a no-op.
         let scope = self.core.scope_open();
-        let apply = match self.core.commit_pul(&resolution.pul) {
-            Ok(apply) => apply,
-            Err(e) => {
-                // The apply already rewound its own partial work.
-                self.core.scope_close(&scope);
-                return Err(e);
-            }
-        };
-        let preserve_content_ids = self.core.apply_options.preserve_content_ids;
-        let record = CommitRecord::Delta { pul: &resolution.pul, preserve_content_ids };
-        if let Err(e) = self.front.append(self.core.version, record) {
+        let committed = self.core.commit_pul(&resolution.pul).and_then(|apply| {
+            let preserve_content_ids = self.core.apply_options.preserve_content_ids;
+            let record = CommitRecord::Delta { pul: &resolution.pul, preserve_content_ids };
+            self.front.append(self.core.version, record).map(|()| apply)
+        });
+        if committed.is_err() {
             self.core.scope_rewind(&scope);
-            self.core.scope_close(&scope);
             self.front.telemetry.count(|m| &m.rollbacks);
-            return Err(e);
         }
         self.core.scope_close(&scope);
+        let apply = committed?;
         let (version, applied_ops) = (self.core.version, resolution.pul.len());
         self.front.committed(&resolution.submission_ids, version, applied_ops);
         Ok(CommitReport { version, applied_ops, conflicts: resolution.conflicts, apply })
-    }
-
-    // ------------------------------------------------------------ transactions
-
-    /// Starts a build-apply-rollback transaction: the returned guard exposes
-    /// the whole session API (it derefs to the executor) and restores the
-    /// document, labeling, submissions and version on drop unless
-    /// [`Transaction::commit`] is called. Rollback replays the apply journal —
-    /// O(everything changed inside the transaction), never O(document); no
-    /// session snapshot is taken.
-    pub fn transaction(&mut self) -> Transaction<'_> {
-        Transaction::new(self)
-    }
-
-    /// Opens a transaction scope: enters (or activates) the document and
-    /// labeling journals and saves the small session fields. The cost is
-    /// O(pending submissions) — the document and labeling are *not* copied.
-    pub(crate) fn tx_begin(&mut self) -> TxScope {
-        TxScope {
-            // The scope protocol (per-store ownership, marks, rewind order,
-            // close-only-what-you-opened) lives once, in `pul::apply`; the
-            // version capture lives with the core scope.
-            core: self.core.scope_open(),
-            submissions: self.front.submissions.clone(),
-            next_submission: self.front.next_submission,
-        }
-    }
-
-    /// Rolls the session back to the state captured by [`tx_begin`]
-    /// (Executor::tx_begin): the journals replay their inverses down to the
-    /// scope's marks and the session fields are restored.
-    pub(crate) fn tx_rollback(&mut self, scope: TxScope) {
-        self.core.scope_rewind(&scope.core);
-        self.core.scope_close(&scope.core);
-        self.front.submissions = scope.submissions;
-        self.front.next_submission = scope.next_submission;
-        let version = self.core.version;
-        self.front.telemetry.count(|m| &m.rollbacks);
-        self.front.telemetry.event(EventKind::Rollback, version, || {
-            format!("transaction rolled back to v{version}")
-        });
-        self.front.rolled_back(version);
-    }
-
-    /// Makes the scope's changes permanent: the recorded inverses are dropped
-    /// (when this scope activated the journals) or left to the enclosing
-    /// scope (nested transactions).
-    pub(crate) fn tx_commit(&mut self, scope: TxScope) {
-        self.core.scope_close(&scope.core);
     }
 
     // -------------------------------------------------------------- compaction
@@ -567,15 +507,7 @@ impl Executor {
     /// *before* renumbering: the append is the commit point (renumbering
     /// itself is infallible), so a failed append leaves the session and the
     /// store untouched on the pre-compaction version.
-    ///
-    /// Panics if called inside a transaction — a journaled scope records
-    /// inverses in terms of the identifiers compaction is about to rewrite.
     pub fn compact(&mut self) -> Result<CompactionReport> {
-        assert!(
-            !self.core.doc.journal_is_active(),
-            "compact() inside a transaction scope: rollback could not replay \
-             inverses across the renumbering"
-        );
         front::compact(self, |_| Ok(()), |session, ()| session.renumber())
     }
 
@@ -623,17 +555,6 @@ impl Executor {
     }
 }
 
-/// Open transaction scope: the core's journal scope plus the copied *small*
-/// session fields (the pending-submission list and one counter — never the
-/// document or the labeling).
-#[derive(Debug)]
-pub(crate) struct TxScope {
-    /// The core journal scope (ownership, marks, version, rewind/close).
-    core: CoreScope,
-    submissions: Vec<Submission>,
-    next_submission: u64,
-}
-
 /// The historical clone-based snapshot, kept **only** as a differential
 /// oracle: tests capture one before a journal-scoped operation and assert
 /// that a journaled rollback restores a state `deep_eq`-identical to it. The
@@ -642,7 +563,7 @@ pub(crate) struct TxScope {
 pub(crate) struct ExecutorSnapshot {
     doc: Document,
     labeling: Labeling,
-    submissions: Vec<Submission>,
+    submissions: Vec<front::Submission>,
     next_submission: u64,
     version: u64,
 }
@@ -721,7 +642,7 @@ pub struct CompactionReport {
 mod tests {
     //! Differential verification of the journaled rollback against the
     //! historical clone-based snapshot (the `#[cfg(test)]` oracle): after any
-    //! failure or transaction rollback the session must be *bit-identical* —
+    //! failed commit the session must be *bit-identical* —
     //! same arena entries, same label keys — to what restoring the snapshot
     //! would have produced.
 
@@ -787,89 +708,6 @@ mod tests {
         assert!(report.apply.journal.total() > 0, "the commit went through the journal");
         assert!(!session.core.doc.journal_is_active(), "success = discard");
         assert!(!session.core.labeling.journal_is_active());
-        session.assert_consistent();
-    }
-
-    #[test]
-    fn transaction_rollback_matches_the_snapshot_oracle() {
-        let mut session = session();
-        let oracle = session.oracle_snapshot();
-        {
-            let mut tx = session.transaction();
-            let pul = tx.produce("rename node /issue/article[1] as \"paper\"").unwrap();
-            tx.submit(pul);
-            tx.apply().unwrap();
-            let pul =
-                tx.produce("insert nodes <note>draft</note> as last into /issue/paper").unwrap();
-            tx.submit(pul);
-            tx.apply().unwrap();
-            assert_eq!(tx.version(), 2);
-            assert!(tx.serialize().contains("<note>draft</note>"));
-        } // dropped: rolled back by replaying the journal
-        session.assert_matches_snapshot(&oracle);
-        session.assert_consistent();
-        assert!(!session.core.doc.journal_is_active());
-    }
-
-    #[test]
-    fn transaction_commit_keeps_changes_and_discards_the_journal() {
-        let mut session = session();
-        {
-            let mut tx = session.transaction();
-            let pul = tx.produce("delete node /issue/article[2]").unwrap();
-            tx.submit(pul);
-            tx.apply().unwrap();
-            tx.commit();
-        }
-        assert_eq!(session.version(), 1);
-        assert!(!session.core.doc.journal_is_active());
-        session.assert_consistent();
-    }
-
-    #[test]
-    fn nested_transactions_rewind_to_their_own_marks() {
-        let mut session = session();
-        let oracle = session.oracle_snapshot();
-        {
-            let mut outer = session.transaction();
-            let pul = outer.produce("rename node /issue/article[1] as \"paper\"").unwrap();
-            outer.submit(pul);
-            outer.apply().unwrap();
-            let after_outer = outer.oracle_snapshot();
-            {
-                let mut inner = outer.transaction();
-                let pul = inner.produce("delete node /issue/article[1]").unwrap();
-                inner.submit(pul);
-                inner.apply().unwrap();
-            } // inner rollback: only the delete is undone
-            outer.assert_matches_snapshot(&after_outer);
-            assert!(outer.serialize().contains("<paper>"));
-        } // outer rollback: everything undone
-        session.assert_matches_snapshot(&oracle);
-        session.assert_consistent();
-    }
-
-    #[test]
-    fn mid_apply_failure_inside_a_transaction_keeps_earlier_commits() {
-        let mut session = session();
-        let mut tx = session.transaction();
-        let pul = tx.produce("replace value of node /issue/@volume with \"31\"").unwrap();
-        tx.submit(pul);
-        tx.apply().unwrap();
-        let after_first = tx.oracle_snapshot();
-        let bad = mid_failing_pul(&tx);
-        let bad_id = tx.submit(bad);
-        assert!(tx.apply().is_err());
-        // the failed commit rewound to its own mark: the first commit survives
-        // (the failed submission stays pending — drop it before comparing; the
-        // submission-id counter is monotonic by design, so compare the state
-        // fields rather than the whole snapshot)
-        tx.withdraw(bad_id).unwrap();
-        assert!(tx.document().deep_eq(&after_first.doc));
-        assert!(tx.labeling().deep_eq(&after_first.labeling));
-        assert_eq!(tx.version(), after_first.version);
-        tx.commit();
-        assert!(session.serialize().contains("volume=\"31\""));
         session.assert_consistent();
     }
 }

@@ -180,20 +180,6 @@ impl Front {
         }
     }
 
-    /// Forgets the versions above `version` after a rollback restored the
-    /// session to it: their numbers will be reused with different contents,
-    /// so their cached snapshots go, and a durable session truncates their
-    /// WAL records so that a crash cannot resurrect them.
-    pub(crate) fn rolled_back(&mut self, version: u64) {
-        self.snapshots.purge_above(version);
-        if let Some(sink) = self.sink.get_mut() {
-            sink.truncate(version);
-            self.telemetry.event(EventKind::Rollback, version, || {
-                format!("WAL truncated back to v{version}")
-            });
-        }
-    }
-
     /// The cached snapshot of `version`, if any; counts the probe as a hit
     /// or a miss.
     pub(crate) fn cached(&self, version: u64) -> Option<Snapshot> {

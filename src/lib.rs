@@ -49,8 +49,10 @@
 //! ```
 //!
 //! Everything fallible returns the unified [`Error`] with a stable
-//! [`code`](Error::code); [`Transaction`] adds build-apply-rollback on top;
-//! the paper's streaming evaluator, [`pul::apply_streaming`], applies a
+//! [`code`](Error::code); several updates that must land together go in as
+//! one [`submit_sequence`](Executor::submit_sequence), the paper's
+//! aggregation (Def. 13), and commit as one version; the paper's streaming
+//! evaluator, [`pul::apply_streaming`], applies a
 //! resolution's PUL in one pass over the identified serialization without
 //! materialising the document; [`IngestQueue`] fronts an executor (single or
 //! [sharded](ShardedExecutor)) with a group-commit submission queue for
@@ -92,7 +94,6 @@ mod observe;
 mod resolution;
 mod shard;
 mod snapshot;
-mod transaction;
 
 pub mod fixtures;
 
@@ -113,7 +114,6 @@ pub use pul_telemetry::{
 pub use resolution::Resolution;
 pub use shard::{ShardedCommitReport, ShardedExecutor, ShardedResolution};
 pub use snapshot::Snapshot;
-pub use transaction::Transaction;
 
 /// The most commonly used items, for glob import in examples and tests.
 pub mod prelude {
@@ -122,7 +122,7 @@ pub mod prelude {
         ExecutorCore, FaultKind, FaultPlan, Faults, IngestBackend, IngestConfig, IngestQueue,
         MetricsSnapshot, ReductionStrategy, Resolution, Result, SessionSlabStats,
         ShardedCommitReport, ShardedExecutor, ShardedResolution, Snapshot, SubmissionId,
-        SyncPolicy, Telemetry, TelemetrySnapshot, Ticket, TicketOutcome, Transaction, Trigger,
+        SyncPolicy, Telemetry, TelemetrySnapshot, Ticket, TicketOutcome, Trigger,
     };
     pub use pul::{ApplyOptions, OpClass, OpName, Pul, UpdateOp};
     pub use pul_core::{Conflict, ConflictType, Policy};

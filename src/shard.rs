@@ -799,7 +799,6 @@ impl ShardedExecutor {
         let record = CommitRecord::Sharded { puls: &resolution.per_shard, preserve_content_ids };
         if let Err(e) = self.front.append(self.version + 1, record) {
             self.abort_scopes(&open);
-            self.front.telemetry.count(|m| &m.rollbacks);
             return Err(e);
         }
         for (j, scope) in open.drain(..) {
@@ -817,8 +816,10 @@ impl ShardedExecutor {
         })
     }
 
-    /// Rewinds and closes every open shard scope, most recent first.
+    /// Aborts the commit: rewinds and closes every open shard scope, most
+    /// recent first, and counts the rewound commit.
     fn abort_scopes(&mut self, open: &[(usize, CoreScope)]) {
+        self.front.telemetry.count(|m| &m.rollbacks);
         for (j, scope) in open.iter().rev() {
             let core = &mut self.shards[*j].core;
             core.scope_rewind(scope);
@@ -837,13 +838,6 @@ impl ShardedExecutor {
     /// installed, so a failed append leaves session and store on the
     /// pre-compaction version, untouched.
     pub fn compact(&mut self) -> Result<CompactionReport> {
-        for (k, shard) in self.shards.iter().enumerate() {
-            assert!(
-                !shard.core.doc.journal_is_active(),
-                "compact() inside shard {k}'s open transaction scope: rollback could not \
-                 replay inverses across the renumbering"
-            );
-        }
         // The fallible rebuild runs off to the side, so neither a rebuild
         // error nor a sink error can leave the session half-renumbered.
         front::compact(self, Self::rebuild_compacted, Self::install_compacted)

@@ -14,8 +14,8 @@
 //! keyed by version: the *first* read at a version pays the O(document)
 //! freeze (or WAL replay), every later read at the same version is a
 //! reference-count bump. The version alone is a sound key because it names
-//! exactly one state: commits and compactions both advance it, and a
-//! rollback purges the versions it undoes.
+//! exactly one state for the life of the store: commits and compactions both
+//! advance it, and a committed version is never undone.
 //!
 //! What pins memory: a snapshot keeps its whole document arena and labeling
 //! alive until the last clone is dropped — including across compaction epoch
@@ -127,13 +127,6 @@ impl SnapshotCache {
             slots.remove(0);
         }
     }
-
-    /// Drops every cached snapshot above `version` — the rollback
-    /// invalidation hook (a rolled-back commit's version number will be
-    /// reused by the next commit, with different contents).
-    pub(crate) fn purge_above(&self, version: u64) {
-        self.inner.lock().expect("snapshot cache mutex poisoned").retain(|s| s.version <= version);
-    }
 }
 
 /// A cloned session must not serve the original's cached snapshots once the
@@ -161,18 +154,6 @@ mod tests {
         cache.insert(snap(3, 0));
         assert!(cache.get(3).is_some());
         assert!(cache.get(2).is_none());
-    }
-
-    #[test]
-    fn purge_above_drops_rolled_back_versions() {
-        let cache = SnapshotCache::default();
-        cache.insert(snap(1, 0));
-        cache.insert(snap(2, 0));
-        cache.insert(snap(3, 0));
-        cache.purge_above(1);
-        assert!(cache.get(1).is_some());
-        assert!(cache.get(2).is_none());
-        assert!(cache.get(3).is_none());
     }
 
     #[test]

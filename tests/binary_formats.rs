@@ -646,3 +646,52 @@ fn a_live_segment_duplicated_under_the_next_number_fails_to_open_with_e07() {
     assert_eq!(err.code(), "XPUL-E07", "{err}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// The live segment overwritten by a copy of an older sealed one ends at v4,
+/// below the v8 base checkpoint: recovery must refuse the store with
+/// `XPUL-E07` rather than open at v8 and silently lose v9 and v10.
+#[test]
+fn a_live_segment_overwritten_by_an_older_one_fails_to_open_with_e07() {
+    let dir = store_dir("overwritten_segment");
+    segmented_store(&dir);
+    std::fs::copy(dir.join("wal-000001.log"), dir.join("wal-000003.log")).unwrap();
+    let err = Durable::<Executor>::open(&dir, DurableOptions::default())
+        .expect_err("a live segment ending below the base checkpoint must not open");
+    assert_eq!(err.code(), "XPUL-E07", "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A checkpoint whose WAL rotation failed leaves the live segment ending at
+/// the checkpoint's own record — the legitimate case the refusal above must
+/// not catch: a reopen lands on the checkpoint's version.
+#[test]
+fn a_checkpoint_with_a_failed_rotation_reopens_at_its_version() {
+    let dir = store_dir("failed_rotation");
+    let session = Executor::parse("<log><head/></log>").unwrap();
+    let mut durable = Durable::create(&dir, session, DurableOptions::default()).unwrap();
+    for v in 1..=3u64 {
+        let root = durable.document().root().unwrap();
+        let pul = durable.pul_from_ops(vec![UpdateOp::ins_last(
+            root,
+            vec![Tree::element_with_text(format!("e{v}"), "entry")],
+        )]);
+        durable.submit(pul);
+        durable.commit().unwrap();
+    }
+    durable.inject_faults(
+        FaultPlan::new(1)
+            .fail(xmlpul::fault_site::WAL_ROTATE, Trigger::Nth(1), FaultKind::Permanent)
+            .arm(),
+    );
+    let err = durable.checkpoint().expect_err("the rotation fault fails the checkpoint");
+    assert_eq!(err.code(), "XPUL-E07", "{err}");
+    assert!(dir.join("ckpt-000000000003.snap").exists(), "the image was renamed in");
+    let expected = durable.serialize();
+    drop(durable);
+    let reopened: Durable<Executor> = Durable::open(&dir, DurableOptions::default()).unwrap();
+    assert_eq!(reopened.last_checkpoint(), Some(3));
+    assert_eq!(reopened.version(), 3);
+    assert_eq!(reopened.serialize(), expected);
+    drop(reopened);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -1,8 +1,8 @@
 //! Executor session round trips: submissions arriving in the `pul::xmlio`
 //! wire format, resolution, commit (checked against the streaming evaluator),
 //! serialization —
-//! plus the session bookkeeping (versions, stale resolutions, withdrawal,
-//! transactions) and the unified error surface.
+//! plus the session bookkeeping (versions, stale resolutions, withdrawal)
+//! and the unified error surface.
 
 use xmlpul::prelude::*;
 
@@ -338,37 +338,6 @@ fn the_strategy_in_force_at_resolve_time_governs_on_both_sessions() {
     assert_eq!(single.resolve().unwrap().resolved_ops(), 2, "executor");
     let sharded = sharded.reduction(ReductionStrategy::None);
     assert_eq!(sharded.resolve().unwrap().resolved_ops(), 2, "sharded executor");
-}
-
-/// Transactions roll back document, version and submissions — unless
-/// committed.
-#[test]
-fn transactions_roll_back_and_commit() {
-    let mut session = issue_session();
-    let before = session.serialize();
-
-    // Rolled back: the commit inside the transaction is undone.
-    {
-        let mut tx = session.transaction();
-        let pul = tx.produce("delete nodes /issue/paper[1]").unwrap();
-        tx.submit(pul);
-        let report = tx.apply().unwrap();
-        assert_eq!(report.version, 1);
-        assert!(!tx.serialize().contains("Database Replication"));
-    }
-    assert_eq!(session.serialize(), before);
-    assert_eq!(session.version(), 0);
-    session.assert_consistent();
-
-    // Committed: the change sticks.
-    let mut tx = session.transaction();
-    let pul = tx.produce("delete nodes /issue/paper[1]").unwrap();
-    tx.submit(pul);
-    tx.apply().unwrap();
-    tx.commit();
-    assert!(!session.serialize().contains("Database Replication"));
-    assert_eq!(session.version(), 1);
-    session.assert_consistent();
 }
 
 /// Every public error path surfaces as the unified `xmlpul::Error` with its

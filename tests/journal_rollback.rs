@@ -1,17 +1,19 @@
 //! Differential verification of the journaled O(change) rollback against a
 //! snapshot oracle, through the public session API.
 //!
-//! PR 3 removed every whole-session clone from the commit and transaction
-//! paths: atomicity now comes from the apply journal (mutations record their
-//! inverses; failure or rollback replays them in reverse). These tests clone
-//! the session *in test code* — the oracle the journal replaced — and assert
-//! that after an injected mid-apply failure or a transaction rollback the
-//! session is bit-identical to the oracle: `deep_eq` on document and
-//! labeling, and every Table-1 predicate answering identically on every node
-//! pair.
+//! No commit path clones the session: atomicity comes from the apply journal
+//! (mutations record their inverses; a failure replays them in reverse).
+//! These tests clone the session *in test code* — the oracle the journal
+//! replaced — and assert that after a mid-apply failure, a sharded two-phase
+//! abort, or a failed WAL append that rewinds an applied commit, the session
+//! is bit-identical to the oracle: `deep_eq` on document and labeling, and
+//! every Table-1 predicate answering identically on every node pair.
+
+use std::path::PathBuf;
 
 use pul::UpdateOp;
 use xdm::Tree;
+use xmlpul::fault_site;
 use xmlpul::prelude::*;
 
 fn issue_session() -> Executor {
@@ -56,6 +58,20 @@ fn assert_sessions_identical(session: &Executor, oracle: &Executor) {
     assert_eq!(session.version(), oracle.version());
     assert_table1_identical(session, oracle);
     session.assert_consistent();
+}
+
+/// Wraps `session` in a fresh durable store whose first WAL append fails
+/// permanently: the next commit applies, then its append fails and the apply
+/// journal rewinds it. Returns the store directory with the session.
+fn durable_with_failing_append(tag: &str, session: Executor) -> (PathBuf, Durable<Executor>) {
+    let dir =
+        std::env::temp_dir().join(format!("xmlpul_journal_rollback_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut durable = Durable::create(&dir, session, DurableOptions::default()).unwrap();
+    durable.inject_faults(
+        FaultPlan::new(1).fail(fault_site::WAL_APPEND, Trigger::Nth(1), FaultKind::Permanent).arm(),
+    );
+    (dir, durable)
 }
 
 /// A PUL that fails partway through a multi-op application: the stage-1 ops
@@ -106,44 +122,31 @@ fn mid_apply_failure_after_withdrawal_commits_cleanly() {
     assert!(session.serialize().contains("<heading>XML Views</heading>"));
 }
 
+/// A commit that inserts, replaces a value and deletes a subtree applies in
+/// full; its WAL append then fails, and the journal rewinds the applied
+/// commit to the oracle. Nothing of it reaches the store: a reopen recovers
+/// the oracle too.
 #[test]
-fn transaction_rollback_is_bit_identical_to_the_oracle() {
-    let mut session = issue_session();
+fn failed_wal_append_rewinds_bit_identical_to_the_oracle() {
+    let session = issue_session();
     let oracle = session.clone();
-    {
-        let mut tx = session.transaction();
-        let pul = tx
-            .produce(
-                "insert nodes <paper><title>New</title></paper> as last into /issue, \
-                 replace value of node /issue/@volume with \"31\"",
-            )
-            .unwrap();
-        tx.submit(pul);
-        tx.apply().unwrap();
-        tx.assert_consistent();
-        let pul = tx.produce("delete node /issue/paper[1]").unwrap();
-        tx.submit(pul);
-        tx.apply().unwrap();
-        tx.assert_consistent();
-        assert_eq!(tx.version(), 2);
-    } // dropped: rolled back by replaying the journal
-    assert_sessions_identical(&session, &oracle);
-}
-
-#[test]
-fn committed_transaction_survives_with_no_journal_overhead_left() {
-    let mut session = issue_session();
-    {
-        let mut tx = session.transaction();
-        let pul = tx.produce("delete node /issue/paper[1]").unwrap();
-        tx.submit(pul);
-        tx.apply().unwrap();
-        tx.commit();
-    }
-    assert_eq!(session.version(), 1);
-    assert!(!session.document().journal_is_active(), "success = discard");
-    assert!(!session.labeling().journal_is_active());
-    session.assert_consistent();
+    let (dir, mut durable) = durable_with_failing_append("oracle", session);
+    let pul = durable
+        .produce(
+            "insert nodes <paper><title>New</title></paper> as last into /issue, \
+             replace value of node /issue/@volume with \"31\", \
+             delete node /issue/paper[1]",
+        )
+        .unwrap();
+    durable.submit(pul);
+    let err = durable.commit().unwrap_err();
+    assert_eq!(err.code(), "XPUL-E07", "{err}");
+    assert_eq!(durable.pending(), 1, "the rewound submission stays pending");
+    assert_sessions_identical(durable.backend(), &oracle);
+    drop(durable);
+    let recovered: Durable<Executor> = Durable::open(&dir, DurableOptions::default()).unwrap();
+    assert_sessions_identical(recovered.backend(), &oracle);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 // ---------------------------------------------------------------------------
@@ -274,32 +277,33 @@ fn sharded_two_phase_rollback_at_every_operation_index() {
 
 #[test]
 fn rollback_scales_with_the_change_not_the_document() {
-    // A large document, a tiny transaction: the recorded journal must be
-    // proportional to the few ops applied, not to the thousands of nodes.
+    // A large document, a tiny commit rewound after its failed WAL append:
+    // the journal it replays must be proportional to the few ops applied,
+    // not to the thousands of nodes.
     let doc =
         workload::xmark::generate(&workload::xmark::XmarkConfig { target_nodes: 20_000, seed: 7 });
     let node_count = doc.node_count();
-    let mut session = Executor::new(doc);
+    let session = Executor::new(doc);
     let oracle = session.clone();
-    {
-        let mut tx = session.transaction();
-        let target = tx.document().find_elements("item").pop();
-        if let Some(target) = target {
-            let pul = tx.pul_from_ops(vec![UpdateOp::ins_last(
-                target,
-                vec![Tree::element_with_text("note", "tiny")],
-            )]);
-            tx.submit(pul);
-            let report = tx.apply().unwrap();
-            let entries = report.apply.journal.total();
-            assert!(entries > 0);
-            assert!(
-                entries < node_count / 100,
-                "journal entries ({entries}) must not scale with the document ({node_count} nodes)"
-            );
-        }
-    }
-    assert!(session.document().deep_eq(oracle.document()));
-    assert!(session.labeling().deep_eq(oracle.labeling()));
-    session.assert_consistent();
+    let (dir, mut durable) = durable_with_failing_append("scales", session);
+    let target = durable.document().find_elements("item").pop().expect("XMark holds items");
+    let pul = durable.pul_from_ops(vec![UpdateOp::ins_last(
+        target,
+        vec![Tree::element_with_text("note", "tiny")],
+    )]);
+    durable.submit(pul);
+    assert!(durable.commit().is_err(), "the injected append fault fails the commit");
+    assert!(durable.document().deep_eq(oracle.document()));
+    assert!(durable.labeling().deep_eq(oracle.labeling()));
+    durable.assert_consistent();
+    // The fault is spent: the retry applies the same resolution, and its
+    // report counts the journal entries the rewind replayed.
+    let entries = durable.commit().unwrap().apply.journal.total();
+    assert!(entries > 0);
+    assert!(
+        entries < node_count / 100,
+        "journal entries ({entries}) must not scale with the document ({node_count} nodes)"
+    );
+    drop(durable);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

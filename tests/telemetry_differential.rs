@@ -14,6 +14,8 @@
 //!   writers;
 //! * a sticky degraded flip (XPUL-E09) must be readable from the journal
 //!   *without waiting for the next failing commit* — the PR 10 regression;
+//! * every commit the apply journal rewinds — a failed apply, a sharded
+//!   abort, a failed WAL append — counts exactly one rollback;
 //! * the text exposition must be deterministic (golden rendering).
 
 mod common;
@@ -308,6 +310,65 @@ fn degraded_transition_is_journaled_immediately() {
     let m = telemetry.snapshot().expect("registry armed");
     assert_eq!(m.degraded_transitions, 1, "the flip is recorded once, not per refusal");
 
+    drop(durable);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The duplicate-`insA` shape of `journal_rollback`'s mid-failing PUL: the
+/// rename and the value replacement apply, then the second `year` attribute
+/// fails the apply mid-way and the insertion after it never runs. Under two
+/// shards the first paper's shard has applied when the second paper's fails.
+fn mid_failing_ops(doc: &Document) -> Vec<UpdateOp> {
+    let papers = doc.find_elements("paper");
+    let title = doc.find_elements("title")[0];
+    let text = doc.children(title).unwrap()[0];
+    vec![
+        UpdateOp::rename(title, "heading"),
+        UpdateOp::replace_value(text, "changed"),
+        UpdateOp::ins_attributes(
+            papers[1],
+            vec![Tree::attribute("year", "2004"), Tree::attribute("year", "2005")],
+        ),
+        UpdateOp::ins_last(papers[0], vec![Tree::element_with_text("note", "never")]),
+    ]
+}
+
+/// Every commit the apply journal rewinds counts one rollback: a mid-apply
+/// failure on both backends, and a failed WAL append (not counted twice).
+#[test]
+fn every_rewound_commit_counts_one_rollback() {
+    const DOC: &str = "<issue><paper><title>T</title></paper><paper/></issue>";
+    let rollbacks = |telemetry: &Telemetry| {
+        let m = telemetry.snapshot().expect("registry armed");
+        (m.rollbacks, m.commits)
+    };
+
+    let mut single = Executor::parse(DOC).unwrap();
+    single.set_telemetry(Telemetry::enabled());
+    let pul = single.pul_from_ops(mid_failing_ops(single.document()));
+    single.submit(pul);
+    assert_eq!(single.commit().unwrap_err().code(), "XPUL-P03");
+    assert_eq!(rollbacks(single.telemetry()), (1, 0), "executor mid-apply failure");
+
+    let mut sharded = ShardedExecutor::parse(DOC, 2).unwrap();
+    sharded.set_telemetry(Telemetry::enabled());
+    let pul = sharded.pul_from_ops(mid_failing_ops(&sharded.document()));
+    sharded.submit(pul);
+    assert_eq!(sharded.commit().unwrap_err().code(), "XPUL-P03");
+    assert_eq!(rollbacks(sharded.telemetry()), (1, 0), "sharded two-phase abort");
+
+    let dir = tmp_dir("rollbacks");
+    let mut durable =
+        Durable::create(&dir, Executor::parse(DOC).unwrap(), DurableOptions::default()).unwrap();
+    durable.set_telemetry(Telemetry::enabled());
+    durable.inject_faults(
+        FaultPlan::new(1).fail(site::WAL_APPEND, Trigger::Nth(1), FaultKind::Permanent).arm(),
+    );
+    let title = durable.document().find_elements("title")[0];
+    let pul = durable.pul_from_ops(vec![UpdateOp::rename(title, "heading")]);
+    durable.submit(pul);
+    assert_eq!(durable.commit().unwrap_err().code(), "XPUL-E07");
+    assert_eq!(rollbacks(durable.telemetry()), (1, 0), "failed WAL append");
     drop(durable);
     let _ = std::fs::remove_dir_all(&dir);
 }
