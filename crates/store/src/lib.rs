@@ -15,17 +15,19 @@
 //! the session layer (binary PULs and labeled node streams, see `pul::codec`
 //! and `xlabel::codec`).
 //!
-//! Writing a checkpoint rotates the WAL to a fresh segment, so the live tail
-//! that recovery must replay is always `records with version > checkpoint
-//! version`. Older segments and checkpoints are kept, which is what makes
-//! `read_at(version)` time travel possible.
+//! Writing a checkpoint rotates the WAL to a fresh segment, created *before*
+//! the image is renamed in, so the live tail that recovery must replay is
+//! always `records with version > checkpoint version`. Older segments and
+//! checkpoints are kept, which is what makes `read_at(version)` time travel
+//! possible.
 //!
 //! Recovery ([`Store::open`]) reads the *current* (highest) segment,
-//! physically truncates its torn or corrupt tail (earlier segments are sealed
-//! by the checkpoint that rotated them), and leaves the store ready to
-//! append. A current segment whose last record lies below the last
-//! checkpoint cannot be the live tail — a copy of an older sealed segment
-//! put in its place — and is refused.
+//! physically truncates its torn tail (earlier segments are sealed by the
+//! checkpoint that rotated them), and leaves the store ready to append. It
+//! refuses what no crash leaves: damage with a valid frame of a later
+//! version behind it (acknowledged commits, not one incomplete write), and a
+//! current segment ending at or below the last checkpoint — the live segment
+//! deleted, or an older sealed one copied in its place.
 //!
 //! Every fallible operation returns a [`StoreError`] carrying the underlying
 //! [`std::io::ErrorKind`] plus the WAL position involved, and consults the
@@ -164,11 +166,10 @@ impl Store {
         })
     }
 
-    /// Opens an existing store, truncating any torn or corrupt tail of the
-    /// current (highest-numbered) segment. Refuses (`InvalidData`) a current
-    /// segment whose last record lies below the last checkpoint: a live tail
-    /// is empty, or ends at or above it — a crash between the checkpoint
-    /// rename and the WAL rotation leaves the checkpoint's own record last.
+    /// Opens an existing store, truncating any torn tail of the current
+    /// (highest-numbered) segment. Refuses (`InvalidData`), changing no file,
+    /// damage with a later valid frame behind it ([`wal::later_frame`]) and a
+    /// current segment ending at or below the last checkpoint.
     pub fn open(dir: impl AsRef<Path>, opts: StoreOptions) -> StoreResult<Store> {
         let op = "store.open";
         let dir = dir.as_ref().to_path_buf();
@@ -197,22 +198,27 @@ impl Store {
         let bytes = fs::read(&path).map_err(|e| StoreError::io(op, &e).at(segment, 0))?;
         let scan = wal::scan(&bytes);
         let last_appended = scan.records.last().map(|r| r.version);
+        let refuse = |msg: String| {
+            Err(StoreError::new(op, io::ErrorKind::InvalidData, msg).at(segment, scan.valid_len))
+        };
+        if let Some(later) = wal::later_frame(&bytes, &scan) {
+            return refuse(format!(
+                "live segment {} is damaged at byte {} with v{later} intact after it",
+                segment_name(segment),
+                scan.valid_len
+            ));
+        }
         if let (Some(last), Some(&ckpt)) = (last_appended, checkpoints.last()) {
-            if last < ckpt {
-                return Err(StoreError::new(
-                    op,
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "live segment {} ends at v{last}, below the v{ckpt} checkpoint",
-                        segment_name(segment)
-                    ),
-                )
-                .at(segment, 0));
+            if last <= ckpt {
+                return refuse(format!(
+                    "live segment {} ends at v{last}, not above the v{ckpt} checkpoint",
+                    segment_name(segment)
+                ));
             }
         }
         if scan.valid_len < bytes.len() as u64 {
-            // Torn or corrupt tail from a crash mid-append: cut it off so the
-            // next append starts on a clean frame boundary.
+            // Torn tail from a crash mid-append: cut it off so the next
+            // append starts on a clean frame boundary.
             let cut = |e: &io::Error| StoreError::io(op, e).at(segment, scan.valid_len);
             let f = OpenOptions::new().write(true).open(&path).map_err(|e| cut(&e))?;
             f.set_len(scan.valid_len).map_err(|e| cut(&e))?;
@@ -373,14 +379,15 @@ impl Store {
         self.telemetry.event(EventKind::FaultHit, version, || format!("{at}: injected {kind:?}"));
     }
 
-    /// Writes a checkpoint image durably (tmp + fsync + rename + dir fsync)
-    /// and rotates the WAL to a fresh segment. Sealed segments and older
-    /// checkpoints are kept: they serve point-in-time reads.
+    /// Writes a checkpoint image durably and rotates the WAL: tmp + fsync,
+    /// next segment created, rename, one directory fsync for both entries —
+    /// so a failed rotation fails the checkpoint before its rename. Sealed
+    /// segments and older checkpoints are kept: they serve point-in-time reads.
     ///
     /// The operation is retry-idempotent: in-memory state only changes after
     /// every I/O step has succeeded, the temporary is recreated from scratch
     /// on each attempt, and a segment left behind by a previous failed
-    /// rotation is reused empty.
+    /// attempt is reused empty.
     pub fn write_checkpoint(&mut self, state: &CheckpointState) -> StoreResult<()> {
         if let Some(kind) = self.faults.check(site::CKPT_WRITE) {
             self.note_fault(site::CKPT_WRITE, kind, state.version);
@@ -403,22 +410,7 @@ impl Store {
                 .sync_data()
                 .map_err(|e| StoreError::io(site::WAL_ROTATE, &e).at(self.segment, self.wal_len))?;
         }
-        if let Some(kind) = self.faults.check(site::CKPT_RENAME) {
-            self.note_fault(site::CKPT_RENAME, kind, state.version);
-            return Err(StoreError::injected(site::CKPT_RENAME, kind));
-        }
-        let final_path = self.dir.join(checkpoint_name(state.version));
-        fs::rename(&tmp, &final_path).map_err(|e| StoreError::io(site::CKPT_RENAME, &e))?;
-        // Make the rename itself durable before truncating any WAL data that
-        // the checkpoint supersedes.
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
-        if let Some(t0) = ckpt_started {
-            self.telemetry.observe_since(|m| &m.checkpoint_ns, t0);
-        }
-
-        // Seal the current segment and rotate to a fresh one.
+        // The segment that follows the checkpoint exists before it does.
         if let Some(kind) = self.faults.check(site::WAL_ROTATE) {
             self.note_fault(site::WAL_ROTATE, kind, state.version);
             return Err(StoreError::injected(site::WAL_ROTATE, kind).at(self.segment, self.wal_len));
@@ -431,8 +423,8 @@ impl Store {
             match OpenOptions::new().create_new(true).append(true).read(true).open(&next_path) {
                 Ok(f) => f,
                 Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                    // A previous rotation attempt created the segment but
-                    // failed before the store switched to it: reuse it empty.
+                    // A previous attempt created the segment but failed
+                    // before the store switched to it: reuse it empty.
                     let f = OpenOptions::new()
                         .append(true)
                         .read(true)
@@ -443,21 +435,34 @@ impl Store {
                 }
                 Err(e) => return Err(rerr(&e)),
             };
+        if let Some(t0) = rotate_started {
+            self.telemetry.observe_since(|m| &m.wal_rotate_ns, t0);
+        }
+
+        if let Some(kind) = self.faults.check(site::CKPT_RENAME) {
+            self.note_fault(site::CKPT_RENAME, kind, state.version);
+            return Err(StoreError::injected(site::CKPT_RENAME, kind));
+        }
+        let final_path = self.dir.join(checkpoint_name(state.version));
+        fs::rename(&tmp, &final_path).map_err(|e| StoreError::io(site::CKPT_RENAME, &e))?;
+        // Make the new segment and the rename durable before appending to the
+        // segment: the records it receives depend on both.
+        if let Ok(d) = File::open(&self.dir) {
+            let _ = d.sync_all();
+        }
+        if let Some(t0) = ckpt_started {
+            self.telemetry.observe_since(|m| &m.checkpoint_ns, t0);
+        }
 
         // Every I/O step succeeded: commit the new state.
         self.wal_file = wal_file;
         self.segment = next;
         self.segments.push(next);
-        self.segments.sort_unstable();
-        self.segments.dedup();
         self.wal_len = 0;
         self.last_appended = None;
         self.poisoned = false;
-        self.checkpoints.push(state.version);
-        self.checkpoints.sort_unstable();
-        self.checkpoints.dedup();
-        if let Some(t0) = rotate_started {
-            self.telemetry.observe_since(|m| &m.wal_rotate_ns, t0);
+        if self.checkpoints.last() != Some(&state.version) {
+            self.checkpoints.push(state.version); // the current version: never below the last
         }
         let segment = self.segment;
         self.telemetry.event(EventKind::Checkpoint, state.version, || {
@@ -745,16 +750,21 @@ mod tests {
                 .fail(site::WAL_ROTATE, Trigger::Nth(1), FaultKind::Transient)
                 .arm(),
         );
-        // First attempt dies before the rename: no checkpoint, WAL intact.
-        let err = store.write_checkpoint(&shardless(1)).unwrap_err();
-        assert_eq!(err.op, site::CKPT_RENAME);
-        assert_eq!(store.last_checkpoint(), None);
-        assert_eq!(store.last_version(), Some(1));
-        // Second attempt dies at rotation, after the image was renamed in.
+        // First attempt dies at rotation, before the next segment exists.
         let err = store.write_checkpoint(&shardless(1)).unwrap_err();
         assert_eq!(err.op, site::WAL_ROTATE);
-        assert_eq!(store.last_checkpoint(), None, "state not updated until rotation succeeds");
-        // Third attempt succeeds end to end and the store is coherent.
+        assert!(!dir.join(segment_name(1)).exists());
+        assert_eq!(store.last_checkpoint(), None);
+        assert_eq!(store.last_version(), Some(1));
+        // Second attempt dies at the rename, after the segment was created:
+        // no checkpoint on disk, and the store still appends to segment 0.
+        let err = store.write_checkpoint(&shardless(1)).unwrap_err();
+        assert_eq!(err.op, site::CKPT_RENAME);
+        assert!(dir.join(segment_name(1)).exists());
+        assert!(!dir.join(checkpoint_name(1)).exists());
+        assert_eq!(store.last_checkpoint(), None, "state not updated until the rename succeeds");
+        assert_eq!(store.last_version(), Some(1));
+        // Third attempt reuses the segment and the store is coherent.
         store.write_checkpoint(&shardless(1)).unwrap();
         assert_eq!(store.last_checkpoint(), Some(1));
         assert_eq!(store.wal_bytes(), 0);

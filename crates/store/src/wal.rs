@@ -4,7 +4,8 @@
 //! self-delimiting and self-validating, so a scan can walk a segment from the
 //! start and stop at the first record that is torn (the file ends inside it)
 //! or corrupt (checksum or magic mismatch) — everything before that point is
-//! durable, everything after is discarded.
+//! durable. What follows is a torn tail and is discarded, unless a valid
+//! frame of a later version lies past the damage ([`later_frame`]).
 //!
 //! ```text
 //!  offset  size  field
@@ -61,36 +62,45 @@ pub struct ScanOutcome {
     pub valid_len: u64,
 }
 
+/// The frame opening `rest`, as its version and payload, if it is complete
+/// and its checksum holds.
+fn frame(rest: &[u8]) -> Option<(u64, &[u8])> {
+    if rest.len() < RECORD_HEADER_LEN || rest[..4] != RECORD_MAGIC {
+        return None; // torn header (or clean end of segment), or bad magic
+    }
+    let len = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes")) as usize;
+    if len > MAX_PAYLOAD_LEN || rest.len() < RECORD_HEADER_LEN + len {
+        return None; // implausible length or torn payload
+    }
+    let version_bytes: [u8; 8] = rest[8..16].try_into().expect("8 bytes");
+    let stored_crc = u32::from_le_bytes(rest[16..20].try_into().expect("4 bytes"));
+    let payload = &rest[RECORD_HEADER_LEN..RECORD_HEADER_LEN + len];
+    (crc32_parts(&[&version_bytes, payload]) == stored_crc)
+        .then(|| (u64::from_le_bytes(version_bytes), payload))
+}
+
 /// Walks `bytes` record by record, stopping at the first torn or corrupt
 /// frame. Never fails: corruption just ends the valid prefix.
 pub fn scan(bytes: &[u8]) -> ScanOutcome {
     let mut records = Vec::new();
     let mut at = 0usize;
-    loop {
-        let rest = &bytes[at..];
-        if rest.len() < RECORD_HEADER_LEN {
-            break; // torn header (or clean end of segment)
-        }
-        if rest[..4] != RECORD_MAGIC {
-            break;
-        }
-        let len = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes")) as usize;
-        if len > MAX_PAYLOAD_LEN || rest.len() < RECORD_HEADER_LEN + len {
-            break; // implausible length or torn payload
-        }
-        let version_bytes: [u8; 8] = rest[8..16].try_into().expect("8 bytes");
-        let stored_crc = u32::from_le_bytes(rest[16..20].try_into().expect("4 bytes"));
-        let payload = &rest[RECORD_HEADER_LEN..RECORD_HEADER_LEN + len];
-        if crc32_parts(&[&version_bytes, payload]) != stored_crc {
-            break; // corrupt tail
-        }
-        records.push(WalRecord {
-            version: u64::from_le_bytes(version_bytes),
-            payload: payload.to_vec(),
-        });
-        at += RECORD_HEADER_LEN + len;
+    while let Some((version, payload)) = frame(&bytes[at..]) {
+        records.push(WalRecord { version, payload: payload.to_vec() });
+        at += RECORD_HEADER_LEN + payload.len();
     }
     ScanOutcome { records, valid_len: at as u64 }
+}
+
+/// The version of the first valid frame past the point where `scan` stopped
+/// whose version is above the scan's last record (any version, if it kept
+/// none). `None` means the bytes past the valid prefix are a torn tail; a
+/// frame found there means acknowledged commits lie behind the damage.
+pub fn later_frame(bytes: &[u8], scan: &ScanOutcome) -> Option<u64> {
+    let last = scan.records.last().map(|r| r.version);
+    (scan.valid_len as usize + 1..bytes.len())
+        .filter_map(|at| frame(&bytes[at..]))
+        .map(|(version, _)| version)
+        .find(|&version| last.is_none_or(|l| version > l))
 }
 
 #[cfg(test)]
@@ -137,7 +147,23 @@ mod tests {
             let expect = boundaries.iter().filter(|&&b| b <= cut && b > 0).count();
             assert_eq!(scan.records.len(), expect, "cut at {cut}");
             assert_eq!(scan.valid_len as usize, boundaries[expect], "cut at {cut}");
+            assert_eq!(later_frame(&bytes[..cut], &scan), None, "a torn tail, cut at {cut}");
         }
+    }
+
+    #[test]
+    fn a_byte_flipped_mid_segment_leaves_a_later_frame() {
+        let mut bytes = segment(&[(1, b"aaaa"), (2, b"bbbb"), (3, b"cccc")]);
+        bytes[2 * RECORD_HEADER_LEN + 4 + 1] ^= 0x40; // inside v2's payload
+        let kept = scan(&bytes);
+        assert_eq!(kept.records.len(), 1);
+        assert_eq!(later_frame(&bytes, &kept), Some(3));
+        // Damage in the first frame: any valid frame after it counts.
+        let mut bytes = segment(&[(1, b"aaaa"), (2, b"bbbb")]);
+        bytes[RECORD_HEADER_LEN] ^= 0x40;
+        let kept = scan(&bytes);
+        assert!(kept.records.is_empty());
+        assert_eq!(later_frame(&bytes, &kept), Some(2));
     }
 
     #[test]

@@ -336,8 +336,8 @@ registry! {
     counters {
         commits: "Commits published (any surface, merged ingest rounds count once).",
         rollbacks: "Commits rewound by the apply journal: a failed apply, shard abort or WAL append.",
-        snapshot_hits: "MVCC snapshot cache probes served from the cache.",
-        snapshot_misses: "MVCC snapshot cache probes that had to freeze or replay.",
+        snapshot_hits: "MVCC snapshot re-pins of the live version: the session's held snapshot.",
+        snapshot_misses: "MVCC snapshot freezes of the live version (O(document) each).",
         rounds_coalesced: "Ingest batches of two or more submissions, committed as one aggregate.",
         rounds_serialized: "Ingest batches of a single submission.",
         tickets_committed: "Ingest tickets completed with a committed version.",

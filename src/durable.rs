@@ -16,14 +16,16 @@
 //!   one pass with the tree-shaped label fields derived from tree position;
 //! - **recovery** ([`Durable::open`]) loads the last checkpoint, replays the
 //!   WAL tail through the very same journaled apply path as the live commits,
-//!   and discards any torn or corrupt tail record. Every later failure — an
-//!   image or payload that does not decode, a retired format, a record that
-//!   does not apply — is store corruption (`XPUL-E07`) naming the checkpoint
-//!   or record version;
+//!   and discards a torn tail record. Damage with an intact later record
+//!   behind it, a missing live segment and every later failure — an image or
+//!   payload that does not decode, a retired format, a record that does not
+//!   apply — are store corruption (`XPUL-E07`) naming the segment,
+//!   checkpoint or record version;
 //! - **[`read_at`](Durable::read_at)** pins any retained version into an
 //!   immutable [`Snapshot`](crate::Snapshot) by replaying deltas forward from
-//!   the nearest checkpoint at or below it — memoized in the session's one
-//!   snapshot cache, so repeated reads of a version replay once;
+//!   the nearest checkpoint at or below it. The current version is the live
+//!   session's own snapshot; a historical one is replayed on every call and
+//!   kept by nothing but the caller's handle;
 //!   [`restore_at`](Durable::restore_at) materialises a full mutable session
 //!   instead;
 //! - **transient store failures** retry under one fixed budget: 4 retries,
@@ -708,10 +710,10 @@ impl<B: DurableBackend> Durable<B> {
     }
 
     /// Recovers a session from `dir`: loads the last checkpoint, replays the
-    /// WAL tail through the journaled apply path (any torn or corrupt tail
-    /// record was already discarded by the store scan), and moves the store
-    /// into the session. The recovered state is bit-identical to the last
-    /// durable version's.
+    /// WAL tail through the journaled apply path (the store scan already
+    /// discarded any torn tail record, or refused damage with later records
+    /// behind it), and moves the store into the session. The recovered state
+    /// is bit-identical to the last durable version's.
     pub fn open(dir: impl AsRef<Path>, opts: DurableOptions) -> Result<Durable<B>> {
         let store = Store::open(dir, opts.store_options())?;
         let base =
@@ -747,7 +749,7 @@ impl<B: DurableBackend> Durable<B> {
 
     /// Installs one telemetry handle across the whole durable stack: the
     /// store (WAL/checkpoint timings) and the session (commit spans, snapshot
-    /// cache probes, retry counters, degraded transitions). Pass
+    /// re-pins and freezes, retry counters, degraded transitions). Pass
     /// [`Telemetry::enabled`] to arm; clones of the same handle observe into
     /// the same registry.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
@@ -913,22 +915,16 @@ impl<B: DurableBackend> Durable<B> {
 
     /// Pins `version` into an immutable [`Snapshot`] (a point-in-time read).
     /// The current version is pinned straight from the live backend without
-    /// touching the store at all. The first read of a historical version
-    /// restores the nearest checkpoint and replays deltas forward —
-    /// O(history). Both are memoized in the session's snapshot cache, so
-    /// repeated reads of a version are reference-count bumps. Fails with
-    /// `XPUL-E07` for never-durable versions.
+    /// touching the store at all, as its `snapshot()` would: repeated reads
+    /// are reference-count bumps. A historical version restores the nearest
+    /// checkpoint and replays deltas forward — O(history) on every call; the
+    /// session keeps nothing of it, so dropping the handle frees it. Fails
+    /// with `XPUL-E07` for never-durable versions.
     pub fn read_at(&self, version: u64) -> Result<Snapshot> {
         if version == self.backend.current_version() {
             return Ok(self.backend.snapshot_view());
         }
-        let front = self.backend.front();
-        if let Some(hit) = front.cached(version) {
-            return Ok(hit);
-        }
-        let snapshot = self.restore_at(version)?.snapshot_view();
-        front.snapshots.insert(snapshot.clone());
-        Ok(snapshot)
+        Ok(self.restore_at(version)?.snapshot_view())
     }
 
     /// Materialises the session as it was at `version` (a mutable
@@ -936,7 +932,7 @@ impl<B: DurableBackend> Durable<B> {
     /// or below it and replays deltas forward. The returned session is a
     /// plain backend with no sink — committing to it never touches this
     /// store. Fails with `XPUL-E07` for never-durable versions. For
-    /// read-only access prefer [`read_at`](Durable::read_at), which memoizes.
+    /// read-only access prefer [`read_at`](Durable::read_at).
     pub fn restore_at(&self, version: u64) -> Result<B> {
         let store = &self.sink().store;
         let base = store.checkpoint_at_or_before(version).ok_or_else(|| {

@@ -236,7 +236,7 @@ impl Executor {
     }
 
     /// Installs the telemetry handle the session records commit/resolve
-    /// spans, snapshot cache probes and lifecycle events through. Pass
+    /// spans, snapshot re-pins and freezes and lifecycle events through. Pass
     /// [`Telemetry::enabled`] to arm; the default handle is disabled and
     /// costs one branch per record call.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
@@ -336,8 +336,9 @@ impl Executor {
     /// cheaply clonable view serving reads, serialization and Table-1
     /// predicate checks while this session commits ahead. The first snapshot
     /// at a version freezes the document and labeling once (O(document));
-    /// repeated calls at an unchanged version are served from the session's
-    /// snapshot cache as reference-count bumps.
+    /// the session holds that one snapshot, so repeated calls at an unchanged
+    /// version are reference-count bumps, and a commit's next freeze releases
+    /// it.
     pub fn snapshot(&self) -> Snapshot {
         self.front.snapshot(self.core.version, || {
             (self.core.doc.to_shared(), Arc::new(self.core.labeling.clone()))

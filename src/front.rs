@@ -7,7 +7,7 @@
 //! pending-submission book, the default policy and reduction strategy, the
 //! compaction epoch that fences stale submissions (`XPUL-E10`), the
 //! freshness check of a resolution, the store a durable session commits to,
-//! the snapshot cache and the telemetry handle. [`Front`] holds that state
+//! the last snapshot it froze and the telemetry handle. [`Front`] holds that state
 //! with one body per verb. The sessions embed it and keep only what really
 //! differs — how they resolve, commit, freeze a snapshot and renumber —
 //! behind [`DurableBackend`], and one blanket implementation turns every
@@ -29,7 +29,7 @@ use crate::durable::{CommitRecord, DurableBackend, SinkSlot};
 use crate::error::{Error, Result};
 use crate::executor::{CompactionReport, ReductionStrategy, SubmissionId};
 use crate::ingest::IngestBackend;
-use crate::snapshot::{Snapshot, SnapshotCache};
+use crate::snapshot::{Snapshot, SnapshotSlot};
 
 /// One producer PUL waiting in a session, with the policy its producer
 /// attached.
@@ -72,12 +72,12 @@ pub struct Front {
     /// sessions never inherit the sink — two sessions appending to one log
     /// would interleave divergent histories.
     pub(crate) sink: SinkSlot,
-    /// The session's one snapshot cache, keyed by version: live snapshots
-    /// and `Durable::read_at` both memoize here. Clones start cold — a
-    /// divergent copy reuses version numbers with different contents.
-    pub(crate) snapshots: SnapshotCache,
-    /// Spans, snapshot cache probes, commit and epoch events. Disabled (one
-    /// branch per probe) unless armed; clones share the registry.
+    /// The last snapshot the session froze: re-pinning the live version is a
+    /// reference-count bump. Clones start empty — a divergent copy reuses
+    /// version numbers with different contents.
+    pub(crate) live: SnapshotSlot,
+    /// Spans, snapshot re-pins and freezes, commit and epoch events. Disabled
+    /// (one branch per probe) unless armed; clones share the registry.
     pub(crate) telemetry: Telemetry,
 }
 
@@ -180,31 +180,22 @@ impl Front {
         }
     }
 
-    /// The cached snapshot of `version`, if any; counts the probe as a hit
-    /// or a miss.
-    pub(crate) fn cached(&self, version: u64) -> Option<Snapshot> {
-        let hit = self.snapshots.get(version);
-        match hit {
-            Some(_) => self.telemetry.count(|m| &m.snapshot_hits),
-            None => self.telemetry.count(|m| &m.snapshot_misses),
-        }
-        hit
-    }
-
     /// Pins the current `version` into a [`Snapshot`]: a reference-count
-    /// bump from the cache, otherwise `freeze` builds the document and
-    /// labeling (O(document)) and the result is memoized.
+    /// bump when the slot holds it, otherwise `freeze` builds the document
+    /// and labeling (O(document)) and the result replaces the slot's.
     pub(crate) fn snapshot(
         &self,
         version: u64,
         freeze: impl FnOnce() -> (SharedDocument, Arc<Labeling>),
     ) -> Snapshot {
-        if let Some(hit) = self.cached(version) {
-            return hit;
+        if let Some(held) = self.live.get(version) {
+            self.telemetry.count(|m| &m.snapshot_hits);
+            return held;
         }
+        self.telemetry.count(|m| &m.snapshot_misses);
         let (doc, labeling) = freeze();
         let snapshot = Snapshot::new(version, self.epoch, doc, labeling);
-        self.snapshots.insert(snapshot.clone());
+        self.live.set(snapshot.clone());
         snapshot
     }
 }

@@ -107,8 +107,9 @@ pub trait IngestBackend: Send + 'static {
     fn commit_pending(&mut self, resolution: Self::Resolution) -> Result<u64>;
 
     /// Pins the backend's current version into an MVCC
-    /// [`Snapshot`](crate::Snapshot) (the backend's own `snapshot()`, memoized
-    /// per version), for the pipeline to publish to readers between batches.
+    /// [`Snapshot`](crate::Snapshot) (the backend's own `snapshot()`, held by
+    /// the session until its next freeze), for the pipeline to publish to
+    /// readers between batches.
     fn snapshot_view(&self) -> crate::Snapshot;
 
     /// Drops a pending submission (after a failed commit, so later batches do

@@ -147,10 +147,10 @@ pub struct ShardedExecutor {
     /// Failpoint handle consulted before each shard applies its sub-PUL
     /// (disabled unless a test injects a plan).
     faults: Faults,
-    /// Pending submissions, policy, strategy, epoch, store sink, snapshot
-    /// cache and telemetry: the session front `Executor` embeds too. Under a
-    /// sink the WAL append is the commit point of the two-phase protocol; the
-    /// snapshot cache spares repeated `document()` / `serialize()` calls
+    /// Pending submissions, policy, strategy, epoch, store sink, last frozen
+    /// snapshot and telemetry: the session front `Executor` embeds too. Under
+    /// a sink the WAL append is the commit point of the two-phase protocol;
+    /// the held snapshot spares repeated `document()` / `serialize()` calls
     /// between commits the re-grafting of the whole tree.
     pub(crate) front: Front,
 }
@@ -301,8 +301,8 @@ impl ShardedExecutor {
         self.faults = faults;
     }
 
-    /// Installs a telemetry handle: commit timings, snapshot cache
-    /// probes, and structured events are recorded into its registry. Pass
+    /// Installs a telemetry handle: commit timings, snapshot re-pins and
+    /// freezes, and structured events are recorded into its registry. Pass
     /// [`Telemetry::disabled`] to turn instrumentation back off.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.front.telemetry = telemetry;
@@ -407,7 +407,7 @@ impl ShardedExecutor {
     /// Identifiers are preserved, and the fresh-identifier counter is the
     /// maximum across shards, so the result is exactly the document a single
     /// executor would hold. O(document) — the compaction rebuild and the
-    /// snapshot freeze call this; everything else reads through the memoized
+    /// snapshot freeze call this; everything else reads through the held
     /// [`snapshot`](ShardedExecutor::snapshot).
     fn reassemble(&self) -> Document {
         let next = self.shards.iter().map(|s| s.core.document().next_id()).max().unwrap_or(1);
@@ -456,10 +456,10 @@ impl ShardedExecutor {
 
     /// Pins the current version into an immutable MVCC [`Snapshot`] of the
     /// reassembled authoritative document (plus its global labeling). The
-    /// first call at a version pays the O(document) reassembly; repeated
-    /// calls at an unchanged version are served from the snapshot cache as
-    /// reference-count bumps, and readers holding clones are never
-    /// blocked by — and never block — later commits.
+    /// first call at a version pays the O(document) reassembly and the
+    /// session holds the result; repeated calls at an unchanged version are
+    /// reference-count bumps, and readers holding clones are never blocked
+    /// by — and never block — later commits.
     pub fn snapshot(&self) -> Snapshot {
         self.front.snapshot(self.version, || {
             let doc = self.reassemble();
@@ -469,7 +469,7 @@ impl ShardedExecutor {
     }
 
     /// The reassembled authoritative document, as a shared immutable handle.
-    /// Served through the version-keyed snapshot cache: repeated
+    /// Served through [`snapshot`](ShardedExecutor::snapshot): repeated
     /// calls between commits do no O(document) work.
     pub fn document(&self) -> SharedDocument {
         self.snapshot().shared_document()

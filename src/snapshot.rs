@@ -10,18 +10,22 @@
 //!
 //! Snapshots are produced by `Executor::snapshot`,
 //! `ShardedExecutor::snapshot` and (for historical versions)
-//! `Durable::read_at`, all memoized in the session's one [`SnapshotCache`],
-//! keyed by version: the *first* read at a version pays the O(document)
-//! freeze (or WAL replay), every later read at the same version is a
+//! `Durable::read_at`. A session holds one of them, the last it froze, in
+//! its [`SnapshotSlot`]: the *first* pin of the live version pays the
+//! O(document) freeze, every later pin at the same version is a
 //! reference-count bump. The version alone is a sound key because it names
 //! exactly one state for the life of the store: commits and compactions both
-//! advance it, and a committed version is never undone.
+//! advance it, and a committed version is never undone. A historical
+//! `read_at` replays into a snapshot the caller alone holds; the session
+//! keeps nothing of it.
 //!
 //! What pins memory: a snapshot keeps its whole document arena and labeling
 //! alive until the last clone is dropped — including across compaction epoch
 //! bumps of the live session (the snapshot still shows the pre-compaction
 //! identifiers it pinned). Long-held snapshots of large documents are the
-//! price of never blocking readers; drop them to release the arena.
+//! price of never blocking readers; drop them to release the arena. The
+//! session's own slot holds one version more: the last it froze, until the
+//! next freeze replaces it.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -96,45 +100,31 @@ impl Snapshot {
     }
 }
 
-/// How many snapshots a cache retains (LRU): the current version plus a few
-/// recently read historical ones.
-const SNAPSHOT_CACHE_CAP: usize = 8;
-
-/// A small version-keyed LRU of [`Snapshot`]s with interior mutability, so
-/// `&self` read paths can memoize. **Cloning a session empties the cache**
-/// (same rationale as the sink slot: a clone diverges).
+/// The last [`Snapshot`] a session froze, with interior mutability so that
+/// `&self` read paths can fill it. A later freeze replaces it, so a
+/// superseded version lives only as long as its readers hold it. **Cloning a
+/// session empties the slot** (same rationale as the sink slot: a clone
+/// diverges, reusing version numbers with different contents).
 #[derive(Debug, Default)]
-pub(crate) struct SnapshotCache {
-    inner: Mutex<Vec<Snapshot>>,
-}
+pub(crate) struct SnapshotSlot(Mutex<Option<Snapshot>>);
 
-impl SnapshotCache {
-    /// The cached snapshot of `version`, refreshed to most-recently-used.
+impl SnapshotSlot {
+    /// The held snapshot, if it pinned `version`.
     pub(crate) fn get(&self, version: u64) -> Option<Snapshot> {
-        let mut slots = self.inner.lock().expect("snapshot cache mutex poisoned");
-        let at = slots.iter().position(|s| s.version == version)?;
-        let hit = slots.remove(at);
-        slots.push(hit.clone());
-        Some(hit)
+        let held = self.0.lock().expect("snapshot slot mutex poisoned");
+        held.as_ref().filter(|s| s.version == version).cloned()
     }
 
-    /// Memoizes a snapshot, evicting the least recently used beyond the cap.
-    pub(crate) fn insert(&self, snapshot: Snapshot) {
-        let mut slots = self.inner.lock().expect("snapshot cache mutex poisoned");
-        slots.retain(|s| s.version != snapshot.version);
-        slots.push(snapshot);
-        if slots.len() > SNAPSHOT_CACHE_CAP {
-            slots.remove(0);
-        }
+    /// Holds `snapshot`, releasing the previous one once the lock is free
+    /// (dropping the last handle of a version frees a whole arena).
+    pub(crate) fn set(&self, snapshot: Snapshot) {
+        let _previous = self.0.lock().expect("snapshot slot mutex poisoned").replace(snapshot);
     }
 }
 
-/// A cloned session must not serve the original's cached snapshots once the
-/// two histories diverge (same version numbers, different contents), so the
-/// clone starts cold.
-impl Clone for SnapshotCache {
+impl Clone for SnapshotSlot {
     fn clone(&self) -> Self {
-        SnapshotCache::default()
+        SnapshotSlot::default()
     }
 }
 
@@ -150,24 +140,23 @@ mod tests {
 
     #[test]
     fn cache_hits_are_keyed_by_version() {
-        let cache = SnapshotCache::default();
-        cache.insert(snap(3, 0));
-        assert!(cache.get(3).is_some());
-        assert!(cache.get(2).is_none());
+        let slot = SnapshotSlot::default();
+        assert!(slot.get(0).is_none());
+        slot.set(snap(3, 0));
+        assert_eq!(slot.get(3).map(|s| s.version()), Some(3));
+        assert!(slot.get(2).is_none() && slot.get(4).is_none());
     }
 
+    /// The slot is the cache bounded to one entry: a freeze replaces the
+    /// held version, and a cloned session starts empty.
     #[test]
     fn cache_is_bounded_lru() {
-        let cache = SnapshotCache::default();
-        for v in 0..20 {
-            cache.insert(snap(v, 0));
-        }
-        cache.get(12).expect("recent entries are retained");
-        cache.insert(snap(99, 0)); // evicts the oldest untouched entry
-        assert!(cache.get(12).is_some(), "the refreshed entry survived");
-        assert!(cache.get(0).is_none(), "old entries evicted");
-        let cloned = cache.clone();
-        assert!(cloned.get(12).is_none(), "clones start cold");
+        let slot = SnapshotSlot::default();
+        slot.set(snap(3, 0));
+        slot.set(snap(4, 0));
+        assert!(slot.get(3).is_none(), "a freeze replaces the held version");
+        assert!(slot.get(4).is_some());
+        assert!(slot.clone().get(4).is_none(), "clones start empty");
     }
 
     #[test]

@@ -574,6 +574,19 @@ fn store_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Commits one `<eV>` entry per version `v` in `versions`.
+fn commit_entries(durable: &mut Durable<Executor>, versions: std::ops::RangeInclusive<u64>) {
+    for v in versions {
+        let root = durable.document().root().unwrap();
+        let pul = durable.pul_from_ops(vec![UpdateOp::ins_last(
+            root,
+            vec![Tree::element_with_text(format!("e{v}"), "entry")],
+        )]);
+        durable.submit(pul);
+        assert_eq!(durable.commit().unwrap().version, v);
+    }
+}
+
 /// Ten commits into a store at `dir`, checkpointed after v4 and v8. Segment 0
 /// was sealed empty by the base checkpoint, sealed segment 1 holds v1..v4,
 /// sealed segment 2 holds v5..v8, and the live segment 3 holds v9 and v10.
@@ -583,13 +596,7 @@ fn segmented_store(dir: &Path) -> Vec<String> {
     let mut durable = Durable::create(dir, session, DurableOptions::default()).unwrap();
     let mut history = vec![durable.serialize()];
     for v in 1..=10u64 {
-        let root = durable.document().root().unwrap();
-        let pul = durable.pul_from_ops(vec![UpdateOp::ins_last(
-            root,
-            vec![Tree::element_with_text(format!("e{v}"), "entry")],
-        )]);
-        durable.submit(pul);
-        durable.commit().unwrap();
+        commit_entries(&mut durable, v..=v);
         history.push(durable.serialize());
         if v % 4 == 0 {
             durable.checkpoint().unwrap();
@@ -661,23 +668,58 @@ fn a_live_segment_overwritten_by_an_older_one_fails_to_open_with_e07() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A checkpoint whose WAL rotation failed leaves the live segment ending at
-/// the checkpoint's own record — the legitimate case the refusal above must
-/// not catch: a reopen lands on the checkpoint's version.
+/// The live segment deleted: sealed segment 2 ends at v8, exactly at the
+/// last checkpoint. The segment after a checkpoint is created before the
+/// checkpoint is renamed in, so no crash leaves this state; recovery must
+/// refuse it with `XPUL-E07` rather than open at v8 and silently lose v9 and
+/// v10.
+#[test]
+fn a_deleted_live_segment_fails_to_open_with_e07() {
+    let dir = store_dir("deleted_segment");
+    segmented_store(&dir);
+    std::fs::remove_file(dir.join("wal-000003.log")).unwrap();
+    let err = Durable::<Executor>::open(&dir, DurableOptions::default())
+        .expect_err("a store missing its live segment must not open");
+    assert_eq!(err.code(), "XPUL-E07", "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A byte flipped inside v2's payload in the live segment, with the valid
+/// frames of v3..v5 behind it: that is corruption with acknowledged commits
+/// after it, not a torn tail. Recovery must refuse with `XPUL-E07` and leave
+/// the segment byte for byte as it found it, instead of opening at v1 and
+/// truncating v3..v5 away.
+#[test]
+fn damage_in_the_middle_of_the_live_segment_fails_to_open_with_e07() {
+    let dir = store_dir("live_damage");
+    let session = Executor::parse("<log><head/></log>").unwrap();
+    let mut durable = Durable::create(&dir, session, DurableOptions::default()).unwrap();
+    commit_entries(&mut durable, 1..=5);
+    drop(durable);
+    let segment = dir.join("wal-000001.log");
+    let mut bytes = std::fs::read(&segment).unwrap();
+    let records = pul_store::wal::scan(&bytes).records;
+    assert_eq!(records.iter().map(|r| r.version).collect::<Vec<_>>(), [1, 2, 3, 4, 5]);
+    let second = RECORD_HEADER_LEN + records[0].payload.len();
+    bytes[second + RECORD_HEADER_LEN + records[1].payload.len() / 2] ^= 0x20;
+    std::fs::write(&segment, &bytes).unwrap();
+
+    let err = Durable::<Executor>::open(&dir, DurableOptions::default())
+        .expect_err("damage with later commits behind it must not open");
+    assert_eq!(err.code(), "XPUL-E07", "{err}");
+    assert_eq!(std::fs::read(&segment).unwrap(), bytes, "a refused open changes no byte");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A checkpoint whose WAL rotation failed fails before its rename: no image
+/// of v3 exists, and a reopen lands on v3 from the base checkpoint by
+/// replaying the live segment.
 #[test]
 fn a_checkpoint_with_a_failed_rotation_reopens_at_its_version() {
     let dir = store_dir("failed_rotation");
     let session = Executor::parse("<log><head/></log>").unwrap();
     let mut durable = Durable::create(&dir, session, DurableOptions::default()).unwrap();
-    for v in 1..=3u64 {
-        let root = durable.document().root().unwrap();
-        let pul = durable.pul_from_ops(vec![UpdateOp::ins_last(
-            root,
-            vec![Tree::element_with_text(format!("e{v}"), "entry")],
-        )]);
-        durable.submit(pul);
-        durable.commit().unwrap();
-    }
+    commit_entries(&mut durable, 1..=3);
     durable.inject_faults(
         FaultPlan::new(1)
             .fail(xmlpul::fault_site::WAL_ROTATE, Trigger::Nth(1), FaultKind::Permanent)
@@ -685,11 +727,11 @@ fn a_checkpoint_with_a_failed_rotation_reopens_at_its_version() {
     );
     let err = durable.checkpoint().expect_err("the rotation fault fails the checkpoint");
     assert_eq!(err.code(), "XPUL-E07", "{err}");
-    assert!(dir.join("ckpt-000000000003.snap").exists(), "the image was renamed in");
+    assert!(!dir.join("ckpt-000000000003.snap").exists(), "the image was never renamed in");
     let expected = durable.serialize();
     drop(durable);
     let reopened: Durable<Executor> = Durable::open(&dir, DurableOptions::default()).unwrap();
-    assert_eq!(reopened.last_checkpoint(), Some(3));
+    assert_eq!(reopened.last_checkpoint(), Some(0));
     assert_eq!(reopened.version(), 3);
     assert_eq!(reopened.serialize(), expected);
     drop(reopened);

@@ -7,9 +7,13 @@
 //!   `(version, serialization)` pair must be reproduced bit-for-bit by
 //!   `Durable::read_at(version)` — which replays the sharded `'S'` WAL
 //!   records, so this doubles as a replay determinism check.
-//! * **O(1) re-reads.** Repeated `snapshot()` / `document()` / `read_at(v)`
-//!   calls at an unchanged version must return the *same* arena
+//! * **O(1) re-reads.** Repeated `snapshot()` / `document()` / current-version
+//!   `read_at` calls at an unchanged version must return the *same* arena
 //!   (`Arc::ptr_eq`), not a fresh reassembly.
+//! * **Superseded versions are released.** A session holds only the last
+//!   snapshot it froze: once no reader holds an older version and the
+//!   session has frozen a newer one, the older arena is freed, and a
+//!   historical `read_at` is kept by nothing but its caller's handle.
 //!
 //! The `#[ignore]`d sweep reruns the stress case over more seeds; run it nightly with
 //! `cargo test --release --test concurrent_snapshots -- --ignored`.
@@ -17,7 +21,7 @@
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use pul::ApplyOptions;
@@ -177,12 +181,12 @@ fn snapshots_survive_a_compaction_epoch_bump() {
 /// per-call reassembly or replay.
 #[test]
 fn repeated_reads_at_an_unchanged_version_share_one_arena() {
-    // Single executor: snapshot() memoizes per version.
+    // Single executor: the session holds the snapshot it froze.
     let mut exec = Executor::parse("<r><a/><b/></r>").unwrap();
     let first = exec.snapshot();
     assert!(
         Arc::ptr_eq(&first.shared_document(), &exec.snapshot().shared_document()),
-        "executor snapshot must be served from the cache"
+        "executor snapshot must be served from the held snapshot"
     );
     let a = exec.document().find_element("a").unwrap();
     let pul = exec.pul_from_ops(vec![UpdateOp::rename(a, "c")]);
@@ -191,11 +195,11 @@ fn repeated_reads_at_an_unchanged_version_share_one_arena() {
     let second = exec.snapshot();
     assert!(
         !Arc::ptr_eq(&first.shared_document(), &second.shared_document()),
-        "a commit must invalidate the cached snapshot"
+        "a commit must make the next snapshot a fresh freeze"
     );
     assert_eq!(first.serialize(), "<r><a/><b/></r>", "the old pin still reads its version");
 
-    // Sharded executor: document() itself rides the snapshot cache, so the
+    // Sharded executor: document() itself rides the held snapshot, so the
     // second call does no grafting.
     let mut shards = ShardedExecutor::parse("<r><a/><b/><c/></r>", 2).unwrap();
     let d1 = shards.document();
@@ -206,7 +210,8 @@ fn repeated_reads_at_an_unchanged_version_share_one_arena() {
     shards.commit().expect("rename commits");
     assert!(!Arc::ptr_eq(&d1, &shards.document()), "a commit must rebuild the shared document");
 
-    // Durable read_at: historical snapshots are cached per version.
+    // Durable read_at: the current version is the live session's held
+    // snapshot; a historical version is replayed afresh on every read.
     let root = tmp_root("memo");
     let mut durable =
         Durable::create(&root, Executor::parse("<r><a/></r>").unwrap(), opts()).unwrap();
@@ -215,17 +220,53 @@ fn repeated_reads_at_an_unchanged_version_share_one_arena() {
     durable.submit(pul);
     durable.commit().expect("rename commits");
     let v0 = durable.read_at(0).unwrap();
-    assert!(
-        Arc::ptr_eq(&v0.shared_document(), &durable.read_at(0).unwrap().shared_document()),
-        "historical read_at must be served from the cache"
-    );
+    assert_eq!(v0.serialize(), durable.read_at(0).unwrap().serialize());
     let v1 = durable.read_at(1).unwrap();
     assert!(
         Arc::ptr_eq(&v1.shared_document(), &durable.read_at(1).unwrap().shared_document()),
-        "current-version read_at must be served from the cache"
+        "current-version read_at must be served from the held snapshot"
+    );
+    assert!(
+        Arc::ptr_eq(&v1.shared_document(), &durable.snapshot().shared_document()),
+        "current-version read_at is the live session's own snapshot"
     );
     assert_eq!(v0.serialize(), "<r><a/></r>");
     assert_eq!(v1.serialize(), "<r><b/></r>");
+    fs::remove_dir_all(&root).unwrap();
+}
+
+fn rename(exec: &mut Executor, from: &str, to: &str) {
+    let node = exec.document().find_element(from).unwrap();
+    let pul = exec.pul_from_ops(vec![UpdateOp::rename(node, to)]);
+    exec.submit(pul);
+    exec.commit().expect("rename commits");
+}
+
+/// A session holds only the last snapshot it froze: a version no reader
+/// pins any more is freed once the session freezes a newer one.
+#[test]
+fn a_superseded_version_is_freed_once_unpinned() {
+    let mut exec = Executor::parse("<r><a/></r>").unwrap();
+    let v0: Weak<_> = Arc::downgrade(&exec.snapshot().shared_document());
+    assert!(v0.upgrade().is_some(), "the session holds the version it froze");
+    rename(&mut exec, "a", "b");
+    assert_eq!(exec.snapshot().version(), 1);
+    assert!(v0.upgrade().is_none(), "v0 must be freed once v1 is frozen and v0 unpinned");
+}
+
+/// A historical `read_at` is kept by nothing but its caller's handle.
+#[test]
+fn a_dropped_historical_read_is_freed() {
+    let root = tmp_root("release");
+    let mut durable =
+        Durable::create(&root, Executor::parse("<r><a/></r>").unwrap(), opts()).unwrap();
+    rename(&mut durable, "a", "b");
+    let historical = durable.read_at(0).unwrap();
+    assert_eq!(historical.serialize(), "<r><a/></r>");
+    let v0 = Arc::downgrade(&historical.shared_document());
+    drop(historical);
+    assert!(v0.upgrade().is_none(), "a dropped read_at(0) must be freed");
+    drop(durable);
     fs::remove_dir_all(&root).unwrap();
 }
 
