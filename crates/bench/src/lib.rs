@@ -417,7 +417,7 @@ pub mod alloc_counter {
 /// Workload for the commit-memory suite: a session on an XMark document. The
 /// measured PUL touches a handful of leaf-level nodes (rename, value
 /// replacement, a small subtree insertion, a leaf deletion) so that its
-/// effect — and therefore the journal — has constant size while the document
+/// effect — and therefore the document journal — has constant size while the document
 /// grows 10× between rows.
 pub struct CommitMemoryWorkload {
     /// The session under measurement.
@@ -467,8 +467,9 @@ fn fixed_small_pul(executor: &xmlpul::Executor) -> Pul {
 /// — the dense slabs doubling their capacity — does not land in the
 /// measurement), then the allocation of `commit_resolution` alone (resolution
 /// computed outside the measurement). Returns the window's
-/// [`AllocStats`](alloc_counter::AllocStats) and the number of journal
-/// entries recorded.
+/// [`AllocStats`](alloc_counter::AllocStats) and the number of document
+/// journal entries recorded (the labeling is patched after the commit point
+/// and journals nothing).
 pub fn run_commit_memory(w: &mut CommitMemoryWorkload) -> (alloc_counter::AllocStats, usize) {
     let warm = fixed_small_pul(&w.executor);
     w.executor.submit(warm);
@@ -481,7 +482,7 @@ pub fn run_commit_memory(w: &mut CommitMemoryWorkload) -> (alloc_counter::AllocS
     let resolution = w.executor.resolve().expect("measured PUL resolves");
     let (report, stats) = alloc_counter::measure_peak(|| w.executor.commit_resolution(resolution));
     let report = report.expect("measured PUL commits");
-    (stats, report.apply.journal.total())
+    (stats, report.apply.journal.doc_entries)
 }
 
 fn content_trees_mut(puls: &mut [Pul]) -> impl Iterator<Item = &mut xdm::Tree> {
@@ -587,7 +588,8 @@ mod tests {
         let mut w = setup_commit_memory(2_000, 5);
         let (_peak, journal_entries) = run_commit_memory(&mut w);
         // peak is only meaningful under the counting allocator (registered in
-        // the experiments binary), but the journal must always be exercised
+        // the experiments binary), but the document journal must always be
+        // exercised
         assert!(journal_entries > 0, "the commit must go through the journal");
         assert_eq!(w.executor.version(), 2, "warm-up + measured commit");
         w.executor.assert_consistent();

@@ -1,25 +1,9 @@
 //! Label assignment over documents and incremental labeling of inserted nodes.
 
-use xdm::{Document, IdSlab, JournalMark, NodeId, NodeKind};
+use xdm::{Document, IdSlab, NodeId, NodeKind};
 
 use crate::label::NodeLabel;
 use crate::orderkey::OrderKey;
-
-/// One inverse entry of the labeling journal (mirrors the document journal of
-/// [`xdm::journal`]: while a scope is active every label mutation records how
-/// to undo itself, so a rollback is O(change)).
-#[derive(Debug, Clone)]
-enum LabelEntry {
-    /// Remove a label the mutation inserted fresh.
-    Drop(NodeId),
-    /// Re-insert a label the mutation overwrote or removed.
-    Restore(Box<NodeLabel>),
-}
-
-#[derive(Debug, Clone, Default)]
-struct LabelJournal {
-    entries: Vec<LabelEntry>,
-}
 
 /// The set of labels of a document's nodes.
 ///
@@ -33,10 +17,6 @@ struct LabelJournal {
 #[derive(Debug, Clone, Default)]
 pub struct Labeling {
     map: IdSlab<NodeLabel>,
-    /// Inverse-entry log, present while a journal scope is active. Kept in
-    /// lockstep with the document journal by the executor, so that a failed
-    /// commit rewinds labels and document together.
-    journal: Option<LabelJournal>,
 }
 
 /// Summary of an incremental [`Labeling::patch`]: how many nodes gained a
@@ -52,63 +32,13 @@ pub struct PatchReport {
 impl Labeling {
     /// Creates an empty labeling.
     pub fn new() -> Self {
-        Labeling { map: IdSlab::new(), journal: None }
+        Labeling { map: IdSlab::new() }
     }
 
     /// Creates an empty labeling sized for `n` labels whose identifiers lie
     /// in `first..=last` (see [`IdSlab::with_id_range`]).
     pub(crate) fn with_id_range(first: NodeId, last: NodeId, n: usize) -> Self {
-        Labeling { map: IdSlab::with_id_range(first, last, n), journal: None }
-    }
-
-    // ------------------------------------------------------------------
-    // journal scopes (mirroring `xdm::Document`)
-    // ------------------------------------------------------------------
-
-    /// Whether a journal scope is currently active.
-    pub fn journal_is_active(&self) -> bool {
-        self.journal.is_some()
-    }
-
-    /// Opens (or enters) a journal scope: activates inverse recording if it is
-    /// not already active and returns the current position.
-    pub fn journal_mark(&mut self) -> JournalMark {
-        let journal = self.journal.get_or_insert_with(LabelJournal::default);
-        JournalMark::new(journal.entries.len())
-    }
-
-    /// Number of inverse entries currently recorded (0 when inactive).
-    pub fn journal_len(&self) -> usize {
-        self.journal.as_ref().map(|j| j.entries.len()).unwrap_or(0)
-    }
-
-    /// Undoes every label mutation recorded after `mark` (reverse order). The
-    /// journal stays active; a no-op when no journal is active.
-    pub fn journal_rewind(&mut self, mark: JournalMark) {
-        let Some(mut journal) = self.journal.take() else { return };
-        while journal.entries.len() > mark.position() {
-            match journal.entries.pop().expect("non-empty journal") {
-                LabelEntry::Drop(id) => {
-                    self.map.remove(id);
-                }
-                LabelEntry::Restore(label) => {
-                    self.map.insert(label.id, *label);
-                }
-            }
-        }
-        self.journal = Some(journal);
-    }
-
-    /// Closes the journal scope, dropping all recorded entries.
-    pub fn journal_discard(&mut self) {
-        self.journal = None;
-    }
-
-    #[inline]
-    fn record(&mut self, entry: LabelEntry) {
-        if let Some(journal) = &mut self.journal {
-            journal.entries.push(entry);
-        }
+        Labeling { map: IdSlab::with_id_range(first, last, n) }
     }
 
     /// Computes the labeling of a whole document.
@@ -228,21 +158,13 @@ impl Labeling {
 
     /// Inserts or replaces the label of a node.
     pub fn insert(&mut self, label: NodeLabel) {
-        let id = label.id;
-        match self.map.insert(id, label) {
-            Some(old) => self.record(LabelEntry::Restore(Box::new(old))),
-            None => self.record(LabelEntry::Drop(id)),
-        }
+        self.map.insert(label.id, label);
     }
 
     /// Removes the label of a node (the identifier is never reused, so neither
     /// is the label).
     pub fn remove(&mut self, id: NodeId) -> Option<NodeLabel> {
-        let old = self.map.remove(id)?;
-        if self.journal.is_some() {
-            self.record(LabelEntry::Restore(Box::new(old.clone())));
-        }
-        Some(old)
+        self.map.remove(id)
     }
 
     /// Number of labeled nodes.
@@ -396,27 +318,15 @@ impl Labeling {
     }
 
     /// Recomputes parent/left-sibling/first/last metadata of the children of
-    /// `parent` (interval keys are left untouched). Labels whose metadata is
-    /// already current are not touched (and record nothing in the journal).
+    /// `parent` (interval keys are left untouched). Walks every child of
+    /// `parent`, so it costs O(fan-out).
     pub fn refresh_sibling_flags(&mut self, doc: &Document, parent: NodeId) {
         let Ok(children) = doc.children(parent) else { return };
         for (i, &c) in children.iter().enumerate() {
             let left_sibling = if i > 0 { Some(children[i - 1]) } else { None };
             let is_first = i == 0;
             let is_last = i + 1 == children.len();
-            let Some(label) = self.map.get(c) else { continue };
-            if label.parent == Some(parent)
-                && label.left_sibling == left_sibling
-                && label.is_first_child == is_first
-                && label.is_last_child == is_last
-            {
-                continue;
-            }
-            if self.journal.is_some() {
-                let old = Box::new(label.clone());
-                self.record(LabelEntry::Restore(old));
-            }
-            let label = self.map.get_mut(c).expect("label present");
+            let Some(label) = self.map.get_mut(c) else { continue };
             label.parent = Some(parent);
             label.left_sibling = left_sibling;
             label.is_first_child = is_first;
@@ -435,7 +345,11 @@ impl Labeling {
     /// Only the inserted nodes receive (fresh) labels and only the removed
     /// nodes lose theirs; the interval keys of every untouched node are left
     /// **bit-identical** — the §4.1 "no relabeling on update" guarantee. The
-    /// cost is proportional to the size of the change, not of the document.
+    /// labels written are proportional to the size of the change, but the
+    /// time is not quite: every inserted root and every parent of a removal
+    /// refreshes the sibling metadata of *all* its parent's children
+    /// ([`refresh_sibling_flags`](Labeling::refresh_sibling_flags)), so a
+    /// change under a high-fan-out parent costs O(fan-out) per such node.
     ///
     /// Inserted roots that are no longer part of the document (inserted by one
     /// operation and removed by an overriding one in the same PUL) are skipped;
@@ -488,7 +402,7 @@ impl Labeling {
 
     /// Exact equality of two labelings: the same `(id, label)` entries with
     /// bit-identical interval keys and metadata. The differential tests use
-    /// this to check a journaled rollback against the snapshot oracle.
+    /// this to check a rolled-back commit against the snapshot oracle.
     pub fn deep_eq(&self, other: &Labeling) -> bool {
         self.map.len() == other.map.len()
             && self.map.iter().all(|(id, label)| other.map.get(id) == Some(label))
@@ -796,29 +710,6 @@ mod tests {
         // patching an already-removed insertion root is a no-op
         let report = labels.patch(&doc, &[papers[1]], &[]);
         assert_eq!(report, PatchReport::default());
-    }
-
-    #[test]
-    fn journaled_patch_rewinds_bit_identical() {
-        let (mut doc, mut labels) = doc_and_labels(
-            "<issue><paper>one</paper><paper>two</paper><paper>three</paper></issue>",
-        );
-        let oracle = labels.clone();
-        let mark = labels.journal_mark();
-
-        let papers = doc.find_elements("paper");
-        let removed: Vec<NodeId> = doc.preorder(papers[1]);
-        doc.remove_subtree(papers[1]).unwrap();
-        let new_paper = doc.new_element("paper");
-        doc.insert_after(papers[0], new_paper).unwrap();
-        labels.patch(&doc, &[new_paper], &removed);
-        check_against_document(&doc, &labels);
-        assert!(labels.journal_len() > 0);
-        assert!(!labels.deep_eq(&oracle));
-
-        labels.journal_rewind(mark);
-        labels.journal_discard();
-        assert!(labels.deep_eq(&oracle), "rewound labeling must be bit-identical to the snapshot");
     }
 
     #[test]

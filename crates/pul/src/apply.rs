@@ -49,22 +49,13 @@ impl ApplyOptions {
 }
 
 /// Journal handle of an application: how many inverse entries the journaled
-/// apply recorded on the document and on the labeling. Both are proportional
-/// to the size of the *change* — this is what the `commit_memory` benchmark
-/// asserts stays flat as the document grows. Zero for non-journaled applies.
+/// apply recorded on the document. Proportional to the size of the *change* —
+/// this is what the `commit_memory` benchmark asserts stays flat as the
+/// document grows. Zero for non-journaled applies.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JournalStats {
     /// Inverse entries recorded in the document journal.
     pub doc_entries: usize,
-    /// Inverse entries recorded in the labeling journal.
-    pub label_entries: usize,
-}
-
-impl JournalStats {
-    /// Total inverse entries recorded across document and labeling.
-    pub fn total(self) -> usize {
-        self.doc_entries + self.label_entries
-    }
 }
 
 /// Summary of the effects of a PUL application.
@@ -113,110 +104,30 @@ pub fn apply_pul_with_labeling(
 }
 
 /// *Atomic* variant of [`apply_pul_with_labeling`]: the application runs
-/// inside a journal scope, so a mid-apply failure (an op not applicable after
-/// earlier ops, a dynamic error such as a duplicate attribute) rewinds both
-/// document and labeling to their exact pre-call state at O(change) cost — no
-/// snapshot clone is ever taken. This is what the executor uses on the
-/// authoritative copy.
-///
-/// Journal ownership is scoped: when the caller already holds an active
-/// journal (e.g. the session crate's commit, which keeps the applied change
-/// revocable until its WAL append or its sibling shards succeed), this
-/// function marks and — on failure — rewinds to its own mark, leaving the
-/// outer entries intact; when it activated journaling itself, it discards
-/// the journal before returning. On success the recorded entry counts are published in
+/// under the document's journal, so a mid-apply failure (an op not
+/// applicable after earlier ops, a dynamic error such as a duplicate
+/// attribute) rolls the document back to its exact pre-call state at
+/// O(change) cost — no snapshot clone is ever taken — and leaves the labeling
+/// untouched. Only once the application has succeeded is the journal closed
+/// and the labeling patched; the recorded entry count is published in
 /// [`ApplyReport::journal`].
 ///
-/// The rollback also fires on *unwind*: a panic inside the apply rewinds both
-/// stores exactly like an `Err` before propagating, so a session kept alive
-/// across `catch_unwind` (a server worker) is never left half-updated with a
-/// dangling journal.
+/// The rollback also fires on *unwind*: a panic inside the application rolls
+/// the document back exactly like an `Err` before propagating. A panic inside
+/// the label patch that follows is not rolled back — the document keeps the
+/// change and the labeling must be rebuilt ([`Labeling::assign`]).
 pub fn apply_pul_journaled(
     doc: &mut Document,
     labeling: &mut Labeling,
     pul: &Pul,
     opts: &ApplyOptions,
 ) -> Result<ApplyReport> {
-    /// Drop guard: while `armed`, dropping rewinds both stores to the scope's
-    /// marks (the `Err` and panic paths); the owned journals are closed either
-    /// way.
-    struct Rewinder<'a> {
-        doc: &'a mut Document,
-        labeling: &'a mut Labeling,
-        scope: JournalScope,
-        armed: bool,
-    }
-
-    impl Drop for Rewinder<'_> {
-        fn drop(&mut self) {
-            if self.armed {
-                self.scope.rewind(self.doc, self.labeling);
-            }
-            self.scope.close(self.doc, self.labeling);
-        }
-    }
-
-    let scope = JournalScope::open(doc, labeling);
-    let mut guard = Rewinder { doc, labeling, scope, armed: true };
-    let mut report = apply_pul(&mut *guard.doc, pul, opts)?;
-    guard.labeling.patch(&*guard.doc, &report.inserted_roots, &report.removed_nodes);
-    report.journal = guard.scope.stats(guard.doc, guard.labeling);
-    guard.armed = false;
+    let mut doc = doc.journal();
+    let mut report = apply_pul(&mut doc, pul, opts)?;
+    report.journal.doc_entries = doc.journal_len();
+    doc.keep();
+    labeling.patch(&doc, &report.inserted_roots, &report.removed_nodes);
     Ok(report)
-}
-
-/// One journal scope over a document/labeling pair — the single home of the
-/// scope protocol shared by [`apply_pul_journaled`] and the session crate's
-/// commit scopes: per-store ownership detection, dual mark-taking, rewind
-/// ordering (labeling before document), and close-discards-only-what-this-
-/// scope-activated.
-#[derive(Debug, Clone, Copy)]
-pub struct JournalScope {
-    owned_doc: bool,
-    owned_labeling: bool,
-    doc_mark: xdm::JournalMark,
-    label_mark: xdm::JournalMark,
-}
-
-impl JournalScope {
-    /// Enters (or activates) the journals of both stores and records the
-    /// current marks. Ownership is per store: a caller may legitimately hold
-    /// only one of the two journals open already.
-    pub fn open(doc: &mut Document, labeling: &mut Labeling) -> Self {
-        JournalScope {
-            owned_doc: !doc.journal_is_active(),
-            owned_labeling: !labeling.journal_is_active(),
-            doc_mark: doc.journal_mark(),
-            label_mark: labeling.journal_mark(),
-        }
-    }
-
-    /// Undoes everything recorded after the scope opened, labeling first
-    /// (label entries never reference document state, so either order is
-    /// safe, but one canonical order keeps replays deterministic).
-    pub fn rewind(&self, doc: &mut Document, labeling: &mut Labeling) {
-        labeling.journal_rewind(self.label_mark);
-        doc.journal_rewind(self.doc_mark);
-    }
-
-    /// Closes the scope: the journals this scope *activated* are discarded;
-    /// journals that were already open stay open for the enclosing scope.
-    pub fn close(&self, doc: &mut Document, labeling: &mut Labeling) {
-        if self.owned_doc {
-            doc.journal_discard();
-        }
-        if self.owned_labeling {
-            labeling.journal_discard();
-        }
-    }
-
-    /// Entry counts recorded since the scope opened.
-    pub fn stats(&self, doc: &Document, labeling: &Labeling) -> JournalStats {
-        JournalStats {
-            doc_entries: doc.journal_len() - self.doc_mark.position(),
-            label_entries: labeling.journal_len() - self.label_mark.position(),
-        }
-    }
 }
 
 /// Grafts a parameter tree into the document (detached) and returns its new root.
@@ -625,9 +536,8 @@ mod tests {
         let err = apply_pul_journaled(&mut d, &mut labeling, &pul, &ApplyOptions::default());
         assert!(matches!(err, Err(PulError::Dynamic(_))));
         assert!(d.deep_eq(&doc_oracle), "document rewound to the pre-apply state");
-        assert!(labeling.deep_eq(&label_oracle), "labeling rewound to the pre-apply state");
-        assert!(!d.journal_is_active(), "owned journal scope closed");
-        assert!(!labeling.journal_is_active());
+        assert!(labeling.deep_eq(&label_oracle), "labeling untouched by the failed apply");
+        assert!(!d.journal_is_active(), "the journal is closed");
         d.assert_consistent();
         labeling.assert_consistent(&d);
     }
@@ -645,29 +555,9 @@ mod tests {
         let report =
             apply_pul_journaled(&mut d, &mut labeling, &pul, &ApplyOptions::default()).unwrap();
         assert!(report.journal.doc_entries > 0, "document mutations recorded");
-        assert!(report.journal.label_entries > 0, "label mutations recorded");
-        assert!(!d.journal_is_active(), "success discards the owned journal");
+        assert!(!d.journal_is_active(), "success closes the journal");
         d.assert_consistent();
         labeling.assert_consistent(&d);
-    }
-
-    #[test]
-    fn journaled_apply_scopes_each_store_independently() {
-        // A caller holding only the *document* journal open must not end up
-        // with a permanently active labeling journal (and vice versa).
-        let mut d = doc();
-        let mut labeling = Labeling::assign(&d);
-        let mark = d.journal_mark();
-        let pul: Pul = vec![UpdateOp::rename(3u64, "paper")].into_iter().collect();
-        apply_pul_journaled(&mut d, &mut labeling, &pul, &ApplyOptions::default()).unwrap();
-        assert!(d.journal_is_active(), "caller-owned document journal stays open");
-        assert!(
-            !labeling.journal_is_active(),
-            "the labeling journal this call opened must be closed again"
-        );
-        d.journal_rewind(mark);
-        d.journal_discard();
-        assert_eq!(d.name(NodeId::new(3)).unwrap(), Some("article"));
     }
 
     #[test]

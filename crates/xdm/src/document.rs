@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 
 use crate::error::XdmError;
-use crate::journal::{DocEntry, Journal, JournalMark};
+use crate::journal::{DocEntry, JournalGuard};
 use crate::node::{NodeData, NodeId, NodeKind};
 use crate::slab::IdSlab;
 use crate::Result;
@@ -47,11 +47,11 @@ pub struct Document {
     nodes: IdSlab<NodeData>,
     root: Option<NodeId>,
     next_id: u64,
-    /// Inverse-entry log, present while a journal scope is active (see
+    /// Inverse-entry log, present while a journal is open (see
     /// [`crate::journal`]). Every mutator records the inverse of its effect
-    /// here so that `journal_rewind` can undo a partial application in
-    /// O(change) — the replacement for whole-document snapshot clones.
-    journal: Option<Journal>,
+    /// here so that a rollback can undo a partial application in O(change) —
+    /// the replacement for whole-document snapshot clones.
+    journal: Option<Vec<DocEntry>>,
 }
 
 impl Document {
@@ -72,51 +72,48 @@ impl Document {
     }
 
     // ------------------------------------------------------------------
-    // journal scopes
+    // the apply journal
     // ------------------------------------------------------------------
 
-    /// Whether a journal scope is currently active.
+    /// Whether a journal is currently open.
     pub fn journal_is_active(&self) -> bool {
         self.journal.is_some()
     }
 
-    /// Opens (or enters) a journal scope: activates inverse recording if it is
-    /// not already active and returns the current position. Passing the mark
-    /// to [`journal_rewind`](Document::journal_rewind) undoes everything
-    /// recorded after this call; nested scopes simply take later marks.
-    pub fn journal_mark(&mut self) -> JournalMark {
-        let journal = self.journal.get_or_insert_with(Journal::default);
-        JournalMark(journal.entries.len())
+    /// Opens the journal: from now on every mutator records its inverse,
+    /// until the returned guard keeps the change or, dropped, rolls it back
+    /// (see [`crate::journal`]). Panics when a journal is already open —
+    /// journals do not nest.
+    pub fn journal(&mut self) -> JournalGuard<'_> {
+        assert!(self.journal.is_none(), "a document journal is already open; journals do not nest");
+        self.journal = Some(Vec::new());
+        JournalGuard::new(self)
     }
 
-    /// Number of inverse entries currently recorded (0 when inactive).
+    /// Number of inverse entries recorded by the open journal (0 when none is
+    /// open).
     pub fn journal_len(&self) -> usize {
-        self.journal.as_ref().map(|j| j.entries.len()).unwrap_or(0)
+        self.journal.as_ref().map_or(0, Vec::len)
     }
 
-    /// Undoes every mutation recorded after `mark` by replaying the inverse
-    /// entries in reverse order. The journal stays active (the entries before
-    /// the mark are untouched); a no-op when no journal is active.
-    pub fn journal_rewind(&mut self, mark: JournalMark) {
-        let Some(mut journal) = self.journal.take() else { return };
-        while journal.entries.len() > mark.0 {
-            let entry = journal.entries.pop().expect("non-empty journal");
+    /// Undoes every recorded mutation, most recent first, and closes the
+    /// journal; a no-op when no journal is open.
+    pub(crate) fn journal_rollback(&mut self) {
+        let Some(entries) = self.journal.take() else { return };
+        for entry in entries.into_iter().rev() {
             self.undo(entry);
         }
-        self.journal = Some(journal);
     }
 
-    /// Closes the journal scope: recording stops and all inverse entries are
-    /// dropped. Called by whoever *activated* the journal once the outcome is
-    /// settled (changes kept, or already rewound).
-    pub fn journal_discard(&mut self) {
+    /// Closes the journal, keeping every recorded mutation.
+    pub(crate) fn journal_discard(&mut self) {
         self.journal = None;
     }
 
     #[inline]
     fn record(&mut self, entry: DocEntry) {
         if let Some(journal) = &mut self.journal {
-            journal.entries.push(entry);
+            journal.push(entry);
         }
     }
 
@@ -200,7 +197,7 @@ impl Document {
     // ------------------------------------------------------------------
 
     /// Stores a node in the arena, recording the inverse. Every arena insert
-    /// goes through here so that journal scopes see it.
+    /// goes through here so that the journal sees it.
     fn arena_insert(&mut self, id: NodeId, data: NodeData) {
         self.nodes.insert(id, data);
         self.record(DocEntry::Forget(id));
@@ -815,7 +812,7 @@ impl Document {
     pub fn assign_preorder_ids(&mut self, start: u64) -> HashMap<NodeId, NodeId> {
         assert!(
             self.journal.is_none(),
-            "assign_preorder_ids rewrites every identifier and cannot run inside a journal scope"
+            "assign_preorder_ids rewrites every identifier and cannot run under an open journal"
         );
         let order = self.preorder_from_root();
         let mut mapping = HashMap::with_capacity(order.len());
@@ -1207,58 +1204,50 @@ mod tests {
     }
 
     #[test]
-    fn journal_rewind_restores_every_mutation_kind() {
+    fn journal_rollback_restores_every_mutation_kind() {
         let (mut d, issue, a1, _t, txt, a2) = sample();
         let before = d.clone();
-        let mark = d.journal_mark();
+        let mut j = d.journal();
         // One of each mutation family: alloc, child insert (all positions),
         // attribute attach, rename, set_value, subtree removal, detach.
-        let x = d.new_element("x");
-        d.insert_before(a2, x).unwrap();
-        let y = d.new_element("y");
-        d.insert_after(x, y).unwrap();
-        let z = d.new_element("z");
-        d.append_child(issue, z).unwrap();
-        let at = d.new_attribute("k", "v");
-        d.add_attribute(x, at).unwrap();
-        d.rename(issue, "renamed").unwrap();
-        d.set_value(txt, "changed").unwrap();
-        d.remove_subtree(a1).unwrap();
-        d.detach(a2).unwrap();
-        assert!(!d.deep_eq(&before));
-        assert!(d.journal_len() > 0);
-        d.journal_rewind(mark);
-        d.journal_discard();
-        assert!(d.deep_eq(&before), "rewind must restore the exact pre-mark state");
+        let x = j.new_element("x");
+        j.insert_before(a2, x).unwrap();
+        let y = j.new_element("y");
+        j.insert_after(x, y).unwrap();
+        let z = j.new_element("z");
+        j.append_child(issue, z).unwrap();
+        let at = j.new_attribute("k", "v");
+        j.add_attribute(x, at).unwrap();
+        j.rename(issue, "renamed").unwrap();
+        j.set_value(txt, "changed").unwrap();
+        j.remove_subtree(a1).unwrap();
+        j.detach(a2).unwrap();
+        assert!(!j.deep_eq(&before));
+        assert!(j.journal_len() > 0);
+        drop(j);
+        assert!(!d.journal_is_active(), "rollback closes the journal");
+        assert!(d.deep_eq(&before), "rollback must restore the exact pre-journal state");
         d.assert_consistent();
     }
 
     #[test]
-    fn journal_scopes_nest() {
+    fn journal_keep_keeps_changes() {
         let (mut d, issue, ..) = sample();
-        let outer = d.journal_mark();
-        d.rename(issue, "outer").unwrap();
-        let after_outer = d.clone();
-        let inner = d.journal_mark();
-        let x = d.new_element("x");
-        d.append_child(issue, x).unwrap();
-        d.journal_rewind(inner);
-        assert!(d.deep_eq(&after_outer), "inner rewind keeps the outer change");
-        assert!(d.journal_is_active(), "rewind leaves the journal active");
-        d.journal_rewind(outer);
-        d.journal_discard();
-        assert_eq!(d.name(issue).unwrap(), Some("issue"));
+        let mut j = d.journal();
+        j.rename(issue, "kept").unwrap();
+        j.keep();
+        drop(j);
+        assert_eq!(d.name(issue).unwrap(), Some("kept"));
+        assert_eq!(d.journal_len(), 0);
         assert!(!d.journal_is_active());
     }
 
     #[test]
-    fn journal_discard_keeps_changes() {
-        let (mut d, issue, ..) = sample();
-        let _mark = d.journal_mark();
-        d.rename(issue, "kept").unwrap();
-        d.journal_discard();
-        assert_eq!(d.name(issue).unwrap(), Some("kept"));
-        assert_eq!(d.journal_len(), 0);
+    #[should_panic(expected = "journals do not nest")]
+    fn journals_do_not_nest() {
+        let (mut d, ..) = sample();
+        let mut j = d.journal();
+        let _ = j.journal();
     }
 
     #[test]
@@ -1268,11 +1257,8 @@ mod tests {
         let copied = dst.graft(&src, a1, true).unwrap();
         dst.set_root(copied).unwrap();
         let before = dst.clone();
-        let mark = dst.journal_mark();
         // Preserving the same ids again clashes; nothing may stay allocated.
-        assert!(dst.graft(&src, a1, true).is_err());
-        dst.journal_rewind(mark);
-        dst.journal_discard();
+        assert!(dst.journal().graft(&src, a1, true).is_err());
         assert!(dst.deep_eq(&before), "partial graft fully undone");
         dst.assert_consistent();
     }
@@ -1283,8 +1269,8 @@ mod tests {
         d.rename(issue, "x").unwrap();
         assert_eq!(d.journal_len(), 0);
         assert!(!d.journal_is_active());
-        // rewinding with no active journal is a no-op
-        d.journal_rewind(JournalMark::default());
+        // rolling back with no open journal is a no-op
+        d.journal_rollback();
         assert_eq!(d.name(issue).unwrap(), Some("x"));
     }
 
@@ -1295,11 +1281,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot run inside a journal scope")]
+    #[should_panic(expected = "cannot run under an open journal")]
     fn preorder_reassignment_rejects_active_journal() {
         let (mut d, ..) = sample();
-        let _ = d.journal_mark();
-        d.assign_preorder_ids(1);
+        d.journal().assign_preorder_ids(1);
     }
 
     #[test]

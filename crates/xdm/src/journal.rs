@@ -1,49 +1,29 @@
-//! The apply journal: O(change) rollback for [`Document`](crate::Document)
-//! mutations.
+//! The apply journal: O(change) rollback for [`Document`] mutations.
 //!
 //! Atomic commits used to be bought by cloning the whole document before
 //! applying a PUL — O(document) memory and time for a change that touches a
-//! handful of nodes. The journal inverts the cost model: while a journal scope
-//! is active, every mutator of [`Document`](crate::Document) appends the
-//! *inverse* of its effect to the journal, and rolling back replays the
-//! inverses in reverse order. Both the bookkeeping and the rollback are
-//! proportional to the size of the change, never to the size of the document.
+//! handful of nodes. The journal inverts the cost model: while a journal is
+//! open, every mutator of [`Document`] appends the *inverse* of its effect to
+//! it, and rolling back replays the inverses in reverse order. Both the
+//! bookkeeping and the rollback are proportional to the size of the change,
+//! never to the size of the document.
 //!
-//! The protocol is mark/rewind, which nests naturally:
+//! A journal is one level deep and lives exactly as long as its
+//! [`JournalGuard`] ([`Document::journal`]): a commit opens it, applies, and
+//! then either [`keep`](JournalGuard::keep)s the change (the journal closes,
+//! the inverses are dropped) or drops the guard — on an `Err` return or an
+//! unwind alike — which rolls the document back and closes the journal.
+//! Journals do not nest: opening one on a document whose journal is already
+//! open panics.
 //!
-//! 1. [`Document::journal_mark`](crate::Document::journal_mark) activates
-//!    journaling (if it is not already active) and returns the current
-//!    position;
-//! 2. on failure, [`Document::journal_rewind`](crate::Document::journal_rewind)
-//!    undoes every entry recorded past the mark;
-//! 3. whoever *activated* the journal eventually calls
-//!    [`Document::journal_discard`](crate::Document::journal_discard) — on
-//!    success the recorded inverses are simply dropped.
-//!
-//! An inner scope (say, the apply inside a commit) rewinds to its own mark on
-//! failure while the outer scope's entries stay recorded, so the commit can
-//! still undo an apply that succeeded when a later step (its WAL append, or
-//! a sibling shard's apply) fails.
+//! Only the document is journaled. A labeling (`xlabel::Labeling`) is
+//! derived state — §4.1 never relabels an existing node — so callers patch it
+//! once the change is kept and never need to undo it.
 
+use std::ops::{Deref, DerefMut};
+
+use crate::document::Document;
 use crate::node::{NodeData, NodeId};
-
-/// A position in a journal, returned by `journal_mark` and consumed by
-/// `journal_rewind`: rewinding undoes every entry recorded after the mark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub struct JournalMark(pub(crate) usize);
-
-impl JournalMark {
-    /// Creates a mark at an explicit position (used by sibling journals — e.g.
-    /// the labeling journal — which reuse the mark type).
-    pub fn new(position: usize) -> Self {
-        JournalMark(position)
-    }
-
-    /// The journal length at the time the mark was taken.
-    pub fn position(self) -> usize {
-        self.0
-    }
-}
 
 /// One inverse entry. Each variant undoes exactly one primitive effect of a
 /// mutator; mutators push one or more entries per call.
@@ -74,21 +54,46 @@ pub(crate) enum DocEntry {
     NextId(u64),
 }
 
-/// The inverse-entry log attached to a [`Document`](crate::Document) while a
-/// journal scope is active.
-#[derive(Debug, Clone, Default)]
-pub struct Journal {
-    pub(crate) entries: Vec<DocEntry>,
+/// An open journal over one document, returned by [`Document::journal`].
+///
+/// The guard dereferences to the document, so mutations go through it.
+/// Dropping the guard while the journal is open — an `Err` returned past it,
+/// or an unwind — rolls every mutation made since the journal opened back
+/// and closes the journal; [`keep`](JournalGuard::keep) closes it and keeps
+/// them, after which dropping the guard does nothing.
+#[derive(Debug)]
+pub struct JournalGuard<'a> {
+    doc: &'a mut Document,
 }
 
-impl Journal {
-    /// Number of inverse entries recorded so far.
-    pub fn len(&self) -> usize {
-        self.entries.len()
+impl<'a> JournalGuard<'a> {
+    pub(crate) fn new(doc: &'a mut Document) -> Self {
+        JournalGuard { doc }
     }
 
-    /// Whether no entry has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    /// Closes the journal and keeps every recorded mutation: the commit
+    /// point of the change. The document stays reachable through the guard.
+    pub fn keep(&mut self) {
+        self.doc.journal_discard();
+    }
+}
+
+impl Deref for JournalGuard<'_> {
+    type Target = Document;
+
+    fn deref(&self) -> &Document {
+        self.doc
+    }
+}
+
+impl DerefMut for JournalGuard<'_> {
+    fn deref_mut(&mut self) -> &mut Document {
+        self.doc
+    }
+}
+
+impl Drop for JournalGuard<'_> {
+    fn drop(&mut self) {
+        self.doc.journal_rollback();
     }
 }

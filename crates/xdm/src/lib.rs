@@ -26,7 +26,7 @@
 //! * a binary node-stream [`codec`], the private encoding the durable store
 //!   writes for documents and parameter trees;
 //! * a SAX-style [`events`] module used by the streaming PUL evaluator;
-//! * an apply [`journal`]: inside a journal scope every mutator records the
+//! * an apply [`journal`]: while it is open every mutator records the
 //!   inverse of its effect, so a failed or abandoned update is rolled back in
 //!   O(change) instead of restoring an O(document) snapshot clone.
 
@@ -46,7 +46,7 @@ pub mod writer;
 pub use document::{Document, OrderRel, SharedDocument};
 pub use error::XdmError;
 pub use events::{Event, EventReader};
-pub use journal::{Journal, JournalMark};
+pub use journal::JournalGuard;
 pub use node::{NodeData, NodeId, NodeKind};
 pub use slab::{IdSlab, SlabStats};
 pub use tree::Tree;

@@ -4,10 +4,12 @@
 //! [`ShardedExecutor`] — around an on-disk [`Store`] (crate `pul_store`):
 //!
 //! - every committed PUL round is appended to a **write-ahead log** *before*
-//!   the commit becomes observable (the backend runs the apply inside a
-//!   journal scope and rewinds it if the append fails, so the WAL record is
-//!   the commit point); the record holds the resolved PUL in its binary form
-//!   (`pul::codec`, see `CommitRecord`), not the XML wire format;
+//!   the commit becomes observable: the backend applies the PUL to its
+//!   document under the document journal, appends, and only then closes the
+//!   journal, advances the version and patches the labeling; a failed append
+//!   rolls the document back, so the WAL record is the commit point. The
+//!   record holds the resolved PUL in its binary form (`pul::codec`, see
+//!   `CommitRecord`), not the XML wire format;
 //! - **checkpoints** snapshot the whole session — arena, labeling, version —
 //!   as one contiguous checksummed image, triggered by WAL growth or by
 //!   dead-slot churn (`slab_stats().dead_ratio`), and rotate the log; each
@@ -15,7 +17,7 @@
 //!   document's node stream with every node's label keys inline), restored in
 //!   one pass with the tree-shaped label fields derived from tree position;
 //! - **recovery** ([`Durable::open`]) loads the last checkpoint, replays the
-//!   WAL tail through the very same journaled apply path as the live commits,
+//!   WAL tail through the very same apply-then-patch path as the live commits,
 //!   and discards a torn tail record. Damage with an intact later record
 //!   behind it, a missing live segment and every later failure — an image or
 //!   payload that does not decode, a retired format, a record that does not
@@ -303,9 +305,10 @@ fn degraded_error() -> Error {
 }
 
 impl StoreSink {
-    /// Persists the record of the commit that produces `version`. Runs while
-    /// the commit is still revocable (journal scopes open): an error aborts
-    /// the commit, which rewinds as if the apply itself had failed.
+    /// Persists the record of the commit that produces `version`. Runs after
+    /// the apply and before the commit point, while the document journal is
+    /// still open and no label has been patched: an error aborts the commit,
+    /// which rolls the document back as if the apply itself had failed.
     pub(crate) fn append(
         &mut self,
         version: u64,
@@ -370,7 +373,7 @@ impl StoreSink {
 /// A session [`Durable`] can wrap, and through one blanket implementation an
 /// [`IngestBackend`]: the verbs whose bodies depend on holding one core or N
 /// shards (version, snapshot, resolve, commit), snapshot/restore through the
-/// checkpoint image, record replay through the journaled apply path, and
+/// checkpoint image, record replay through the commit's apply path, and
 /// compaction. Implemented by [`Executor`] and [`ShardedExecutor`] only: the
 /// store, the telemetry handle and the pending submissions live in the
 /// crate-private session front both embed, and the methods that return it
@@ -510,7 +513,7 @@ impl DurableBackend for Executor {
     }
 }
 
-/// The label-interval routing and the two-phase journal commit stay internal
+/// The label-interval routing and the two-phase commit stay internal
 /// to the session; the ingestion pipeline sees the same verbs as for a single
 /// executor.
 impl DurableBackend for ShardedExecutor {
@@ -710,7 +713,7 @@ impl<B: DurableBackend> Durable<B> {
     }
 
     /// Recovers a session from `dir`: loads the last checkpoint, replays the
-    /// WAL tail through the journaled apply path (the store scan already
+    /// WAL tail through the commit's apply path (the store scan already
     /// discarded any torn tail record, or refused damage with later records
     /// behind it), and moves the store into the session. The recovered state
     /// is bit-identical to the last durable version's.
@@ -950,7 +953,7 @@ impl<B: DurableBackend> Durable<B> {
 }
 
 /// Restores the checkpoint at `base` and replays the WAL records after it, up
-/// to `upto`, through the journaled apply path; every record must land on the
+/// to `upto`, through the commit's apply path; every record must land on the
 /// version it claims. Whatever fails on the way — an image or payload that
 /// does not decode, a record that does not apply — is store corruption
 /// (`XPUL-E07`) naming the checkpoint or record version.

@@ -20,12 +20,12 @@
 
 use std::sync::Arc;
 
-use pul::apply::{apply_pul_journaled, ApplyOptions, ApplyReport, JournalScope};
+use pul::apply::{apply_pul, ApplyOptions, ApplyReport};
 use pul::{Pul, UpdateOp};
 use pul_core::reduce::{reduce_with, ReductionKind};
 use pul_core::{aggregate, integrate, reconcile_integration, Policy};
 use pul_telemetry::Telemetry;
-use xdm::{parser, writer, Document};
+use xdm::{parser, writer, Document, JournalGuard};
 use xlabel::Labeling;
 
 use crate::durable::CommitRecord;
@@ -85,7 +85,7 @@ pub struct CommitReport {
     /// The conflicts that were detected (and solved) on the way.
     pub conflicts: Vec<pul_core::Conflict>,
     /// Structural effects of the application (inserted roots, removed nodes)
-    /// plus the journal entry counts.
+    /// plus the document journal's entry count.
     pub apply: ApplyReport,
 }
 
@@ -96,10 +96,14 @@ pub struct CommitReport {
 /// caches) that reasons about what to apply.
 ///
 /// [`Executor`] owns exactly one core; [`ShardedExecutor`](crate::ShardedExecutor)
-/// owns one per shard and drives their journals in lockstep for its two-phase
-/// commit. Every mutation goes through the apply journal, so a failure — in
-/// this core or, under a sharded commit, in a sibling core — rewinds at
-/// O(change) cost.
+/// owns one per shard. Every commit runs in one order: the PUL is applied to
+/// the document under its journal, the WAL record is appended, the journal
+/// closes and the version advances (the commit point), and only then is the
+/// labeling patched from the apply report. A failure before the commit point
+/// — in the apply, in the append or, under a sharded commit, in a sibling
+/// core — rolls the document back at O(change) cost; the labeling was never
+/// touched, because labels are derived state (§4.1 never relabels an existing
+/// node).
 #[derive(Debug, Clone)]
 pub struct ExecutorCore {
     pub(crate) doc: Document,
@@ -148,16 +152,27 @@ impl ExecutorCore {
         self.apply_options = options;
     }
 
-    /// Atomically applies a resolved PUL: the application runs inside a
-    /// journal scope (every mutation recording its inverse), the labeling is
-    /// patched incrementally, and the version advances. A mid-apply failure
-    /// rewinds document and labeling to the exact pre-call state and leaves
-    /// the version untouched.
+    /// Atomically applies a resolved PUL with no WAL append — the path WAL
+    /// replay takes: the PUL is applied under the document journal, the
+    /// journal closes and the version advances, then the labeling is patched.
+    /// A failed apply rolls the document back and leaves labeling and
+    /// version untouched.
     pub fn commit_pul(&mut self, pul: &Pul) -> Result<ApplyReport> {
-        let report =
-            apply_pul_journaled(&mut self.doc, &mut self.labeling, pul, &self.apply_options)?;
-        self.version += 1;
-        Ok(report)
+        Ok(self.apply(pul, 0)?.commit())
+    }
+
+    /// The first half of every commit: applies `pul` to the document under its
+    /// journal, after lifting the fresh-identifier counter to `fence` (the
+    /// sharded commit's identifier fence; 0 leaves the counter alone). The
+    /// labeling and the version are not touched until the returned
+    /// [`Applied`] is kept; dropping it instead rolls the document back.
+    pub(crate) fn apply(&mut self, pul: &Pul, fence: u64) -> Result<Applied<'_>> {
+        let ExecutorCore { doc, labeling, apply_options, version } = self;
+        let mut doc = doc.journal();
+        doc.reserve_ids(fence);
+        let mut report = apply_pul(&mut doc, pul, apply_options)?;
+        report.journal.doc_entries = doc.journal_len();
+        Ok(Applied { doc, labeling, version, report })
     }
 
     /// Serializes the core's document.
@@ -176,35 +191,48 @@ impl ExecutorCore {
         self.doc.assert_consistent();
         self.labeling.assert_consistent(&self.doc);
     }
-
-    /// Opens a journal scope over this core, capturing the version. Used by
-    /// the sharded two-phase commit to keep a shard's changes revocable while
-    /// its sibling shards apply theirs.
-    pub(crate) fn scope_open(&mut self) -> CoreScope {
-        CoreScope {
-            journal: JournalScope::open(&mut self.doc, &mut self.labeling),
-            version: self.version,
-        }
-    }
-
-    /// Replays the scope's journal entries and restores the captured version.
-    pub(crate) fn scope_rewind(&mut self, scope: &CoreScope) {
-        scope.journal.rewind(&mut self.doc, &mut self.labeling);
-        self.version = scope.version;
-    }
-
-    /// Closes the scope: journals this scope activated are discarded.
-    pub(crate) fn scope_close(&mut self, scope: &CoreScope) {
-        scope.journal.close(&mut self.doc, &mut self.labeling);
-    }
 }
 
-/// An open journal scope over one [`ExecutorCore`] (journal marks plus the
-/// version to restore on rollback).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CoreScope {
-    journal: JournalScope,
-    version: u64,
+/// An [`ExecutorCore`] whose document holds an applied PUL under an open
+/// journal: not yet committed. Dropping it — an `Err` returned past it, or an
+/// unwind — rolls the document back and closes the journal.
+/// [`keep`](Applied::keep) is the core's commit point and
+/// [`patch`](Applied::patch) brings the labeling up to date afterwards.
+#[derive(Debug)]
+pub(crate) struct Applied<'a> {
+    doc: JournalGuard<'a>,
+    labeling: &'a mut Labeling,
+    version: &'a mut u64,
+    report: ApplyReport,
+}
+
+impl Applied<'_> {
+    /// The document with the change applied.
+    pub(crate) fn document(&self) -> &Document {
+        &self.doc
+    }
+
+    /// The commit point: closes the journal, keeping the change, and
+    /// advances the version — before any label is patched, so that a panic in
+    /// the patch still leaves document and version in agreement.
+    pub(crate) fn keep(&mut self) {
+        self.doc.keep();
+        *self.version += 1;
+    }
+
+    /// Patches the labeling from the apply report: the inserted nodes are
+    /// labeled and the removed ones lose their labels. Called after
+    /// [`keep`](Applied::keep).
+    pub(crate) fn patch(self) -> ApplyReport {
+        self.labeling.patch(&self.doc, &self.report.inserted_roots, &self.report.removed_nodes);
+        self.report
+    }
+
+    /// [`keep`](Applied::keep), then [`patch`](Applied::patch).
+    pub(crate) fn commit(mut self) -> ApplyReport {
+        self.keep();
+        self.patch()
+    }
 }
 
 /// A stateful executor session owning the authoritative document, its
@@ -453,13 +481,20 @@ impl Executor {
     /// resolved submission has been withdrawn in the meantime. Submissions
     /// that arrived *after* the resolution stay pending.
     ///
-    /// The commit is atomic *without any whole-session clone*: the
-    /// application runs inside a journal scope, every mutation recording its
-    /// inverse, so a mid-apply failure replays the inverses and leaves the
-    /// session (document, labeling, version, submissions) exactly as it was —
-    /// at a cost proportional to the partial change, not to the document. In
-    /// a durable session the same scope rewinds an applied commit whose WAL
-    /// append fails. On success the journal is discarded.
+    /// The commit is atomic *without any whole-session clone*, and runs in
+    /// one order:
+    /// 1. the resolved PUL is applied to the document under its journal;
+    /// 2. in a durable session, the WAL record is appended;
+    /// 3. the journal closes and the version advances — the commit point;
+    /// 4. the labeling is patched from the apply report.
+    ///
+    /// An `Err` or a panic in steps 1–2 rolls the document back through the
+    /// journal, at a cost proportional to the partial change, and leaves the
+    /// session (document, labeling, version, submissions) exactly as it was:
+    /// the labeling is not touched before the commit point. A panic inside
+    /// the label patch of step 4 is **not** rolled back: document, version
+    /// and WAL agree on the commit, but the labeling is incomplete and the
+    /// session must be dropped (a durable one recovers by reopening).
     pub fn commit_resolution(&mut self, resolution: Resolution) -> Result<CommitReport> {
         self.front.check_fresh(
             resolution.version,
@@ -467,24 +502,21 @@ impl Executor {
             &resolution.submission_ids,
         )?;
         let _span = self.front.telemetry.span(|m| &m.commit_ns);
-        // The apply runs inside an extra journal scope so that, in a durable
-        // session, a failed WAL append rewinds it: the append is the commit
-        // point, and the version never advances without a durable record. A
-        // failed apply has already rewound its own partial work, so the
-        // scope's rewind is then a no-op.
-        let scope = self.core.scope_open();
-        let committed = self.core.commit_pul(&resolution.pul).and_then(|apply| {
-            let preserve_content_ids = self.core.apply_options.preserve_content_ids;
+        let version = self.core.version + 1;
+        let preserve_content_ids = self.core.apply_options.preserve_content_ids;
+        let applied = self.core.apply(&resolution.pul, 0).and_then(|applied| {
             let record = CommitRecord::Delta { pul: &resolution.pul, preserve_content_ids };
-            self.front.append(self.core.version, record).map(|()| apply)
+            self.front.append(version, record)?;
+            Ok(applied)
         });
-        if committed.is_err() {
-            self.core.scope_rewind(&scope);
-            self.front.telemetry.count(|m| &m.rollbacks);
-        }
-        self.core.scope_close(&scope);
-        let apply = committed?;
-        let (version, applied_ops) = (self.core.version, resolution.pul.len());
+        let apply = match applied {
+            Ok(applied) => applied.commit(),
+            Err(e) => {
+                self.front.telemetry.count(|m| &m.rollbacks);
+                return Err(e);
+            }
+        };
+        let applied_ops = resolution.pul.len();
         self.front.committed(&resolution.submission_ids, version, applied_ops);
         Ok(CommitReport { version, applied_ops, conflicts: resolution.conflicts, apply })
     }
@@ -532,7 +564,7 @@ impl Executor {
     // ---------------------------------------------------------------- recovery
 
     /// Re-applies a WAL `Delta` record: the resolved PUL a committed round
-    /// applied. Same journaled apply path as the live commit, under the
+    /// applied. Same apply-then-patch path as the live commit, under the
     /// identifier discipline the record was committed with (the restored
     /// session's own apply options are *not* durable state and must not leak
     /// into replay — a producer-discipline delta re-applied with fresh
@@ -557,8 +589,8 @@ impl Executor {
 }
 
 /// The historical clone-based snapshot, kept **only** as a differential
-/// oracle: tests capture one before a journal-scoped operation and assert
-/// that a journaled rollback restores a state `deep_eq`-identical to it. The
+/// oracle: tests capture one before a commit and assert that a rolled-back
+/// commit leaves a state `deep_eq`-identical to it. The
 /// production paths never clone the document or the labeling.
 #[cfg(test)]
 pub(crate) struct ExecutorSnapshot {
@@ -641,7 +673,7 @@ pub struct CompactionReport {
 
 #[cfg(test)]
 mod tests {
-    //! Differential verification of the journaled rollback against the
+    //! Differential verification of the commit rollback against the
     //! historical clone-based snapshot (the `#[cfg(test)]` oracle): after any
     //! failed commit the session must be *bit-identical* —
     //! same arena entries, same label keys — to what restoring the snapshot
@@ -684,10 +716,7 @@ mod tests {
         assert!(err.is_err(), "duplicate attribute must fail the commit");
         session.assert_matches_snapshot(&oracle);
         session.assert_consistent();
-        assert!(
-            !session.core.doc.journal_is_active(),
-            "failed commit closes its own journal scope"
-        );
+        assert!(!session.core.doc.journal_is_active(), "a failed commit closes the journal");
         assert_eq!(session.version(), 0);
         assert_eq!(session.pending(), 1, "the failed submission stays pending");
         // the session is fully usable afterwards: withdraw the bad PUL, commit a good one
@@ -706,9 +735,8 @@ mod tests {
         let pul = session.produce("delete node /issue/article[2]").unwrap();
         session.submit(pul);
         let report = session.commit().unwrap();
-        assert!(report.apply.journal.total() > 0, "the commit went through the journal");
-        assert!(!session.core.doc.journal_is_active(), "success = discard");
-        assert!(!session.core.labeling.journal_is_active());
+        assert!(report.apply.journal.doc_entries > 0, "the commit went through the journal");
+        assert!(!session.core.doc.journal_is_active(), "success closes the journal");
         session.assert_consistent();
     }
 }

@@ -67,8 +67,9 @@ pub struct Front {
     /// resolve time is the `XPUL-E10` fence.
     pub(crate) epoch: u64,
     /// The durability hook: a [`Durable`](crate::Durable) wrapper moves its
-    /// store in here, and every commit appends its WAL record while the
-    /// commit is still revocable; a failed append rewinds it. Cloned
+    /// store in here, and every commit appends its WAL record after its apply
+    /// and before its commit point, while the document journal is open; a
+    /// failed append rolls the document back. Cloned
     /// sessions never inherit the sink — two sessions appending to one log
     /// would interleave divergent histories.
     pub(crate) sink: SinkSlot,
@@ -170,9 +171,9 @@ impl Front {
             .event(EventKind::Commit, version, || format!("committed v{version} ({ops} ops)"));
     }
 
-    /// Appends the WAL record of `version` through the installed sink — the
-    /// commit point of a durable session, reached while the commit is still
-    /// revocable. Without a sink there is nothing to append.
+    /// Appends the WAL record of `version` through the installed sink, after
+    /// the apply and before the commit point: an error rolls the commit back.
+    /// Without a sink there is nothing to append.
     pub(crate) fn append(&mut self, version: u64, record: CommitRecord<'_>) -> Result<()> {
         match self.sink.get_mut() {
             Some(sink) => sink.append(version, record, &self.telemetry),

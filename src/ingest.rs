@@ -36,8 +36,8 @@
 //!   that: aggregation (Def. 13), substitutable for applying the members one
 //!   after another (Prop. 4). The pipeline thread admits the batch as **one
 //!   submission** — a lone member as is, a longer batch as the aggregate of
-//!   its members — then resolves and commits it once: one journal scope and,
-//!   durably, one WAL record and one sync per batch. One submission never
+//!   its members — then resolves and commits it once: one document journal,
+//!   one label patch and, durably, one WAL record and one sync per batch. One submission never
 //!   conflicts (integration pairs operations of *different* PULs), so no
 //!   policy is consulted.
 //!
@@ -51,8 +51,8 @@
 //!
 //! * **Failure isolation.** When aggregation refuses the batch (a member is
 //!   not applicable after its predecessors, e.g. it targets a node an earlier
-//!   member deleted) or its commit fails — after the journal has rewound the
-//!   document bit-identically — the members are retried *individually* in
+//!   member deleted) or its commit fails — after the journal has rolled the
+//!   document back bit-identically, before any label was patched — the members are retried *individually* in
 //!   enqueue order, so only the tickets of the genuinely failing submissions
 //!   report an error: batched ingestion fails exactly the submissions a
 //!   sequential executor would have failed.
@@ -102,8 +102,8 @@ pub trait IngestBackend: Send + 'static {
 
     /// Atomically applies a resolution, consuming the submissions it covers,
     /// and returns the version it produced. On failure the backend state is
-    /// exactly as before the call (journal replay), with the submissions
-    /// still pending.
+    /// exactly as before the call (the document journal rolled back, the
+    /// labeling never touched), with the submissions still pending.
     fn commit_pending(&mut self, resolution: Self::Resolution) -> Result<u64>;
 
     /// Pins the backend's current version into an MVCC
@@ -588,7 +588,7 @@ impl Drop for InFlightGuard<'_> {
 /// reports the one version.
 ///
 /// When aggregation refuses the batch or its commit fails (the journal has
-/// already rewound the document bit-identically), a multi-member batch is
+/// already rolled the document back bit-identically), a multi-member batch is
 /// retried one member at a time in enqueue order, so only the genuinely
 /// failing submissions fail — exactly the outcome a sequential
 /// `submit → resolve → commit` per producer would have produced.
@@ -798,7 +798,7 @@ mod tests {
     #[test]
     fn closing_idle_queues_never_loses_the_shutdown_wakeup() {
         // Regression: `shutdown` used to set `closed` outside the state lock,
-        // so a drainer between its `closed` check and its untimed `wait`
+        // so the pipeline thread between its `closed` check and its untimed `wait`
         // missed the wakeup and `close` hung forever. Closing idle queues
         // after a swept delay lands `close` in that window within a few
         // thousand tries (without the fix this hangs on nearly every run).

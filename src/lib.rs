@@ -12,7 +12,7 @@
 //!  producers ──submit()──▶ ┌───────────────────────────────┐
 //!  (PULs, wire XML,        │  Executor session              │
 //!   sequences, queries)    │   reduce → integrate →         │──commit()──▶ Document'
-//!                          │   reconcile → aggregate        │   (journaled, O(change))
+//!                          │   reconcile → aggregate        │   (apply → log → patch)
 //!                          └──────────resolve()─────────────┘
 //!                                       │
 //!                                       ▼

@@ -5,7 +5,7 @@
 //! disjoint. [`ShardedExecutor`] exploits exactly that property: the
 //! authoritative document is partitioned **by top-level subtree** into N
 //! contiguous slices, each owned by its own [`ExecutorCore`] (document +
-//! labeling slice + apply journal), and a router dispatches every submitted
+//! labeling slice), and a router dispatches every submitted
 //! operation to the shard whose [`LabelInterval`] contains its target label.
 //!
 //! ```text
@@ -14,7 +14,7 @@
 //!  (PULs, wire XML)        │   ├─ shard 0: integrate·reconcile ─┐│
 //!                          │   ├─ shard 1: integrate·reconcile ─┤│──commit()─▶ D'
 //!                          │   └─ shard k: integrate·reconcile ─┘│  (two-phase
-//!                          └─────────────────────────────────────┘   journal)
+//!                          └─────────────────────────────────────┘   apply)
 //! ```
 //!
 //! **Routing.** Shard `k` owns the half-open key slice `[b_k, b_{k+1})`,
@@ -44,10 +44,12 @@
 //! document/PUL pairs).
 //!
 //! **Two-phase commit.** Shards apply their slices one after the other, each
-//! inside an open journal scope. Any shard's failure replays *every* open
-//! scope — the PR 3 inverse journal — restoring the global pre-commit state
-//! at O(change) cost; success closes the scopes and bumps the session
-//! version. Fresh node identifiers stay globally unique across shard
+//! under its own document journal; then the one WAL record is appended; then
+//! every journal closes and the session version advances — the commit point —
+//! and only then is each shard's labeling patched. A failure before the
+//! commit point (a shard's apply, an injected fault, the append) rolls every
+//! applied shard's document back at O(change) cost; no labeling has been
+//! touched yet. Fresh node identifiers stay globally unique across shard
 //! documents through an *identifier fence* ([`xdm::Document::reserve_ids`])
 //! threaded from shard to shard.
 
@@ -65,7 +67,7 @@ use xlabel::{LabelInterval, Labeling, NodeLabel, OrderKey};
 use crate::durable::CommitRecord;
 use crate::error::{Error, Result};
 use crate::executor::{
-    CompactionReport, CoreScope, ExecutorCore, ReductionStrategy, SessionSlabStats, SubmissionId,
+    Applied, CompactionReport, ExecutorCore, ReductionStrategy, SessionSlabStats, SubmissionId,
 };
 use crate::front::{self, Front};
 use crate::snapshot::Snapshot;
@@ -126,13 +128,13 @@ pub struct ShardedCommitReport {
     pub per_shard_ops: Vec<usize>,
     /// The conflicts that were detected (and solved) on the way.
     pub conflicts: Vec<Conflict>,
-    /// Journal entries recorded across all shards during the two-phase apply.
+    /// Document journal entries recorded across all shards during the apply.
     pub journal: JournalStats,
 }
 
 /// A sharded executor session: N single-threaded [`ExecutorCore`] shards
 /// behind one submit → resolve → commit façade, with label-interval routing
-/// and a two-phase journal commit. See the module documentation for the
+/// and a two-phase commit. See the module documentation for the
 /// architecture.
 #[derive(Debug, Clone)]
 pub struct ShardedExecutor {
@@ -715,7 +717,7 @@ impl ShardedExecutor {
     // ------------------------------------------------------------------ commit
 
     /// Resolves the pending submissions and commits the resolution across all
-    /// shards with the two-phase journal protocol.
+    /// shards with the two-phase protocol.
     pub fn commit(&mut self) -> Result<ShardedCommitReport> {
         let resolution = self.resolve()?;
         self.commit_resolution(resolution)
@@ -723,13 +725,16 @@ impl ShardedExecutor {
 
     /// Applies a previously computed [`ShardedResolution`].
     ///
-    /// Phase 1 applies each shard's sub-PUL inside an *open* journal scope:
-    /// the shard's own apply is already atomic (a mid-apply failure rewinds
-    /// that shard), and the scope keeps the applied changes revocable while
-    /// later shards run. Any failure replays every open scope in reverse,
-    /// restoring all shards — documents, labelings, versions, identifier
-    /// counters — to the exact pre-commit state. Phase 2 closes the scopes
-    /// (success = discard) and advances the session version.
+    /// Every shard applies its sub-PUL under its own document journal, in
+    /// shard order; then the one `S` WAL record is appended (durable
+    /// sessions); then every shard's journal closes and its version
+    /// advances, the session version advances — the commit point — and only
+    /// then is each shard's labeling patched. A failed shard apply, an
+    /// injected `shard.apply` fault or a failed append rolls every applied
+    /// shard's document — identifier counter included — back to the exact
+    /// pre-commit state at O(change) cost; no labeling has been touched. As
+    /// for [`Executor::commit_resolution`](crate::Executor::commit_resolution),
+    /// a panic inside a label patch is not rolled back.
     ///
     /// Fresh identifiers are fenced: before a shard applies, its counter is
     /// lifted past every identifier minted by the shards before it, so ids
@@ -740,91 +745,39 @@ impl ShardedExecutor {
     ) -> Result<ShardedCommitReport> {
         self.front.check_fresh(resolution.version, self.version, &resolution.submission_ids)?;
         let _span = self.front.telemetry.span(|m| &m.commit_ns);
-        let mut fence = self.shards.iter().map(|s| s.core.document().next_id()).max().unwrap_or(1);
-        let mut open: Vec<(usize, CoreScope)> = Vec::new();
-        let mut per_shard_ops = vec![0usize; self.shards.len()];
-        let mut journal = JournalStats::default();
-
-        for (k, pul) in resolution.per_shard.iter().enumerate() {
-            if pul.is_empty() {
-                continue;
-            }
-            if let Some(kind) = self.faults.check(site::SHARD_APPLY) {
-                // An injected shard failure aborts exactly like a real one:
-                // every already-applied shard's journal replays in reverse.
-                self.abort_scopes(&open);
-                self.front.telemetry.count(|m| &m.fault_hits);
-                let version = self.version;
-                self.front.telemetry.event(EventKind::FaultHit, version, || {
-                    format!("{}: injected {kind:?}", site::SHARD_APPLY)
-                });
-                return Err(Error::injected(site::SHARD_APPLY, kind));
-            }
-            let outcome = {
-                let core = &mut self.shards[k].core;
-                let scope = core.scope_open();
-                core.doc.reserve_ids(fence);
-                match core.commit_pul(pul) {
-                    Ok(report) => Ok((report, scope)),
-                    Err(e) => {
-                        // The failed shard's own apply already rewound its
-                        // partial work; the scope still holds the id fence.
-                        core.scope_rewind(&scope);
-                        core.scope_close(&scope);
-                        Err(e)
-                    }
-                }
-            };
-            match outcome {
-                Ok((report, scope)) => {
-                    journal.doc_entries += report.journal.doc_entries;
-                    journal.label_entries += report.journal.label_entries;
-                    per_shard_ops[k] = pul.len();
-                    fence = self.shards[k].core.document().next_id();
-                    open.push((k, scope));
-                }
-                Err(e) => {
-                    // Two-phase abort: replay every already-applied shard's
-                    // journal, most recent first.
-                    self.abort_scopes(&open);
-                    return Err(e);
-                }
-            }
-        }
-
-        // The WAL append is the commit point: it happens while every shard
-        // scope is still open, so a failed append aborts the whole two-phase
-        // commit exactly like a shard failure would.
+        let version = self.version + 1;
         let preserve_content_ids = self.preserve_content_ids();
-        let record = CommitRecord::Sharded { puls: &resolution.per_shard, preserve_content_ids };
-        if let Err(e) = self.front.append(self.version + 1, record) {
-            self.abort_scopes(&open);
-            return Err(e);
-        }
-        for (j, scope) in open.drain(..) {
-            self.shards[j].core.scope_close(&scope);
-        }
-        self.version += 1;
+        let (faults, telemetry) = (&self.faults, &self.front.telemetry);
+        let applied =
+            apply_shards(&mut self.shards, &resolution.per_shard, faults, telemetry, self.version)
+                .and_then(|applied| {
+                    let record =
+                        CommitRecord::Sharded { puls: &resolution.per_shard, preserve_content_ids };
+                    self.front.append(version, record)?;
+                    Ok(applied)
+                });
+        let mut applied = match applied {
+            Ok(applied) => applied,
+            Err(e) => {
+                self.front.telemetry.count(|m| &m.rollbacks);
+                return Err(e);
+            }
+        };
+        applied.iter_mut().for_each(Applied::keep);
+        self.version = version;
+        let journal = JournalStats {
+            doc_entries: applied.into_iter().map(|a| a.patch().journal.doc_entries).sum(),
+        };
+        let per_shard_ops: Vec<usize> = resolution.per_shard.iter().map(Pul::len).collect();
         let applied_ops = per_shard_ops.iter().sum();
-        self.front.committed(&resolution.submission_ids, self.version, applied_ops);
+        self.front.committed(&resolution.submission_ids, version, applied_ops);
         Ok(ShardedCommitReport {
-            version: self.version,
+            version,
             applied_ops,
             per_shard_ops,
             conflicts: resolution.conflicts,
             journal,
         })
-    }
-
-    /// Aborts the commit: rewinds and closes every open shard scope, most
-    /// recent first, and counts the rewound commit.
-    fn abort_scopes(&mut self, open: &[(usize, CoreScope)]) {
-        self.front.telemetry.count(|m| &m.rollbacks);
-        for (j, scope) in open.iter().rev() {
-            let core = &mut self.shards[*j].core;
-            core.scope_rewind(scope);
-            core.scope_close(scope);
-        }
     }
 
     // -------------------------------------------------------------- compaction
@@ -897,6 +850,38 @@ impl ShardedExecutor {
             },
         )
     }
+}
+
+/// The apply half of the sharded commit: applies each shard's sub-PUL under
+/// its own document journal, in shard order, lifting each shard's identifier
+/// counter past the identifiers the shards before it minted. An error drops
+/// every journal opened so far, rolling those shards back. `version` is the
+/// session version the commit starts from (for the fault event).
+fn apply_shards<'a>(
+    shards: &'a mut [Shard],
+    per_shard: &[Pul],
+    faults: &Faults,
+    telemetry: &Telemetry,
+    version: u64,
+) -> Result<Vec<Applied<'a>>> {
+    let mut fence = shards.iter().map(|s| s.core.document().next_id()).max().unwrap_or(1);
+    let mut applied = Vec::new();
+    for (shard, pul) in shards.iter_mut().zip(per_shard) {
+        if pul.is_empty() {
+            continue;
+        }
+        if let Some(kind) = faults.check(site::SHARD_APPLY) {
+            telemetry.count(|m| &m.fault_hits);
+            telemetry.event(EventKind::FaultHit, version, || {
+                format!("{}: injected {kind:?}", site::SHARD_APPLY)
+            });
+            return Err(Error::injected(site::SHARD_APPLY, kind));
+        }
+        let shard = shard.core.apply(pul, fence)?;
+        fence = shard.document().next_id();
+        applied.push(shard);
+    }
+    Ok(applied)
 }
 
 #[cfg(test)]
@@ -1218,7 +1203,7 @@ mod tests {
         let report = s.commit_resolution(resolution).unwrap();
         assert_eq!(report.applied_ops, 1);
         assert_eq!(report.per_shard_ops, vec![0, 1]);
-        assert!(report.journal.total() > 0);
+        assert!(report.journal.doc_entries > 0);
         s.assert_consistent();
     }
 

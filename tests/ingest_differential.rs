@@ -303,8 +303,8 @@ fn batched_ingest_equals_sequential_commits_many_iterations() {
 /// operations already touched the document) is driven through every position
 /// of a batch of independent updates. Only the poison ticket may error, the
 /// other submissions must all commit, and the final document must equal the
-/// oracle's document without the poison — i.e. the failing round's journal
-/// scopes rewound cleanly and nothing else was disturbed.
+/// oracle's document without the poison — i.e. the failing round's document
+/// journal rolled back cleanly and nothing else was disturbed.
 #[test]
 fn mid_batch_commit_failure_fails_only_its_own_ticket() {
     // ids: lib=1, b1=2..b6: six disjoint single-element subtrees

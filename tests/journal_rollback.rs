@@ -1,20 +1,22 @@
 //! Differential verification of the journaled O(change) rollback against a
 //! snapshot oracle, through the public session API.
 //!
-//! No commit path clones the session: atomicity comes from the apply journal
-//! (mutations record their inverses; a failure replays them in reverse).
-//! These tests clone the session *in test code* — the oracle the journal
-//! replaced — and assert that after a mid-apply failure, a sharded two-phase
-//! abort, or a failed WAL append that rewinds an applied commit, the session
-//! is bit-identical to the oracle: `deep_eq` on document and labeling, and
-//! every Table-1 predicate answering identically on every node pair.
+//! No commit path clones the session: atomicity comes from the document's
+//! apply journal (mutations record their inverses; a failure replays them in
+//! reverse), and the labeling is patched only after the commit point, so a
+//! failed commit never touches it. These tests clone the session *in test
+//! code* — the oracle the journal replaced — and assert that after a
+//! mid-apply failure, a sharded abort, or a failed WAL append (single or
+//! sharded) that rolls an applied commit back, the session is bit-identical
+//! to the oracle: `deep_eq` on document and labeling, and every Table-1
+//! predicate answering identically on every node pair.
 
 use std::path::PathBuf;
 
 use pul::UpdateOp;
 use xdm::Tree;
-use xmlpul::fault_site;
 use xmlpul::prelude::*;
+use xmlpul::{fault_site, DurableBackend};
 
 fn issue_session() -> Executor {
     Executor::parse(
@@ -32,9 +34,14 @@ fn issue_session() -> Executor {
 fn assert_table1_identical(session: &Executor, oracle: &Executor) {
     let nodes = oracle.document().preorder_from_root();
     assert_eq!(session.document().preorder_from_root(), nodes, "different node sets");
-    let (l, ol) = (session.labeling(), oracle.labeling());
-    for &a in &nodes {
-        for &b in &nodes {
+    assert_predicates_identical(&nodes, session.labeling(), oracle.labeling());
+}
+
+/// Asserts that every Table-1 predicate answers the same under `l` as under
+/// `ol`, over every ordered pair of `nodes`.
+fn assert_predicates_identical(nodes: &[NodeId], l: &Labeling, ol: &Labeling) {
+    for &a in nodes {
+        for &b in nodes {
             assert_eq!(l.precedes(a, b), ol.precedes(a, b), "precedes({a},{b})");
             assert_eq!(l.is_left_sibling(a, b), ol.is_left_sibling(a, b), "leftsib({a},{b})");
             assert_eq!(l.is_child(a, b), ol.is_child(a, b), "child({a},{b})");
@@ -63,7 +70,7 @@ fn assert_sessions_identical(session: &Executor, oracle: &Executor) {
 /// Wraps `session` in a fresh durable store whose first WAL append fails
 /// permanently: the next commit applies, then its append fails and the apply
 /// journal rewinds it. Returns the store directory with the session.
-fn durable_with_failing_append(tag: &str, session: Executor) -> (PathBuf, Durable<Executor>) {
+fn durable_with_failing_append<B: DurableBackend>(tag: &str, session: B) -> (PathBuf, Durable<B>) {
     let dir =
         std::env::temp_dir().join(format!("xmlpul_journal_rollback_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -149,6 +156,67 @@ fn failed_wal_append_rewinds_bit_identical_to_the_oracle() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The sharded twin of the test above: every shard applies its slice of a
+/// cross-shard commit, the one `S` append fails, and every shard — document,
+/// identifier counter and labeling — must equal the clone oracle, with every
+/// Table-1 predicate answering identically, before and after a reopen.
+#[test]
+fn sharded_failed_wal_append_rewinds_every_shard_to_the_oracle() {
+    const N_SHARDS: usize = 4;
+    for seed in 0..3u64 {
+        let doc =
+            workload::xmark::generate(&workload::xmark::XmarkConfig { target_nodes: 400, seed });
+        let labeling = Labeling::assign(&doc);
+        let pul = workload::pulgen::generate_pul(
+            &doc,
+            &labeling,
+            &workload::pulgen::PulGenConfig {
+                n_ops: 16,
+                reducible_ratio: 0.1,
+                content_id_base: doc.next_id() + 1_000_000,
+                seed,
+            },
+        );
+        let session = ShardedExecutor::new(doc, N_SHARDS)
+            .unwrap()
+            .apply_options(ApplyOptions { validate: true, preserve_content_ids: true });
+        let oracle = session.clone();
+        let (dir, mut durable) = durable_with_failing_append(&format!("sharded{seed}"), session);
+        durable.submit(pul);
+        let touched =
+            durable.resolve().unwrap().per_shard().iter().filter(|p| !p.is_empty()).count();
+        assert!(touched >= 2, "seed {seed}: the PUL is not cross-shard");
+        let err = durable.commit().unwrap_err();
+        assert_eq!(err.code(), "XPUL-E07", "seed {seed}: {err}");
+        assert_eq!(durable.pending(), 1, "the rolled-back submission stays pending");
+        let assert_shards_identical = |session: &ShardedExecutor| {
+            assert_eq!(session.version(), oracle.version());
+            for j in 0..N_SHARDS {
+                let (core, want) = (session.shard(j), oracle.shard(j));
+                assert!(
+                    core.document().deep_eq(want.document()),
+                    "seed {seed}: shard {j} document differs"
+                );
+                assert!(
+                    core.labeling().deep_eq(want.labeling()),
+                    "seed {seed}: shard {j} labeling differs"
+                );
+                assert!(!core.document().journal_is_active(), "seed {seed}: shard {j} journal");
+                let nodes = want.document().preorder_from_root();
+                assert_eq!(core.document().preorder_from_root(), nodes);
+                assert_predicates_identical(&nodes, core.labeling(), want.labeling());
+            }
+            session.assert_consistent();
+        };
+        assert_shards_identical(durable.backend());
+        drop(durable);
+        let recovered: Durable<ShardedExecutor> =
+            Durable::open(&dir, DurableOptions::default()).unwrap();
+        assert_shards_identical(recovered.backend());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
 // ---------------------------------------------------------------------------
 // sharded two-phase rollback fuzz
 // ---------------------------------------------------------------------------
@@ -157,7 +225,7 @@ fn failed_wal_append_rewinds_bit_identical_to_the_oracle() {
 /// `m` operations, build one failing variant per operation index `k` — the
 /// first `k` operations plus a poison operation (a duplicate attribute
 /// insertion, a guaranteed dynamic error) aimed at a rotating shard — and
-/// assert that the two-phase journal replay restores **every** shard to the
+/// assert that the abort rolls **every** shard back to the
 /// exact pre-commit state: `deep_eq` documents and labelings, version 0, no
 /// journal left open. Varying `k` varies how much work precedes the failure;
 /// rotating the poison shard varies how many shards have already applied
@@ -298,7 +366,7 @@ fn rollback_scales_with_the_change_not_the_document() {
     durable.assert_consistent();
     // The fault is spent: the retry applies the same resolution, and its
     // report counts the journal entries the rewind replayed.
-    let entries = durable.commit().unwrap().apply.journal.total();
+    let entries = durable.commit().unwrap().apply.journal.doc_entries;
     assert!(entries > 0);
     assert!(
         entries < node_count / 100,

@@ -128,7 +128,7 @@ fn run_case(seed: u64) {
             }
             (Err(oe), Err(se)) => {
                 // Both sides reject: the sharded session must be untouched
-                // (the two-phase journal replay) exactly like the oracle.
+                // (every applied shard rolled back) exactly like the oracle.
                 assert!(
                     sharded.document().deep_eq(oracle.document()),
                     "seed {seed}, {n} shards: rejected commit left different documents \
